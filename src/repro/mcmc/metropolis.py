@@ -27,6 +27,7 @@ def mh_parameter_update(
     param_index: int,
     proposal_sigma: np.ndarray,
     rng: HybridTaus,
+    proposal: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One MH accept/reject step for one parameter across all voxels.
 
@@ -44,6 +45,12 @@ def mh_parameter_update(
         ``(n_vox,)`` Gaussian proposal widths for this parameter.
     rng:
         Per-voxel random streams (``rng.n_threads == n_vox``).
+    proposal:
+        Optional scratch buffer equal to ``params`` on entry; it is left
+        equal to the updated ``params`` on return, so a sampler can
+        reuse one buffer for a whole run instead of copying the full
+        state on every call.  ``log_posterior`` must not modify its
+        argument.  Omitted, a fresh copy of ``params`` is used.
 
     Returns
     -------
@@ -62,7 +69,8 @@ def mh_parameter_update(
     step = rng.normal() * proposal_sigma
     u = rng.uniform()
 
-    proposal = params.copy()
+    if proposal is None:
+        proposal = params.copy()
     proposal[:, param_index] += step
     prop_lp = log_posterior(proposal)
 
@@ -74,6 +82,7 @@ def mh_parameter_update(
 
     params[accepted, param_index] = proposal[accepted, param_index]
     current_lp[accepted] = prop_lp[accepted]
+    proposal[:, param_index] = params[:, param_index]
 
     # Proposal/accept counts are pure functions of the chain, so they
     # belong to the manifest's deterministic section.

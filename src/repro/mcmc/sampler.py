@@ -16,6 +16,7 @@ check, and it is asserted in the test suite.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,8 @@ class MCMCResult:
         ``(n_samples, n_voxels, n_params)`` recorded states.
     acceptance_history:
         Per adaptation window, the mean acceptance rate over voxels and
-        parameters (Fig 2's feedback signal).
+        parameters (Fig 2's feedback signal).  For a multi-block batch,
+        the per-block histories pooled with equal weight per block.
     n_loops:
         Loops executed (for the machine-model speedup accounting).
     n_voxels, n_params:
@@ -103,8 +105,13 @@ class MCMCResult:
     wall_seconds:
         Host wall-clock the run took.
     checkpoint:
-        Set when the run paused early (``stop_after_loop``): resume by
-        passing it back to :meth:`MCMCSampler.run`.
+        Set when a one-block run paused early (``stop_after_loop``):
+        resume by passing it back to :meth:`MCMCSampler.run`.
+    block_histories:
+        One acceptance history per block of the batch.
+    block_checkpoints:
+        One checkpoint per block when the run paused early (empty once
+        the schedule completed); pass the list back to resume a batch.
     """
 
     samples: np.ndarray
@@ -114,6 +121,8 @@ class MCMCResult:
     n_params: int = 0
     wall_seconds: float = 0.0
     checkpoint: "object | None" = None
+    block_histories: list[list[float]] = field(default_factory=list)
+    block_checkpoints: list = field(default_factory=list)
 
     def mean(self) -> np.ndarray:
         """Posterior mean state per voxel, ``(n_voxels, n_params)``."""
@@ -162,6 +171,20 @@ class MCMCResult:
         return fields
 
 
+def _tiling(blocks, n_vox: int) -> list[tuple[int, int]]:
+    """``blocks`` as int pairs, checked to tile ``[0, n_vox)`` in order."""
+    blocks = [(int(a), int(b)) for a, b in blocks]
+    stops = [b for _, b in blocks]
+    if (
+        not blocks
+        or [a for a, _ in blocks] != [0] + stops[:-1]
+        or stops[-1] != n_vox
+        or any(a >= b for a, b in blocks)
+    ):
+        raise SamplerError(f"blocks {blocks} do not tile [0, {n_vox})")
+    return blocks
+
+
 class MCMCSampler:
     """Runs the Fig 2 schedule against a :class:`LogPosterior`."""
 
@@ -175,9 +198,10 @@ class MCMCSampler:
         posterior: LogPosterior,
         initial: np.ndarray | None = None,
         rng: HybridTaus | None = None,
-        checkpoint: "SamplerCheckpoint | None" = None,
+        checkpoint: "SamplerCheckpoint | Sequence[SamplerCheckpoint] | None" = None,
         stop_after_loop: int | None = None,
         replay_counters: bool = False,
+        blocks: Sequence[tuple[int, int]] | None = None,
     ) -> MCMCResult:
         """Sample all voxels in lockstep (the one-thread-per-voxel port).
 
@@ -185,8 +209,10 @@ class MCMCSampler:
         ----------
         checkpoint:
             Resume from a :class:`~repro.mcmc.checkpoint.SamplerCheckpoint`
-            (``initial`` and ``rng`` must then be None).  The resumed run
-            is bit-identical to an uninterrupted one.
+            (``initial`` and ``rng`` must then be None), or from one
+            checkpoint per block, all at the same loop, stacked in block
+            order.  The resumed run is bit-identical to an uninterrupted
+            one.
         stop_after_loop:
             Pause after this many loops: the returned (partial) result
             carries a ``checkpoint`` for the continuation.
@@ -198,6 +224,17 @@ class MCMCSampler:
             uninterrupted run's.  Leave False (the default) when the
             pausing run already counted them in this same registry
             (in-process chunked runs) — replaying would double-count.
+        blocks:
+            Row bounds ``[(0, b1), (b1, b2), ..., (b_{k-1}, n_vox)]``
+            that split the voxels into ``k`` blocks run as **one**
+            lockstep batch.  The posterior and the MH sweep are
+            row-independent, so the batch is bitwise ``k`` separate
+            runs: each block keeps its own ``initial_params()`` (the
+            tensor-fit initialisation is not row-independent in its
+            last bits), acceptance history, accept count, and
+            checkpoint, and the ``mcmc.loops``/``adaptations``/
+            ``samples_recorded`` counters advance by ``k`` per event.
+            ``None`` is one block (or one per resumed checkpoint).
         """
         from repro.mcmc.checkpoint import SamplerCheckpoint
 
@@ -207,23 +244,51 @@ class MCMCSampler:
                 raise SamplerError(
                     "pass either a checkpoint or initial/rng, not both"
                 )
-            params = checkpoint.params.copy()
+            ckpts = (
+                [checkpoint] if isinstance(checkpoint, SamplerCheckpoint)
+                else list(checkpoint)
+            )
+            if len({(c.loop, c.taken) for c in ckpts}) != 1:
+                raise SamplerError(
+                    "batched checkpoints must share one loop and sample count"
+                )
+            if blocks is None:
+                edges = np.cumsum([0] + [c.params.shape[0] for c in ckpts])
+                blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+            def _stack(name: str) -> np.ndarray:
+                return np.concatenate([getattr(c, name) for c in ckpts])
+
+            params = _stack("params")
             n_vox, n_par = params.shape
-            rng = HybridTaus(checkpoint.rng_state)
-            lp = checkpoint.log_posterior.copy()
-            proposals = AdaptiveProposals(checkpoint.proposal_sigma)
-            proposals._accepted[:] = checkpoint.window_accepted
-            proposals._rejected[:] = checkpoint.window_rejected
-            start_loop = checkpoint.loop
-            taken = checkpoint.taken
-            acceptance_history = list(checkpoint.acceptance_history)
-            total_accepts = checkpoint.total_accepts
+            blocks = _tiling(blocks, n_vox)
+            if len(blocks) != len(ckpts):
+                raise SamplerError(
+                    f"{len(blocks)} blocks but {len(ckpts)} checkpoints"
+                )
+            rng = HybridTaus(_stack("rng_state"))
+            lp = _stack("log_posterior")
+            proposals = AdaptiveProposals(_stack("proposal_sigma"))
+            proposals._accepted[:] = _stack("window_accepted")
+            proposals._rejected[:] = _stack("window_rejected")
+            start_loop = ckpts[0].loop
+            taken = ckpts[0].taken
+            histories = [list(c.acceptance_history) for c in ckpts]
+            prior_accepts = [c.total_accepts for c in ckpts]
             samples = np.empty((cfg.n_samples, n_vox, n_par))
-            samples[:taken] = checkpoint.samples
+            samples[:taken] = np.concatenate(
+                [c.samples for c in ckpts], axis=1
+            )
         else:
-            params = (
-                posterior.initial_params() if initial is None else np.array(initial)
-            ).astype(np.float64)
+            n_rows = posterior.n_voxels
+            blocks = _tiling([(0, n_rows)] if blocks is None else blocks, n_rows)
+            if initial is None:
+                # Per block: the tensor-fit init differs in its last bits
+                # when many blocks' voxels are fit together.
+                initial = np.concatenate(
+                    [posterior.rows(a, b).initial_params() for a, b in blocks]
+                )
+            params = np.array(initial).astype(np.float64)
             n_vox, n_par = params.shape
             if n_vox != posterior.n_voxels:
                 raise SamplerError(
@@ -236,16 +301,18 @@ class MCMCSampler:
                     f"rng has {rng.n_threads} lanes, need {n_vox} (one per voxel)"
                 )
             lp = posterior(params)
-            if np.all(np.isneginf(lp)):
+            if any(np.all(np.isneginf(lp[a:b])) for a, b in blocks):
                 raise SamplerError("initial state has zero posterior everywhere")
             proposals = AdaptiveProposals(
                 AdaptiveProposals.default_initial_sigma(params)
             )
             start_loop = 0
             taken = 0
-            acceptance_history = []
-            total_accepts = 0
+            histories = [[] for _ in blocks]
+            prior_accepts = [0 for _ in blocks]
             samples = np.empty((cfg.n_samples, n_vox, n_par))
+
+        n_blocks = len(blocks)
 
         end_loop = cfg.n_loops
         if stop_after_loop is not None:
@@ -258,63 +325,81 @@ class MCMCSampler:
 
         registry = get_registry()
         if replay_counters and checkpoint is not None:
-            registry.count("mcmc.loops", checkpoint.loop)
-            registry.count("mcmc.adaptations", len(checkpoint.acceptance_history))
-            registry.count("mcmc.samples_recorded", checkpoint.taken)
+            registry.count("mcmc.loops", start_loop * n_blocks)
+            registry.count("mcmc.adaptations", sum(len(h) for h in histories))
+            registry.count("mcmc.samples_recorded", taken * n_blocks)
             # Proposal counts are a pure function of the schedule; the
             # accept count is data-dependent and rides in the checkpoint.
-            registry.count("mcmc.proposals", checkpoint.loop * n_vox * n_par)
-            registry.count("mcmc.accepts", checkpoint.total_accepts)
+            registry.count("mcmc.proposals", start_loop * n_vox * n_par)
+            registry.count("mcmc.accepts", sum(prior_accepts))
         t0 = time.perf_counter()
+        # Accepts per voxel since this call began (summed per block for
+        # the checkpoints), and the one proposal buffer the sweep reuses.
+        voxel_accepts = np.zeros(n_vox, dtype=np.int64)
+        proposal = params.copy()
 
         def _run_loops(lo: int, hi: int, stage: str) -> None:
             """Run loops ``lo..hi`` inclusive under an ``mcmc.<stage>`` span."""
-            nonlocal lp, taken, total_accepts
+            nonlocal lp, taken, voxel_accepts
             if lo > hi:
                 return
-            with registry.span(f"mcmc.{stage}", loops=hi - lo + 1, n_voxels=n_vox):
+            with registry.span(
+                f"mcmc.{stage}", loops=hi - lo + 1, n_voxels=n_vox,
+                blocks=n_blocks,
+            ):
                 for loop in range(lo, hi + 1):
                     for p_idx in range(n_par):
                         accepted, lp = mh_parameter_update(
                             posterior, params, lp, p_idx,
-                            proposals.sigma[:, p_idx], rng,
+                            proposals.sigma[:, p_idx], rng, proposal,
                         )
                         proposals.record(p_idx, accepted)
-                        total_accepts += int(np.count_nonzero(accepted))
-                    registry.count("mcmc.loops", 1)
+                        voxel_accepts += accepted
+                    registry.count("mcmc.loops", n_blocks)
                     if loop % cfg.adapt_every == 0:
                         rates = proposals.adapt()
-                        acceptance_history.append(float(rates.mean()))
-                        registry.count("mcmc.adaptations", 1)
+                        for history, (a, b) in zip(histories, blocks):
+                            history.append(float(rates[a:b].mean()))
+                        registry.count("mcmc.adaptations", n_blocks)
                     if loop > cfg.n_burnin:
                         since = loop - cfg.n_burnin
                         if since % cfg.sample_interval == 0 and taken < cfg.n_samples:
                             samples[taken] = params
                             taken += 1
-                            registry.count("mcmc.samples_recorded", 1)
+                            registry.count("mcmc.samples_recorded", n_blocks)
 
         # Fig 2's two phases, each under its own measured span.
         burn_end = min(end_loop, cfg.n_burnin)
         _run_loops(start_loop + 1, burn_end, "burnin")
         _run_loops(max(start_loop + 1, burn_end + 1), end_loop, "sampling")
 
-        out_checkpoint = None
+        out_checkpoints: list[SamplerCheckpoint] = []
         if end_loop < cfg.n_loops:
-            out_checkpoint = SamplerCheckpoint(
-                params=params.copy(),
-                log_posterior=lp.copy(),
-                rng_state=rng.state,
-                proposal_sigma=proposals.sigma.copy(),
-                window_accepted=proposals._accepted.copy(),
-                window_rejected=proposals._rejected.copy(),
-                loop=end_loop,
-                taken=taken,
-                samples=samples[:taken].copy(),
-                acceptance_history=list(acceptance_history),
-                total_accepts=total_accepts,
-            )
+            rng_state = rng.state
+            out_checkpoints = [
+                SamplerCheckpoint(
+                    params=params[a:b].copy(),
+                    log_posterior=lp[a:b].copy(),
+                    rng_state=rng_state[a:b].copy(),
+                    proposal_sigma=proposals.sigma[a:b].copy(),
+                    window_accepted=proposals._accepted[a:b].copy(),
+                    window_rejected=proposals._rejected[a:b].copy(),
+                    loop=end_loop,
+                    taken=taken,
+                    samples=samples[:taken, a:b].copy(),
+                    acceptance_history=list(history),
+                    total_accepts=prior + int(voxel_accepts[a:b].sum()),
+                )
+                for (a, b), history, prior in zip(
+                    blocks, histories, prior_accepts
+                )
+            ]
         elif taken != cfg.n_samples:  # pragma: no cover - schedule invariant
             raise SamplerError(f"recorded {taken}/{cfg.n_samples} samples")
+        acceptance_history = (
+            histories[0] if n_blocks == 1
+            else [float(x) for x in np.mean(histories, axis=0)]
+        )
         return MCMCResult(
             samples=samples[:taken],
             acceptance_history=acceptance_history,
@@ -322,7 +407,11 @@ class MCMCSampler:
             n_voxels=n_vox,
             n_params=n_par,
             wall_seconds=time.perf_counter() - t0,
-            checkpoint=out_checkpoint,
+            checkpoint=(
+                out_checkpoints[0] if n_blocks == 1 and out_checkpoints else None
+            ),
+            block_histories=histories,
+            block_checkpoints=out_checkpoints,
         )
 
     # -- scalar ("CPU") execution -----------------------------------------
@@ -351,19 +440,11 @@ class MCMCSampler:
         samples = np.empty((cfg.n_samples, n_vox, n_par))
         acc_totals: list[np.ndarray] = []
         t0 = time.perf_counter()
-        from repro.rng.tausworthe import HybridTaus as _HT
-
         for v in range(n_vox):
-            sub_post = LogPosterior(
-                posterior.gtab,
-                posterior.data[v : v + 1],
-                priors=posterior.priors,
-                n_fibers=posterior.layout.n_fibers,
-                noise_model=posterior.noise_model,
-            )
-            sub_rng = _HT(state[v : v + 1])
             sub = MCMCSampler(cfg).run(
-                sub_post, initial=params0[v : v + 1], rng=sub_rng
+                posterior.rows(v, v + 1),
+                initial=params0[v : v + 1],
+                rng=HybridTaus(state[v : v + 1]),
             )
             samples[:, v, :] = sub.samples[:, 0, :]
             acc_totals.append(np.asarray(sub.acceptance_history))

@@ -14,8 +14,10 @@ Sharded bedpost is bit-identical to the single-process path because:
 
 * the *serial block decomposition* is preserved exactly — a shard is a
   contiguous run of the serial ``range(0, n_vox, block_voxels)`` blocks,
-  so the per-block spans (and with them every deterministic ``mcmc.*``
-  counter total) match the serial run for any worker count;
+  and every task (the serial run is one task over all blocks) sweeps
+  its blocks in lockstep batches that keep per-block initial states,
+  acceptance histories, counters, and checkpoints — so any grouping of
+  blocks into batches is bitwise the blocks run alone;
 * each voxel's chains are seeded by
   :func:`~repro.rng.streams.block_streams` — lane ``v`` of the *full*
   problem, computed directly for the block's span, bitwise-equal to
@@ -46,6 +48,7 @@ from repro.mcmc.sampler import MCMCConfig, MCMCResult, MCMCSampler
 from repro.models.posterior import LogPosterior, ParameterLayout
 from repro.models.priors import MultiFiberPriors
 from repro.rng.streams import block_streams
+from repro.rng.tausworthe import HybridTaus
 from repro.runtime.stage import StageShard
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 
@@ -57,6 +60,14 @@ __all__ = [
     "run_block_task",
     "run_blocks",
 ]
+
+
+#: Most voxels one lockstep batch packs (whole blocks; a larger block
+#: runs alone).  The sweep's per-voxel cost is flat from ~800 to ~2400
+#: voxels and rises past ~3000 (measured at 36 and 100 measurements on
+#: a 2-core Xeon, 2 MiB L2 per core: 36 vs 22 us per voxel-loop for a
+#: 5286-voxel batch against 1200-2400-voxel ones at 36 measurements).
+BATCH_VOXELS = 2048
 
 
 def block_checkpoint_name(voxel_start: int) -> str:
@@ -96,80 +107,159 @@ class BlockTask:
 
 
 def run_blocks(task: BlockTask) -> dict:
-    """Run every block of one task; return its payload dict.
+    """Run one task's blocks as lockstep batches; return its payload dict.
 
-    This is *the* MCMC block loop — the serial path and every worker run
-    exactly this code, under whatever registry is active.  The payload
+    This is *the* MCMC block runner — the serial path and every worker
+    run exactly this code, under whatever registry is active.  The Fig 2
+    loop sweeps many blocks at once: consecutive whole blocks are packed
+    into batches of up to :data:`BATCH_VOXELS` voxels, so a task of up
+    to that size is one batch.  The blocks stay the unit of
+    initialisation, acceptance bookkeeping, and checkpointing, so the
+    result is bitwise that of running each block alone.  The payload
     carries the recorded samples for the task's voxel span, one
     acceptance history per block, and the span coordinates the merge
     scatters by.
 
-    Blocks resume from on-disk checkpoints when present (corrupt files
-    degrade to a clean restart), replaying completed loops into the
-    deterministic counters so a resumed run matches an uninterrupted one.
+    Blocks resume from their on-disk checkpoints when present (corrupt
+    files degrade to a clean restart of that block).  Blocks paused at
+    different loops — a crash between one batch's per-block saves —
+    are batched per loop, replaying their completed loops into the
+    deterministic counters so a resumed run matches an uninterrupted
+    one.
     """
-    registry = get_registry()
-    layout = ParameterLayout(task.n_fibers)
-    priors = MultiFiberPriors(ard=task.ard)
-    sampler = MCMCSampler(task.mcmc)
     cfg = task.mcmc
     lo0 = task.blocks[0][0]
-    n_task_vox = task.data.shape[0]
-    samples = np.empty((cfg.n_samples, n_task_vox, layout.n_params))
-    histories: list[np.ndarray] = []
-    for start, stop in task.blocks:
-        with registry.span("bedpost.block", start=start, n_voxels=stop - start):
-            post = LogPosterior(
-                task.gtab,
-                task.data[start - lo0 : stop - lo0],
-                priors=priors,
-                n_fibers=task.n_fibers,
-                noise_model=task.noise_model,
+    samples = np.empty(
+        (cfg.n_samples, task.data.shape[0], ParameterLayout(task.n_fibers).n_params)
+    )
+    histories: list[np.ndarray] = [np.empty(0)] * len(task.blocks)
+    ckpt_dir = (
+        Path(task.ckpt_dir)
+        if task.ckpt_dir is not None and task.checkpoint_every > 0
+        else None
+    )
+    resumed: dict[int, SamplerCheckpoint] = {}
+    loops = []
+    for i, (start, _) in enumerate(task.blocks):
+        ckpt = _load_checkpoint(ckpt_dir, start) if ckpt_dir is not None else None
+        if ckpt is not None:
+            resumed[i] = ckpt
+        loops.append(ckpt.loop if ckpt is not None else 0)
+    for loop in sorted(set(loops)):
+        members = [i for i, at in enumerate(loops) if at == loop]
+        for batch in _pack(task.blocks, members):
+            res = _run_batch(
+                task,
+                [task.blocks[i] for i in batch],
+                [resumed[i] for i in batch] if loop else None,
+                ckpt_dir,
             )
-            # Per-voxel streams: lane v of the full problem, regardless
-            # of blocking or sharding, so every decomposition agrees.
-            rng = block_streams(
-                task.n_total_voxels, start, stop, seed=cfg.seed
-            )
-
-            ckpt_file = None
-            if task.ckpt_dir is not None:
-                ckpt_file = Path(task.ckpt_dir) / block_checkpoint_name(start)
-            checkpoint = None
-            if ckpt_file is not None and ckpt_file.exists():
-                try:
-                    checkpoint = SamplerCheckpoint.load(ckpt_file)
-                except SamplerError:
-                    # A corrupt checkpoint degrades to a clean restart.
-                    ckpt_file.unlink(missing_ok=True)
-            # Completed loops from a previous process must be re-counted
-            # so the resumed run's counters match an uninterrupted one.
-            replay = checkpoint is not None
-
-            if ckpt_file is None or task.checkpoint_every <= 0:
-                res: MCMCResult = sampler.run(post, rng=rng)
-            else:
-                while True:
-                    done = checkpoint.loop if checkpoint is not None else 0
-                    target = min(done + task.checkpoint_every, cfg.n_loops)
-                    res = sampler.run(
-                        post,
-                        rng=None if checkpoint is not None else rng,
-                        checkpoint=checkpoint,
-                        stop_after_loop=target,
-                        replay_counters=replay,
-                    )
-                    replay = False
-                    if res.checkpoint is None:
-                        break
-                    checkpoint = res.checkpoint
-                    checkpoint.save(ckpt_file)
-                    if task.on_checkpoint is not None:
-                        task.on_checkpoint(start, checkpoint.loop)
-            samples[:, start - lo0 : stop - lo0, :] = res.samples
-            histories.append(np.asarray(res.acceptance_history))
-    registry.count("bedpost.voxels_fit", n_task_vox)
+            col = 0
+            for i, history in zip(batch, res.block_histories):
+                start, stop = task.blocks[i]
+                width = stop - start
+                samples[:, start - lo0 : stop - lo0, :] = res.samples[
+                    :, col : col + width
+                ]
+                histories[i] = np.asarray(history)
+                col += width
+    get_registry().count("bedpost.voxels_fit", task.data.shape[0])
     return {"voxel_start": lo0, "samples": samples, "histories": histories}
+
+
+def _pack(blocks, members: list[int]) -> list[list[int]]:
+    """Split block indices, in order, into batches of whole blocks of at
+    most :data:`BATCH_VOXELS` voxels (a larger block is a batch alone)."""
+    batches: list[list[int]] = [[]]
+    size = 0
+    for i in members:
+        width = blocks[i][1] - blocks[i][0]
+        if batches[-1] and size + width > BATCH_VOXELS:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += width
+    return batches
+
+
+def _load_checkpoint(ckpt_dir: Path, start: int) -> SamplerCheckpoint | None:
+    """The block's on-disk checkpoint; a corrupt one is deleted (None)."""
+    path = ckpt_dir / block_checkpoint_name(start)
+    if not path.exists():
+        return None
+    try:
+        return SamplerCheckpoint.load(path)
+    except SamplerError:
+        path.unlink(missing_ok=True)
+        return None
+
+
+def _run_batch(
+    task: BlockTask,
+    spans: list[tuple[int, int]],
+    checkpoints: list[SamplerCheckpoint] | None,
+    ckpt_dir: Path | None,
+) -> MCMCResult:
+    """Sample some of a task's blocks (all at one loop) as one batch.
+
+    Fresh blocks draw lane ``v`` of the full problem for every voxel
+    ``v`` (:func:`~repro.rng.streams.block_streams`), so any grouping
+    agrees with the serial run.  With ``ckpt_dir`` the batch runs in
+    chunks of ``checkpoint_every`` loops, saving every block's
+    checkpoint (then calling ``on_checkpoint``) after each chunk.
+    """
+    lo0 = task.blocks[0][0]
+    contiguous = all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    if contiguous:
+        data = task.data[spans[0][0] - lo0 : spans[-1][1] - lo0]
+    else:
+        data = np.concatenate([task.data[a - lo0 : b - lo0] for a, b in spans])
+    post = LogPosterior(
+        task.gtab,
+        data,
+        priors=MultiFiberPriors(ard=task.ard),
+        n_fibers=task.n_fibers,
+        noise_model=task.noise_model,
+    )
+    edges = np.cumsum([0] + [b - a for a, b in spans]).tolist()
+    bounds = list(zip(edges[:-1], edges[1:]))
+    rng = None
+    if checkpoints is None:
+        n, seed = task.n_total_voxels, task.mcmc.seed
+        if contiguous:
+            rng = block_streams(n, spans[0][0], spans[-1][1], seed=seed)
+        else:
+            rng = HybridTaus(np.concatenate(
+                [block_streams(n, a, b, seed=seed).state for a, b in spans]
+            ))
+    sampler = MCMCSampler(task.mcmc)
+    with get_registry().span(
+        "bedpost.block", start=spans[0][0], n_voxels=data.shape[0],
+        blocks=len(spans),
+    ):
+        if ckpt_dir is None:
+            return sampler.run(post, rng=rng, blocks=bounds)
+        # Completed loops from a previous process must be re-counted
+        # so the resumed run's counters match an uninterrupted one.
+        replay = checkpoints is not None
+        while True:
+            done = checkpoints[0].loop if checkpoints is not None else 0
+            res = sampler.run(
+                post,
+                rng=rng if checkpoints is None else None,
+                checkpoint=checkpoints,
+                stop_after_loop=min(done + task.checkpoint_every, task.mcmc.n_loops),
+                replay_counters=replay,
+                blocks=bounds,
+            )
+            replay = False
+            if not res.block_checkpoints:
+                return res
+            checkpoints = res.block_checkpoints
+            for (start, _), ckpt in zip(spans, checkpoints):
+                ckpt.save(ckpt_dir / block_checkpoint_name(start))
+                if task.on_checkpoint is not None:
+                    task.on_checkpoint(start, ckpt.loop)
 
 
 def run_block_task(task: BlockTask) -> tuple[dict, dict]:

@@ -149,6 +149,17 @@ class LogPosterior:
         """Number of voxels in the block."""
         return self.data.shape[0]
 
+    def rows(self, lo: int, hi: int) -> "LogPosterior":
+        """The posterior of voxels ``[lo, hi)`` alone (same scheme, priors,
+        and noise model; the signal rows are a view, not a copy)."""
+        return LogPosterior(
+            self.gtab,
+            self.data[lo:hi],
+            priors=self.priors,
+            n_fibers=self.layout.n_fibers,
+            noise_model=self.noise_model,
+        )
+
     def __call__(self, params: np.ndarray) -> np.ndarray:
         """``(n_vox,)`` log-posterior (up to a constant) at ``params``."""
         p = self.layout.unpack(np.asarray(params, dtype=np.float64))

@@ -1,7 +1,7 @@
 """Stage 1 driver: local parameter estimation over a masked volume.
 
 Flattens the masked voxels, runs the lockstep Metropolis-Hastings sampler
-(optionally in memory-bounded voxel blocks), and scatters the recorded
+(checkpointed and sharded by voxel block), and scatters the recorded
 samples back into per-sample :class:`FiberField` volumes — Fig 1's "six
 4-D volumes" handoff to the tracking stage.  Also computes the machine-
 model times for the Table III speedup.
@@ -53,6 +53,8 @@ class BedpostConfig:
     ard: bool = False
     noise_model: str = "gaussian"
     f_threshold: float = 0.05
+    #: Voxels per block: the checkpoint / retry / fault unit.  Tasks
+    #: sample many blocks per lockstep batch (:mod:`repro.mcmc.shards`).
     block_voxels: int = 50_000
     device: DeviceSpec = RADEON_5870
     host: HostSpec = PHENOM_X4
@@ -273,25 +275,25 @@ def _compute_samples(
 ):
     """The actual MCMC sweep: ``(all_samples, history, supervision)``.
 
-    Runs under whatever registry is active.  The serial block loop and
-    every worker process execute the same
-    :func:`~repro.mcmc.shards.run_blocks` code over the same serial
-    block decomposition, so the posterior samples, acceptance history,
-    and deterministic ``mcmc.*``/``bedpost.*`` counters are bit-identical
-    for any ``cfg.n_workers`` — with ``n_workers > 1``, contiguous runs
-    of blocks go through the supervised
+    Runs under whatever registry is active.  Serially, all blocks form
+    one task; with ``n_workers > 1``, contiguous runs of blocks go
+    through the supervised
     :class:`~repro.runtime.stage.StageShardExecutor` and stream back in
-    task order.
+    task order.  Either way :func:`~repro.mcmc.shards.run_blocks` runs
+    each task's blocks as lockstep batches over the same block
+    decomposition, so the posterior samples, acceptance history, and
+    deterministic ``mcmc.*``/``bedpost.*`` counters are bit-identical
+    for any ``cfg.n_workers``.
 
-    When ``ckpt_dir`` is given, each block runs in chunks of
-    ``checkpoint_every`` loops with the chain state checkpointed
-    atomically after each chunk (files keyed by global voxel start, so
-    serial and sharded runs resume each other's work), resuming from an
-    existing on-disk checkpoint with its completed loops re-counted.
+    When ``ckpt_dir`` is given, each batch runs in chunks of
+    ``checkpoint_every`` loops with every block's chain state
+    checkpointed atomically after each chunk (files keyed by global
+    voxel start, so serial and sharded runs resume each other's work),
+    resuming from existing on-disk checkpoints with their completed
+    loops re-counted.
     """
     from repro.mcmc.shards import (
         BEDPOST_BLOCK_SHARD,
-        BlockTask,
         make_block_tasks,
         run_blocks,
     )
@@ -303,8 +305,6 @@ def _compute_samples(
         (start, min(start + cfg.block_voxels, n_vox))
         for start in range(0, n_vox, cfg.block_voxels)
     ]
-    all_samples = np.empty((cfg.mcmc.n_samples, n_vox, layout.n_params))
-    histories: list[np.ndarray] = []
     task_kwargs = dict(
         n_total_voxels=n_vox,
         mcmc=cfg.mcmc,
@@ -319,19 +319,11 @@ def _compute_samples(
 
     report = None
     if cfg.n_workers <= 1:
-        # Serial: one single-block task at a time, directly under the
-        # active registry — peak memory stays one block's working set.
-        for i, (start, stop) in enumerate(blocks):
-            payload = run_blocks(
-                BlockTask(
-                    data=flat[sel_idx[start:stop]],
-                    blocks=((start, stop),),
-                    first_block=i,
-                    **task_kwargs,
-                )
-            )
-            all_samples[:, start:stop, :] = payload["samples"]
-            histories.extend(payload["histories"])
+        # Serial: every block in one task, run directly under the
+        # active registry.
+        (task,) = make_block_tasks(flat[sel_idx], blocks, 1, **task_kwargs)
+        payload = run_blocks(task)
+        all_samples, histories = payload["samples"], payload["histories"]
     else:
         executor = StageShardExecutor(
             cfg.n_workers,
@@ -341,6 +333,8 @@ def _compute_samples(
             fault_plan=cfg.fault_plan,
         )
         n_shards = executor.plan_shards(BEDPOST_BLOCK_SHARD, len(blocks))
+        all_samples = np.empty((cfg.mcmc.n_samples, n_vox, layout.n_params))
+        histories: list[np.ndarray] = []
         tasks = make_block_tasks(
             flat[sel_idx], blocks, n_shards, **task_kwargs
         )
@@ -385,15 +379,19 @@ def bedpost(
 
     ``config`` may be a :class:`BedpostConfig` or a resolved
     :class:`~repro.config.spec.RunSpec` (its ``sampling`` section plus
-    machine presets are used).  Voxels are processed in blocks of
-    ``config.block_voxels`` to bound the working set; blocks use
-    distinct RNG stream offsets, so results are identical regardless of
-    blocking (each voxel's chain depends only on its own stream and
-    data).  With ``config.n_workers > 1`` (``runtime.bedpost_workers``)
-    the blocks are sharded across supervised worker processes
-    (:mod:`repro.mcmc.shards`) — posterior samples, acceptance history,
-    and deterministic counters stay bit-identical for any worker count,
-    including under recovered shard failures.
+    machine presets are used).  Voxels are split into blocks of
+    ``config.block_voxels``, the unit of checkpointing, retry, and
+    fault targeting; each voxel draws its own RNG lane of the full
+    problem, so its chain depends only on its own stream and data.
+    Serially, all blocks form one task, swept in lockstep batches of
+    whole blocks (up to :data:`~repro.mcmc.shards.BATCH_VOXELS` voxels
+    each).  With
+    ``config.n_workers > 1`` (``runtime.bedpost_workers``) contiguous
+    runs of blocks are sharded across supervised worker processes
+    (:mod:`repro.mcmc.shards`), each shard batched the same way —
+    posterior samples, acceptance history, and deterministic counters
+    stay bit-identical for any worker count, including under recovered
+    shard failures.
 
     Parameters
     ----------
@@ -418,7 +416,8 @@ def bedpost(
         :data:`DEFAULT_CHECKPOINT_LOOPS`; ``0`` disables.
     on_checkpoint:
         Test hook ``callback(block_start, loop)`` invoked after each
-        checkpoint save (fault-injection uses it to simulate crashes).
+        block's checkpoint save (fault-injection uses it to simulate
+        crashes, including between one batch's per-block saves).
     """
     spec = None
     if config is None:

@@ -96,3 +96,60 @@ def test_worker_clamp_shares_stage_unit_label(phantom, caplog):
     assert len(clamps) == 1 and "voxel block" in clamps[0]
     np.testing.assert_array_equal(serial.samples, clamped.samples)
     assert clamped.supervision.n_shards == n_blocks
+
+
+def _block_tasks(phantom, n_shards, n_blocks=6, **kwargs):
+    """Tasks over the first ``n_blocks`` 11-voxel blocks of the phantom."""
+    from repro.mcmc.shards import make_block_tasks
+
+    flat = phantom.dwi.data.reshape(-1, phantom.dwi.data.shape[-1])
+    data = flat[np.flatnonzero(phantom.mask.reshape(-1))]
+    n_vox = data.shape[0]
+    blocks = [(s, min(s + 11, n_vox)) for s in range(0, n_vox, 11)][:n_blocks]
+    return make_block_tasks(
+        data, blocks, n_shards, n_total_voxels=n_vox, mcmc=FAST, n_fibers=2,
+        ard=False, noise_model="gaussian", gtab=phantom.gtab, **kwargs,
+    )
+
+
+def _run_tasks(tasks):
+    from repro.mcmc.shards import run_blocks
+
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        payloads = [run_blocks(task) for task in tasks]
+    snap = registry.snapshot()
+    det = json.dumps(
+        {"counters": snap["counters"], "histograms": snap["histograms"]},
+        sort_keys=True,
+    )
+    samples = np.concatenate([p["samples"] for p in payloads], axis=1)
+    histories = [h for p in payloads for h in p["histories"]]
+    batches = [
+        s.attrs["blocks"] for s in registry.spans if s.name == "bedpost.block"
+    ]
+    return samples, histories, det, batches
+
+
+@pytest.mark.parametrize("batch_voxels", [None, 25])
+def test_lockstep_batch_equals_single_block_tasks(
+    phantom, monkeypatch, batch_voxels
+):
+    # One k-block task sweeps its blocks as one lockstep batch (or, with
+    # a 25-voxel cap, as batches of two blocks); it must be bitwise k
+    # single-block tasks.  At 11-voxel blocks a tensor-fit
+    # initialisation over the whole batch would move the last bits, so
+    # this also pins the per-block initial state.
+    if batch_voxels is not None:
+        monkeypatch.setattr("repro.mcmc.shards.BATCH_VOXELS", batch_voxels)
+    (batch,) = _block_tasks(phantom, 1)
+    singles = _block_tasks(phantom, len(batch.blocks))
+    assert len(batch.blocks) == len(singles) == 6
+    b_samples, b_hist, b_det, b_batches = _run_tasks([batch])
+    s_samples, s_hist, s_det, _ = _run_tasks(singles)
+    assert b_batches == ([6] if batch_voxels is None else [2, 2, 2])
+    np.testing.assert_array_equal(b_samples, s_samples)
+    assert len(b_hist) == len(s_hist) == 6
+    for a, b in zip(b_hist, s_hist):
+        np.testing.assert_array_equal(a, b)
+    assert b_det == s_det

@@ -439,3 +439,108 @@ class TestShardedInterruptResume:
         )
         np.testing.assert_array_equal(baseline.samples, resumed.samples)
         assert self._det(reg) == self._det(base_reg)
+
+
+class TestMixedLoopResume:
+    """One task's blocks checkpointed at different loops (a crash between
+    a batch's per-block saves) resume as per-loop batches, bit-identical
+    to an uninterrupted run."""
+
+    BLOCK_VOXELS = 9
+
+    def _tasks(self, phantom, n_shards, **kwargs):
+        from repro.mcmc.shards import make_block_tasks
+
+        flat = phantom.dwi.data.reshape(-1, phantom.dwi.data.shape[-1])
+        data = flat[np.flatnonzero(phantom.mask.reshape(-1))]
+        n_vox = data.shape[0]
+        blocks = [
+            (s, min(s + self.BLOCK_VOXELS, n_vox))
+            for s in range(0, n_vox, self.BLOCK_VOXELS)
+        ][:4]
+        return make_block_tasks(
+            data, blocks, n_shards, n_total_voxels=n_vox, mcmc=CFG,
+            n_fibers=2, ard=False, noise_model="gaussian", gtab=phantom.gtab,
+            **kwargs,
+        )
+
+    def _run(self, task):
+        from repro.mcmc.shards import run_blocks
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            payload = run_blocks(task)
+        snap = registry.snapshot()
+        det = json.dumps(
+            {"counters": snap["counters"], "histograms": snap["histograms"]},
+            sort_keys=True,
+        )
+        return payload, det
+
+    def _assert_same(self, a, b):
+        (pa, det_a), (pb, det_b) = a, b
+        np.testing.assert_array_equal(pa["samples"], pb["samples"])
+        assert len(pa["histories"]) == len(pb["histories"])
+        for ha, hb in zip(pa["histories"], pb["histories"]):
+            np.testing.assert_array_equal(ha, hb)
+        assert det_a == det_b
+
+    @staticmethod
+    def _crash_at(loop):
+        def hook(block_start, at):
+            if at == loop:
+                raise KeyboardInterrupt("simulated ctrl-c")
+
+        return hook
+
+    def test_blocks_at_loops_10_20_missing_and_corrupt(self, phantom, tmp_path):
+        from repro.mcmc.shards import block_checkpoint_name
+
+        (task,) = self._tasks(phantom, 1)
+        baseline = self._run(task)
+
+        ckpt_dir = str(tmp_path)
+        singles = self._tasks(phantom, 4, ckpt_dir=ckpt_dir, checkpoint_every=10)
+        for single, loop in ((singles[0], 10), (singles[1], 20), (singles[3], 10)):
+            single.on_checkpoint = self._crash_at(loop)
+            with pytest.raises(KeyboardInterrupt):
+                self._run(single)
+        starts = [start for start, _ in task.blocks]
+        corrupt = tmp_path / block_checkpoint_name(starts[3])
+        corrupt.write_bytes(corrupt.read_bytes()[:100])
+        assert [
+            SamplerCheckpoint.load(tmp_path / block_checkpoint_name(s)).loop
+            for s in starts[:2]
+        ] == [10, 20]
+        assert not (tmp_path / block_checkpoint_name(starts[2])).exists()
+
+        (resumable,) = self._tasks(
+            phantom, 1, ckpt_dir=ckpt_dir, checkpoint_every=10
+        )
+        self._assert_same(self._run(resumable), baseline)
+
+    @pytest.mark.chaos
+    def test_crash_after_first_per_block_save(self, phantom, tmp_path):
+        (task,) = self._tasks(phantom, 1)
+        baseline = self._run(task)
+
+        ckpt_dir = str(tmp_path)
+        (crashing,) = self._tasks(
+            phantom, 1, ckpt_dir=ckpt_dir, checkpoint_every=10,
+            on_checkpoint=self._crash_at(20),
+        )
+        # Each crash lands right after the first of a batch's loop-20
+        # saves, so one more block reaches loop 20 per attempt while the
+        # rest stay at 10 and the next attempt resumes two loop groups.
+        expected = ([20, 10, 10, 10], [20, 20, 10, 10], [20, 20, 20, 10])
+        for loops in expected:
+            with pytest.raises(KeyboardInterrupt):
+                self._run(crashing)
+            files = sorted(tmp_path.glob("block_*.npz"))
+            assert [SamplerCheckpoint.load(f).loop for f in files] == loops
+
+        (resumable,) = self._tasks(
+            phantom, 1, ckpt_dir=ckpt_dir, checkpoint_every=10
+        )
+        self._assert_same(self._run(resumable), baseline)

@@ -265,6 +265,87 @@ class TestSampler:
             MCMCSampler(MCMCConfig(n_burnin=1, n_samples=1)).run(post, initial=bad)
 
 
+    def test_shared_proposal_buffer_is_bit_identical(self):
+        # A reused buffer gives the same chain as a fresh copy per call,
+        # and is left equal to the updated state.
+        def logp(x):
+            return -0.5 * (x**2).sum(axis=1)
+
+        n = 16
+        runs = []
+        for reuse in (False, True):
+            params = np.zeros((n, 3))
+            lp = logp(params)
+            rng = seed_streams(n, seed=4)
+            buf = params.copy() if reuse else None
+            for i in range(30):
+                _, lp = mh_parameter_update(
+                    logp, params, lp, i % 3, np.ones(n), rng, buf
+                )
+                if reuse:
+                    np.testing.assert_array_equal(buf, params)
+            runs.append(params)
+        np.testing.assert_array_equal(runs[0], runs[1])
+
+
+class TestBlockBatch:
+    CFG = MCMCConfig(n_burnin=10, n_samples=3, sample_interval=2, adapt_every=4)
+
+    def test_batch_is_bitwise_separate_runs(self, gtab):
+        from repro.rng import block_streams
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        post = make_posterior(gtab, n=7)
+        blocks = [(0, 2), (2, 3), (3, 7)]
+        batch_reg = MetricsRegistry()
+        with use_registry(batch_reg):
+            batch = MCMCSampler(self.CFG).run(
+                post, rng=block_streams(7, 0, 7), blocks=blocks
+            )
+        single_reg = MetricsRegistry()
+        with use_registry(single_reg):
+            singles = [
+                MCMCSampler(self.CFG).run(
+                    post.rows(a, b), rng=block_streams(7, a, b)
+                )
+                for a, b in blocks
+            ]
+        np.testing.assert_array_equal(
+            batch.samples, np.concatenate([r.samples for r in singles], axis=1)
+        )
+        assert batch.block_histories == [r.acceptance_history for r in singles]
+        assert batch_reg.snapshot()["counters"] == single_reg.snapshot()["counters"]
+
+    def test_batch_checkpoints_resume_per_block(self, gtab):
+        post = make_posterior(gtab, n=5)
+        blocks = [(0, 3), (3, 5)]
+        full = MCMCSampler(self.CFG).run(post, blocks=blocks)
+        part = MCMCSampler(self.CFG).run(post, blocks=blocks, stop_after_loop=7)
+        assert part.checkpoint is None
+        assert [c.params.shape[0] for c in part.block_checkpoints] == [3, 2]
+        resumed = MCMCSampler(self.CFG).run(
+            post, checkpoint=part.block_checkpoints
+        )
+        assert resumed.block_checkpoints == []
+        np.testing.assert_array_equal(full.samples, resumed.samples)
+        assert full.block_histories == resumed.block_histories
+
+    @pytest.mark.parametrize(
+        "blocks", [[(0, 2), (3, 5)], [(0, 2), (2, 4)], [(0, 0), (0, 5)]]
+    )
+    def test_blocks_must_tile(self, gtab, blocks):
+        post = make_posterior(gtab, n=5)
+        with pytest.raises(SamplerError, match="tile"):
+            MCMCSampler(self.CFG).run(post, blocks=blocks)
+
+    def test_mixed_loop_checkpoints_rejected(self, gtab):
+        post = make_posterior(gtab, n=4)
+        a = MCMCSampler(self.CFG).run(post.rows(0, 2), stop_after_loop=4)
+        b = MCMCSampler(self.CFG).run(post.rows(2, 4), stop_after_loop=6)
+        with pytest.raises(SamplerError, match="one loop"):
+            MCMCSampler(self.CFG).run(post, checkpoint=[a.checkpoint, b.checkpoint])
+
+
 class TestToFiberFields:
     def test_scatter_into_mask(self, gtab):
         post = make_posterior(gtab, n=3)
