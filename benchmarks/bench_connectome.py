@@ -13,14 +13,19 @@ measures exactly that on one phantom:
 
 The store is also audited: after the sweep it must hold exactly one
 sampling and one tracking entry — the upstream stages were computed
-once, ever.
+once, ever.  Every recorded wall is measured on the machine named by
+``nproc`` / ``python`` / ``numpy``; nothing is modeled.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
+
+import numpy as np
 
 from benchmarks.conftest import BENCH_SCALE, emit
 from repro.analysis import render_table
@@ -83,7 +88,6 @@ def test_connectome_sweep_report(benchmark, phantom1, tmp_path, capsys):
                 "wall_s": round(wall, 4),
                 "n_rois": int(res.connectome.atlas.n_rois),
                 "n_streamlines": int(res.connectome.n_streamlines),
-                "speedup_vs_cold": round(cold_wall / wall, 2),
             }
 
         # Stages 1-2 were computed once, ever: one entry each.
@@ -102,16 +106,21 @@ def test_connectome_sweep_report(benchmark, phantom1, tmp_path, capsys):
                 **SAMPLING,
                 "max_steps": TRACKING["max_steps"],
             },
+            "nproc": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "cold_wall_s": round(cold_wall, 4),
             "warm_wall_s": round(warm_wall, 4),
             "sweep": sweep,
             "store_entries": by_stage,
             "basis": (
-                "cold runs all three stages; warm serves all three from "
-                "the store; each sweep run changes only connectome.atlas "
-                "and is asserted to hit sampling + tracking and miss the "
-                "connectome, so its wall prices one endpoint matrix.  "
-                "speedup_vs_cold = cold_wall_s / sweep wall."
+                "All walls are measured, one run each, end to end through "
+                "run_workflow.  cold runs all three stages; warm serves "
+                "all three from the store; each sweep run changes only "
+                "connectome.atlas and is asserted to hit sampling + "
+                "tracking and miss the connectome.  The connectome folds "
+                "the endpoints stage 2 stored, so a sweep wall is a warm "
+                "rehydration of stages 1-2 plus one endpoint fold."
             ),
         }
 
@@ -125,7 +134,7 @@ def test_connectome_sweep_report(benchmark, phantom1, tmp_path, capsys):
     ] + [
         [f"sweep ({atlas})",
          report["sweep"][atlas]["wall_s"],
-         f'{report["sweep"][atlas]["speedup_vs_cold"]}x']
+         f'{round(report["cold_wall_s"] / report["sweep"][atlas]["wall_s"], 2)}x']
         for atlas in SWEEP_ATLASES
     ]
     emit(
@@ -143,4 +152,4 @@ def test_connectome_sweep_report(benchmark, phantom1, tmp_path, capsys):
     # Reuse must pay: a sweep run skips MCMC + tracking entirely, so
     # even at smoke scale it beats cold.
     for atlas in SWEEP_ATLASES:
-        assert report["sweep"][atlas]["speedup_vs_cold"] >= 1.0
+        assert report["sweep"][atlas]["wall_s"] <= report["cold_wall_s"]

@@ -1,10 +1,10 @@
 """``repro-connectome`` — stage 3: ROI connectome over saved samples.
 
 Reads ``samples.npz`` from ``repro-bedpost``, reconstructs the
-per-sample fiber fields, seeds every surviving voxel (the stage-2
-default), tracks each seed with the CPU reference tracker, and folds
-streamline endpoints into a symmetric ROI-pair count matrix over the
-named parcellation.  Writes:
+per-sample fiber fields, runs stage 2 exactly as ``repro-track`` does
+(same tracker, same store key, so the two commands share tracking
+entries), and folds the tracked streamlines' endpoints into a symmetric
+ROI-pair count matrix over the named parcellation.  Writes:
 
 * ``connectome.npz`` — the ``(n_rois, n_rois)`` int64 count matrix and
   the int32 ROI label volume;
@@ -14,20 +14,17 @@ named parcellation.  Writes:
 
 The run is driven by one resolved :class:`~repro.config.spec.RunSpec`
 (``defaults < --config FILE < explicit flags < --set``); the atlas
-comes from ``--atlas`` / ``connectome.atlas``.  With ``--store`` the
-stage is memoized under its own stage hash — keyed identically to
-``repro-track --connectome``, so either command serves the other's
-published entry — and an atlas sweep recomputes only this stage.
+comes from ``--atlas`` / ``connectome.atlas``.  With ``--store`` both
+stages are memoized under their own stage hashes — keyed identically
+to ``repro-track --connectome``, so either command serves the other's
+published entries — and an atlas sweep recomputes only the matrix.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from repro.cli.common import (
     STORE_FLAG_MAP,
@@ -38,27 +35,18 @@ from repro.cli.common import (
     print_resolved_config,
     resolve_spec_from_args,
 )
-from repro.config import stage_hash
-from repro.config.stages import CONNECTOME
+from repro.cli.tracking_stage import connectome_for_archive, track_archive
+from repro.config.stages import CONNECTOME, TRACKING
 from repro.errors import ReproError
-from repro.io import write_trk
 from repro.telemetry import MetricsRegistry, use_registry, write_manifest
-from repro.tracking import ProbtrackConfig
-from repro.tracking.seeds import seeds_from_mask
 
 __all__ = ["build_parser", "main"]
 
 #: ``args`` attribute -> run-spec dotted path for this command's flags.
-#: ``--workers`` steers ``runtime.connectome_workers`` (the seed-block
-#: shard count) — an execution policy, never part of the stage hash.
 _CONNECTOME_FLAG_MAP = {
     "atlas": "connectome.atlas",
     "min_steps": "connectome.min_steps",
     "normalize": "connectome.normalize",
-    "workers": "runtime.connectome_workers",
-    "max_retries": "runtime.max_retries",
-    "shard_timeout": "runtime.shard_timeout_s",
-    "inject_fault": "runtime.fault_plan",
     **TELEMETRY_FLAG_MAP,
     **STORE_FLAG_MAP,
 }
@@ -86,22 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", choices=("count", "fraction"), default=None,
                    help="edge weights: raw pair counts, or fractions of "
                         "all counted streamlines (default count)")
-    g = p.add_argument_group("runtime")
-    g.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the seed-block loop "
-                        "(default 1; results are bit-identical for any "
-                        "count)")
-    g.add_argument("--max-retries", type=int, default=None,
-                   help="supervised retries per failed shard before "
-                        "re-sharding / serial fallback (default 2)")
-    g.add_argument("--shard-timeout", type=float, default=None, metavar="S",
-                   help="per-shard attempt deadline in seconds "
-                        "(default: no hang watchdog)")
-    g.add_argument("--inject-fault", default=None, metavar="SPEC",
-                   help="DEV ONLY: deterministic fault injection, e.g. "
-                        "'crash:0', 'hang:1:*', 'corrupt:s2' (the third "
-                        "global seed block); recovery keeps output "
-                        "bit-identical to a clean run")
     add_store_group(p)
     add_telemetry_group(p, trace=False)
     add_config_group(p)
@@ -128,112 +100,34 @@ def main(argv: list[str] | None = None) -> int:
     from repro.io.samples import load_samples
 
     archive = load_samples(args.bedpost_dir / "samples.npz")
-    affine = archive.affine
     fields = archive.to_fields()
-
-    cfg = ProbtrackConfig.from_run_spec(spec)
-    # The stage-2 default seeding: every masked voxel with a surviving
-    # fiber population, seeded at its center in flat-index order.
-    seed_mask = fields[0].mask & (fields[0].f[..., 0] > 0)
-    seeds = seeds_from_mask(np.asarray(seed_mask, dtype=bool))
 
     store = None
     if spec.telemetry.store:
         from repro.store import ArtifactStore
 
         store = ArtifactStore(spec.telemetry.store)
-
-    fault_plan = None
-    if spec.runtime.fault_plan:
-        from repro.runtime.faults import FaultPlan
-
-        hang = spec.runtime.hang_seconds
-        if hang is None:
-            # Dev-safety bound: an injected hang never outlives a
-            # missing timeout by more than 30 s.
-            timeout = spec.runtime.shard_timeout_s
-            hang = timeout * 4 if timeout else 30.0
-        fault_plan = FaultPlan.parse(spec.runtime.fault_plan, hang_seconds=hang)
-    conn_kwargs = dict(
-        criteria=cfg.criteria,
-        interpolation=spec.tracking.interpolation.removesuffix("-reference"),
-        min_steps=spec.connectome.min_steps,
-        normalize=spec.connectome.normalize,
-        n_workers=spec.runtime.connectome_workers,
-        max_retries=spec.runtime.max_retries,
-        shard_timeout_s=spec.runtime.shard_timeout_s,
-        fallback_to_serial=spec.runtime.fallback_to_serial,
-        fault_plan=fault_plan,
-    )
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        from repro.pipeline.connectome import (
-            compute_connectome,
-            memoized_connectome,
-        )
-
-        if store is None:
-            conn, hit, stage_key = (
-                compute_connectome(
-                    fields, seeds, spec.connectome.atlas, **conn_kwargs
-                ),
-                False,
-                None,
-            )
-        else:
-            from repro.store import fingerprint_arrays
-
-            # Keyed like repro-track --connectome: archive contents +
-            # seed positions, so the two commands share store entries.
-            fp = fingerprint_arrays(
-                samples=archive.samples,
-                mask=archive.mask,
-                affine=archive.affine,
-                n_fibers=archive.layout.n_fibers,
-                f_threshold=archive.f_threshold,
-            )
-            stage_key = stage_hash(
-                spec.to_dict(),
-                CONNECTOME.name,
-                inputs={
-                    "archive": fp,
-                    "seeds": fingerprint_arrays(seeds=seeds),
-                },
-            )
-            conn, hit, _entry = memoized_connectome(
-                fields,
-                seeds,
-                stage_key,
-                store,
-                spec.connectome.atlas,
-                use_cache=spec.telemetry.cache,
-                **conn_kwargs,
-            )
-
     out = args.output_dir or (args.bedpost_dir / "connectome")
     out.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        out / "connectome.npz", counts=conn.counts, labels=conn.atlas.labels
-    )
-    (out / "graph.json").write_text(json.dumps(conn.graph, sort_keys=True))
+
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        tracked = track_archive(spec, archive, fields, store, out)
+        conn, hit, stage_key = connectome_for_archive(
+            spec, tracked, fields, store, out
+        )
+    pt = tracked.pt
     min_export = spec.tracking.min_export_steps
-    long_lines = [
-        pts for pts in conn.lines if pts.shape[0] - 1 >= min_export
-    ]
-    voxel_sizes = tuple(np.linalg.norm(affine[:3, :3], axis=0))
-    write_trk(
-        out / "fibers.trk",
-        long_lines,
-        voxel_sizes=voxel_sizes,
-        dims=fields[0].shape3,
-        affine=affine,
-    )
 
     cache_section = None
     if store is not None:
         cache_section = {
+            f"{TRACKING.name}_hit": tracked.hit,
             f"{CONNECTOME.name}_hit": hit,
-            "stage_keys": {CONNECTOME.name: stage_key},
+            "stage_keys": {
+                TRACKING.name: tracked.key,
+                CONNECTOME.name: stage_key,
+            },
             "store": str(store.root),
             **store.stats.to_dict(),
         }
@@ -245,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             meta={
                 "command": "repro-connectome",
                 "atlas": spec.connectome.atlas,
-                "n_workers": spec.runtime.connectome_workers,
+                "n_workers": spec.runtime.n_workers,
                 "bedpost_dir": str(args.bedpost_dir.resolve()),
             },
             config=spec.to_dict(),
@@ -257,11 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"connectome ({conn.atlas.name}){served}: {conn.atlas.n_rois} ROIs, "
         f"{conn.n_streamlines} streamlines counted, "
-        f"{len(conn.graph['edges'])} edges; wrote {len(long_lines)} fibers "
+        f"{len(conn.graph['edges'])} edges; wrote {tracked.n_exported} fibers "
         f">= {min_export} steps to {out / 'fibers.trk'}"
     )
-    if conn.supervision is not None and conn.supervision.n_failures:
-        print(f"fault tolerance: {conn.supervision.summary()}")
+    if pt.run.supervision is not None and pt.run.supervision.n_failures:
+        print(f"fault tolerance: {pt.run.supervision.summary()}")
     return 0
 
 

@@ -25,13 +25,11 @@ manifest, reproducing it bit for bit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from repro.baselines import cpu_probabilistic_tracking
 from repro.cli.common import (
     RUNTIME_FLAG_MAP,
     STORE_FLAG_MAP,
@@ -43,22 +41,17 @@ from repro.cli.common import (
     print_resolved_config,
     resolve_spec_from_args,
 )
-from repro.config import stage_hash
+from repro.cli.tracking_stage import connectome_for_archive, track_archive
 from repro.config.stages import CONNECTOME, TRACKING
 from repro.errors import ReproError
-from repro.io import Volume, write_nifti, write_trk
+from repro.io import Volume, write_nifti
 from repro.telemetry import (
     MetricsRegistry,
     load_manifest,
     use_registry,
     write_manifest,
 )
-from repro.tracking import (
-    TRACKING_ENGINES,
-    ProbtrackConfig,
-    filter_by_steps,
-    probabilistic_streamlining,
-)
+from repro.tracking import TRACKING_ENGINES
 
 __all__ = ["build_parser", "main"]
 
@@ -177,161 +170,39 @@ def main(argv: list[str] | None = None) -> int:
     affine = archive.affine
     fields = archive.to_fields()
 
-    cfg = ProbtrackConfig.from_run_spec(spec)
     min_export_steps = spec.tracking.min_export_steps
-    voxel_sizes = tuple(np.linalg.norm(affine[:3, :3], axis=0))
     store = None
-    stage_key = None
     if spec.telemetry.store:
         from repro.store import ArtifactStore
 
         store = ArtifactStore(spec.telemetry.store)
-
-    def _export_fibers(tmp_dir, result) -> None:
-        """Write ``fibers.trk`` (+ its count) into the store entry."""
-        cpu = cpu_probabilistic_tracking(
-            fields[:1], result.seeds, cfg.criteria, keep_streamlines=True
-        )
-        lines = filter_by_steps(
-            cpu.streamlines[0], min_steps=min_export_steps
-        )
-        write_trk(
-            tmp_dir / "fibers.trk",
-            [line.points for line in lines],
-            voxel_sizes=voxel_sizes,
-            dims=fields[0].shape3,
-            affine=affine,
-        )
-        (tmp_dir / "export_meta.json").write_text(
-            json.dumps({"n_fibers_exported": len(lines)})
-        )
+    out = args.output_dir or (bedpost_dir / "track")
+    out.mkdir(parents=True, exist_ok=True)
 
     # A fresh registry per invocation keeps the manifest scoped to this
     # run (the process default would accumulate across library reuse).
     registry = MetricsRegistry()
     with use_registry(registry):
-        fp = None
-        if store is None:
-            pt = probabilistic_streamlining(fields, config=cfg)
-            hit, entry = False, None
-        else:
-            from repro.pipeline.memo import memoized_streamlining
-            from repro.store import fingerprint_arrays
-
-            # The archive *contents* key the stage: two bedpost dirs with
-            # identical posteriors share tracking artifacts, and a
-            # re-sampled posterior can never serve stale tracks.
-            fp = fingerprint_arrays(
-                samples=archive.samples,
-                mask=archive.mask,
-                affine=archive.affine,
-                n_fibers=archive.layout.n_fibers,
-                f_threshold=archive.f_threshold,
-            )
-            stage_key = stage_hash(
-                spec.to_dict(), TRACKING.name, inputs={"archive": fp}
-            )
-            pt, hit, entry = memoized_streamlining(
-                fields,
-                cfg,
-                store,
-                stage_key,
-                extra_writer=_export_fibers,
-                use_cache=spec.telemetry.cache,
-            )
-
-        conn = None
+        tracked = track_archive(spec, archive, fields, store, out)
+        conn = conn_key = None
         conn_hit = False
-        conn_key = None
         if spec.connectome.atlas != "none":
-            from repro.pipeline.connectome import (
-                compute_connectome,
-                memoized_connectome,
+            conn, conn_hit, conn_key = connectome_for_archive(
+                spec, tracked, fields, store, out
             )
-
-            conn_kwargs = dict(
-                criteria=cfg.criteria,
-                interpolation=spec.tracking.interpolation.removesuffix(
-                    "-reference"
-                ),
-                min_steps=spec.connectome.min_steps,
-                normalize=spec.connectome.normalize,
-                n_workers=spec.runtime.connectome_workers,
-                max_retries=spec.runtime.max_retries,
-                shard_timeout_s=spec.runtime.shard_timeout_s,
-                fallback_to_serial=spec.runtime.fallback_to_serial,
-            )
-            if store is None:
-                conn = compute_connectome(
-                    fields, pt.seeds, spec.connectome.atlas, **conn_kwargs
-                )
-            else:
-                from repro.store import fingerprint_arrays
-
-                conn_key = stage_hash(
-                    spec.to_dict(),
-                    CONNECTOME.name,
-                    inputs={
-                        "archive": fp,
-                        "seeds": fingerprint_arrays(seeds=pt.seeds),
-                    },
-                )
-                conn, conn_hit, _conn_entry = memoized_connectome(
-                    fields,
-                    pt.seeds,
-                    conn_key,
-                    store,
-                    spec.connectome.atlas,
-                    use_cache=spec.telemetry.cache,
-                    **conn_kwargs,
-                )
+    pt = tracked.pt
     run = pt.run
 
-    out = args.output_dir or (bedpost_dir / "track")
-    out.mkdir(parents=True, exist_ok=True)
     density = pt.connectivity.visit_count_volume(fields[0].shape3)
     write_nifti(
         out / "density.nii.gz", Volume(density.astype(np.float32), affine)
     )
     np.savetxt(out / "lengths.txt", run.lengths, fmt="%d")
 
-    # Export geometry from the first sample (kept paths) — computed
-    # fresh without a store, served from the published entry with one.
-    if entry is not None:
-        import shutil
-
-        shutil.copyfile(entry.file("fibers.trk"), out / "fibers.trk")
-        n_exported = json.loads(
-            entry.file("export_meta.json").read_text()
-        )["n_fibers_exported"]
-    else:
-        cpu = cpu_probabilistic_tracking(
-            fields[:1], pt.seeds, cfg.criteria, keep_streamlines=True
-        )
-        long_lines = filter_by_steps(
-            cpu.streamlines[0], min_steps=min_export_steps
-        )
-        write_trk(
-            out / "fibers.trk",
-            [line.points for line in long_lines],
-            voxel_sizes=voxel_sizes,
-            dims=fields[0].shape3,
-            affine=affine,
-        )
-        n_exported = len(long_lines)
-
-    if conn is not None:
-        np.savez_compressed(
-            out / "connectome.npz",
-            counts=conn.counts,
-            labels=conn.atlas.labels,
-        )
-        (out / "graph.json").write_text(json.dumps(conn.graph, sort_keys=True))
-
     cache_section = None
     if store is not None:
-        hits = {f"{TRACKING.name}_hit": hit}
-        stage_keys = {TRACKING.name: stage_key}
+        hits = {f"{TRACKING.name}_hit": tracked.hit}
+        stage_keys = {TRACKING.name: tracked.key}
         if conn_key is not None:
             hits[f"{CONNECTOME.name}_hit"] = conn_hit
             stage_keys[CONNECTOME.name] = conn_key
@@ -368,14 +239,14 @@ def main(argv: list[str] | None = None) -> int:
         write_chrome_trace(trace_out, run.timeline, spans=registry.spans)
         print(f"wrote chrome trace to {trace_out}")
 
-    served = " (served from store)" if entry is not None and hit else ""
+    served = " (served from store)" if tracked.hit else ""
     print(
         f"tracked {run.n_seeds} threads x {run.n_samples} samples{served}: "
         f"total {run.total_steps} steps, longest {run.longest_fiber}; "
         f"modeled kernel {run.kernel_seconds:.2f}s / reduce "
         f"{run.reduction_seconds:.2f}s / transfer {run.transfer_seconds:.2f}s "
         f"(CPU {run.cpu_seconds:.1f}s, {run.speedup:.1f}x); "
-        f"wrote {n_exported} fibers >= {min_export_steps} steps "
+        f"wrote {tracked.n_exported} fibers >= {min_export_steps} steps "
         f"to {out / 'fibers.trk'}"
     )
     if conn is not None:

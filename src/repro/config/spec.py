@@ -282,10 +282,9 @@ class ConnectomeSpec:
     """Stage-3 section: ROI parcellation and connectivity-matrix policy.
 
     ``atlas = "none"`` (the default) disables the stage entirely, so
-    existing two-stage runs are untouched.  Only *what* is computed
-    lives here — seed-block sizing and worker counts are execution
-    policy (``runtime.connectome_workers``) and never touch the stage
-    hash.
+    existing two-stage runs are untouched.  The stage tracks nothing:
+    it folds the endpoints stage 2 recorded, so these fields are the
+    whole of its policy.
     """
 
     atlas: str = "none"
@@ -312,9 +311,6 @@ class RuntimeSpec:
     """Execution section: workers, supervision policy, machine presets."""
 
     n_workers: int = 1
-    #: Worker processes for the connectome stage's seed-block loop
-    #: (1 = serial).  Pure execution policy, excluded from stage hashes.
-    connectome_workers: int = 1
     #: Worker processes for the sampling stage's voxel-block loop
     #: (1 = serial).  Separate from the tracking pool size so the two
     #: stages scale independently; pure execution policy, excluded from
@@ -337,7 +333,6 @@ class RuntimeSpec:
     _PREFIX = "runtime"
     _VALIDATORS = {
         "n_workers": _int_min(1),
-        "connectome_workers": _int_min(1),
         "bedpost_workers": _int_min(1),
         "max_retries": _int_min(0),
         "shard_timeout_s": _opt_positive,
@@ -404,8 +399,7 @@ _FIELD_KINDS: dict[type, dict[str, str]] = {
         "atlas": "str", "min_steps": "int", "normalize": "str",
     },
     RuntimeSpec: {
-        "n_workers": "int", "connectome_workers": "int",
-        "bedpost_workers": "int", "max_retries": "int",
+        "n_workers": "int", "bedpost_workers": "int", "max_retries": "int",
         "shard_timeout_s": "opt_float", "fallback_to_serial": "bool",
         "fault_plan": "opt_str", "hang_seconds": "opt_float",
         "device": "str", "host": "str", "array_backend": "str",

@@ -311,16 +311,15 @@ TRACKING = register_stage(StageDef(
     artifact_files=("arrays.npz", "timeline.json", "telemetry.json"),
 ))
 
-#: Stage 3 — ROI-atlas parcellation -> streamline-endpoint connectivity
-#: matrix -> graph export, sharded by seed block.  Streamline geometry
-#: comes from the CPU reference tracker, which depends on the sampling
-#: and tracking sections but not on machine presets — so an atlas sweep
-#: over one tracked dataset recomputes only this stage.
+#: Stage 3 — ROI-atlas parcellation -> endpoint connectivity matrix ->
+#: graph export, folded in-process over the endpoints stage 2 recorded.
+#: Those endpoints depend on the sampling and tracking sections but not
+#: on machine presets (which shape only the modeled timeline) — so an
+#: atlas sweep over one tracked dataset recomputes only this stage.
 CONNECTOME = register_stage(StageDef(
     name="connectome",
     upstream=("sampling", "tracking"),
     spec_sections=("sampling", "tracking", "connectome"),
     runner="repro.pipeline.runners:run_connectome_stage",
-    shard="repro.connectome.shards:CONNECTOME_SEED_SHARD",
     artifact_files=("connectome.npz", "graph.json", "telemetry.json"),
 ))

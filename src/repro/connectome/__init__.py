@@ -1,34 +1,18 @@
 """Connectome workloads: ROI atlases, endpoint matrices, graph export.
 
 The third pipeline stage (see :data:`repro.config.stages.CONNECTOME`):
-parcellate the tracked volume with a named atlas, map every streamline's
-endpoint pair onto ROI labels, and accumulate a symmetric connectivity
-matrix plus its JSON graph export.  Sharded by seed block through the
-stage-generic :class:`~repro.runtime.stage.StageShard` contract
-(:mod:`repro.connectome.shards`); memoized and orchestrated by
-:mod:`repro.pipeline.connectome`.
+parcellate the tracked volume with a named atlas, map the endpoint pair
+of every streamline stage 2 tracked onto ROI labels, and accumulate a
+symmetric connectivity matrix plus its JSON graph export.  Memoized and
+orchestrated by :mod:`repro.pipeline.connectome`.
 """
 
 from repro.connectome.atlas import Atlas, build_atlas
 from repro.connectome.matrix import connectome_graph, endpoint_connectome
-from repro.connectome.shards import (
-    CONNECTOME_SEED_BLOCK,
-    CONNECTOME_SEED_SHARD,
-    ConnectomeTask,
-    make_seed_tasks,
-    run_connectome_task,
-    seed_blocks,
-)
 
 __all__ = [
     "Atlas",
     "build_atlas",
     "endpoint_connectome",
     "connectome_graph",
-    "CONNECTOME_SEED_BLOCK",
-    "CONNECTOME_SEED_SHARD",
-    "ConnectomeTask",
-    "make_seed_tasks",
-    "run_connectome_task",
-    "seed_blocks",
 ]

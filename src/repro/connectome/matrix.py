@@ -1,11 +1,11 @@
 """Streamline-endpoint connectivity matrices and their graph export.
 
 The muscip-style ``generate_connectome(fibers, roi)`` shape: each kept
-streamline contributes one endpoint pair (seed-side point, termination
-point); the pair's ROI labels index a symmetric ``(n_rois, n_rois)``
-count matrix.  Everything here is pure integer arithmetic over arrays —
-no RNG, no floats in the counts — so the matrix is bit-identical for
-any execution order as long as streamlines are counted exactly once.
+streamline contributes one endpoint pair; the pair's ROI labels index a
+symmetric ``(n_rois, n_rois)`` count matrix.  Everything here is pure
+integer arithmetic over arrays — no RNG, no floats in the counts — so
+the matrix is bit-identical for any execution order as long as
+streamlines are counted exactly once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ __all__ = ["endpoint_connectome", "connectome_graph"]
 
 
 def endpoint_connectome(
-    streamlines,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    n_steps: np.ndarray,
     atlas: Atlas,
     min_steps: int = 0,
 ) -> tuple[np.ndarray, int]:
@@ -27,9 +29,10 @@ def endpoint_connectome(
 
     Parameters
     ----------
-    streamlines:
-        Iterable of :class:`~repro.tracking.streamline.Streamline`
-        (seed-first ``points``).
+    starts, ends:
+        ``(n, 3)`` voxel coordinates of each streamline's two ends.
+    n_steps:
+        ``(n,)`` step count of each streamline.
     atlas:
         The parcellation mapping endpoints to ROI indices.
     min_steps:
@@ -46,22 +49,14 @@ def endpoint_connectome(
     """
     if min_steps < 0:
         raise ConfigurationError(f"min_steps must be >= 0, got {min_steps}")
+    keep = np.asarray(n_steps) >= min_steps
     counts = np.zeros((atlas.n_rois, atlas.n_rois), dtype=np.int64)
-    starts = []
-    ends = []
-    for line in streamlines:
-        if line.n_steps < min_steps:
-            continue
-        starts.append(line.points[0])
-        ends.append(line.points[-1])
-    n_counted = len(starts)
-    if n_counted:
-        a = atlas.label_at(np.asarray(starts))
-        b = atlas.label_at(np.asarray(ends))
-        np.add.at(counts, (a, b), 1)
-        off = a != b
-        np.add.at(counts, (b[off], a[off]), 1)
-    return counts, n_counted
+    a = atlas.label_at(np.asarray(starts)[keep])
+    b = atlas.label_at(np.asarray(ends)[keep])
+    np.add.at(counts, (a, b), 1)
+    off = a != b
+    np.add.at(counts, (b[off], a[off]), 1)
+    return counts, int(keep.sum())
 
 
 def connectome_graph(

@@ -1,12 +1,12 @@
-"""Stage 3 driver: ROI-atlas connectome over tracked streamlines.
+"""Stage 3 driver: ROI-atlas connectome over stage 2's streamline endpoints.
 
-Builds the named parcellation, tracks every (sample, seed) streamline
-with the CPU reference tracker, folds endpoint pairs into a symmetric
-ROI count matrix, and exports the JSON graph — serial or sharded by
-seed block through the stage-generic supervised executor, bit-identical
-either way.  :func:`memoized_connectome` runs the whole thing through
-the artifact store under the connectome stage hash, so an atlas sweep
-over one tracked dataset reuses stages 1-2 and recomputes only this.
+Builds the named parcellation, maps the end positions stage 2 recorded
+for every (sample, launch row) onto ROI labels, folds the endpoint pairs
+into a symmetric ROI count matrix, and exports the JSON graph.  Nothing
+is tracked here: the stage consumes exactly what the tracking stage
+produced.  :func:`memoized_connectome` runs it through the artifact
+store under the connectome stage hash, so an atlas sweep over one
+tracked dataset reuses stages 1-2 and recomputes only this fold.
 """
 
 from __future__ import annotations
@@ -18,15 +18,10 @@ import numpy as np
 
 from repro.config.stages import CONNECTOME
 from repro.connectome.atlas import Atlas, build_atlas
-from repro.connectome.matrix import connectome_graph
-from repro.connectome.shards import (
-    CONNECTOME_SEED_SHARD,
-    make_seed_tasks,
-    run_seed_blocks,
-)
+from repro.connectome.matrix import connectome_graph, endpoint_connectome
 from repro.pipeline.memo import run_memoized
 from repro.telemetry import get_registry
-from repro.tracking.criteria import TerminationCriteria
+from repro.tracking.probtrack import ProbtrackResult
 
 __all__ = ["ConnectomeResult", "compute_connectome", "memoized_connectome"]
 
@@ -45,125 +40,65 @@ class ConnectomeResult:
         Streamlines that passed the ``min_steps`` filter (all samples).
     graph:
         The JSON-safe graph document (nodes, weighted edges).
-    lines:
-        Sample-0 streamline point arrays in seed order, for ``.trk``
-        export.
-    supervision:
-        The :class:`~repro.runtime.supervisor.SupervisorReport` when the
-        seed blocks ran under supervision; ``None`` for serial, inline,
-        or cache-served runs.
     """
 
     atlas: Atlas
     counts: np.ndarray
     n_streamlines: int
     graph: dict
-    lines: list[np.ndarray]
-    supervision: object | None = None
 
 
 def compute_connectome(
-    fields,
-    seeds: np.ndarray,
+    pt: ProbtrackResult,
+    grid_shape: tuple[int, int, int],
     atlas_name: str,
-    criteria: TerminationCriteria | None = None,
-    interpolation: str = "trilinear",
     min_steps: int = 0,
     normalize: str = "count",
-    n_workers: int = 1,
-    max_retries: int = 2,
-    shard_timeout_s: float | None = None,
-    fallback_to_serial: bool = True,
-    fault_plan=None,
 ) -> ConnectomeResult:
-    """Track, endpoint-count, and graph-export one connectome.
+    """Fold one tracking result's endpoints into a connectome.
 
-    Deterministic for any ``n_workers`` (``runtime.connectome_workers``):
-    the serial seed-block decomposition is only grouped into shards, the
-    tracker is pure per (field, seed), and the parent folds integer
-    count matrices and sample-0 lines in task order.
+    Each streamline contributes one endpoint pair:
+
+    * unidirectional runs (one launch row per seed) pair the seed with
+      the row's end position;
+    * bidirectional runs (``2 * n_seeds`` launch rows: forward block,
+      then backward block) pair row ``i``'s end with row
+      ``i + n_seeds``'s end — the two ends of one streamline — and
+      ``min_steps`` applies to the forward plus backward length.
     """
-    from repro.runtime.stage import StageShardExecutor
-
-    registry = get_registry()
-    seeds = np.asarray(seeds, dtype=np.float64)
-    criteria = criteria if criteria is not None else TerminationCriteria()
-    grid_shape = tuple(int(s) for s in fields[0].f.shape[:3])
+    run = pt.run
+    seeds = np.asarray(pt.seeds, dtype=np.float64)
+    n_seeds = seeds.shape[0]
+    ends, lengths = run.endpoints, run.lengths
+    if ends.shape[1] == 2 * n_seeds:
+        starts = ends[:, n_seeds:]
+        ends = ends[:, :n_seeds]
+        lengths = lengths[:, :n_seeds] + lengths[:, n_seeds:]
+    else:
+        starts = np.broadcast_to(seeds, ends.shape)
     atlas = build_atlas(atlas_name, grid_shape)
-    counts = np.zeros((atlas.n_rois, atlas.n_rois), dtype=np.int64)
-    n_counted = 0
-    lines: list[np.ndarray] = []
-    report = None
-
-    task_kwargs = dict(
-        criteria=criteria,
-        interpolation=interpolation,
-        atlas_name=atlas_name,
-        grid_shape=grid_shape,
+    counts, n_counted = endpoint_connectome(
+        starts.reshape(-1, 3),
+        ends.reshape(-1, 3),
+        lengths.ravel(),
+        atlas,
         min_steps=min_steps,
     )
-    if n_workers <= 1 and fault_plan is None:
-        # Serial: the same block loop the workers run, directly under
-        # the active registry.
-        (task,) = make_seed_tasks(fields, seeds, 1, **task_kwargs)
-        payload = run_seed_blocks(task)
-        counts += payload["counts"]
-        n_counted += payload["n_counted"]
-        lines.extend(payload["lines"])
-    else:
-        executor = StageShardExecutor(
-            n_workers,
-            max_retries=max_retries,
-            shard_timeout_s=shard_timeout_s,
-            fallback_to_serial=fallback_to_serial,
-            fault_plan=fault_plan,
-        )
-        from repro.connectome.shards import seed_blocks
-
-        n_blocks = len(seed_blocks(seeds.shape[0]))
-        n_shards = executor.plan_shards(CONNECTOME_SEED_SHARD, n_blocks)
-        tasks = make_seed_tasks(fields, seeds, n_shards, **task_kwargs)
-        worker_slot = 0
-
-        def _absorb(index: int, outs: list) -> None:
-            nonlocal n_counted, worker_slot
-            for result, metrics in outs:
-                counts[...] += result["counts"]
-                n_counted += result["n_counted"]
-                lines.extend(result["lines"])
-                registry.merge_snapshot(metrics, worker=worker_slot + 1)
-                worker_slot += 1
-
-        with registry.span(
-            "runtime.shards", n_shards=n_shards, stage=CONNECTOME.name
-        ):
-            report = executor.run(CONNECTOME_SEED_SHARD, tasks, _absorb)
-
+    get_registry().count("connectome.streamlines_counted", n_counted)
     graph = connectome_graph(
         counts, atlas, normalize=normalize, n_streamlines=n_counted
     )
     return ConnectomeResult(
-        atlas=atlas,
-        counts=counts,
-        n_streamlines=n_counted,
-        graph=graph,
-        lines=lines,
-        supervision=report,
+        atlas=atlas, counts=counts, n_streamlines=n_counted, graph=graph
     )
 
 
 def _serialize(tmp_dir, result: ConnectomeResult) -> None:
     """Write one connectome result's payload files into ``tmp_dir``."""
-    line_arrays = {
-        f"line{i:06d}": np.asarray(pts, dtype=np.float64)
-        for i, pts in enumerate(result.lines)
-    }
     np.savez_compressed(
         tmp_dir / "connectome.npz",
         counts=result.counts,
         labels=result.atlas.labels,
-        n_lines=np.int64(len(result.lines)),
-        **line_arrays,
     )
     (tmp_dir / "graph.json").write_text(
         json.dumps(result.graph, sort_keys=True)
@@ -179,24 +114,21 @@ def _rehydrate(entry) -> ConnectomeResult:
         labels=np.ascontiguousarray(blob["labels"]),
         n_rois=int(graph["n_rois"]),
     )
-    lines = [blob[f"line{i:06d}"] for i in range(int(blob["n_lines"]))]
     return ConnectomeResult(
         atlas=atlas,
         counts=blob["counts"],
         n_streamlines=int(graph["n_streamlines"]),
         graph=graph,
-        lines=lines,
     )
 
 
 def memoized_connectome(
-    fields,
-    seeds: np.ndarray,
+    pt: ProbtrackResult,
+    grid_shape: tuple[int, int, int],
     key: str,
     store,
     atlas_name: str,
     use_cache: bool = True,
-    extra_writer=None,
     **compute_kwargs,
 ) -> tuple[ConnectomeResult, bool, object]:
     """Run (or serve) the connectome stage through the artifact store.
@@ -211,7 +143,7 @@ def memoized_connectome(
         CONNECTOME.name,
         key,
         compute=lambda: compute_connectome(
-            fields, seeds, atlas_name, **compute_kwargs
+            pt, grid_shape, atlas_name, **compute_kwargs
         ),
         serialize=_serialize,
         rehydrate=_rehydrate,
@@ -221,5 +153,4 @@ def memoized_connectome(
             "n_streamlines": int(result.n_streamlines),
         },
         use_cache=use_cache,
-        extra_writer=extra_writer,
     )

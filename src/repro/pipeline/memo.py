@@ -5,8 +5,8 @@ shares — stage-agnostic, driven by the registry's stage names, with the
 telemetry round-trip (child-registry compute, snapshot publish, replay
 on hit) built in.  The tracking stage's round-trip lives here too; its
 output is richer than the sampling stage's ``samples.npz`` — per-seed
-lengths and stop reasons, the modeled event timeline, and the sparse
-connectivity matrix:
+lengths, stop reasons and end positions, the modeled event timeline,
+and the sparse connectivity matrix:
 
 * on a **miss**, :func:`memoized_streamlining` runs
   :func:`~repro.tracking.probtrack.probabilistic_streamlining` under a
@@ -14,9 +14,9 @@ connectivity matrix:
   telemetry atomically, and returns the live result;
 * on a **hit**, it rebuilds a bit-identical
   :class:`~repro.tracking.probtrack.ProbtrackResult` from the entry
-  (lengths, reasons, visit counts, timeline) and replays the stored
-  deterministic counters into the active registry so warm manifests
-  match cold ones.
+  (lengths, reasons, endpoints, visit counts, timeline) and replays the
+  stored deterministic counters into the active registry so warm
+  manifests match cold ones.
 
 Only deterministic outputs round-trip exactly; measured quantities
 (wall seconds, per-worker walls, the supervision report) are stored for
@@ -123,6 +123,7 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
     arrays = {
         "lengths": run.lengths,
         "reasons": run.reasons,
+        "endpoints": run.endpoints,
         "seeds": result.seeds,
     }
     conn = result.connectivity
@@ -167,6 +168,7 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
     run = TrackingRunResult(
         lengths=blob["lengths"],
         reasons=blob["reasons"],
+        endpoints=blob["endpoints"],
         timeline=timeline,
         launches=[],
         cpu_seconds=float(timeline_doc["cpu_seconds"]),

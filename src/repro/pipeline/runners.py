@@ -24,7 +24,6 @@ from repro.config.stages import CONNECTOME, SAMPLING, TRACKING, stage_hash
 from repro.pipeline.bedpost import BedpostConfig, bedpost
 from repro.pipeline.tracto import tracto
 from repro.telemetry import get_registry
-from repro.tracking.criteria import TerminationCriteria
 from repro.tracking.probtrack import ProbtrackConfig
 
 __all__ = [
@@ -189,36 +188,18 @@ def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
 
     bp = ctx.outcomes[SAMPLING.name].result
     pt = ctx.outcomes[TRACKING.name].result
-    criteria = TerminationCriteria(
-        max_steps=spec.tracking.max_steps,
-        min_dot=spec.tracking.min_dot,
-        step_length=spec.tracking.step_length,
-        f_threshold=spec.tracking.f_threshold,
-    )
-    # The scalar reference tracker implements the reference interpolation
-    # directly — the batch engines' "-reference" spelling maps onto it.
-    interp = spec.tracking.interpolation.removesuffix("-reference")
+    grid_shape = bp.fields[0].shape3
     compute_kwargs = dict(
-        criteria=criteria,
-        interpolation=interp,
         min_steps=spec.connectome.min_steps,
         normalize=spec.connectome.normalize,
-        n_workers=spec.runtime.connectome_workers,
-        max_retries=spec.runtime.max_retries,
-        shard_timeout_s=spec.runtime.shard_timeout_s,
-        fallback_to_serial=spec.runtime.fallback_to_serial,
     )
     registry = get_registry()
     if ctx.store is None:
         with registry.span(f"workflow.{CONNECTOME.name}"):
             result = compute_connectome(
-                bp.fields, pt.seeds, spec.connectome.atlas, **compute_kwargs
+                pt, grid_shape, spec.connectome.atlas, **compute_kwargs
             )
-        return StageOutcome(
-            stage=CONNECTOME.name,
-            result=result,
-            supervision=result.supervision,
-        )
+        return StageOutcome(stage=CONNECTOME.name, result=result)
     key = stage_hash(
         ctx.doc,
         CONNECTOME.name,
@@ -229,18 +210,12 @@ def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
     )
     with registry.span(f"workflow.{CONNECTOME.name}"):
         result, hit, _entry = memoized_connectome(
-            bp.fields,
-            pt.seeds,
+            pt,
+            grid_shape,
             key,
             ctx.store,
             spec.connectome.atlas,
             use_cache=ctx.use_cache,
             **compute_kwargs,
         )
-    return StageOutcome(
-        stage=CONNECTOME.name,
-        result=result,
-        key=key,
-        hit=hit,
-        supervision=result.supervision,
-    )
+    return StageOutcome(stage=CONNECTOME.name, result=result, key=key, hit=hit)

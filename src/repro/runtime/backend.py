@@ -10,7 +10,8 @@ contiguous shard, and merges the outputs deterministically.
 
 Determinism contract
 --------------------
-For any worker count, ``lengths``, ``reasons``, connectivity counts, and
+For any worker count, ``lengths``, ``reasons``, ``endpoints``,
+connectivity counts, and
 per-kind timeline totals are **bit-identical** to the serial path:
 
 * samples are sharded contiguously (:func:`partition_seeds`), and each
@@ -241,6 +242,15 @@ def _validate_shard_payload(task: ShardTask, payload) -> None:
         )
     if not isinstance(reasons, np.ndarray) or reasons.shape != lengths.shape:
         raise _bad("reasons shape does not match lengths")
+    endpoints = getattr(result, "endpoints", None)
+    if (
+        not isinstance(endpoints, np.ndarray)
+        or endpoints.shape != (n_samples, n_seeds, 3)
+    ):
+        raise _bad(
+            f"endpoints must be ({n_samples}, {n_seeds}, 3), got "
+            f"{getattr(endpoints, 'shape', None)}"
+        )
     if lengths.min(initial=0) < 0:
         raise _bad("negative streamline lengths")
     if lengths.max(initial=0) > task.criteria.max_steps:

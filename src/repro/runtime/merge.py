@@ -6,7 +6,7 @@ shard is told its global ``sample_offset``, its rows, labels, and stream
 parities are bit-identical to the corresponding slice of a serial run —
 so merging is pure concatenation in global sample order:
 
-* ``lengths`` / ``reasons`` — row-stacked shard blocks;
+* ``lengths`` / ``reasons`` / ``endpoints`` — row-stacked shard blocks;
 * timeline events — concatenated shard logs.  Event *seconds* and order
   match the serial log exactly (float summation order is preserved, so
   per-kind totals are bitwise equal); each shard's events are re-tagged
@@ -78,6 +78,7 @@ def merge_shard_results(
 
     lengths = np.concatenate([p.lengths for p in parts], axis=0)
     reasons = np.concatenate([p.reasons for p in parts], axis=0)
+    endpoints = np.concatenate([p.endpoints for p in parts], axis=0)
 
     timeline = Timeline()
     launches = []
@@ -104,6 +105,7 @@ def merge_shard_results(
     return TrackingRunResult(
         lengths=lengths,
         reasons=reasons,
+        endpoints=endpoints,
         timeline=timeline,
         launches=launches,
         cpu_seconds=float(lengths.sum()) * host.seconds_per_iteration,

@@ -54,8 +54,11 @@ from repro.telemetry.registry import get_registry
 
 __all__ = ["ENTRY_SCHEMA", "StoreEntry", "StoreStats", "ArtifactStore"]
 
-#: Schema tag written into every ``entry.json``.
-ENTRY_SCHEMA = "repro.store.entry/1"
+#: Schema tag written into every ``entry.json``.  Bumped whenever a
+#: stage's payload layout changes, so entries in an older layout read as
+#: misses instead of being served incomplete (``/2``: the tracking
+#: ``arrays.npz`` gained ``endpoints``).
+ENTRY_SCHEMA = "repro.store.entry/2"
 
 _HASH_CHUNK = 1 << 20
 

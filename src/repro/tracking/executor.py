@@ -72,6 +72,11 @@ class TrackingRunResult:
         ``(n_samples, n_seeds)`` steps per streamline.
     reasons:
         ``(n_samples, n_seeds)`` :class:`StopReason` codes.
+    endpoints:
+        ``(n_samples, n_seeds, 3)`` float64 terminal position of every
+        streamline — the per-thread readback of Algorithm 1.  Each
+        launch row is one seed (bidirectional runs launch ``2 *
+        n_seeds`` rows: forward block, then backward block).
     timeline:
         Every modeled event, in execution order.
     launches:
@@ -99,6 +104,7 @@ class TrackingRunResult:
 
     lengths: np.ndarray
     reasons: np.ndarray
+    endpoints: np.ndarray
     timeline: Timeline
     launches: list[KernelLaunch] = dc_field(default_factory=list)
     cpu_seconds: float = 0.0
@@ -339,6 +345,7 @@ class SegmentedTracker:
 
         lengths = np.zeros((n_samples, n_seeds), dtype=np.int64)
         reasons = np.zeros((n_samples, n_seeds), dtype=np.int64)
+        endpoints = np.zeros((n_samples, n_seeds, 3), dtype=np.float64)
         timeline = Timeline()
         launches: list[KernelLaunch] = []
         registry = get_registry()
@@ -411,6 +418,7 @@ class SegmentedTracker:
                 bd_origin = xb.to_numpy(state.origin[born_dead])
                 lengths[s, bd_origin] = 0
                 reasons[s, bd_origin] = xb.to_numpy(state.reason[born_dead])
+                endpoints[s, bd_origin] = xb.to_numpy(state.positions[born_dead])
                 state = state.compact()
 
             visit_cb = None
@@ -464,6 +472,9 @@ class SegmentedTracker:
                     fin_origin = xb.to_numpy(state.origin[finished])
                     lengths[s, fin_origin] = xb.to_numpy(state.steps[finished])
                     reasons[s, fin_origin] = xb.to_numpy(state.reason[finished])
+                    endpoints[s, fin_origin] = xb.to_numpy(
+                        state.positions[finished]
+                    )
                     state = state.compact()
 
             if state.n_active:  # budget covered but threads still active
@@ -471,6 +482,7 @@ class SegmentedTracker:
                 origin = xb.to_numpy(state.origin)
                 lengths[s, origin] = xb.to_numpy(state.steps)
                 reasons[s, origin] = xb.to_numpy(state.reason)
+                endpoints[s, origin] = xb.to_numpy(state.positions)
 
             if connectivity is not None:
                 connectivity.end_sample()
@@ -486,6 +498,7 @@ class SegmentedTracker:
         result = TrackingRunResult(
             lengths=lengths,
             reasons=reasons,
+            endpoints=endpoints,
             timeline=timeline,
             launches=launches,
             cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,
@@ -543,6 +556,9 @@ class SegmentedTracker:
             return TrackingRunResult(
                 lengths=lengths,
                 reasons=np.concatenate([first.reasons, rest.reasons], axis=0),
+                endpoints=np.concatenate(
+                    [first.endpoints, rest.endpoints], axis=0
+                ),
                 timeline=timeline,
                 launches=first.launches + rest.launches,
                 cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,
@@ -560,6 +576,7 @@ class SegmentedTracker:
 
         lengths = np.zeros((n_samples, n_seeds), dtype=np.int64)
         reasons = np.zeros((n_samples, n_seeds), dtype=np.int64)
+        endpoints = np.zeros((n_samples, n_seeds, 3), dtype=np.float64)
         timeline = Timeline()
         launches: list[KernelLaunch] = []
 
@@ -628,6 +645,9 @@ class SegmentedTracker:
             bd_origin = xb.to_numpy(state.origin[born_dead])
             lengths[bd_sample, bd_origin] = 0
             reasons[bd_sample, bd_origin] = xb.to_numpy(state.reason[born_dead])
+            endpoints[bd_sample, bd_origin] = xb.to_numpy(
+                state.positions[born_dead]
+            )
             state = state.compact()
 
         visit_cb = None
@@ -708,6 +728,9 @@ class SegmentedTracker:
                         reasons[fin_sample, fin_origin] = xb.to_numpy(
                             state.reason[finished]
                         )
+                        endpoints[fin_sample, fin_origin] = xb.to_numpy(
+                            state.positions[finished]
+                        )
                         state = state.compact()
                     remaining -= max(iters_run, 1)
                     if remaining > 0 and state.n_active > 0:
@@ -726,6 +749,7 @@ class SegmentedTracker:
             fin_origin = xb.to_numpy(state.origin)
             lengths[fin_sample, fin_origin] = xb.to_numpy(state.steps)
             reasons[fin_sample, fin_origin] = xb.to_numpy(state.reason)
+            endpoints[fin_sample, fin_origin] = xb.to_numpy(state.positions)
 
         if sink is not None:
             sink.flush(connectivity)
@@ -738,6 +762,7 @@ class SegmentedTracker:
         return TrackingRunResult(
             lengths=lengths,
             reasons=reasons,
+            endpoints=endpoints,
             timeline=timeline,
             launches=launches,
             cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,

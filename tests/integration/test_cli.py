@@ -255,3 +255,24 @@ class TestTrackCommand:
         )
         d_par = read_nifti(workdir / "track_par" / "density.nii.gz")
         assert np.array_equal(d_serial.data, d_par.data)
+
+    def test_trk_export_follows_interpolation(self, workdir):
+        """``fibers.trk`` is tracked with the configured interpolation:
+        with ``nearest`` every exported line has the sample-0 length the
+        engine recorded for its seed."""
+        out = workdir / "track_nearest"
+        rc = track_main(
+            [
+                str(workdir / "data" / "bedpost"),
+                "--output-dir", str(out),
+                "--step", "0.4",
+                "--threshold", "0.7",
+                "--max-steps", "60",
+                "--min-export-steps", "0",
+                "--set", "tracking.interpolation=nearest",
+            ]
+        )
+        assert rc == 0
+        lengths = np.loadtxt(out / "lengths.txt", dtype=np.int64, ndmin=2)
+        lines, _ = read_trk(out / "fibers.trk")
+        assert [len(pts) - 1 for pts in lines] == lengths[0].tolist()

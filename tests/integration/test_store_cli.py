@@ -5,7 +5,8 @@ artifact store: the warm run announces the hit, writes byte/array-
 identical outputs, and its manifest's deterministic sections match the
 cold run's exactly, while the operational ``cache`` section records the
 hit.  ``--no-cache`` forces recompute; ``--replay`` + the embedded
-``telemetry.store`` gives partial stage reuse.
+``telemetry.store`` gives partial stage reuse; ``repro-connectome`` and
+``repro-track --connectome`` serve each other's entries.
 """
 
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cli.bedpost_cmd import main as bedpost_main
+from repro.cli.connectome_cmd import main as connectome_main
 from repro.cli.phantom_cmd import main as phantom_main
 from repro.cli.track_cmd import main as track_main
 from repro.io import read_nifti
@@ -189,3 +191,42 @@ class TestTrackStore:
             "--max-steps", "150", "--metrics-out", str(m),
         ]) == 0
         assert "cache" not in load_manifest(m)
+
+
+class TestConnectomeStore:
+    def test_shares_entries_with_track(self, bedpost_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        t, c1, c2 = tmp_path / "t", tmp_path / "c1", tmp_path / "c2"
+        m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        common = ["--max-steps", "150", "--store", str(store)]
+        assert track_main([str(bedpost_dir), "--output-dir", str(t),
+                           "--connectome", "octant"] + common) == 0
+        capsys.readouterr()
+
+        # Stage 2 and stage 3 both come from repro-track's entries.
+        assert connectome_main([
+            str(bedpost_dir), "--output-dir", str(c1), "--atlas", "octant",
+            "--set", "tracking.max_steps=150", "--store", str(store),
+            "--metrics-out", str(m1),
+        ]) == 0
+        assert "served from store" in capsys.readouterr().out
+        cache = load_manifest(m1)["cache"]
+        assert cache["tracking_hit"] is True
+        assert cache["connectome_hit"] is True
+        for name in ("graph.json", "fibers.trk"):
+            assert (c1 / name).read_bytes() == (t / name).read_bytes()
+
+        # An atlas sweep reuses the tracked run and refolds the matrix.
+        assert connectome_main([
+            str(bedpost_dir), "--output-dir", str(c2), "--atlas", "slabs2",
+            "--set", "tracking.max_steps=150", "--store", str(store),
+            "--metrics-out", str(m2),
+        ]) == 0
+        cache = load_manifest(m2)["cache"]
+        assert cache["tracking_hit"] is True
+        assert cache["connectome_hit"] is False
+        graph = json.loads((c2 / "graph.json").read_text())
+        assert graph["atlas"] == "slabs2"
+        assert graph["n_streamlines"] == json.loads(
+            (c1 / "graph.json").read_text()
+        )["n_streamlines"]

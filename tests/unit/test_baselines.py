@@ -1,5 +1,7 @@
 """Unit tests for repro.baselines."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from repro.baselines.deterministic import tensor_field
 from repro.errors import DataError, TrackingError
 from repro.models.fields import FiberField
 from repro.tracking import (
+    ProbtrackConfig,
     SegmentedTracker,
     TerminationCriteria,
     paper_strategy_b,
+    probabilistic_streamlining,
     seeds_from_mask,
 )
 
@@ -105,13 +109,43 @@ class TestDeterministicTractography:
 
 class TestCpuReference:
     def test_matches_segmented_executor(self, straight_phantom):
-        truth, _, _ = straight_phantom
+        truth, gtab, dwi = straight_phantom
         crit = TerminationCriteria(max_steps=120, min_dot=0.8, step_length=0.4)
         seeds = seeds_from_mask(truth.mask & (truth.f[..., 0] > 0))[::9]
         cpu = cpu_probabilistic_tracking([truth, truth], seeds, crit)
         gpu = SegmentedTracker().run([truth, truth], seeds, crit, paper_strategy_b())
         np.testing.assert_array_equal(cpu.lengths, gpu.lengths)
         np.testing.assert_array_equal(cpu.reasons, gpu.reasons)
+
+        # Endpoints too, on noisy posterior-like samples, for every
+        # interpolation x engine x order x worker-count combination.
+        fields = PointEstimateModel(dwi, gtab, truth.mask).sample_fields(3, seed=4)
+        # One seed with no population in one sample: a born-dead row.
+        fields[1].f[tuple(seeds[0].astype(int))] = 0.0
+        crit = TerminationCriteria(max_steps=40, min_dot=0.8, step_length=0.4)
+        for interpolation in ("trilinear", "nearest"):
+            ref = cpu_probabilistic_tracking(
+                fields, seeds, crit, interpolation=interpolation,
+                keep_streamlines=True,
+            )
+            ends = np.array(
+                [[line.points[-1] for line in row] for row in ref.streamlines]
+            )
+            for engine, order, n_workers in itertools.product(
+                ("per-sample", "fused"), ("natural", "sorted"), (1, 2)
+            ):
+                cfg = ProbtrackConfig(
+                    criteria=crit, strategy=paper_strategy_b(),
+                    interpolation=interpolation, engine=engine, order=order,
+                    n_workers=n_workers,
+                )
+                run = probabilistic_streamlining(fields, cfg, seeds=seeds).run
+                case = (interpolation, engine, order, n_workers)
+                assert run.lengths[1, 0] == 0, case
+                assert run.endpoints.dtype == np.float64, case
+                np.testing.assert_array_equal(run.lengths, ref.lengths, err_msg=str(case))
+                np.testing.assert_array_equal(run.reasons, ref.reasons, err_msg=str(case))
+                np.testing.assert_array_equal(run.endpoints, ends, err_msg=str(case))
 
     def test_keep_streamlines(self, straight_phantom):
         truth, _, _ = straight_phantom

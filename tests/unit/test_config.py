@@ -372,11 +372,10 @@ STAGE_HASH_CASES = [
     # (runtime.host has a single preset, so it cannot be varied here;
     # stage_subtree coverage below proves it participates.)  The device
     # preset steers the tracking stage's modeled schedule only — the
-    # connectome's CPU reference tracker is preset-independent, so its
+    # endpoints the connectome folds are preset-independent, so its
     # hash must *not* move (an atlas sweep survives a machine change).
     ("runtime.device", "nvidia_warp32", ("tracking",)),
     ("runtime.n_workers", 8, ()),
-    ("runtime.connectome_workers", 4, ()),
     ("runtime.max_retries", 9, ()),
     ("runtime.shard_timeout_s", 4.0, ()),
     ("runtime.fallback_to_serial", False, ()),

@@ -1,30 +1,22 @@
 """Unit tests for the connectome stage's building blocks.
 
-Atlas construction, endpoint counting, graph export, the spec section,
-and the seed-block shard contract — each testable without running the
-MCMC or the tracker.
+Atlas construction, endpoint counting, graph export, and the spec
+section — each testable without running the MCMC or the tracker.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import ConnectomeSpec, RunSpec
-from repro.connectome import (
-    Atlas,
-    build_atlas,
-    connectome_graph,
-    endpoint_connectome,
-    seed_blocks,
-)
+from repro.connectome import build_atlas, connectome_graph, endpoint_connectome
 from repro.errors import ConfigurationError
-from repro.tracking.streamline import Streamline, StopReason
 
 
-def _line(start, end):
-    return Streamline(
-        points=np.array([start, end], dtype=np.float64),
-        reason=StopReason.ANGLE,
-    )
+def _pairs(*lines):
+    """``(starts, ends, n_steps)`` arrays from ``(start, end, steps)`` rows."""
+    starts = np.array([line[0] for line in lines], dtype=np.float64)
+    ends = np.array([line[1] for line in lines], dtype=np.float64)
+    return starts.reshape(-1, 3), ends.reshape(-1, 3), [line[2] for line in lines]
 
 
 class TestBuildAtlas:
@@ -106,40 +98,37 @@ class TestLabelAt:
 class TestEndpointConnectome:
     def test_symmetric_counts_and_diagonal_once(self):
         atlas = build_atlas("slabs2", (4, 1, 1))
-        lines = [
-            _line([0, 0, 0], [3, 0, 0]),  # ROI 0 -> ROI 1
-            _line([3, 0, 0], [0, 0, 0]),  # ROI 1 -> ROI 0 (same edge)
-            _line([0, 0, 0], [1, 0, 0]),  # ROI 0 self-loop
-        ]
-        counts, n = endpoint_connectome(lines, atlas)
+        lines = _pairs(
+            ([0, 0, 0], [3, 0, 0], 1),  # ROI 0 -> ROI 1
+            ([3, 0, 0], [0, 0, 0], 1),  # ROI 1 -> ROI 0 (same edge)
+            ([0, 0, 0], [1, 0, 0], 1),  # ROI 0 self-loop
+        )
+        counts, n = endpoint_connectome(*lines, atlas)
         assert n == 3
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, [[1, 2], [2, 0]])
         np.testing.assert_array_equal(counts, counts.T)
-        # The shard invariant: upper triangle sums to n_counted.
+        # The matrix invariant: upper triangle sums to n_counted.
         assert int(np.triu(counts).sum()) == n
 
     def test_min_steps_filters(self):
         atlas = build_atlas("slabs2", (4, 1, 1))
-        short = _line([0, 0, 0], [3, 0, 0])  # 1 step
-        long = Streamline(
-            points=np.array(
-                [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float
-            ),
-            reason=StopReason.ANGLE,
-        )  # 3 steps
-        counts, n = endpoint_connectome([short, long], atlas, min_steps=2)
+        lines = _pairs(
+            ([0, 0, 0], [3, 0, 0], 1),  # short
+            ([0, 0, 0], [3, 0, 0], 3),  # long
+        )
+        counts, n = endpoint_connectome(*lines, atlas, min_steps=2)
         assert n == 1
         assert counts.sum() == 2  # one off-diagonal pair, both triangles
 
     def test_negative_min_steps_raises(self):
         atlas = build_atlas("octant", (4, 4, 4))
         with pytest.raises(ConfigurationError):
-            endpoint_connectome([], atlas, min_steps=-1)
+            endpoint_connectome(*_pairs(), atlas, min_steps=-1)
 
     def test_empty_input(self):
         atlas = build_atlas("octant", (4, 4, 4))
-        counts, n = endpoint_connectome([], atlas)
+        counts, n = endpoint_connectome(*_pairs(), atlas)
         assert n == 0
         assert counts.sum() == 0
 
@@ -200,7 +189,6 @@ class TestConnectomeSpec:
         assert spec.connectome.atlas == "none"
         assert spec.connectome.min_steps == 0
         assert spec.connectome.normalize == "count"
-        assert spec.runtime.connectome_workers == 1
 
     @pytest.mark.parametrize(
         "atlas", ["none", "octant", "slabs4", "grid2", "grid10"]
@@ -233,28 +221,8 @@ class TestConnectomeSpec:
 
     def test_dotted_override(self):
         spec = RunSpec().with_overrides(
-            {"connectome.atlas": "octant", "runtime.connectome_workers": 3}
+            {"connectome.atlas": "octant", "connectome.min_steps": 3}
         )
         assert spec.connectome.atlas == "octant"
-        assert spec.runtime.connectome_workers == 3
+        assert spec.connectome.min_steps == 3
 
-    def test_connectome_workers_validated(self):
-        with pytest.raises(ConfigurationError):
-            RunSpec().with_overrides({"runtime.connectome_workers": 0})
-
-
-class TestSeedBlocks:
-    def test_partition_covers_range(self):
-        blocks = seed_blocks(130, 64)
-        assert blocks == [(0, 64), (64, 128), (128, 130)]
-
-    def test_empty(self):
-        assert seed_blocks(0, 64) == []
-
-    def test_atlas_rebuild_matches_parent(self):
-        # Shards ship (name, shape) instead of the label volume; the
-        # worker-side rebuild must be identical.
-        a = build_atlas("grid2", (6, 6, 6))
-        b = build_atlas("grid2", (6, 6, 6))
-        assert isinstance(a, Atlas)
-        np.testing.assert_array_equal(a.labels, b.labels)

@@ -121,6 +121,7 @@ class TestTrackingRunResultSurface:
         res = TrackingRunResult(
             lengths=np.zeros((0, 0), dtype=np.int64),
             reasons=np.zeros((0, 0), dtype=np.int64),
+            endpoints=np.zeros((0, 0, 3)),
             timeline=Timeline(),
         )
         assert res.longest_fiber == 0
