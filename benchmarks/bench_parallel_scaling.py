@@ -12,10 +12,10 @@ and as machine-readable ``BENCH_parallel.json`` at the repo root:
    interpolation + direction choice per step with no batch amortization;
    the batch-executor wall shows the same pass at lockstep batch sizes.
 
-2. **Sample-parallel scaling.**  Serial vs. 2- and 4-worker process
-   backend on the same fields.  Three numbers per worker count:
+2. **Sample-parallel scaling.**  Serial vs. 2- and 4-worker sharded
+   tracking on the same fields.  Three numbers per worker count:
 
-   * ``wall_s`` — measured end-to-end wall of the process backend.
+   * ``wall_s`` — measured end-to-end wall of the sharded run.
      Includes fork/pickle overhead and, on machines with fewer physical
      cores than workers, CPU time-slicing: concurrent shards contend
      for the same core, so this only drops below serial when real
@@ -43,7 +43,6 @@ import numpy as np
 from benchmarks.conftest import emit
 from repro.analysis import render_table
 from repro.gpu.multigpu import partition_seeds
-from repro.runtime import make_backend
 from repro.tracking import (
     ConnectivityAccumulator,
     SegmentedTracker,
@@ -55,6 +54,7 @@ from repro.tracking import (
     track_streamline,
 )
 from repro.tracking.interpolate import trilinear_lookup_reference
+from repro.tracking.shards import run_sharded
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 N_SCALAR_SEEDS = 40
@@ -146,12 +146,17 @@ def _shard_bound_wall(fields, seeds, criteria, n_workers):
 
 def _parallel_pass(fields, seeds, criteria, n_workers, n_voxels):
     acc = ConnectivityAccumulator(len(seeds), n_voxels)
-    backend = make_backend(n_workers)
     tracker = SegmentedTracker()
     t0 = time.perf_counter()
-    run = backend.run(
-        tracker, fields, seeds, criteria, table2_strategy(), connectivity=acc
-    )
+    if n_workers <= 1:
+        run = tracker.run(
+            fields, seeds, criteria, table2_strategy(), connectivity=acc
+        )
+    else:
+        run = run_sharded(
+            tracker, fields, seeds, criteria, table2_strategy(),
+            n_workers=n_workers, connectivity=acc,
+        )
     wall = time.perf_counter() - t0
     return wall, run
 

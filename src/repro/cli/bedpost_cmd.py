@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="likelihood noise model")
     p.add_argument("--seed", type=int, default=None,
                    help="chain RNG seed (default 0)")
-    add_runtime_group(p, unit="voxel block", array_backend=False)
+    add_runtime_group(p, unit="voxel block")
     add_store_group(p)
     add_telemetry_group(p, trace=False)
     add_config_group(p)

@@ -25,7 +25,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.backends.base import ARRAY_BACKENDS
 from repro.config import RunSpec, resolve_run_spec
 
 __all__ = [
@@ -48,13 +47,11 @@ RUNTIME_FLAG_MAP = {
     "max_retries": "runtime.max_retries",
     "shard_timeout": "runtime.shard_timeout_s",
     "inject_fault": "runtime.fault_plan",
-    "array_backend": "runtime.array_backend",
 }
 
 #: Runtime flag map for ``repro-bedpost``: same retry/timeout/fault
 #: knobs as tracking, but ``--workers`` steers the *sampling* stage's
-#: voxel-block shards (``runtime.bedpost_workers``), and there is no
-#: array-backend choice (the sampler is lockstep NumPy).
+#: voxel-block shards (``runtime.bedpost_workers``).
 BEDPOST_RUNTIME_FLAG_MAP = {
     "workers": "runtime.bedpost_workers",
     "max_retries": "runtime.max_retries",
@@ -97,18 +94,12 @@ def add_config_group(p: argparse.ArgumentParser) -> None:
                         "as JSON, then exit without running")
 
 
-def add_runtime_group(
-    p: argparse.ArgumentParser,
-    *,
-    unit: str = "sample",
-    array_backend: bool = True,
-) -> None:
+def add_runtime_group(p: argparse.ArgumentParser, *, unit: str = "sample") -> None:
     """The workers / retries / shard-timeout / fault-injection group.
 
     ``unit`` names what a shard holds in the ``--workers`` /
     ``--inject-fault`` help text ("sample" for tracking, "voxel block"
-    for bedpost); ``array_backend=False`` drops ``--array-backend``
-    for commands whose inner loop has no backend choice.
+    for bedpost).
     """
     g = p.add_argument_group("runtime")
     g.add_argument("--workers", type=int, default=None,
@@ -126,12 +117,6 @@ def add_runtime_group(
                         "'hang:1:*', 'corrupt:s2' (the third global "
                         f"{unit}); recovery keeps output bit-identical "
                         "to a clean run")
-    if array_backend:
-        g.add_argument("--array-backend", default=None,
-                       choices=list(ARRAY_BACKENDS),
-                       help="array backend for the lockstep inner loop "
-                            "(default numpy; cupy needs CuPy installed; "
-                            "all backends produce bit-identical results)")
 
 
 def add_telemetry_group(

@@ -51,7 +51,6 @@ from repro.telemetry import (
     use_registry,
     write_manifest,
 )
-from repro.tracking import TRACKING_ENGINES
 
 __all__ = ["build_parser", "main"]
 
@@ -66,8 +65,6 @@ _TRACK_FLAG_MAP = {
     "threshold": "tracking.min_dot",
     "max_steps": "tracking.max_steps",
     "strategy": "tracking.strategy",
-    "engine": "tracking.engine",
-    "compact_threshold": "tracking.compact_threshold",
     "bidirectional": "tracking.bidirectional",
     "min_export_steps": "tracking.min_export_steps",
     "connectome": "connectome.atlas",
@@ -101,16 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step budget per streamline (default 1888)")
     p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=None,
                    help="segmentation strategy (default increasing)")
-    p.add_argument("--engine", choices=list(TRACKING_ENGINES), default=None,
-                   help="tracking engine: per-sample launches the lockstep "
-                        "kernel once per posterior sample; fused stacks all "
-                        "shard-local samples into one batch (bit-identical, "
-                        "default per-sample)")
-    p.add_argument("--compact-threshold", type=float, default=None,
-                   metavar="FRAC",
-                   help="fused engine only: relaunch mid-segment once the "
-                        "active fraction drops below FRAC (0 disables, "
-                        "default 0.25)")
     p.add_argument("--bidirectional", action="store_true",
                    help="launch each seed in both senses")
     p.add_argument("--min-export-steps", type=int, default=None,

@@ -38,7 +38,7 @@ def export_sample0_trk(path: Path, fields, seeds, spec, affine) -> int:
     """Write sample 0's forward streamlines as TrackVis; return the count.
 
     Only lines of at least ``tracking.min_export_steps`` steps are kept
-    (the paper's Figs 11/12 view).  The engines record end positions,
+    (the paper's Figs 11/12 view).  The engine records end positions,
     not polylines, so the geometry comes from the scalar tracker run
     with the configured interpolation; it implements the reference
     interpolation directly, so ``trilinear-reference`` maps onto its

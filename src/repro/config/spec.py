@@ -47,7 +47,6 @@ import json
 import re
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.backends.base import ARRAY_BACKENDS
 from repro.errors import ConfigurationError
 from repro.gpu.presets import DEVICE_PRESETS, HOST_PRESETS
 
@@ -65,8 +64,6 @@ __all__ = [
     "NOISE_MODELS",
     "INTERPOLATIONS",
     "ORDER_POLICIES",
-    "ENGINES",
-    "ARRAY_BACKENDS",
     "STRATEGY_NAME_RE",
 ]
 
@@ -78,9 +75,6 @@ INTERPOLATIONS = ("trilinear", "trilinear-reference", "nearest")
 
 #: Valid ``tracking.order`` thread-ordering policies (mirrors the executor).
 ORDER_POLICIES = ("natural", "sorted")
-
-#: Valid ``tracking.engine`` values (mirrors ``SegmentedTracker``).
-ENGINES = ("per-sample", "fused")
 
 #: Named segmentation strategies: the paper's arrays plus ``a<k>`` uniform
 #: ladders; ``custom`` requires ``tracking.strategy_array``.
@@ -241,8 +235,6 @@ class TrackingSpec:
     bidirectional: bool = False
     accumulate_connectivity: bool = True
     min_export_steps: int = 100
-    engine: str = "per-sample"
-    compact_threshold: float = 0.25
 
     _PREFIX = "tracking"
     _VALIDATORS = {
@@ -254,8 +246,6 @@ class TrackingSpec:
         "interpolation": _enum(INTERPOLATIONS),
         "order": _enum(ORDER_POLICIES),
         "min_export_steps": _int_min(0),
-        "engine": _enum(ENGINES),
-        "compact_threshold": _float_range(0.0, 1.0),
     }
 
     def __post_init__(self) -> None:
@@ -323,7 +313,6 @@ class RuntimeSpec:
     hang_seconds: float | None = None
     device: str = "radeon_5870"
     host: str = "phenom_x4"
-    array_backend: str = "numpy"
     #: MCMC checkpoint cadence in loops when sampling runs against an
     #: artifact store (0 = the store's default cadence).  Pure execution
     #: policy: results are bit-identical for any value, so it is excluded
@@ -340,7 +329,6 @@ class RuntimeSpec:
         "fault_plan": _fault_plan,
         "device": _device_name,
         "host": _host_name,
-        "array_backend": _enum(ARRAY_BACKENDS),
         "checkpoint_every_loops": _int_min(0),
     }
 
@@ -393,7 +381,6 @@ _FIELD_KINDS: dict[type, dict[str, str]] = {
         "strategy_array": "opt_int_list", "interpolation": "str",
         "order": "str", "overlap": "bool", "bidirectional": "bool",
         "accumulate_connectivity": "bool", "min_export_steps": "int",
-        "engine": "str", "compact_threshold": "float",
     },
     ConnectomeSpec: {
         "atlas": "str", "min_steps": "int", "normalize": "str",
@@ -402,7 +389,7 @@ _FIELD_KINDS: dict[type, dict[str, str]] = {
         "n_workers": "int", "bedpost_workers": "int", "max_retries": "int",
         "shard_timeout_s": "opt_float", "fallback_to_serial": "bool",
         "fault_plan": "opt_str", "hang_seconds": "opt_float",
-        "device": "str", "host": "str", "array_backend": "str",
+        "device": "str", "host": "str",
         "checkpoint_every_loops": "int",
     },
     TelemetrySpec: {

@@ -307,7 +307,7 @@ TRACKING = register_stage(StageDef(
     spec_sections=("sampling", "tracking"),
     runtime_fields=RUNTIME_DETERMINISTIC_FIELDS,
     runner="repro.pipeline.runners:run_tracking_stage",
-    shard="repro.runtime.backend:TRACKING_SHARD",
+    shard="repro.tracking.shards:TRACKING_SHARD",
     artifact_files=("arrays.npz", "timeline.json", "telemetry.json"),
 ))
 

@@ -68,8 +68,8 @@ class DeviceMemory:
     @property
     def used_bytes(self) -> int:
         """Sum of live allocation sizes (maintained as a running total,
-        so alloc/free stay O(1) regardless of how many allocations the
-        fused engine keeps resident)."""
+        so alloc/free stay O(1) regardless of how many allocations are
+        live)."""
         return self._used
 
     @property

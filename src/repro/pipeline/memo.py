@@ -258,7 +258,6 @@ def memoized_streamlining(
         meta=lambda result: {
             "n_samples": int(result.run.n_samples),
             "n_seeds": int(result.run.n_seeds),
-            "engine": cfg.engine,
         },
         use_cache=use_cache,
         extra_writer=extra_writer,

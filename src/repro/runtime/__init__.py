@@ -1,26 +1,16 @@
 """Stage-generic shard execution for both pipeline stages.
 
 See :mod:`repro.runtime.stage` for the :class:`StageShard` contract and
-the streaming executor, and :mod:`repro.runtime.backend` for the
-determinism contract: the process backend's merged output is
-bit-identical to the serial path for any worker count — and, via
+the streaming executor: a sharded stage's merged output is
+bit-identical to its serial path for any worker count — and, via
 :mod:`repro.runtime.supervisor`, under any recovered shard failure
 (crash, hang, corrupt result) as well.  :mod:`repro.runtime.faults`
 provides the deterministic fault-injection plans the chaos tests and
 the dev-only ``--inject-fault`` CLI flags use to prove that.  The
-tracking stage shards by posterior sample
-(:data:`~repro.runtime.backend.TRACKING_SHARD`); bedpost MCMC shards by
-voxel block (:mod:`repro.mcmc.shards`).
+tracking stage shards by posterior sample (:mod:`repro.tracking.shards`);
+bedpost MCMC shards by voxel block (:mod:`repro.mcmc.shards`).
 """
 
-from repro.runtime.backend import (
-    TRACKING_SHARD,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ShardTask,
-    make_backend,
-)
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.stage import StageShard, StageShardExecutor, default_workers
@@ -35,15 +25,9 @@ from repro.runtime.supervisor import (
 )
 
 __all__ = [
-    "ExecutionBackend",
-    "ProcessBackend",
-    "SerialBackend",
-    "ShardTask",
     "StageShard",
     "StageShardExecutor",
-    "TRACKING_SHARD",
     "default_workers",
-    "make_backend",
     "merge_shard_results",
     "FaultPlan",
     "FaultSpec",

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the supervised process backend.
+"""Deterministic fault injection for the supervised shard pool.
 
 A :class:`FaultPlan` describes *exactly* which shard attempts misbehave
 and how — crash the worker process, hang until the supervisor's deadline

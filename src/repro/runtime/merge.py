@@ -1,7 +1,8 @@
 """Deterministic merging of per-shard tracking results.
 
-The process backend slices the sample-volume list into contiguous shards
-and runs each through the ordinary :class:`SegmentedTracker`.  Because a
+Sharded tracking (:mod:`repro.tracking.shards`) slices the sample-volume
+list into contiguous shards and runs each through the ordinary
+:class:`SegmentedTracker`.  Because a
 shard is told its global ``sample_offset``, its rows, labels, and stream
 parities are bit-identical to the corresponding slice of a serial run —
 so merging is pure concatenation in global sample order:
@@ -24,7 +25,7 @@ so merging is pure concatenation in global sample order:
   serial value bitwise because the lengths are integers.
 
 Connectivity counts are merged separately via
-:meth:`ConnectivityAccumulator.absorb` (see ``backend.py``); integer
+:meth:`ConnectivityAccumulator.absorb` (see :mod:`repro.tracking.shards`); integer
 count addition is associative, so those too are exact.
 
 Supervision (retries, re-shards, serial fallbacks) is surfaced two ways:
@@ -61,7 +62,7 @@ def merge_shard_results(
     parts:
         One :class:`TrackingRunResult` per shard, ordered so that
         concatenating their sample rows reproduces the global sample
-        order.  (The backend guarantees this: shards are contiguous
+        order.  (:func:`~repro.tracking.shards.run_sharded` guarantees this: shards are contiguous
         slices of the field list; a re-sharded task contributes its
         single-sample parts in sample order.)
     host:

@@ -10,7 +10,7 @@ machinery out into two pieces:
   ``run`` function plus the supervisor seams (payload validation,
   re-shard splitting, fault-injection corruption, and the global unit
   range each task covers).  The tracking instance lives in
-  :mod:`repro.runtime.backend`; the bedpost voxel-block instance in
+  :mod:`repro.tracking.shards`; the bedpost voxel-block instance in
   :mod:`repro.mcmc.shards`.
 * :class:`StageShardExecutor` — the execution policy (pool size, retry
   policy, timeouts, fault plan) applied to any stage's task list, with
@@ -123,13 +123,11 @@ class StageShard:
 class StageShardExecutor:
     """Execution policy for one stage's shard tasks.
 
-    Owns what used to be :class:`~repro.runtime.backend.ProcessBackend`
-    internals: pool sizing (with the once-per-executor clamp warning),
-    the supervised run, and the streaming in-task-order hand-off to the
+    Owns pool sizing (with the once-per-executor clamp warning), the
+    supervised run, and the streaming in-task-order hand-off to the
     caller's merge.
 
-    Parameters mirror the process backend's: ``n_workers`` is the pool
-    size, ``max_retries``/``shard_timeout_s``/``fallback_to_serial``
+    ``n_workers`` is the pool size, ``max_retries``/``shard_timeout_s``/``fallback_to_serial``
     configure the :class:`~repro.runtime.supervisor.ShardSupervisor`
     escalation ladder, ``fault_plan`` injects deterministic test faults,
     and ``retry_seed`` seeds the backoff jitter.  ``launcher_factory``

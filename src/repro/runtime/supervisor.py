@@ -22,14 +22,13 @@ pool built for long sweeps:
   attempt on the surviving pool (a fault pinned to one unit no longer
   poisons its shard-mates);
 * work that still fails degrades to an **in-parent serial run** of the
-  very same task (the plain :class:`~repro.runtime.backend.SerialBackend`
-  code path), unless ``fallback_to_serial=False``, in which case
+  very same task (the stage's own serial code path), unless ``fallback_to_serial=False``, in which case
   :class:`~repro.errors.PoolExhaustedError` propagates.
 
 Determinism: a shard task is a pure function of its inputs, so *where*
 it finally succeeds — first try, third retry, re-shard, or in-parent —
 cannot change its payload.  The supervisor additionally returns outputs
-indexed by task order (never completion order), so the backend's merge
+indexed by task order (never completion order), so the stage's merge
 remains bit-identical to a clean serial run.
 
 Fault injection (:class:`~repro.runtime.faults.FaultPlan`) is applied by
@@ -480,7 +479,7 @@ class ShardSupervisor:
         Injected faults for tests / the dev CLI flag; ``None`` in
         production.
     max_workers:
-        Concurrent attempt cap (usually the backend's pool size).
+        Concurrent attempt cap (usually the executor's pool size).
     launcher:
         Execution seam — :class:`ProcessLauncher` in production,
         :class:`InlineLauncher` in unit tests.

@@ -14,7 +14,10 @@ counts streamline visits.  This package provides:
   ``C`` arrays, single-segment, and sorted-order scheduling;
 * the segmented executor (:mod:`~repro.tracking.executor`) — Algorithm 1
   against the GPU machine model, with host-side compaction between
-  kernels and full kernel/reduction/transfer time attribution;
+  kernels and full kernel/reduction/transfer time attribution, executed
+  as one fused lockstep batch over all samples
+  (:mod:`~repro.tracking.fused`) and sharded by sample across worker
+  processes (:mod:`~repro.tracking.shards`);
 * connectivity accumulation and fiber-length statistics (Fig 5's
   exponential-distribution analysis).
 """
@@ -36,11 +39,10 @@ from repro.tracking.segmentation import (
     table2_strategy,
 )
 from repro.tracking.executor import (
-    TRACKING_ENGINES,
     SegmentedTracker,
     TrackingRunResult,
 )
-from repro.tracking.fused import FusedBatchTracker, StackedFields
+from repro.tracking.fused import StackedFields
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.lengths import (
     ExponentialFit,
@@ -82,8 +84,6 @@ __all__ = [
     "table2_strategy",
     "SegmentedTracker",
     "TrackingRunResult",
-    "TRACKING_ENGINES",
-    "FusedBatchTracker",
     "StackedFields",
     "ConnectivityAccumulator",
     "ExponentialFit",

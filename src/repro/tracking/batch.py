@@ -12,22 +12,13 @@ The semantics match :func:`repro.tracking.streamline.track_streamline`
 step for step (asserted in the test suite — the paper's "CPU and GPU
 results are substantially the same" check, here made exact).
 
-Array backend
--------------
-The inner loop is written against a :class:`~repro.backends.base.ArrayBackend`
-(``self.xb``) rather than NumPy directly, so the same kernel runs on the
-NumPy reference backend, the array-API adapter, or CuPy.  Field flat
-views are converted once at construction (``asarray`` is a no-op for
-NumPy, an upload for CuPy) and every ``out=`` result is reassigned,
-since backends may ignore capacity hints and return fresh arrays.
-
 Fused multi-sample states
 -------------------------
 When ``BatchState.sample`` is set, rows belong to different sample
 volumes of a :class:`~repro.tracking.fused.StackedFields` stack: gathers
 add ``sample * n_vox`` to flat voxel indices so one ``take`` serves all
 samples, and visit callbacks receive ``(samples, origins, voxels)``.
-Per-row arithmetic is unchanged, which is why the fused engine is
+Per-row arithmetic is unchanged, which is why a fused run is
 bit-identical to running each sample alone.
 """
 
@@ -39,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends import NUMPY_BACKEND, ArrayBackend
 from repro.errors import TrackingError
+from repro.gpu.workload import BYTES_DOWN_PER_THREAD, BYTES_UP_PER_THREAD
 from repro.models.fields import FiberField
 from repro.tracking.criteria import StopReason, TerminationCriteria
 from repro.tracking.direction import _choose_direction_core
@@ -126,37 +117,35 @@ class BatchState:
     def payload_bytes_down(self) -> int:
         """Bytes sent to the device per thread batch: position (12),
         heading (12), step counter (4) as float32/int32."""
-        return self.n_threads * 28
+        return self.n_threads * BYTES_DOWN_PER_THREAD
 
     def payload_bytes_up(self) -> int:
         """Bytes read back: end position (12), heading (12), steps (4),
         reason (4)."""
-        return self.n_threads * 32
+        return self.n_threads * BYTES_UP_PER_THREAD
 
 
 class BatchTracker:
-    """Vectorized deterministic streamlining over a fiber field."""
+    """Vectorized deterministic streamlining over a fiber field.
+
+    ``field`` may also be a :class:`~repro.tracking.fused.StackedFields`,
+    tracked with states that carry a ``sample`` column.
+    """
 
     def __init__(
         self,
         field: FiberField,
         criteria: TerminationCriteria,
         interpolation: str = "trilinear",
-        xb: ArrayBackend = NUMPY_BACKEND,
     ) -> None:
         if interpolation not in ("trilinear", "trilinear-reference", "nearest"):
             raise TrackingError(f"unknown interpolation {interpolation!r}")
         self.field = field
         self.criteria = criteria
         self.interpolation = interpolation
-        self.xb = xb
-        # Convert the packed views once: a no-op for NumPy, one upload
-        # for device backends.
-        f2, d2, mask_flat = field.flat_views()
-        self._views = (xb.asarray(f2), xb.asarray(d2))
-        self._off_limits = ~xb.asarray(mask_flat)
+        self._off_limits = ~field.flat_views()[2]
         self._n_vox = math.prod(field.shape3)
-        self._scratch = Scratch(xb)
+        self._scratch = Scratch()
 
     def init_state(
         self,
@@ -170,90 +159,74 @@ class BatchTracker:
 
         Threads with a zero heading (no population at the seed) start
         terminated with ``NO_DIRECTION``.  ``origin`` overrides the
-        default ``arange(n)`` seed identity (the fused engine passes
+        default ``arange(n)`` seed identity (the executor passes
         per-sample permutations); ``sample`` attaches shard-local sample
         indices to build a fused multi-sample state.
         """
-        xb = self.xb
-        seeds = xb.asarray(seeds, dtype=np.float64)
-        headings = xb.asarray(headings, dtype=np.float64)
+        seeds = np.asarray(seeds, dtype=np.float64)
+        headings = np.asarray(headings, dtype=np.float64)
         if seeds.ndim != 2 or seeds.shape[1] != 3 or headings.shape != seeds.shape:
             raise TrackingError(
                 f"seeds/headings must both be (n, 3), got {seeds.shape} "
                 f"and {headings.shape}"
             )
         n = seeds.shape[0]
-        reason = xb.full((n,), int(StopReason.ACTIVE), dtype=np.int64)
-        dead = xb.norm(headings, axis=1) < 1e-12
+        reason = np.full((n,), int(StopReason.ACTIVE), dtype=np.int64)
+        dead = np.linalg.norm(headings, axis=1) < 1e-12
         reason[dead] = int(StopReason.NO_DIRECTION)
         if origin is None:
-            origin = xb.arange(n, dtype=np.int64)
+            origin = np.arange(n, dtype=np.int64)
         else:
-            origin = xb.asarray(origin, dtype=np.int64)
+            origin = np.asarray(origin, dtype=np.int64)
         return BatchState(
             positions=seeds.copy(),
             headings=headings.copy(),
-            steps=xb.zeros((n,), dtype=np.int64),
+            steps=np.zeros((n,), dtype=np.int64),
             reason=reason,
             origin=origin,
-            sample=None if sample is None else xb.asarray(sample, dtype=np.int64),
+            sample=None if sample is None else np.asarray(sample, dtype=np.int64),
         )
 
     def _reference_fused(self, pos, head, samp):
         """Reference-mode interpolation for fused states: group rows by
         sample and run the executable spec per volume (host-side — the
         reference path is a spec, not a production path)."""
-        xb = self.xb
-        pos_h = xb.to_numpy(pos)
-        head_h = xb.to_numpy(head)
-        samp_h = xb.to_numpy(samp)
-        n = pos_h.shape[0]
+        n = pos.shape[0]
         n_fib = self.field.n_fibers
         f = np.empty((n, n_fib), dtype=np.float64)
         d = np.empty((n, n_fib, 3), dtype=np.float64)
-        for s in np.unique(samp_h):
-            rows = samp_h == s
+        for s in np.unique(samp):
+            rows = samp == s
             fs, ds = trilinear_lookup_reference(
-                self.field.fields[int(s)], pos_h[rows], reference=head_h[rows]
+                self.field.fields[int(s)], pos[rows], reference=head[rows]
             )
             f[rows] = fs
             d[rows] = ds
-        return xb.asarray(f), xb.asarray(d)
+        return f, d
 
     def run_segment(
         self,
         state: BatchState,
         n_iterations: int,
         visit_callback: VisitCallback | None = None,
-        stop_fraction: float | None = None,
     ) -> np.ndarray:
         """Advance up to ``n_iterations`` steps; returns executed counts.
 
         ``executed[i]`` is the number of kernel-loop iterations thread
         ``i`` performed (a lane executes the iteration in which it
         decides to stop).  State arrays are updated in place.
-
-        ``stop_fraction`` enables adaptive in-segment compaction: when
-        the active set shrinks below ``stop_fraction`` of the count at
-        segment entry, the segment returns early so the caller can
-        compact and relaunch the remainder — the modeled GPU's "stop the
-        kernel when most lanes idle" policy.  The executed counts still
-        reflect exactly the iterations each lane performed, so the early
-        return is invisible to results and wavefront timing.
         """
         if n_iterations < 0:
             raise TrackingError(f"n_iterations must be >= 0, got {n_iterations}")
-        xb = self.xb
         crit = self.criteria
         shape3 = self.field.shape3
         nx, ny, nz = shape3
         off_limits = self._off_limits
-        views = self._views
         fused = state.sample is not None
         n_vox = self._n_vox
-        executed = xb.zeros((state.n_threads,), dtype=np.int64)
-        lo = xb.zeros((3,), dtype=np.int64)
-        hi = xb.asarray([nx - 1, ny - 1, nz - 1], dtype=np.int64)
+        executed = np.zeros((state.n_threads,), dtype=np.int64)
+        lo = np.zeros((3,), dtype=np.int64)
+        hi = np.asarray([nx - 1, ny - 1, nz - 1], dtype=np.int64)
         sc = self._scratch
 
         # Visits are buffered and emitted once per segment (the readback
@@ -265,17 +238,16 @@ class BatchTracker:
         # The active set only shrinks inside a segment, and only through
         # the writes below — track it incrementally instead of rescanning
         # the reason array every iteration.
-        idx = xb.flatnonzero(state.active)
-        n_launched = int(idx.shape[0])
+        idx = np.flatnonzero(state.active)
         for _ in range(n_iterations):
             if idx.shape[0] == 0:
                 break
             executed[idx] += 1
             m = int(idx.shape[0])
-            pos = xb.take(state.positions, idx, axis=0, out=sc.get("pos", (m, 3)))
-            head = xb.take(state.headings, idx, axis=0, out=sc.get("head", (m, 3)))
+            pos = np.take(state.positions, idx, axis=0, out=sc.get("pos", (m, 3)))
+            head = np.take(state.headings, idx, axis=0, out=sc.get("head", (m, 3)))
             if fused:
-                samp = xb.take(state.sample, idx, axis=0)
+                samp = np.take(state.sample, idx, axis=0)
                 row_off = samp * n_vox
             else:
                 samp = None
@@ -287,8 +259,6 @@ class BatchTracker:
                     pos,
                     reference=head,
                     scratch=sc,
-                    xb=xb,
-                    views=views,
                     row_offset=row_off,
                 )
             elif self.interpolation == "trilinear-reference":
@@ -296,24 +266,20 @@ class BatchTracker:
                     f, dirs = self._reference_fused(pos, head, samp)
                 else:
                     f, dirs = trilinear_lookup_reference(
-                        self.field, xb.to_numpy(pos), reference=xb.to_numpy(head)
+                        self.field, pos, reference=head
                     )
-                    f = xb.asarray(f)
-                    dirs = xb.asarray(dirs)
             else:
-                f, dirs = nearest_lookup(
-                    self.field, pos, xb=xb, views=views, row_offset=row_off
-                )
+                f, dirs = nearest_lookup(self.field, pos, row_offset=row_off)
             chosen, dot, any_ok = _choose_direction_core(
-                f, dirs, head, crit.f_threshold, xb=xb
+                f, dirs, head, crit.f_threshold
             )
 
             no_dir = ~any_ok
             sharp = ~no_dir & (dot < crit.min_dot)
 
             new_pos = pos + crit.step_length * chosen
-            vox = xb.rint(new_pos).astype(np.int64)
-            cv = xb.minimum(xb.maximum(vox, lo), hi)
+            vox = np.rint(new_pos).astype(np.int64)
+            cv = np.minimum(np.maximum(vox, lo), hi)
             # Clipping moved a coordinate iff the step left the grid.
             oob = (vox != cv).any(axis=1)
             oob &= ~(no_dir | sharp)
@@ -347,25 +313,19 @@ class BatchTracker:
                 if fused:
                     visit_samples.append(state.sample[mov])
             idx = mov[~hit_budget]
-            if (
-                stop_fraction is not None
-                and 0 < int(idx.shape[0]) < stop_fraction * n_launched
-            ):
-                break
 
         if visit_callback is not None and visit_threads:
             if fused:
                 visit_callback(
-                    xb.to_numpy(xb.concatenate(visit_samples)),
-                    xb.to_numpy(xb.concatenate(visit_threads)),
-                    xb.to_numpy(xb.concatenate(visit_voxels)),
+                    np.concatenate(visit_samples),
+                    np.concatenate(visit_threads),
+                    np.concatenate(visit_voxels),
                 )
             else:
                 visit_callback(
-                    xb.to_numpy(xb.concatenate(visit_threads)),
-                    xb.to_numpy(xb.concatenate(visit_voxels)),
+                    np.concatenate(visit_threads), np.concatenate(visit_voxels)
                 )
-        return xb.to_numpy(executed)
+        return executed
 
     def run_to_completion(
         self,

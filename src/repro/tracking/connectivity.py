@@ -14,8 +14,8 @@ Internally each closed sample contributes one deduplicated array of
 sample closes) rather than by per-sample CSR addition — integer
 summation is associative, so the counts are identical either way, and
 the assembly cost drops from O(samples * nnz) to O(nnz).  The per-sample
-pair arrays are also the unit of transfer for the process execution
-backend: :meth:`ConnectivityAccumulator.absorb` folds a worker's closed
+pair arrays are also the unit of transfer for sharded tracking
+(:mod:`repro.tracking.shards`): :meth:`ConnectivityAccumulator.absorb` folds a worker's closed
 samples into the parent accumulator deterministically.
 """
 
@@ -120,7 +120,7 @@ class ConnectivityAccumulator:
 
         ``sample_pairs`` is :meth:`sample_pairs` output from an
         accumulator with identical dimensions and seed mapping (e.g. a
-        process-backend worker's shard).  Counts after absorbing shards
+        sharded run's worker).  Counts after absorbing shards
         in sample order are bit-identical to a serial accumulation.
         """
         if self._pending is not None:

@@ -11,10 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import NUMPY_BACKEND, ArrayBackend
 from repro.errors import TrackingError
 
 __all__ = ["choose_direction", "initial_directions"]
+
+#: Cached ``arange`` — the row index of every fancy lookup in the
+#: selection core, reallocated only when a batch outgrows it.
+_ROWS = np.arange(256)
+
+
+def _rows(m: int) -> np.ndarray:
+    global _ROWS
+    if _ROWS.shape[0] < m:
+        _ROWS = np.arange(m)
+    return _ROWS[:m]
 
 
 def choose_direction(
@@ -64,7 +74,6 @@ def _choose_direction_core(
     directions: np.ndarray,
     heading: np.ndarray,
     f_threshold: float,
-    xb: ArrayBackend = NUMPY_BACKEND,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validation-free selection core shared by the batch and scalar paths.
 
@@ -79,15 +88,15 @@ def _choose_direction_core(
     dots += directions[..., 1] * heading[:, None, 1]
     dots += directions[..., 2] * heading[:, None, 2]
     eligible = f > f_threshold
-    score = xb.where(eligible, xb.abs(dots), -1.0)
-    best = xb.argmax(score, axis=1)  # (n,)
-    rows = xb.rows(f.shape[0])
+    score = np.where(eligible, np.abs(dots), -1.0)
+    best = np.argmax(score, axis=1)  # (n,)
+    rows = _rows(f.shape[0])
     best_dot = dots[rows, best]
     best_dir = directions[rows, best]
     any_ok = eligible.any(axis=1)
-    sign = xb.where(best_dot < 0.0, -1.0, 1.0)
-    chosen = xb.where(any_ok[:, None], best_dir * sign[:, None], 0.0)
-    abs_dot = xb.where(any_ok, xb.abs(best_dot), 0.0)
+    sign = np.where(best_dot < 0.0, -1.0, 1.0)
+    chosen = np.where(any_ok[:, None], best_dir * sign[:, None], 0.0)
+    abs_dot = np.where(any_ok, np.abs(best_dot), 0.0)
     return chosen, abs_dot, any_ok
 
 

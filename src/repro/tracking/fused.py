@@ -1,40 +1,35 @@
-"""Fused multi-sample lockstep engine — every sample in one batch.
+"""Fused multi-sample lockstep execution — every sample in one batch.
 
-The per-sample engine launches the lockstep kernel once per posterior
-sample: S samples × ~n segment launches, each paying Python dispatch and
-a ramp-down tail as its active set shrinks.  At realistic sample counts
-the device is mostly idle between launches.  The fused engine instead
-*stacks* all shard-local samples into a single structure-of-arrays
-batch: thread identity becomes a ``(sample, seed)`` pair, sample volumes
-are concatenated along the flat-voxel axis
-(:class:`StackedFields`), and one kernel advances every thread of every
-sample in lockstep.
+Launching the lockstep kernel once per posterior sample costs S samples
+× ~n segment launches, each paying Python dispatch and a ramp-down tail
+as its active set shrinks.  The executor instead *stacks* all
+shard-local samples into a single structure-of-arrays batch: thread
+identity becomes a ``(sample, seed)`` pair, sample volumes are
+concatenated along the flat-voxel axis (:class:`StackedFields`), and one
+kernel advances every thread of every sample in lockstep.
 
 Because each row's arithmetic depends only on its own position, heading,
 and its sample's field values — and the stacked gather
-(``sample * n_vox + flat``) fetches exactly the bytes the per-sample
-gather would — the fused engine is **bit-identical** to running each
-sample alone.  The executor's property suite asserts this for lengths,
-reasons, visit maps, and the deterministic telemetry counters.
+(``sample * n_vox + flat``) fetches exactly the bytes a per-sample
+gather would — a fused run is **bit-identical** to running each sample
+alone.  The property suite pins this against the scalar tracker and a
+per-sample rebuild of the modeled launches.
 
-:class:`FusedBatchTracker` is a thin specialization of
-:class:`~repro.tracking.batch.BatchTracker`: the kernel itself is
-unchanged (the ``sample`` column on :class:`~repro.tracking.batch.BatchState`
-switches the gathers into stacked mode), which is what makes the
-bit-identity argument an argument about *indexing*, not arithmetic.
+The kernel itself is the plain :class:`~repro.tracking.batch.BatchTracker`
+run over a :class:`StackedFields` (the ``sample`` column on
+:class:`~repro.tracking.batch.BatchState` switches the gathers into
+stacked mode), which is what makes the bit-identity argument an
+argument about *indexing*, not arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import NUMPY_BACKEND, ArrayBackend
 from repro.errors import TrackingError
 from repro.models.fields import FiberField
-from repro.tracking.batch import BatchTracker
-from repro.tracking.criteria import TerminationCriteria
 
-__all__ = ["StackedFields", "FusedBatchTracker"]
+__all__ = ["StackedFields", "FusedVisitBuffer"]
 
 
 class StackedFields:
@@ -78,36 +73,14 @@ class StackedFields:
         """
         if self._flat_cache is None:
             views = [f.flat_views() for f in self.fields]
-            self._flat_cache = (
-                np.concatenate([v[0] for v in views], axis=0),
-                np.concatenate([v[1] for v in views], axis=0),
-                np.concatenate([v[2] for v in views], axis=0),
-            )
+            if len(views) == 1:
+                self._flat_cache = views[0]  # nothing to stack: no copy
+            else:
+                self._flat_cache = tuple(
+                    np.concatenate([v[k] for v in views], axis=0)
+                    for k in range(3)
+                )
         return self._flat_cache
-
-
-class FusedBatchTracker(BatchTracker):
-    """Lockstep tracker over a :class:`StackedFields` stack.
-
-    Accepts either a prebuilt stack or a plain list of sample volumes.
-    ``init_state`` (inherited) builds fused states by passing ``sample=``
-    — see :meth:`repro.tracking.batch.BatchTracker.init_state`.
-    """
-
-    def __init__(
-        self,
-        fields: StackedFields | list[FiberField],
-        criteria: TerminationCriteria,
-        interpolation: str = "trilinear",
-        xb: ArrayBackend = NUMPY_BACKEND,
-    ) -> None:
-        stack = fields if isinstance(fields, StackedFields) else StackedFields(fields)
-        super().__init__(stack, criteria, interpolation, xb=xb)
-        self.stack = stack
-
-    @property
-    def n_samples(self) -> int:
-        return self.stack.n_samples
 
 
 class FusedVisitBuffer:
@@ -118,7 +91,7 @@ class FusedVisitBuffer:
     emits visits for all samples interleaved.  Visits are bucketed by
     sample here and flushed in global sample order once tracking ends —
     the accumulator dedups per sample with a set-union (``np.unique``),
-    so the replayed maps are bit-identical to the per-sample engine's.
+    so the replayed maps are bit-identical to tracking each sample alone.
     """
 
     def __init__(self, n_samples: int) -> None:

@@ -38,7 +38,6 @@ import math
 
 import numpy as np
 
-from repro.backends import NUMPY_BACKEND, ArrayBackend
 from repro.errors import TrackingError
 from repro.models.fields import FiberField
 from repro.utils.voxels import flat_voxel_index
@@ -52,8 +51,8 @@ __all__ = [
 ]
 
 
-def _check_points(points: np.ndarray, xb: ArrayBackend = NUMPY_BACKEND):
-    pts = xb.asarray(points, dtype=np.float64)
+def _check_points(points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise TrackingError(f"points must be (n, 3), got {pts.shape}")
     return pts
@@ -65,20 +64,17 @@ class Scratch:
     ``get(name, shape)`` returns a C-contiguous float64 view of a cached
     allocation, reallocating only when the requested size exceeds
     capacity — so a tracking segment's shrinking active set reuses one
-    allocation instead of reallocating every iteration.  Buffers are
-    allocated by the arena's :class:`~repro.backends.base.ArrayBackend`,
-    so the hot loop's scratch lives on whatever device the run selected.
+    allocation instead of reallocating every iteration.
     """
 
-    def __init__(self, xb: ArrayBackend = NUMPY_BACKEND) -> None:
-        self.xb = xb
-        self._bufs: dict[str, object] = {}
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
 
-    def get(self, name: str, shape: tuple[int, ...]):
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._bufs.get(name)
         need = math.prod(shape)
         if buf is None or buf.size < need:
-            buf = self.xb.empty((max(need, 1),), dtype=np.float64)
+            buf = np.empty((max(need, 1),), dtype=np.float64)
             self._bufs[name] = buf
         return buf[:need].reshape(shape)
 
@@ -87,11 +83,7 @@ class Scratch:
 _CORNER_OFF = np.array([[[0]], [[1]]], dtype=np.int64)
 
 
-def _corner_indices(
-    pts,
-    shape3: tuple[int, int, int],
-    xb: ArrayBackend = NUMPY_BACKEND,
-):
+def _corner_indices(pts: np.ndarray, shape3: tuple[int, int, int]):
     """Clipped flat indices and weights of the 8 surrounding corners.
 
     Returns ``(flat, w, frac)``: ``flat`` is ``(8, n)`` int64 and ``w``
@@ -103,13 +95,13 @@ def _corner_indices(
     """
     nx, ny, nz = shape3
     n = pts.shape[0]
-    base_f = xb.floor(pts)
+    base_f = np.floor(pts)
     frac = pts - base_f
     base = base_f.astype(np.int64)
     # Clip both corner planes of all three axes at once: (2, n, 3), row 0
     # the low corner, row 1 the high corner.
-    bb = xb.maximum(base[None, :, :] + xb.asarray(_CORNER_OFF), 0)
-    bb = xb.minimum(bb, xb.asarray([nx - 1, ny - 1, nz - 1]), out=bb)
+    bb = np.maximum(base[None, :, :] + _CORNER_OFF, 0)
+    bb = np.minimum(bb, np.asarray([nx - 1, ny - 1, nz - 1]), out=bb)
     x, y, z = bb[..., 0], bb[..., 1], bb[..., 2]
     # flat = (x * ny + y) * nz + z; broadcasting (z, y, x) puts corner c
     # at flat row c = xbit + 2*ybit + 4*zbit after the C-order reshape.
@@ -119,9 +111,9 @@ def _corner_indices(
         + z[:, None, None, :]
     ).reshape(8, n)
 
-    ww = xb.empty((2, n, 3))
+    ww = np.empty((2, n, 3))
     ww[1] = frac
-    ww[0] = xb.subtract(1.0, frac, out=ww[0])
+    np.subtract(1.0, frac, out=ww[0])
     wx, wy, wz = ww[..., 0], ww[..., 1], ww[..., 2]
     w = (
         wx[None, None, :, :] * wy[None, :, None, :] * wz[:, None, None, :]
@@ -129,9 +121,7 @@ def _corner_indices(
     return flat, w, frac
 
 
-def nearest_flat_index(
-    points, shape3: tuple[int, int, int], xb: ArrayBackend = NUMPY_BACKEND
-):
+def nearest_flat_index(points, shape3: tuple[int, int, int]) -> np.ndarray:
     """Clipped flat row-major index of each point's containing voxel.
 
     The position→voxel half of :func:`nearest_lookup`, split out so
@@ -139,12 +129,12 @@ def nearest_flat_index(
     heading initialization across samples) compute the index arithmetic
     once and reuse it for every gather.
     """
-    pts = _check_points(points, xb)
+    pts = _check_points(points)
     nx, ny, nz = shape3
-    idx = xb.rint(pts).astype(np.int64)
-    ix = xb.minimum(xb.maximum(idx[:, 0], 0), nx - 1)
-    iy = xb.minimum(xb.maximum(idx[:, 1], 0), ny - 1)
-    iz = xb.minimum(xb.maximum(idx[:, 2], 0), nz - 1)
+    idx = np.rint(pts).astype(np.int64)
+    ix = np.minimum(np.maximum(idx[:, 0], 0), nx - 1)
+    iy = np.minimum(np.maximum(idx[:, 1], 0), ny - 1)
+    iz = np.minimum(np.maximum(idx[:, 2], 0), nz - 1)
     return flat_voxel_index(ix, iy, iz, shape3)
 
 
@@ -152,8 +142,6 @@ def nearest_lookup(
     field: FiberField,
     points: np.ndarray,
     *,
-    xb: ArrayBackend = NUMPY_BACKEND,
-    views=None,
     row_offset=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point ``(f, directions)`` from the containing voxel.
@@ -161,18 +149,15 @@ def nearest_lookup(
     Returns ``f`` of shape ``(n, N)`` and ``directions`` of shape
     ``(n, N, 3)``.  Positions outside the grid clamp to the border voxel.
 
-    ``views`` optionally supplies pre-converted ``(f2, d2)`` flat views
-    (device-resident for non-NumPy backends); ``row_offset`` is an
-    ``(n,)`` per-point offset into stacked flat views — the fused engine
-    passes ``sample * n_vox`` so one gather serves all samples.
+    ``row_offset`` is an ``(n,)`` per-point offset into stacked flat
+    views: the fused tracker passes a
+    :class:`~repro.tracking.fused.StackedFields` as ``field`` and
+    ``sample * n_vox`` here, so one gather serves all samples.
     """
-    flat = nearest_flat_index(points, field.shape3, xb)
+    flat = nearest_flat_index(points, field.shape3)
     if row_offset is not None:
         flat = flat + row_offset
-    if views is not None:
-        f2, d2 = views
-    else:
-        f2, d2, _ = field.flat_views()
+    f2, d2, _ = field.flat_views()
     return f2[flat], d2[flat]
 
 
@@ -182,8 +167,6 @@ def trilinear_lookup(
     reference: np.ndarray | None = None,
     scratch: Scratch | None = None,
     *,
-    xb: ArrayBackend = NUMPY_BACKEND,
-    views=None,
     row_offset=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """8-corner trilinear ``(f, directions)`` interpolation.
@@ -203,9 +186,8 @@ def trilinear_lookup(
     scratch:
         Optional :class:`Scratch` arena; pass one to reuse the corner
         buffers across calls (the lockstep tracker does, per segment).
-    xb, views, row_offset:
-        Array backend, pre-converted ``(f2, d2)`` flat views, and the
-        fused engine's ``(n,)`` per-point stacked-view offset (see
+    row_offset:
+        The fused tracker's ``(n,)`` per-point stacked-view offset (see
         :func:`nearest_lookup`).
 
     Returns
@@ -215,16 +197,16 @@ def trilinear_lookup(
         to unit length where non-zero.  ``f`` and ``directions`` are
         freshly allocated (never scratch views), so callers may keep them.
     """
-    pts = _check_points(points, xb)
+    pts = _check_points(points)
     n = pts.shape[0]
     if reference is not None:
-        ref = xb.asarray(reference, dtype=np.float64)
+        ref = np.asarray(reference, dtype=np.float64)
         if ref.shape != (n, 3):
             raise TrackingError(f"reference must be ({n}, 3), got {ref.shape}")
     else:
         ref = None
     return _trilinear_packed(
-        field, pts, ref, scratch, xb=xb, views=views, row_offset=row_offset
+        field, pts, ref, scratch, row_offset=row_offset
     )
 
 
@@ -234,34 +216,28 @@ def _trilinear_packed(
     ref: np.ndarray | None,
     scratch: Scratch | None = None,
     *,
-    xb: ArrayBackend = NUMPY_BACKEND,
-    views=None,
     row_offset=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validation-free trilinear core over the packed flat views.
 
     The scalar reference tracker calls this directly with ``(1, 3)``
     arrays — the same code path as the lockstep batch, so scalar and
-    batch interpolation agree bitwise by construction.  ``out=`` results
-    are always reassigned (backends may return fresh arrays).
+    batch interpolation agree bitwise by construction.
     """
     n = pts.shape[0]
     n_fib = field.n_fibers
-    if views is not None:
-        f2, d2 = views
-    else:
-        f2, d2, _ = field.flat_views()
-    flat, w, _ = _corner_indices(pts, field.shape3, xb)
+    f2, d2, _ = field.flat_views()
+    flat, w, _ = _corner_indices(pts, field.shape3)
     if row_offset is not None:
         flat = flat + row_offset[None, :]
-    sc = scratch if scratch is not None else Scratch(xb)
+    sc = scratch if scratch is not None else Scratch()
 
     # One contiguous gather for all 8 corners of both images.
     flat_all = flat.reshape(8 * n)
-    cf = xb.take(
+    cf = np.take(
         f2, flat_all, axis=0, out=sc.get("cf", (8, n, n_fib)).reshape(8 * n, n_fib)
     ).reshape(8, n, n_fib)
-    cd = xb.take(
+    cd = np.take(
         d2,
         flat_all,
         axis=0,
@@ -274,33 +250,33 @@ def _trilinear_packed(
     # consumed, so its last-ulp accumulation order cannot matter short
     # of a dot within one ulp of zero.
     r = ref[None, :, None, :] if ref is not None else cd[0][None]
-    sign = xb.multiply(cd[..., 0], r[..., 0], out=sc.get("sign", (8, n, n_fib)))
-    tmp = xb.multiply(cd[..., 1], r[..., 1], out=sc.get("tmp", (8, n, n_fib)))
+    sign = np.multiply(cd[..., 0], r[..., 0], out=sc.get("sign", (8, n, n_fib)))
+    tmp = np.multiply(cd[..., 1], r[..., 1], out=sc.get("tmp", (8, n, n_fib)))
     sign += tmp
-    tmp = xb.multiply(cd[..., 2], r[..., 2], out=tmp)
+    tmp = np.multiply(cd[..., 2], r[..., 2], out=tmp)
     sign += tmp
-    sign = xb.sign(sign, out=sign)
-    sign = xb.copyto(sign, 1.0, where=sign == 0.0)
+    np.sign(sign, out=sign)
+    np.copyto(sign, 1.0, where=sign == 0.0)
 
     # Weighted corner accumulation; the reductions over the 8-corner
     # axis run in corner order, matching the reference loop.
-    wf = xb.multiply(w[:, :, None], cf, out=sc.get("wf", (8, n, n_fib)))
+    wf = np.multiply(w[:, :, None], cf, out=sc.get("wf", (8, n, n_fib)))
     f_out = wf.sum(axis=0)
-    wf = xb.multiply(wf, sign, out=wf)
-    wfd = xb.multiply(wf[..., None], cd, out=sc.get("wfd", (8, n, n_fib, 3)))
+    wf = np.multiply(wf, sign, out=wf)
+    wfd = np.multiply(wf[..., None], cd, out=sc.get("wfd", (8, n, n_fib, 3)))
     d_out = wfd.sum(axis=0)
 
     # Renormalize: x*x is bitwise abs(x)**2, so this matches the
     # reference path's np.linalg.norm over the 3-vector exactly.
-    nrm = xb.multiply(d_out[..., 0], d_out[..., 0], out=sc.get("nrm", (n, n_fib)))
-    t0 = xb.multiply(d_out[..., 1], d_out[..., 1], out=tmp[0])
+    nrm = np.multiply(d_out[..., 0], d_out[..., 0], out=sc.get("nrm", (n, n_fib)))
+    t0 = np.multiply(d_out[..., 1], d_out[..., 1], out=tmp[0])
     nrm += t0
-    t0 = xb.multiply(d_out[..., 2], d_out[..., 2], out=tmp[0])
+    t0 = np.multiply(d_out[..., 2], d_out[..., 2], out=tmp[0])
     nrm += t0
-    nrm = xb.sqrt(nrm, out=nrm)
+    np.sqrt(nrm, out=nrm)
     ok3 = (nrm > 1e-12)[:, :, None]
-    d_out = xb.divide(d_out, nrm[:, :, None], out=d_out, where=ok3)
-    d_out = xb.copyto(d_out, 0.0, where=~ok3)
+    np.divide(d_out, nrm[:, :, None], out=d_out, where=ok3)
+    np.copyto(d_out, 0.0, where=~ok3)
     return f_out, d_out
 
 

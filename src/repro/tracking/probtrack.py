@@ -17,7 +17,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import RunSpec
 
-from repro.backends.base import ARRAY_BACKENDS
 from repro.errors import ConfigurationError, TrackingError
 from repro.gpu.device import DeviceSpec, HostSpec
 from repro.gpu.presets import (
@@ -31,11 +30,7 @@ from repro.gpu.presets import (
 from repro.models.fields import FiberField
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.criteria import TerminationCriteria
-from repro.tracking.executor import (
-    TRACKING_ENGINES,
-    SegmentedTracker,
-    TrackingRunResult,
-)
+from repro.tracking.executor import SegmentedTracker, TrackingRunResult
 from repro.tracking.lengths import ExponentialFit, fit_exponential
 from repro.tracking.seeds import seeds_from_mask
 from repro.tracking.segmentation import (
@@ -66,28 +61,17 @@ class ProbtrackConfig:
     interpolation: str = "trilinear"
     order: str = "natural"
     overlap: bool = False
-    #: Tracking engine: ``"per-sample"`` launches the lockstep kernel
-    #: once per posterior sample; ``"fused"`` stacks all shard-local
-    #: samples into one batch (bit-identical, far fewer launches).
-    engine: str = "per-sample"
-    #: Fused-engine adaptive compaction: relaunch mid-segment once the
-    #: active fraction drops below this (0 disables, 1 compacts whenever
-    #: any thread retires).
-    compact_threshold: float = 0.25
-    #: Array backend for the lockstep inner loop (``"numpy"``,
-    #: ``"array-api"``, or ``"cupy"`` when CuPy is installed).
-    array_backend: str = "numpy"
     accumulate_connectivity: bool = True
     #: Launch each seed in both senses of its strongest population (FSL's
     #: default behaviour; the paper does not specify).  Thread count and
     #: the modeled workload double; connectivity merges the two passes.
     bidirectional: bool = False
-    #: Worker processes for the sample loop (1 = serial).  The process
-    #: backend's merged output is bit-identical to serial for any count
-    #: (see :mod:`repro.runtime`).
+    #: Worker processes for the sample loop (1 = serial).  The sharded
+    #: run's merged output is bit-identical to serial for any count
+    #: (see :mod:`repro.tracking.shards`).
     n_workers: int = 1
     #: Supervised retries per failed shard before re-sharding / fallback
-    #: (process backend only; retries replay a pure function, so results
+    #: (sharded runs only; retries replay a pure function, so results
     #: stay bit-identical).
     max_retries: int = 2
     #: Per-shard attempt deadline in seconds; None disables the hang
@@ -111,21 +95,6 @@ class ProbtrackConfig:
         if self.order not in ORDER_POLICIES:
             raise ConfigurationError(
                 f"order must be one of {list(ORDER_POLICIES)}, got {self.order!r}"
-            )
-        if self.engine not in TRACKING_ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {list(TRACKING_ENGINES)}, "
-                f"got {self.engine!r}"
-            )
-        if not 0.0 <= self.compact_threshold <= 1.0:
-            raise ConfigurationError(
-                f"compact_threshold must be in [0, 1], "
-                f"got {self.compact_threshold}"
-            )
-        if self.array_backend not in ARRAY_BACKENDS:
-            raise ConfigurationError(
-                f"array_backend must be one of {list(ARRAY_BACKENDS)}, "
-                f"got {self.array_backend!r}"
             )
         if self.n_workers < 1:
             raise ConfigurationError(
@@ -159,13 +128,10 @@ class ProbtrackConfig:
             interpolation=self.interpolation,
             order=self.order,
             overlap=self.overlap,
-            engine=self.engine,
-            compact_threshold=self.compact_threshold,
             bidirectional=self.bidirectional,
             accumulate_connectivity=self.accumulate_connectivity,
         )
         runtime = {
-            "array_backend": self.array_backend,
             "n_workers": self.n_workers,
             "max_retries": self.max_retries,
             "shard_timeout_s": self.shard_timeout_s,
@@ -206,9 +172,6 @@ class ProbtrackConfig:
             interpolation=tracking.get("interpolation", "trilinear"),
             order=tracking.get("order", "natural"),
             overlap=tracking.get("overlap", False),
-            engine=tracking.get("engine", "per-sample"),
-            compact_threshold=tracking.get("compact_threshold", 0.25),
-            array_backend=runtime.get("array_backend", "numpy"),
             accumulate_connectivity=tracking.get(
                 "accumulate_connectivity", True
             ),
@@ -331,20 +294,6 @@ def probabilistic_streamlining(
         device=cfg.device,
         host=cfg.host,
         interpolation=cfg.interpolation,
-        engine=cfg.engine,
-        array_backend=cfg.array_backend,
-        compact_threshold=cfg.compact_threshold,
-    )
-    # Imported here: repro.runtime depends on repro.tracking, so a
-    # module-level import would be circular.
-    from repro.runtime import make_backend
-
-    backend = make_backend(
-        cfg.n_workers,
-        max_retries=cfg.max_retries,
-        shard_timeout_s=cfg.shard_timeout_s,
-        fallback_to_serial=cfg.fallback_to_serial,
-        fault_plan=cfg.fault_plan,
     )
     with registry.span(
         "probtrack.track",
@@ -352,17 +301,38 @@ def probabilistic_streamlining(
         strategy=cfg.strategy.name,
         order=cfg.order,
     ):
-        run = backend.run(
-            tracker,
-            fields,
-            launch_seeds,
-            cfg.criteria,
-            cfg.strategy,
-            connectivity=accumulator,
-            order=cfg.order,
-            overlap=cfg.overlap,
-            heading_signs=heading_signs,
-        )
+        if cfg.n_workers == 1:
+            run = tracker.run(
+                fields,
+                launch_seeds,
+                cfg.criteria,
+                cfg.strategy,
+                connectivity=accumulator,
+                order=cfg.order,
+                overlap=cfg.overlap,
+                heading_signs=heading_signs,
+            )
+        else:
+            # Imported here: the shard layer depends on repro.runtime,
+            # which depends back on repro.tracking.
+            from repro.tracking.shards import run_sharded
+
+            run = run_sharded(
+                tracker,
+                fields,
+                launch_seeds,
+                cfg.criteria,
+                cfg.strategy,
+                n_workers=cfg.n_workers,
+                connectivity=accumulator,
+                order=cfg.order,
+                overlap=cfg.overlap,
+                heading_signs=heading_signs,
+                max_retries=cfg.max_retries,
+                shard_timeout_s=cfg.shard_timeout_s,
+                fallback_to_serial=cfg.fallback_to_serial,
+                fault_plan=cfg.fault_plan,
+            )
     with registry.span("probtrack.length_fit"):
         try:
             fit = fit_exponential(

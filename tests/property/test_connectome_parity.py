@@ -197,12 +197,10 @@ def _spec(atlas, store=None, **tracking):
 
 class TestWorkflowSpec:
     @pytest.mark.parametrize(
-        "interpolation,engine,min_steps",
-        [("trilinear", "per-sample", 0), ("nearest", "fused", 3)],
+        "interpolation,min_steps",
+        [("trilinear", 0), ("nearest", 3)],
     )
-    def test_matches_scalar_retracking(
-        self, phantom, interpolation, engine, min_steps
-    ):
+    def test_matches_scalar_retracking(self, phantom, interpolation, min_steps):
         from repro.pipeline import run_workflow
 
         ph, mask = phantom
@@ -211,7 +209,6 @@ class TestWorkflowSpec:
             max_steps=30,
             step_length=0.5,
             interpolation=interpolation,
-            engine=engine,
         )
         spec = spec.with_overrides({"connectome.min_steps": min_steps})
         res = run_workflow(ph, spec=spec, fit_mask=mask)

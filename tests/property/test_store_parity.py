@@ -6,7 +6,7 @@ suite proves it end to end on :func:`~repro.pipeline.run_workflow`:
 
 * cold vs warm runs agree on posterior samples, streamline lengths and
   stop reasons, connectivity counts, and the deterministic manifest
-  sections, across worker counts {1, 2, 4} and both tracking engines;
+  sections, across worker counts {1, 2, 4};
 * a run that edits only tracking parameters *reuses* the sampling
   artifact (hash hit) while a sampling edit misses;
 * the acceptance scenario: a tracking sweep of three specs over one
@@ -107,7 +107,7 @@ class TestColdWarmParity:
 
     Ordered scenario: the first test populates the store (cold), the
     rest prove warm runs serve identical bits under execution-policy
-    and engine variations.
+    variations.
     """
 
     cold = {}
@@ -118,7 +118,7 @@ class TestColdWarmParity:
         assert wr.cache["sampling_hit"] is False
         assert wr.cache["tracking_hit"] is False
         assert wr.cache["writes"] == 2
-        type(self).cold["per-sample"] = (wr, manifest)
+        type(self).cold["run"] = (wr, manifest)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_warm_across_worker_counts(self, phantom, store_root, n_workers):
@@ -128,41 +128,14 @@ class TestColdWarmParity:
         wr, manifest = run_once(phantom, spec)
         assert wr.cache["sampling_hit"] is True
         assert wr.cache["tracking_hit"] is True
-        assert_bit_identical(self.cold["per-sample"], (wr, manifest))
-
-    def test_fused_engine_cold_then_warm(self, phantom, store_root):
-        # The engine is part of the tracking subtree, so fused keys its
-        # own tracking artifact — but shares the sampling entry.
-        spec = make_spec(store_root, tracking={"engine": "fused"})
-        wr, manifest = run_once(phantom, spec)
-        assert wr.cache["sampling_hit"] is True
-        assert wr.cache["tracking_hit"] is False
-        type(self).cold["fused"] = (wr, manifest)
-
-        warm, warm_manifest = run_once(phantom, spec)
-        assert warm.cache["sampling_hit"] is True
-        assert warm.cache["tracking_hit"] is True
-        assert_bit_identical(self.cold["fused"], (warm, warm_manifest))
-
-    @pytest.mark.parametrize("n_workers", [2, 4])
-    def test_warm_fused_across_worker_counts(
-        self, phantom, store_root, n_workers
-    ):
-        spec = make_spec(
-            store_root,
-            tracking={"engine": "fused"},
-            runtime={"n_workers": n_workers},
-        )
-        wr, manifest = run_once(phantom, spec)
-        assert wr.cache["tracking_hit"] is True
-        assert_bit_identical(self.cold["fused"], (wr, manifest))
+        assert_bit_identical(self.cold["run"], (wr, manifest))
 
     def test_no_cache_recomputes_but_matches(self, phantom, store_root):
         spec = make_spec(store_root, telemetry={"cache": False})
         wr, manifest = run_once(phantom, spec)
         assert wr.cache["sampling_hit"] is False
         assert wr.cache["tracking_hit"] is False
-        assert_bit_identical(self.cold["per-sample"], (wr, manifest))
+        assert_bit_identical(self.cold["run"], (wr, manifest))
 
 
 class TestStageReuse:
@@ -214,7 +187,6 @@ _TRACKING_EDITS = st.sampled_from(
         ("min_dot", 0.5),
         ("step_length", 0.3),
         ("strategy", "b"),
-        ("engine", "fused"),
         ("bidirectional", True),
     ]
 )
@@ -225,7 +197,6 @@ _POLICY_EDITS = st.sampled_from(
         ("max_retries", 5),
         ("shard_timeout_s", 9.0),
         ("fallback_to_serial", False),
-        ("array_backend", "numpy"),
         ("checkpoint_every_loops", 10),
     ]
 )

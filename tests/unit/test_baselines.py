@@ -118,7 +118,7 @@ class TestCpuReference:
         np.testing.assert_array_equal(cpu.reasons, gpu.reasons)
 
         # Endpoints too, on noisy posterior-like samples, for every
-        # interpolation x engine x order x worker-count combination.
+        # interpolation x order x worker-count combination.
         fields = PointEstimateModel(dwi, gtab, truth.mask).sample_fields(3, seed=4)
         # One seed with no population in one sample: a born-dead row.
         fields[1].f[tuple(seeds[0].astype(int))] = 0.0
@@ -131,16 +131,16 @@ class TestCpuReference:
             ends = np.array(
                 [[line.points[-1] for line in row] for row in ref.streamlines]
             )
-            for engine, order, n_workers in itertools.product(
-                ("per-sample", "fused"), ("natural", "sorted"), (1, 2)
+            for order, n_workers in itertools.product(
+                ("natural", "sorted"), (1, 2)
             ):
                 cfg = ProbtrackConfig(
                     criteria=crit, strategy=paper_strategy_b(),
-                    interpolation=interpolation, engine=engine, order=order,
+                    interpolation=interpolation, order=order,
                     n_workers=n_workers,
                 )
                 run = probabilistic_streamlining(fields, cfg, seeds=seeds).run
-                case = (interpolation, engine, order, n_workers)
+                case = (interpolation, order, n_workers)
                 assert run.lengths[1, 0] == 0, case
                 assert run.endpoints.dtype == np.float64, case
                 np.testing.assert_array_equal(run.lengths, ref.lengths, err_msg=str(case))

@@ -363,7 +363,6 @@ STAGE_HASH_CASES = [
     ("tracking.min_dot", 0.5, ("tracking", "connectome")),
     ("tracking.step_length", 0.4, ("tracking", "connectome")),
     ("tracking.strategy", "b", ("tracking", "connectome")),
-    ("tracking.engine", "fused", ("tracking", "connectome")),
     ("tracking.bidirectional", True, ("tracking", "connectome")),
     ("tracking.interpolation", "nearest", ("tracking", "connectome")),
     ("connectome.atlas", "octant", ("connectome",)),
