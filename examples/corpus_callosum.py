@@ -2,10 +2,11 @@
 
 Builds the dataset-2 replica (whose dominant structure is a
 corpus-callosum-like arch), runs the probabilistic pipeline seeded at the
-arch, and exports:
+arch, and exports (to ``examples/outputs/`` unless ``main`` is given
+another directory):
 
-* ``outputs/cc_fibers.trk``   — the reconstructed long fibers (TrackVis),
-* ``outputs/cc_visits.nii.gz`` — the visit-count density map (NIfTI),
+* ``cc_fibers.trk``   — the reconstructed long fibers (TrackVis),
+* ``cc_visits.nii.gz`` — the visit-count density map (NIfTI),
 
 then verifies the reconstruction geometrically against the ground-truth
 bundle (the phantom's substitute for the paper's visual comparison with
@@ -52,7 +53,7 @@ def perturbed_samples(phantom, n_samples, angular_noise=0.08, seed=0):
     return fields
 
 
-def main() -> None:
+def main(out_dir: Path | None = None) -> None:
     phantom = dataset2(scale=0.35, snr=40.0)
     truth = phantom.truth
     cc = phantom.bundles[0]
@@ -100,20 +101,8 @@ def main() -> None:
     )
     print("CPU and lockstep tracking produce identical lengths (Fig 12)")
 
-    # Bundle the long fibers (QuickBundles-style MDF clustering): the
-    # CC reconstruction should collapse into a handful of coherent
-    # bundles rather than scatter.
-    from repro.tracking import quickbundles
-
-    long_paths = [s.points for s in cpu.streamlines[0] if s.n_steps >= LONG_FIBER]
-    if long_paths:
-        clusters = quickbundles(long_paths, threshold=4.0)
-        sizes = [c.size for c in clusters[:5]]
-        print(f"bundling: {len(clusters)} clusters over {len(long_paths)} "
-              f"long fibers (largest: {sizes})")
-
-    out = Path(__file__).resolve().parent / "outputs"
-    out.mkdir(exist_ok=True)
+    out = out_dir or Path(__file__).resolve().parent / "outputs"
+    out.mkdir(parents=True, exist_ok=True)
     lines = [s.points for s in cpu.streamlines[0] if s.n_steps >= LONG_FIBER]
     write_trk(
         out / "cc_fibers.trk",

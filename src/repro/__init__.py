@@ -7,6 +7,8 @@ sampling with on-device-style Tausworthe RNG, and probabilistic
 streamlining with the paper's load-balancing segmentation strategies —
 against a calibrated SIMD/wavefront GPU execution-model simulator that
 reproduces the paper's kernel/reduction/transfer time decomposition.
+A third stage beyond the paper folds the streamline endpoints into an
+ROI connectome.
 
 Quickstart::
 
@@ -20,14 +22,23 @@ Quickstart::
 Subpackages
 -----------
 - :mod:`repro.data` — synthetic DWI phantoms (dataset replicas)
-- :mod:`repro.models` — diffusion models (Table I, Eq. 1) and posterior
-- :mod:`repro.mcmc` — Metropolis-Hastings engine (Fig 2)
+- :mod:`repro.models` — the tensor and multi-fiber models (Table I,
+  Eq. 1) and the posterior
+- :mod:`repro.mcmc` — Metropolis-Hastings engine (Fig 2), diagnostics,
+  multi-chain runs
 - :mod:`repro.rng` — combined Tausworthe + Box-Muller device RNG
 - :mod:`repro.gpu` — SIMD/wavefront execution-model simulator
 - :mod:`repro.tracking` — probabilistic streamlining + segmentation
+- :mod:`repro.connectome` — ROI atlases and endpoint connectomes
 - :mod:`repro.baselines` — deterministic / scalar-CPU / point-estimate
-- :mod:`repro.pipeline` — bedpost / tracto / full workflow drivers
-- :mod:`repro.analysis` — table & figure assembly
+- :mod:`repro.pipeline` — bedpost / tracto / connectome / workflow drivers
+- :mod:`repro.runtime` — supervised sharded execution of a stage
+- :mod:`repro.config` — the :class:`~repro.config.RunSpec` and stage registry
+- :mod:`repro.store` — content-addressed memoization of stage outputs
+- :mod:`repro.telemetry` — metrics registry and run manifests
+- :mod:`repro.service` — job queue and HTTP service
+- :mod:`repro.cli` — the ``repro-*`` commands
+- :mod:`repro.analysis` — table & figure assembly, run comparison
 - :mod:`repro.io` — NIfTI-1, gradient tables, TrackVis
 """
 

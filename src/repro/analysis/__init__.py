@@ -1,6 +1,6 @@
 """Result assembly and reporting for the paper's tables and figures."""
 
-from repro.analysis.report import format_seconds, render_table
+from repro.analysis.report import render_table
 from repro.analysis.speedup import (
     Table2Row,
     Table3Row,
@@ -38,12 +38,9 @@ from repro.analysis.convergence import (
     convergence_report,
     visit_map_correlation,
 )
-from repro.analysis.gantt import render_gantt
-from repro.analysis.sweeps import SweepPoint, criteria_sweep, strategy_sweep
 
 __all__ = [
     "render_table",
-    "format_seconds",
     "Table2Row",
     "Table3Row",
     "Table4Row",
@@ -69,8 +66,4 @@ __all__ = [
     "bhattacharyya_coefficient",
     "convergence_report",
     "visit_map_correlation",
-    "render_gantt",
-    "SweepPoint",
-    "criteria_sweep",
-    "strategy_sweep",
 ]

@@ -11,22 +11,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["render_table", "format_seconds"]
-
-
-def format_seconds(value: float) -> str:
-    """Compact seconds formatting across magnitudes (µs to hours)."""
-    if value < 0:
-        raise ConfigurationError(f"negative duration {value}")
-    if value == 0:
-        return "0"
-    if value < 1e-3:
-        return f"{value * 1e6:.1f}us"
-    if value < 1.0:
-        return f"{value * 1e3:.2f}ms"
-    if value < 600.0:
-        return f"{value:.2f}s"
-    return f"{value / 60.0:.1f}min"
+__all__ = ["render_table"]
 
 
 def render_table(

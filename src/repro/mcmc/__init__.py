@@ -22,7 +22,6 @@ from repro.mcmc.diagnostics import (
     geweke_zscore,
     split_rhat,
 )
-from repro.mcmc.gibbs import GibbsLinearModel
 from repro.mcmc.checkpoint import SamplerCheckpoint
 from repro.mcmc.multichain import MultiChainResult, run_chains
 from repro.mcmc.shards import (
@@ -47,7 +46,6 @@ __all__ = [
     "effective_sample_size",
     "geweke_zscore",
     "split_rhat",
-    "GibbsLinearModel",
     "SamplerCheckpoint",
     "MultiChainResult",
     "run_chains",

@@ -4,12 +4,14 @@ Models predict diffusion-weighted voxel intensities ``mu_i`` from local
 tissue parameters given the acquisition scheme (b-values ``b_i`` and
 gradient directions ``r_i``):
 
-* :class:`TensorModel` — classic DTI tensor, with a log-linear
-  least-squares fit (the substrate for the deterministic baseline);
-* :class:`ConstrainedModel` — single-direction constrained exponential;
-* :class:`BallStickModel` — single "partial volume"/compartment model;
+* :class:`TensorModel` — classic DTI tensor (Table I, row 1), with a
+  log-linear least-squares fit (the substrate for the deterministic
+  baseline);
 * :class:`MultiFiberModel` — Behrens' *multiple partial volume* model
-  (Eq. 1), the model the paper samples with ``N = 2`` fibers.
+  (Eq. 1), the model the paper samples with ``N = 2`` fibers.  Table I's
+  single-compartment ball-and-stick model (row 3) is its ``N = 1`` case,
+  ``MultiFiberModel(n_fibers=1)``.  Row 2's constrained model is not
+  sampled by the paper and is not implemented.
 
 :class:`LogPosterior` packages the multi-fiber likelihood and priors into
 the 9-parameter-per-voxel target density the MCMC stage samples.
@@ -17,8 +19,6 @@ the 9-parameter-per-voxel target density the MCMC stage samples.
 
 from repro.models.base import DiffusionModel
 from repro.models.tensor import TensorModel, TensorFit
-from repro.models.constrained import ConstrainedModel
-from repro.models.ball_stick import BallStickModel
 from repro.models.multi_fiber import MultiFiberModel
 from repro.models.fields import FiberField
 from repro.models.priors import MultiFiberPriors
@@ -29,8 +29,6 @@ __all__ = [
     "DiffusionModel",
     "TensorModel",
     "TensorFit",
-    "ConstrainedModel",
-    "BallStickModel",
     "MultiFiberModel",
     "FiberField",
     "MultiFiberPriors",

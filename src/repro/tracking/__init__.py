@@ -51,16 +51,8 @@ from repro.tracking.lengths import (
     length_histogram,
 )
 from repro.tracking.probtrack import ProbtrackConfig, ProbtrackResult, probabilistic_streamlining
-from repro.tracking.roi import TargetCounter, VisitFanout, box_roi, sphere_roi
-from repro.tracking.clustering import Cluster, mdf_distance, quickbundles, resample_polyline
 from repro.tracking.validation import BundleValidation, validate_against_bundle
-from repro.tracking.postprocess import (
-    density_map,
-    filter_by_steps,
-    streamline_length_mm,
-    to_world,
-    tract_volume_mm3,
-)
+from repro.tracking.postprocess import density_map, filter_by_steps
 
 __all__ = [
     "nearest_lookup",
@@ -93,19 +85,8 @@ __all__ = [
     "ProbtrackConfig",
     "ProbtrackResult",
     "probabilistic_streamlining",
-    "TargetCounter",
-    "VisitFanout",
-    "box_roi",
-    "sphere_roi",
     "BundleValidation",
     "validate_against_bundle",
-    "Cluster",
-    "mdf_distance",
-    "quickbundles",
-    "resample_polyline",
     "density_map",
     "filter_by_steps",
-    "streamline_length_mm",
-    "to_world",
-    "tract_volume_mm3",
 ]

@@ -1,9 +1,8 @@
-"""Streamline post-processing: filtering, world coordinates, density maps.
+"""Streamline post-processing: step-count filtering and density maps.
 
 The paper's Figs 11/12 render "fibers whose length > 100"; this module
-provides that filtering plus the standard downstream conveniences a user
-needs before visualization or statistics: millimetre lengths, voxel->world
-conversion, track-density maps, and tract-volume estimates.
+provides that filtering plus the track-density map the point-estimate
+comparison counts visits with.
 """
 
 from __future__ import annotations
@@ -15,30 +14,7 @@ import numpy as np
 from repro.errors import TrackingError
 from repro.tracking.streamline import Streamline
 
-__all__ = [
-    "streamline_length_mm",
-    "filter_by_steps",
-    "to_world",
-    "density_map",
-    "tract_volume_mm3",
-]
-
-
-def streamline_length_mm(
-    streamline: Streamline | np.ndarray,
-    voxel_sizes: tuple[float, float, float],
-) -> float:
-    """Arc length in millimetres (point spacing scaled per axis)."""
-    pts = streamline.points if isinstance(streamline, Streamline) else np.asarray(streamline)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise TrackingError(f"streamline points must be (n, 3), got {pts.shape}")
-    vs = np.asarray(voxel_sizes, dtype=np.float64)
-    if vs.shape != (3,) or np.any(vs <= 0):
-        raise TrackingError(f"voxel_sizes must be 3 positive values, got {voxel_sizes}")
-    if pts.shape[0] < 2:
-        return 0.0
-    deltas = np.diff(pts, axis=0) * vs
-    return float(np.linalg.norm(deltas, axis=1).sum())
+__all__ = ["filter_by_steps", "density_map"]
 
 
 def filter_by_steps(
@@ -63,17 +39,6 @@ def filter_by_steps(
     return out
 
 
-def to_world(
-    streamlines: Sequence[Streamline], affine: np.ndarray
-) -> list[np.ndarray]:
-    """Convert streamline points from voxel to world (scanner) space."""
-    affine = np.asarray(affine, dtype=np.float64)
-    if affine.shape != (4, 4):
-        raise TrackingError(f"affine must be 4x4, got {affine.shape}")
-    R, t = affine[:3, :3], affine[:3, 3]
-    return [line.points @ R.T + t for line in streamlines]
-
-
 def density_map(
     streamlines: Sequence[Streamline], shape3: tuple[int, int, int]
 ) -> np.ndarray:
@@ -89,20 +54,3 @@ def density_map(
     for line in streamlines:
         flat[line.visited_voxels(shape3)] += 1
     return out
-
-
-def tract_volume_mm3(
-    density: np.ndarray,
-    voxel_sizes: tuple[float, float, float],
-    min_count: int = 1,
-) -> float:
-    """Volume (mm^3) of voxels visited by at least ``min_count`` paths."""
-    density = np.asarray(density)
-    if density.ndim != 3:
-        raise TrackingError("density must be a 3-D volume")
-    if min_count < 1:
-        raise TrackingError(f"min_count must be >= 1, got {min_count}")
-    vs = np.asarray(voxel_sizes, dtype=np.float64)
-    if vs.shape != (3,) or np.any(vs <= 0):
-        raise TrackingError(f"voxel_sizes must be 3 positive values, got {voxel_sizes}")
-    return float((density >= min_count).sum() * vs.prod())

@@ -1,4 +1,4 @@
-"""Shared utilities: geometry, validation, and timing helpers.
+"""Shared utilities: geometry and timing helpers.
 
 Process-level parallelism lives in :mod:`repro.runtime` (stage-generic
 shards with supervision); the old ``utils.parallel`` chunked-map
@@ -15,14 +15,6 @@ from repro.utils.geometry import (
     rotation_matrix,
     spherical_to_cartesian,
 )
-from repro.utils.validation import (
-    check_array,
-    check_in_range,
-    check_positive,
-    check_probability,
-    check_shape,
-    check_unit_vector,
-)
 from repro.utils.profiling import Stopwatch, TimingAccumulator
 
 __all__ = [
@@ -34,12 +26,6 @@ __all__ = [
     "rotation_between",
     "rotation_matrix",
     "spherical_to_cartesian",
-    "check_array",
-    "check_in_range",
-    "check_positive",
-    "check_probability",
-    "check_shape",
-    "check_unit_vector",
     "Stopwatch",
     "TimingAccumulator",
 ]

@@ -3,9 +3,10 @@
 Hypothesis generates arbitrary :class:`FaultPlan`s — crashes, hangs, and
 corrupted payloads at arbitrary shards/attempts — and the property is
 always the same: after supervised recovery, ``lengths``, stop
-``reasons``, and the sparse connectivity matrix match the
-:class:`SerialBackend` output bit for bit, for ``n_workers`` in {2, 4}
-and across the sorted/overlap/bidirectional option grid.  A
+``reasons``, and the sparse connectivity matrix match the in-process
+``tracker.run`` output (``n_workers=1``) bit for bit, for
+``n_workers`` in {2, 4} and across the sorted/overlap/bidirectional
+option grid.  A
 pool-exhaustion scenario (every attempt of every shard crashes) must
 demonstrably complete via the serial fallback.
 

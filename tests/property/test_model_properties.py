@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.io import GradientTable
 from repro.models import (
-    BallStickModel,
     MultiFiberModel,
     MultiFiberPriors,
     TensorModel,
@@ -81,13 +80,13 @@ class TestSignalProperties:
     )
     @settings(max_examples=60)
     def test_ball_stick_between_ball_and_b0(self, s0, d, f, theta, phi):
-        mu = BallStickModel().predict(
+        mu = MultiFiberModel(n_fibers=1).predict(
             GTAB,
             s0=np.array([s0]),
             d=np.array([d]),
-            f=np.array([f]),
-            theta=np.array([theta]),
-            phi=np.array([phi]),
+            f=np.array([[f]]),
+            theta=np.array([[theta]]),
+            phi=np.array([[phi]]),
         )
         dw = ~GTAB.b0_mask
         ball = s0 * np.exp(-GTAB.bvals[dw] * d)

@@ -8,7 +8,6 @@ from repro.analysis import (
     Table3Row,
     Table4Row,
     ascii_histogram,
-    format_seconds,
     load_profile,
     neighbor_variation,
     render_table,
@@ -49,14 +48,6 @@ class TestReport:
         out = render_table(["a", "bb"], [])
         assert "bb" in out
 
-    def test_format_seconds_ranges(self):
-        assert format_seconds(0) == "0"
-        assert format_seconds(5e-7).endswith("us")
-        assert format_seconds(5e-3).endswith("ms")
-        assert format_seconds(12.0).endswith("s")
-        assert format_seconds(1200.0).endswith("min")
-        with pytest.raises(ConfigurationError):
-            format_seconds(-1.0)
 
 
 class TestSpeedupRows:

@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError, SamplerError
 from repro.io import GradientTable
 from repro.mcmc import (
     AdaptiveProposals,
-    GibbsLinearModel,
     MCMCConfig,
     MCMCResult,
     MCMCSampler,
@@ -444,33 +443,3 @@ class TestDiagnostics:
     def test_rhat_validation(self):
         with pytest.raises(ConfigurationError):
             split_rhat(np.ones((2, 2)))
-
-
-class TestGibbs:
-    def test_recovers_regression(self):
-        rng = np.random.default_rng(0)
-        n, p = 200, 3
-        X = rng.normal(size=(n, p))
-        beta_true = np.array([2.0, -1.0, 0.5])
-        y = X @ beta_true + rng.normal(scale=0.5, size=n)
-        model = GibbsLinearModel(X, y)
-        out = model.sample(n_samples=500, n_burnin=200, seed=1)
-        np.testing.assert_allclose(out["beta"].mean(axis=0), beta_true, atol=0.15)
-        assert abs(np.sqrt(out["sigma2"].mean()) - 0.5) < 0.1
-
-    def test_exact_conditional_matches_samples(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(100, 2))
-        y = X @ [1.0, 2.0] + rng.normal(scale=0.3, size=100)
-        model = GibbsLinearModel(X, y)
-        mean, _ = model.exact_beta_posterior(sigma2=0.09)
-        np.testing.assert_allclose(mean, [1.0, 2.0], atol=0.15)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GibbsLinearModel(np.ones((3, 2)), np.ones(4))
-        with pytest.raises(ConfigurationError):
-            GibbsLinearModel(np.ones((3, 2)), np.ones(3), tau2=-1.0)
-        model = GibbsLinearModel(np.eye(3), np.ones(3))
-        with pytest.raises(ConfigurationError):
-            model.sample(0)

@@ -1,4 +1,4 @@
-"""Tests for the model extensions: Rician likelihood, nonlinear fitting."""
+"""Tests for the model extensions: the Rician likelihood."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from scipy.stats import rice
 from repro.errors import ModelError
 from repro.io import GradientTable
 from repro.models import LogPosterior, MultiFiberModel, gaussian_loglike, rician_loglike
-from repro.models.fitting import fit_ball_stick
-from repro.utils.geometry import fibonacci_sphere, spherical_to_cartesian
+from repro.utils.geometry import fibonacci_sphere
 
 
 @pytest.fixture
@@ -133,82 +132,3 @@ class TestRicianPosterior:
         lock = MCMCSampler(cfg).run(post)
         scal = MCMCSampler(cfg).run_scalar(post)
         np.testing.assert_allclose(lock.samples, scal.samples, rtol=1e-10)
-
-
-class TestBallStickFit:
-    def make_signal(self, gtab, f=0.55, theta=1.1, phi=0.7, s0=800.0, d=1.2e-3):
-        return MultiFiberModel(1).predict(
-            gtab,
-            s0=np.array([s0]),
-            d=np.array([d]),
-            f=np.array([[f]]),
-            theta=np.array([[theta]]),
-            phi=np.array([[phi]]),
-        )[0]
-
-    def test_recovers_single_fiber_noiseless(self, gtab):
-        sig = self.make_signal(gtab)
-        fit = fit_ball_stick(gtab, sig, n_fibers=1)
-        assert fit.s0 == pytest.approx(800.0, rel=1e-3)
-        assert fit.d == pytest.approx(1.2e-3, rel=1e-2)
-        assert fit.f[0] == pytest.approx(0.55, abs=0.02)
-        v_true = spherical_to_cartesian(1.1, 0.7)
-        v_fit = spherical_to_cartesian(fit.theta[0], fit.phi[0])
-        assert abs(np.dot(v_true, v_fit)) > 0.999
-        assert fit.residual_rms < 1.0
-
-    def test_recovers_with_noise(self, gtab):
-        rng = np.random.default_rng(5)
-        sig = self.make_signal(gtab) + rng.normal(scale=8.0, size=len(gtab))
-        fit = fit_ball_stick(gtab, np.abs(sig), n_fibers=1)
-        assert fit.f[0] == pytest.approx(0.55, abs=0.1)
-        v_true = spherical_to_cartesian(1.1, 0.7)
-        v_fit = spherical_to_cartesian(fit.theta[0], fit.phi[0])
-        assert abs(np.dot(v_true, v_fit)) > 0.98
-
-    def test_two_fiber_crossing(self, gtab):
-        # Crossing resolution needs b ~ 2000+.
-        from repro.data import make_gradient_table
-
-        g2 = make_gradient_table(n_directions=48, bvalue=2500.0, n_b0=4)
-        mu = MultiFiberModel(2).predict(
-            g2,
-            s0=np.array([500.0]),
-            d=np.array([1e-3]),
-            f=np.array([[0.45, 0.45]]),
-            theta=np.array([[np.pi / 2, np.pi / 2]]),
-            phi=np.array([[0.0, np.pi / 3]]),
-        )[0]
-        fit = fit_ball_stick(g2, mu, n_fibers=2)
-        v1 = spherical_to_cartesian(fit.theta[0], fit.phi[0])
-        v2 = spherical_to_cartesian(fit.theta[1], fit.phi[1])
-        t1 = spherical_to_cartesian(np.pi / 2, 0.0)
-        t2 = spherical_to_cartesian(np.pi / 2, np.pi / 3)
-        hits = {
-            max(abs(np.dot(v1, t1)), abs(np.dot(v2, t1))) > 0.97,
-            max(abs(np.dot(v1, t2)), abs(np.dot(v2, t2))) > 0.97,
-        }
-        assert hits == {True}
-        assert fit.f.sum() == pytest.approx(0.9, abs=0.1)
-
-    def test_fractions_descending_and_in_simplex(self, gtab):
-        sig = self.make_signal(gtab)
-        fit = fit_ball_stick(gtab, sig, n_fibers=2)
-        assert fit.f[0] >= fit.f[1] >= 0.0
-        assert fit.f.sum() <= 1.0
-
-    def test_canonical_angles(self, gtab):
-        sig = self.make_signal(gtab, theta=2.8, phi=4.0)  # lower hemisphere
-        fit = fit_ball_stick(gtab, sig, n_fibers=1)
-        assert 0.0 <= fit.theta[0] <= np.pi / 2 + 1e-9  # folded to z >= 0
-        assert 0.0 <= fit.phi[0] < 2 * np.pi
-
-    def test_validation(self, gtab):
-        with pytest.raises(ModelError):
-            fit_ball_stick(gtab, np.ones(5))
-        with pytest.raises(ModelError):
-            fit_ball_stick(gtab, np.ones(len(gtab)), n_fibers=0)
-        bad = np.ones(len(gtab))
-        bad[0] = 0.0
-        with pytest.raises(ModelError):
-            fit_ball_stick(gtab, bad)

@@ -6,8 +6,6 @@ import pytest
 from repro.errors import DataError, ModelError
 from repro.io import GradientTable
 from repro.models import (
-    BallStickModel,
-    ConstrainedModel,
     MultiFiberModel,
     TensorModel,
 )
@@ -105,78 +103,6 @@ def TensorFitFromTensors(tensors):
     from repro.models import TensorFit
 
     return TensorFit(tensors=tensors, s0=np.ones(len(tensors)))
-
-
-class TestConstrainedModel:
-    def test_b0_is_s0(self, gtab):
-        mu = ConstrainedModel().predict(
-            gtab,
-            s0=np.array([50.0]),
-            alpha=np.array([1e-3]),
-            beta=np.array([1e-3]),
-            theta=np.array([0.5]),
-            phi=np.array([1.0]),
-        )
-        np.testing.assert_allclose(mu[0, gtab.b0_mask], 50.0)
-
-    def test_max_attenuation_along_fiber(self, gtab):
-        theta, phi = np.array([np.pi / 2]), np.array([0.0])  # fiber = +x
-        mu = ConstrainedModel().predict(
-            gtab,
-            s0=np.array([1.0]),
-            alpha=np.array([0.0]),
-            beta=np.array([2e-3]),
-            theta=theta,
-            phi=phi,
-        )
-        dw = np.where(~gtab.b0_mask)[0]
-        align = np.abs(gtab.bvecs[dw] @ [1.0, 0.0, 0.0])
-        assert mu[0, dw[np.argmax(align)]] < mu[0, dw[np.argmin(align)]]
-
-
-class TestBallStickModel:
-    def test_b0_is_s0(self, gtab):
-        mu = BallStickModel().predict(
-            gtab,
-            s0=np.array([80.0]),
-            d=np.array([1e-3]),
-            f=np.array([0.5]),
-            theta=np.array([1.0]),
-            phi=np.array([2.0]),
-        )
-        np.testing.assert_allclose(mu[0, gtab.b0_mask], 80.0)
-
-    def test_f_zero_reduces_to_ball(self, gtab):
-        mu = BallStickModel().predict(
-            gtab,
-            s0=np.array([1.0]),
-            d=np.array([1e-3]),
-            f=np.array([0.0]),
-            theta=np.array([1.0]),
-            phi=np.array([2.0]),
-        )
-        dw = ~gtab.b0_mask
-        np.testing.assert_allclose(mu[0, dw], np.exp(-1.0), rtol=1e-12)
-
-    def test_matches_multifiber_n1(self, gtab):
-        kwargs = dict(
-            s0=np.array([3.0]),
-            d=np.array([1.2e-3]),
-            theta=np.array([[0.8]]),
-            phi=np.array([[2.5]]),
-        )
-        bs = BallStickModel().predict(
-            gtab,
-            s0=kwargs["s0"],
-            d=kwargs["d"],
-            f=np.array([0.6]),
-            theta=kwargs["theta"][:, 0],
-            phi=kwargs["phi"][:, 0],
-        )
-        mf = MultiFiberModel(n_fibers=1).predict(
-            gtab, f=np.array([[0.6]]), **kwargs
-        )
-        np.testing.assert_allclose(bs, mf, rtol=1e-14)
 
 
 class TestMultiFiberModel:

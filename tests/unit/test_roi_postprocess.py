@@ -1,4 +1,4 @@
-"""Tests for ROI connectivity and streamline post-processing."""
+"""Tests for streamline post-processing (repro.tracking.postprocess)."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,11 @@ import pytest
 from repro.errors import TrackingError
 from repro.models.fields import FiberField
 from repro.tracking import (
-    ConnectivityAccumulator,
-    SegmentedTracker,
-    TargetCounter,
     TerminationCriteria,
-    VisitFanout,
-    box_roi,
     density_map,
     filter_by_steps,
-    paper_strategy_b,
-    sphere_roi,
-    streamline_length_mm,
-    to_world,
-    tract_volume_mm3,
     track_streamline,
 )
-from repro.tracking.streamline import Streamline
 
 
 def uniform_x_field(shape=(20, 8, 8)):
@@ -30,83 +19,6 @@ def uniform_x_field(shape=(20, 8, 8)):
     d = np.zeros(shape + (1, 3))
     d[..., 0, 0] = 1.0
     return FiberField(f=f, directions=d, mask=np.ones(shape, bool))
-
-
-class TestRoiMasks:
-    def test_box(self):
-        m = box_roi((10, 10, 10), (2, 3, 4), (5, 6, 7))
-        assert m.sum() == 27
-        assert m[2, 3, 4] and m[4, 5, 6]
-        assert not m[5, 3, 4]
-
-    def test_box_validation(self):
-        with pytest.raises(TrackingError):
-            box_roi((10, 10, 10), (0, 0, 0), (11, 5, 5))
-        with pytest.raises(TrackingError):
-            box_roi((10, 10, 10), (5, 0, 0), (5, 5, 5))
-
-    def test_sphere(self):
-        m = sphere_roi((11, 11, 11), (5, 5, 5), 2.0)
-        assert m[5, 5, 5] and m[7, 5, 5]
-        assert not m[8, 5, 5]
-        with pytest.raises(TrackingError):
-            sphere_roi((5, 5, 5), (2, 2, 2), 0.0)
-
-
-class TestTargetCounter:
-    def test_exact_region_probability(self):
-        field = uniform_x_field()
-        crit = TerminationCriteria(max_steps=200, step_length=0.5)
-        seeds = np.array([[2.0, 4.0, 4.0], [2.0, 6.0, 6.0]])
-        # Target: a slab at the far end of seed 0's row only.
-        target = np.zeros(field.shape3, bool)
-        target[15:, 4, 4] = True
-        counter = TargetCounter(2, target)
-        SegmentedTracker().run(
-            [field, field], seeds, crit, paper_strategy_b(),
-            connectivity=counter,
-            headings=np.tile([1.0, 0.0, 0.0], (2, 1)),
-        )
-        p = counter.probability()
-        assert p[0] == 1.0  # seed 0 always reaches its slab
-        assert p[1] == 0.0  # seed 1's row never touches it
-
-    def test_protocol_errors(self):
-        counter = TargetCounter(1, np.zeros((2, 2, 2), bool))
-        with pytest.raises(TrackingError):
-            counter.visit(np.array([0]), np.array([0]))
-        counter.begin_sample()
-        with pytest.raises(TrackingError):
-            counter.begin_sample()
-        counter.end_sample()
-        with pytest.raises(TrackingError):
-            counter.end_sample()
-        with pytest.raises(TrackingError):
-            TargetCounter(1, np.zeros((2, 2, 2), bool)).probability()
-        with pytest.raises(TrackingError):
-            TargetCounter(0, np.zeros((2, 2, 2), bool))
-        with pytest.raises(TrackingError):
-            TargetCounter(1, np.zeros((2, 2), bool))
-
-    def test_fanout_feeds_both(self):
-        field = uniform_x_field()
-        crit = TerminationCriteria(max_steps=100, step_length=0.5)
-        seeds = np.array([[2.0, 4.0, 4.0]])
-        target = box_roi(field.shape3, (15, 0, 0), (20, 8, 8))
-        acc = ConnectivityAccumulator(1, int(np.prod(field.shape3)))
-        counter = TargetCounter(1, target)
-        SegmentedTracker().run(
-            [field], seeds, crit, paper_strategy_b(),
-            connectivity=VisitFanout([acc, counter]),
-            headings=np.array([[1.0, 0.0, 0.0]]),
-        )
-        assert acc.n_samples == 1 and counter.n_samples == 1
-        assert acc.probability().nnz > 0
-        assert counter.probability()[0] == 1.0
-
-    def test_fanout_validation(self):
-        with pytest.raises(TrackingError):
-            VisitFanout([])
 
 
 class TestPostprocess:
@@ -122,20 +34,6 @@ class TestPostprocess:
             )
         return lines
 
-    def test_length_mm(self):
-        line = Streamline(
-            points=np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
-            reason=1,
-        )
-        assert streamline_length_mm(line, (2.0, 2.0, 2.0)) == pytest.approx(4.0)
-        assert streamline_length_mm(line, (2.5, 1.0, 1.0)) == pytest.approx(5.0)
-
-    def test_length_mm_degenerate(self):
-        line = Streamline(points=np.zeros((1, 3)), reason=1)
-        assert streamline_length_mm(line, (2.0, 2.0, 2.0)) == 0.0
-        with pytest.raises(TrackingError):
-            streamline_length_mm(line, (0.0, 1.0, 1.0))
-
     def test_filter_by_steps(self):
         lines = self.make_lines()
         steps = sorted(l.n_steps for l in lines)
@@ -148,18 +46,6 @@ class TestPostprocess:
         with pytest.raises(TrackingError):
             filter_by_steps(lines, min_steps=5, max_steps=2)
 
-    def test_to_world(self):
-        lines = self.make_lines()
-        affine = np.eye(4)
-        affine[0, 0] = 2.0
-        affine[:3, 3] = [1.0, 0.0, 0.0]
-        world = to_world(lines, affine)
-        np.testing.assert_allclose(
-            world[0][0], lines[0].points[0] * [2, 1, 1] + [1, 0, 0]
-        )
-        with pytest.raises(TrackingError):
-            to_world(lines, np.eye(3))
-
     def test_density_map_dedupes_per_path(self):
         # A path taking many sub-voxel steps still counts 1 per voxel.
         lines = self.make_lines()
@@ -168,14 +54,3 @@ class TestPostprocess:
         assert dm.sum() > 0
         # Voxels along y=4,z=4 get hits; elsewhere zero.
         assert dm[:, 4, 4].sum() == dm.sum()
-
-    def test_tract_volume(self):
-        dm = np.zeros((4, 4, 4), dtype=int)
-        dm[0, 0, 0] = 1
-        dm[1, 1, 1] = 3
-        assert tract_volume_mm3(dm, (2.0, 2.0, 2.0)) == pytest.approx(16.0)
-        assert tract_volume_mm3(dm, (2.0, 2.0, 2.0), min_count=2) == pytest.approx(8.0)
-        with pytest.raises(TrackingError):
-            tract_volume_mm3(dm, (2.0, 2.0, 2.0), min_count=0)
-        with pytest.raises(TrackingError):
-            tract_volume_mm3(np.zeros((2, 2)), (1, 1, 1))

@@ -1,77 +1,15 @@
-"""Tests for sweep harnesses and ground-truth validation."""
+"""Tests for ground-truth bundle validation."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import SweepPoint, criteria_sweep, strategy_sweep
 from repro.data import arc_bundle, rasterize_bundles, straight_bundle
-from repro.errors import ConfigurationError, TrackingError
-from repro.models.fields import FiberField
+from repro.errors import TrackingError
 from repro.tracking import (
-    SingleSegmentStrategy,
     TerminationCriteria,
-    UniformStrategy,
-    paper_strategy_b,
-    seeds_from_mask,
     track_streamline,
     validate_against_bundle,
 )
-
-
-def uniform_x_field(shape=(20, 8, 8)):
-    f = np.zeros(shape + (2,))
-    f[..., 0] = 0.6
-    d = np.zeros(shape + (2, 3))
-    d[..., 0, 0] = 1.0
-    return FiberField(f=f, directions=d, mask=np.ones(shape, bool))
-
-
-class TestCriteriaSweep:
-    def test_grid_shapes_and_monotonicity(self):
-        field = uniform_x_field()
-        seeds = seeds_from_mask(field.mask)[::15]
-        grid = [(0.2, 0.8), (0.4, 0.8), (0.8, 0.8)]
-        points = criteria_sweep(
-            [field], seeds, grid, paper_strategy_b(), max_steps=200,
-            label="uniform-x",
-        )
-        assert len(points) == 3
-        assert [p.step_length for p in points] == [0.2, 0.4, 0.8]
-        # Smaller steps mean more iterations for the same geometry.
-        totals = [p.result.total_steps for p in points]
-        assert totals[0] > totals[1] > totals[2]
-        cells = points[0].summary_cells()
-        assert len(cells) == len(SweepPoint.HEADERS)
-
-    def test_empty_grid_rejected(self):
-        field = uniform_x_field()
-        with pytest.raises(ConfigurationError):
-            criteria_sweep([field], np.zeros((1, 3)), [], paper_strategy_b())
-
-
-class TestStrategySweep:
-    def test_equivalence_enforced(self):
-        field = uniform_x_field()
-        seeds = seeds_from_mask(field.mask)[::15]
-        crit = TerminationCriteria(max_steps=100, step_length=0.5)
-        points = strategy_sweep(
-            [field], seeds,
-            [UniformStrategy(1), UniformStrategy(20), SingleSegmentStrategy(),
-             paper_strategy_b()],
-            crit,
-        )
-        assert len(points) == 4
-        names = [p.strategy for p in points]
-        assert names == ["A_1", "A_20", "A_MaxStep", "B"]
-        # Per Table IV: times differ, work does not.
-        totals = {p.result.gpu_total_seconds for p in points}
-        assert len(totals) == 4
-
-    def test_empty_strategy_list_rejected(self):
-        field = uniform_x_field()
-        crit = TerminationCriteria(max_steps=10)
-        with pytest.raises(ConfigurationError):
-            strategy_sweep([field], np.zeros((1, 3)), [], crit)
 
 
 class TestBundleValidation:
