@@ -31,7 +31,7 @@ Subpackages
 - :mod:`repro.tracking` — probabilistic streamlining + segmentation
 - :mod:`repro.connectome` — ROI atlases and endpoint connectomes
 - :mod:`repro.baselines` — deterministic / scalar-CPU / point-estimate
-- :mod:`repro.pipeline` — bedpost / tracto / connectome / workflow drivers
+- :mod:`repro.pipeline` — bedpost / stage-runner / connectome / workflow drivers
 - :mod:`repro.runtime` — supervised sharded execution of a stage
 - :mod:`repro.config` — the :class:`~repro.config.RunSpec` and stage registry
 - :mod:`repro.store` — content-addressed memoization of stage outputs

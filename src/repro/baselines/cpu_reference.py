@@ -8,6 +8,7 @@ and its outputs are the ground truth the batch executor must match.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +50,17 @@ class CpuTrackingResult:
 
 
 def cpu_probabilistic_tracking(
-    fields: list[FiberField],
+    fields: Sequence[FiberField],
     seeds: np.ndarray,
     criteria: TerminationCriteria,
     interpolation: str = "trilinear",
     keep_streamlines: bool = False,
 ) -> CpuTrackingResult:
-    """Track every seed through every sample with per-seed Python loops."""
+    """Track every seed through every sample with per-seed Python loops.
+
+    ``fields`` may be a :class:`~repro.models.fields.FiberStack` (its
+    samples iterate as field views) or any sequence of fields.
+    """
     if not fields:
         raise TrackingError("need at least one sample volume")
     seeds = np.asarray(seeds, dtype=np.float64)

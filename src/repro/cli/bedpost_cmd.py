@@ -36,6 +36,7 @@ from repro.cli.common import (
     print_resolved_config,
     resolve_spec_from_args,
 )
+from repro.config.spec import NOISE_MODELS
 from repro.config.stages import SAMPLING
 from repro.errors import ReproError
 from repro.io import Volume, read_bvals_bvecs, read_nifti, write_nifti
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stick compartments N (default 2)")
     p.add_argument("--ard", action="store_true",
                    help="ARD prior on secondary fibers")
-    p.add_argument("--noise-model", choices=["gaussian", "rician"],
+    p.add_argument("--noise-model", choices=NOISE_MODELS,
                    default=None, help="likelihood noise model")
     p.add_argument("--seed", type=int, default=None,
                    help="chain RNG seed (default 0)")

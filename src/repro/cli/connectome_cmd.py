@@ -36,6 +36,7 @@ from repro.cli.common import (
     resolve_spec_from_args,
 )
 from repro.cli.tracking_stage import connectome_for_archive, track_archive
+from repro.config.spec import CONNECTOME_NORMALIZATIONS
 from repro.config.stages import CONNECTOME, TRACKING
 from repro.errors import ReproError
 from repro.telemetry import MetricsRegistry, use_registry, write_manifest
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-steps", type=int, default=None,
                    help="only count streamlines with at least this many "
                         "steps (default 0)")
-    p.add_argument("--normalize", choices=("count", "fraction"), default=None,
+    p.add_argument("--normalize", choices=CONNECTOME_NORMALIZATIONS, default=None,
                    help="edge weights: raw pair counts, or fractions of "
                         "all counted streamlines (default count)")
     add_store_group(p)

@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     pt = tracked.pt
     run = pt.run
 
-    density = pt.connectivity.visit_count_volume(fields[0].shape3)
+    density = pt.connectivity.visit_count_volume(fields.shape3)
     write_nifti(
         out / "density.nii.gz", Volume(density.astype(np.float32), affine)
     )

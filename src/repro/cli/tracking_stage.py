@@ -23,7 +23,6 @@ from repro.tracking import (
     ProbtrackConfig,
     ProbtrackResult,
     filter_by_steps,
-    probabilistic_streamlining,
 )
 
 __all__ = [
@@ -58,7 +57,7 @@ def export_sample0_trk(path: Path, fields, seeds, spec, affine) -> int:
         path,
         [line.points for line in lines],
         voxel_sizes=tuple(np.linalg.norm(affine[:3, :3], axis=0)),
-        dims=fields[0].shape3,
+        dims=fields.shape3,
         affine=affine,
     )
     return len(lines)
@@ -87,24 +86,21 @@ def track_archive(spec, archive, fields, store, out: Path) -> TrackedArchive:
     posterior can never serve stale tracks.  The ``.trk`` export rides
     in the published entry, so a hit copies it instead of re-tracking.
     """
-    cfg = ProbtrackConfig.from_run_spec(spec)
-    trk = out / "fibers.trk"
-    if store is None:
-        pt = probabilistic_streamlining(fields, config=cfg)
-        n = export_sample0_trk(trk, fields, pt.seeds, spec, archive.affine)
-        return TrackedArchive(pt, hit=False, key=None, archive_fp=None, n_exported=n)
-
     from repro.pipeline.memo import memoized_streamlining
     from repro.store import fingerprint_arrays
 
-    fp = fingerprint_arrays(
-        samples=archive.samples,
-        mask=archive.mask,
-        affine=archive.affine,
-        n_fibers=archive.layout.n_fibers,
-        f_threshold=archive.f_threshold,
-    )
-    key = stage_hash(spec.to_dict(), TRACKING.name, inputs={"archive": fp})
+    cfg = ProbtrackConfig.from_run_spec(spec)
+    trk = out / "fibers.trk"
+    fp = key = None
+    if store is not None:
+        fp = fingerprint_arrays(
+            samples=archive.samples,
+            mask=archive.mask,
+            affine=archive.affine,
+            n_fibers=archive.layout.n_fibers,
+            f_threshold=archive.f_threshold,
+        )
+        key = stage_hash(spec.to_dict(), TRACKING.name, inputs={"archive": fp})
 
     def _export(tmp_dir, result) -> None:
         n = export_sample0_trk(
@@ -122,10 +118,13 @@ def track_archive(spec, archive, fields, store, out: Path) -> TrackedArchive:
         extra_writer=_export,
         use_cache=spec.telemetry.cache,
     )
-    shutil.copyfile(entry.file("fibers.trk"), trk)
-    n = json.loads(entry.file("export_meta.json").read_text())[
-        "n_fibers_exported"
-    ]
+    if entry is None:
+        n = export_sample0_trk(trk, fields, pt.seeds, spec, archive.affine)
+    else:
+        shutil.copyfile(entry.file("fibers.trk"), trk)
+        n = json.loads(entry.file("export_meta.json").read_text())[
+            "n_fibers_exported"
+        ]
     return TrackedArchive(pt, hit=hit, key=key, archive_fp=fp, n_exported=n)
 
 
@@ -136,19 +135,11 @@ def connectome_for_archive(spec, tracked: TrackedArchive, fields, store, out: Pa
     the stage is keyed by the archive contents and the seed positions.
     Returns ``(result, hit, key)``; ``key`` is ``None`` without a store.
     """
-    from repro.pipeline.connectome import compute_connectome, memoized_connectome
+    from repro.pipeline.connectome import memoized_connectome
+    from repro.store import fingerprint_arrays
 
-    args = (tracked.pt, fields[0].shape3)
-    kwargs = dict(
-        min_steps=spec.connectome.min_steps,
-        normalize=spec.connectome.normalize,
-    )
-    key, hit = None, False
-    if store is None:
-        conn = compute_connectome(*args, spec.connectome.atlas, **kwargs)
-    else:
-        from repro.store import fingerprint_arrays
-
+    key = None
+    if store is not None:
         key = stage_hash(
             spec.to_dict(),
             CONNECTOME.name,
@@ -157,14 +148,16 @@ def connectome_for_archive(spec, tracked: TrackedArchive, fields, store, out: Pa
                 "seeds": fingerprint_arrays(seeds=tracked.pt.seeds),
             },
         )
-        conn, hit, _entry = memoized_connectome(
-            *args,
-            key,
-            store,
-            spec.connectome.atlas,
-            use_cache=spec.telemetry.cache,
-            **kwargs,
-        )
+    conn, hit, _entry = memoized_connectome(
+        tracked.pt,
+        fields.shape3,
+        key,
+        store,
+        spec.connectome.atlas,
+        use_cache=spec.telemetry.cache,
+        min_steps=spec.connectome.min_steps,
+        normalize=spec.connectome.normalize,
+    )
     np.savez_compressed(
         out / "connectome.npz", counts=conn.counts, labels=conn.atlas.labels
     )

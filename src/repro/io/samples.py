@@ -4,8 +4,8 @@
 single ``samples.npz``; these functions define that contract in one
 place: the raw ``(n_samples, n_voxels, n_params)`` array, the fitted
 mask, the parameter layout, the fraction threshold, and the affine —
-everything needed to reconstruct the per-sample
-:class:`~repro.models.fields.FiberField` volumes the tracker consumes.
+everything needed to rebuild the
+:class:`~repro.models.fields.FiberStack` the tracker consumes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import IOFormatError
-from repro.models.fields import FiberField
+from repro.models.fields import FiberStack
 from repro.models.posterior import ParameterLayout
 
 __all__ = ["SampleArchive", "load_samples", "save_samples"]
@@ -42,18 +42,10 @@ class SampleArchive:
     def n_voxels(self) -> int:
         return self.samples.shape[1]
 
-    def to_fields(self) -> list[FiberField]:
-        """Reconstruct the per-sample fiber fields."""
-        from repro.mcmc.sampler import MCMCResult
-
-        result = MCMCResult(
-            samples=self.samples,
-            n_loops=0,
-            n_voxels=self.n_voxels,
-            n_params=self.samples.shape[2],
-        )
-        return result.to_fiber_fields(
-            self.mask, self.layout, f_threshold=self.f_threshold
+    def to_fields(self) -> FiberStack:
+        """Rebuild the posterior sample stack."""
+        return FiberStack.from_posterior(
+            self.samples, self.mask, self.layout, self.f_threshold
         )
 
 

@@ -24,12 +24,10 @@ import numpy as np
 from repro.errors import ConfigurationError, SamplerError
 from repro.mcmc.metropolis import mh_parameter_update
 from repro.mcmc.proposals import AdaptiveProposals
-from repro.models.fields import FiberField
 from repro.models.posterior import LogPosterior
 from repro.rng.streams import seed_streams
 from repro.rng.tausworthe import HybridTaus
 from repro.telemetry import get_registry
-from repro.utils.geometry import spherical_to_cartesian
 
 __all__ = ["MCMCConfig", "MCMCResult", "MCMCSampler"]
 
@@ -127,48 +125,6 @@ class MCMCResult:
     def mean(self) -> np.ndarray:
         """Posterior mean state per voxel, ``(n_voxels, n_params)``."""
         return self.samples.mean(axis=0)
-
-    def to_fiber_fields(
-        self,
-        mask: np.ndarray,
-        layout,
-        f_threshold: float = 0.05,
-    ) -> list[FiberField]:
-        """Convert samples into per-sample :class:`FiberField` volumes.
-
-        This realizes Fig 1's "six 4-D volumes" handoff: sample ``s``
-        becomes one field with fractions/directions scattered into the
-        grid at the masked voxel positions.  Fibers with fraction below
-        ``f_threshold`` are zeroed (FSL applies the same cutoff so noise
-        fibers do not divert streamlines).
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if int(mask.sum()) != self.n_voxels:
-            raise SamplerError(
-                f"mask selects {int(mask.sum())} voxels, result has {self.n_voxels}"
-            )
-        n_fib = layout.n_fibers
-        fields = []
-        flat_idx = np.flatnonzero(mask.reshape(-1))
-        shape3 = mask.shape
-        for s in range(self.samples.shape[0]):
-            p = self.samples[s]
-            f = p[:, layout.f].copy()
-            theta = p[:, layout.theta]
-            phi = p[:, layout.phi]
-            dirs = spherical_to_cartesian(theta, phi)
-            f[f < f_threshold] = 0.0
-            # Clip tiny negative / super-unit pathologies defensively.
-            f = np.clip(f, 0.0, 1.0)
-            over = f.sum(axis=1) > 1.0
-            if over.any():
-                f[over] /= f[over].sum(axis=1, keepdims=True)
-            fvol = np.zeros(shape3 + (n_fib,))
-            dvol = np.zeros(shape3 + (n_fib, 3))
-            fvol.reshape(-1, n_fib)[flat_idx] = f
-            dvol.reshape(-1, n_fib, 3)[flat_idx] = dirs
-            fields.append(FiberField(f=fvol, directions=dvol, mask=mask))
-        return fields
 
 
 def _tiling(blocks, n_vox: int) -> list[tuple[int, int]]:

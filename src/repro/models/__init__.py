@@ -20,7 +20,7 @@ the 9-parameter-per-voxel target density the MCMC stage samples.
 from repro.models.base import DiffusionModel
 from repro.models.tensor import TensorModel, TensorFit
 from repro.models.multi_fiber import MultiFiberModel
-from repro.models.fields import FiberField
+from repro.models.fields import FiberField, FiberStack
 from repro.models.priors import MultiFiberPriors
 from repro.models.likelihood import gaussian_loglike, rician_loglike
 from repro.models.posterior import LogPosterior, ParameterLayout
@@ -31,6 +31,7 @@ __all__ = [
     "TensorFit",
     "MultiFiberModel",
     "FiberField",
+    "FiberStack",
     "MultiFiberPriors",
     "gaussian_loglike",
     "rician_loglike",

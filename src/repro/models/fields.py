@@ -1,23 +1,35 @@
-"""The :class:`FiberField`: a realized per-voxel fiber configuration.
+"""Realized per-voxel fiber configurations: one field, or a sample stack.
 
-This structure is the bridge between the two pipeline stages (Fig 1): the
-MCMC stage emits one ``FiberField`` per posterior *sample* (six 3-D
-volumes: ``f1, f2, theta1, theta2, phi1, phi2``, here stored as volume
-fractions plus Cartesian direction volumes), and the tracking stage
-consumes fields one at a time — the "sample volume" a GPU kernel binds as
-read-only 3-D images.  The phantom generator produces the ground-truth
-field in the same form.
+These structures are the bridge between the two pipeline stages (Fig 1).
+Each posterior *sample* is six 3-D volumes (``f1, f2, theta1, theta2,
+phi1, phi2``), stored here as volume fractions plus Cartesian direction
+volumes — the "sample volume" a GPU kernel binds as read-only 3-D images.
+
+* :class:`FiberStack` is the one layout the MCMC stage hands to the
+  tracker: every sample on one grid, stacked on a leading axis and built
+  once, straight from the ``(S, n_mask_vox, n_params)`` posterior.  The
+  lockstep kernel gathers from its flat views (a reshape, no copy), and
+  a sample slice is a view — what a tracking shard pickles.
+* :class:`FiberField` is one sample volume.  ``stack[s]`` is a view of
+  sample ``s``; phantoms build their ground truth as a field, and the
+  scalar tracker, the baselines and the ``.trk`` export consume one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DataError
+from repro.errors import DataError, TrackingError
+from repro.utils.geometry import spherical_to_cartesian
 
-__all__ = ["FiberField"]
+__all__ = ["FiberField", "FiberStack"]
+
+#: ``(sample, voxel)`` rows :meth:`FiberStack.from_posterior` converts
+#: per pass, so its temporaries stay a few MB beside the stack it fills.
+POSTERIOR_CHUNK_ROWS = 65_536
 
 
 @dataclass
@@ -108,3 +120,182 @@ class FiberField:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+
+
+@dataclass(eq=False)
+class FiberStack:
+    """S sample volumes on one grid, stacked on a leading sample axis.
+
+    Attributes
+    ----------
+    f:
+        ``(S, nx, ny, nz, N)`` volume fractions.
+    directions:
+        ``(S, nx, ny, nz, N, 3)`` unit fiber directions.
+    mask:
+        ``(nx, ny, nz)`` bool, shared by every sample.
+
+    Build one with :meth:`from_posterior` (stage 1's samples) or
+    :meth:`from_fields` (any field sequence); both produce C-contiguous
+    arrays, so :meth:`flat_views` and contiguous slices never copy.
+    """
+
+    f: np.ndarray
+    directions: np.ndarray
+    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.f = np.asarray(self.f, dtype=np.float64)
+        self.directions = np.asarray(self.directions, dtype=np.float64)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        if self.f.ndim != 5:
+            raise DataError(
+                f"f must be 5-D (sample, x, y, z, N), got shape {self.f.shape}"
+            )
+        if self.directions.shape != self.f.shape + (3,):
+            raise DataError(
+                f"directions must have shape {self.f.shape + (3,)}, "
+                f"got {self.directions.shape}"
+            )
+        if self.mask.shape != self.f.shape[1:4]:
+            raise DataError(
+                f"mask must have shape {self.f.shape[1:4]}, got {self.mask.shape}"
+            )
+
+    @classmethod
+    def from_posterior(
+        cls,
+        samples: np.ndarray,
+        mask: np.ndarray,
+        layout,
+        f_threshold: float = 0.05,
+    ) -> "FiberStack":
+        """Scatter a ``(S, n_mask_vox, n_params)`` posterior into a stack.
+
+        Realizes Fig 1's "six 4-D volumes" handoff for every sample at
+        once: each masked voxel's fractions and angles (per ``layout``,
+        a :class:`~repro.models.posterior.ParameterLayout`) land at its
+        grid position.  Fractions below ``f_threshold`` are zeroed (FSL
+        applies the same cutoff so noise fibers do not divert
+        streamlines), clipped to ``[0, 1]``, and rows summing over one
+        are renormalized.  Every step is elementwise or per voxel row,
+        so each sample equals converting it alone.
+        """
+        samples = np.asarray(samples, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
+        at = np.flatnonzero(mask.reshape(-1))
+        if samples.ndim != 3 or samples.shape[1] != at.size:
+            raise DataError(
+                f"samples must be (n_samples, {at.size} masked voxels, "
+                f"n_params), got {samples.shape}"
+            )
+        n_samples, n_fib = samples.shape[0], layout.n_fibers
+        f = np.zeros((n_samples,) + mask.shape + (n_fib,))
+        directions = np.zeros((n_samples,) + mask.shape + (n_fib, 3))
+        f_rows = f.reshape(n_samples, mask.size, n_fib)
+        d_rows = directions.reshape(n_samples, mask.size, n_fib, 3)
+        step = max(1, POSTERIOR_CHUNK_ROWS // max(n_samples, 1))
+        for lo in range(0, at.size, step):
+            hi = lo + step
+            p = samples[:, lo:hi]
+            frac = p[..., layout.f].copy()
+            frac[frac < f_threshold] = 0.0
+            # Clip tiny negative / super-unit pathologies defensively.
+            frac = np.clip(frac, 0.0, 1.0)
+            over = frac.sum(axis=-1) > 1.0
+            if over.any():
+                frac[over] /= frac[over].sum(axis=-1, keepdims=True)
+            f_rows[:, at[lo:hi]] = frac
+            d_rows[:, at[lo:hi]] = spherical_to_cartesian(
+                p[..., layout.theta], p[..., layout.phi]
+            )
+        return cls(f=f, directions=directions, mask=mask)
+
+    @classmethod
+    def from_fields(
+        cls, fields: "FiberStack | FiberField | Sequence[FiberField]"
+    ) -> "FiberStack":
+        """The tracker's one input normaliser.
+
+        A non-empty stack is returned as it is; a bare field, or a
+        one-field sequence, becomes a one-sample stack of views; a longer
+        field sequence is stacked once (a copy).  Samples must share one
+        grid shape, fiber count and mask.
+        """
+        if isinstance(fields, FiberStack):
+            if not fields.n_samples:
+                raise TrackingError("need at least one sample volume")
+            return fields
+        if isinstance(fields, FiberField):
+            fields = [fields]
+        fields = list(fields)
+        if not fields:
+            raise TrackingError("need at least one sample volume")
+        first = fields[0]
+        for i, fld in enumerate(fields):
+            if fld.shape3 != first.shape3 or fld.n_fibers != first.n_fibers:
+                raise TrackingError(
+                    f"sample {i} has shape {fld.shape3} x {fld.n_fibers} fibers; "
+                    f"tracking needs homogeneous samples "
+                    f"({first.shape3} x {first.n_fibers})"
+                )
+            if not np.array_equal(fld.mask, first.mask):
+                raise TrackingError(
+                    f"sample {i} has a different mask; tracking needs "
+                    f"homogeneous samples sharing one mask"
+                )
+        if len(fields) == 1:
+            return cls(
+                f=first.f[None], directions=first.directions[None], mask=first.mask
+            )
+        return cls(
+            f=np.stack([fld.f for fld in fields]),
+            directions=np.stack([fld.directions for fld in fields]),
+            mask=first.mask,
+        )
+
+    @property
+    def n_samples(self) -> int:
+        return self.f.shape[0]
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    @property
+    def shape3(self) -> tuple[int, int, int]:
+        """Spatial grid shape."""
+        return tuple(self.f.shape[1:4])  # type: ignore[return-value]
+
+    @property
+    def n_fibers(self) -> int:
+        """Maximum number of fiber compartments per voxel."""
+        return self.f.shape[4]
+
+    def __getitem__(self, index):
+        """``stack[s]`` is a :class:`FiberField` view of sample ``s``;
+        ``stack[lo:hi]`` a :class:`FiberStack` view of those samples."""
+        if isinstance(index, slice):
+            return FiberStack(
+                f=self.f[index], directions=self.directions[index], mask=self.mask
+            )
+        s = range(self.n_samples)[index]
+        return FiberField(f=self.f[s], directions=self.directions[s], mask=self.mask)
+
+    def __iter__(self) -> Iterator[FiberField]:
+        return (self[s] for s in range(self.n_samples))
+
+    def flat_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked ``(f2, d2, mask_flat)`` over all samples (no copy).
+
+        ``f2`` is ``(S * n_vox, N)`` and ``d2`` ``(S * n_vox, N, 3)``:
+        row-major voxel ``v`` of sample ``s`` lives at row
+        ``s * n_vox + v``, the tracker's stacked gather offset.
+        ``mask_flat`` is the one shared ``(n_vox,)`` mask.
+        """
+        n_vox = self.mask.size
+        rows = self.n_samples * n_vox
+        return (
+            self.f.reshape(rows, self.n_fibers),
+            self.directions.reshape(rows, self.n_fibers, 3),
+            self.mask.reshape(n_vox),
+        )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config.spec import NOISE_MODELS
 from repro.errors import DataError, ModelError
 from repro.io.gradients import GradientTable
 from repro.models.likelihood import gaussian_loglike, rician_loglike
@@ -128,7 +129,7 @@ class LogPosterior:
         n_fibers: int = 2,
         noise_model: str = "gaussian",
     ) -> None:
-        if noise_model not in ("gaussian", "rician"):
+        if noise_model not in NOISE_MODELS:
             raise ModelError(f"unknown noise_model {noise_model!r}")
         self.noise_model = noise_model
         data = np.asarray(data, dtype=np.float64)

@@ -1,10 +1,12 @@
 """End-to-end pipeline drivers (the paper's Fig 1 workflow).
 
 * :func:`~repro.pipeline.bedpost.bedpost` — stage 1: per-voxel MCMC over
-  the masked volume, producing posterior sample :class:`FiberField`
-  volumes (the analogue of FSL's ``bedpostx``);
-* :func:`~repro.pipeline.tracto.tracto` — stage 2: probabilistic
-  streamlining over those fields (the analogue of ``probtrackx``);
+  the masked volume, producing the posterior sample
+  :class:`~repro.models.fields.FiberStack` (the analogue of FSL's
+  ``bedpostx``);
+* :func:`~repro.tracking.probtrack.probabilistic_streamlining` — stage 2:
+  probabilistic streamlining over that stack (the analogue of
+  ``probtrackx``);
 * :func:`~repro.pipeline.connectome.compute_connectome` — stage 3: the
   ROI endpoint connectome over tracked streamlines (the analogue of a
   ``probtrackx`` network run);
@@ -12,7 +14,7 @@
   stage (see :mod:`repro.config.stages`) plus the modeled speedup
   accounting for each.
 
-Both drivers memoize through the :mod:`repro.store` artifact store when
+Every stage memoizes through the :mod:`repro.store` artifact store when
 given one (``store=`` / ``telemetry.store``); see
 :mod:`repro.pipeline.memo` and ``docs/storage.md``.
 """
@@ -29,14 +31,12 @@ from repro.pipeline.memo import (
     run_memoized,
 )
 from repro.pipeline.runners import StageContext, StageOutcome
-from repro.pipeline.tracto import tracto
 from repro.pipeline.workflow import WorkflowResult, run_workflow
 
 __all__ = [
     "BedpostConfig",
     "BedpostResult",
     "bedpost",
-    "tracto",
     "ConnectomeResult",
     "compute_connectome",
     "memoized_connectome",

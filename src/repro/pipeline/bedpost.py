@@ -2,7 +2,7 @@
 
 Flattens the masked voxels, runs the lockstep Metropolis-Hastings sampler
 (checkpointed and sharded by voxel block), and scatters the recorded
-samples back into per-sample :class:`FiberField` volumes — Fig 1's "six
+samples into one :class:`~repro.models.fields.FiberStack` — Fig 1's "six
 4-D volumes" handoff to the tracking stage.  Also computes the machine-
 model times for the Table III speedup.
 """
@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.config.spec import NOISE_MODELS
 from repro.config.stages import SAMPLING
 from repro.errors import ConfigurationError, DataError
 from repro.gpu.device import DeviceSpec, HostSpec
@@ -32,16 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from repro.gpu.simulator import kernel_time
 from repro.io.gradients import GradientTable
 from repro.io.volume import Volume
-from repro.mcmc.sampler import MCMCConfig, MCMCResult
-from repro.models.fields import FiberField
+from repro.mcmc.sampler import MCMCConfig
+from repro.models.fields import FiberStack
 from repro.models.posterior import ParameterLayout
 from repro.telemetry import get_registry
 
 __all__ = ["BedpostConfig", "BedpostResult", "bedpost", "modeled_mcmc_times"]
-
-
-#: Noise models the posterior implements (mirrors ``LogPosterior``).
-NOISE_MODELS = ("gaussian", "rician")
 
 
 @dataclass(frozen=True)
@@ -143,20 +140,10 @@ class BedpostConfig:
     def from_spec_dict(cls, data: dict) -> "BedpostConfig":
         """Rebuild from :meth:`to_spec_dict` output (or the matching
         sections of a full run-spec dict; extra keys are ignored)."""
+        from repro.runtime.faults import fault_plan_from_runtime
+
         sampling = data.get(SAMPLING.name, {})
         runtime = data.get("runtime", {})
-        fault_plan = None
-        fault_text = runtime.get("fault_plan")
-        if fault_text:
-            from repro.runtime.faults import FaultPlan
-
-            hang = runtime.get("hang_seconds")
-            timeout = runtime.get("shard_timeout_s")
-            if hang is None:
-                # Mirror the CLI's dev-safety bound: an injected hang
-                # never outlives a missing timeout by more than 30 s.
-                hang = timeout * 4 if timeout else 30.0
-            fault_plan = FaultPlan.parse(fault_text, hang_seconds=hang)
         return cls(
             mcmc=MCMCConfig.from_spec_dict(sampling),
             n_fibers=sampling.get("n_fibers", 2),
@@ -170,7 +157,7 @@ class BedpostConfig:
             max_retries=runtime.get("max_retries", 2),
             shard_timeout_s=runtime.get("shard_timeout_s"),
             fallback_to_serial=runtime.get("fallback_to_serial", True),
-            fault_plan=fault_plan,
+            fault_plan=fault_plan_from_runtime(runtime),
         )
 
     @classmethod
@@ -187,7 +174,7 @@ class BedpostResult:
     Attributes
     ----------
     fields:
-        One :class:`FiberField` per posterior sample.
+        The posterior samples as one :class:`FiberStack`.
     samples:
         ``(n_samples, n_voxels, n_params)`` raw recorded states.
     layout:
@@ -211,7 +198,7 @@ class BedpostResult:
         ``None`` for serial, inline, or cache-served runs.
     """
 
-    fields: list[FiberField]
+    fields: FiberStack
     samples: np.ndarray
     layout: ParameterLayout
     mask: np.ndarray
@@ -511,24 +498,17 @@ def bedpost(
         store.clear_checkpoints(SAMPLING.name, stage_key)
     wall = time.perf_counter() - t0
 
-    pooled = MCMCResult(
-        samples=all_samples,
-        acceptance_history=history,
-        n_loops=cfg.mcmc.n_loops,
-        n_voxels=n_vox,
-        n_params=layout.n_params,
-        wall_seconds=wall,
-    )
-    fields = pooled.to_fiber_fields(mask, layout, f_threshold=cfg.f_threshold)
     gpu_s, cpu_s = modeled_mcmc_times(
         n_vox, cfg.mcmc, layout.n_params, cfg.device, cfg.host
     )
     return BedpostResult(
-        fields=fields,
+        fields=FiberStack.from_posterior(
+            all_samples, mask, layout, cfg.f_threshold
+        ),
         samples=all_samples,
         layout=layout,
         mask=mask,
-        acceptance_history=pooled.acceptance_history,
+        acceptance_history=history,
         gpu_seconds=gpu_s,
         cpu_seconds=cpu_s,
         wall_seconds=wall,
@@ -627,24 +607,17 @@ def _result_from_entry(
             f"store entry covers {all_samples.shape[1]} voxels, "
             f"mask selects {n_vox}"
         )
-    pooled = MCMCResult(
-        samples=all_samples,
-        acceptance_history=[float(x) for x in meta["acceptance_history"]],
-        n_loops=cfg.mcmc.n_loops,
-        n_voxels=n_vox,
-        n_params=layout.n_params,
-        wall_seconds=0.0,
-    )
-    fields = pooled.to_fiber_fields(mask, layout, f_threshold=cfg.f_threshold)
     gpu_s, cpu_s = modeled_mcmc_times(
         n_vox, cfg.mcmc, layout.n_params, cfg.device, cfg.host
     )
     return BedpostResult(
-        fields=fields,
+        fields=FiberStack.from_posterior(
+            all_samples, mask, layout, cfg.f_threshold
+        ),
         samples=all_samples,
         layout=layout,
         mask=mask,
-        acceptance_history=pooled.acceptance_history,
+        acceptance_history=[float(x) for x in meta["acceptance_history"]],
         gpu_seconds=gpu_s,
         cpu_seconds=cpu_s,
         wall_seconds=time.perf_counter() - t0,

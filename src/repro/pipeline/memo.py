@@ -104,16 +104,18 @@ def run_memoized(
     return result, False, entry
 
 
-def fields_fingerprint(fields) -> str:
-    """Fingerprint the posterior sample volumes a tracking run consumes.
+def fields_fingerprint(stack) -> str:
+    """Fingerprint the posterior sample stack a tracking run consumes.
 
-    Covers every sample's fraction and direction volumes plus the first
-    sample's mask — the complete functional input of the tracker.
+    Covers every sample's fraction and direction volumes plus the shared
+    mask — the complete functional input of the tracker.  Samples are
+    named and shaped one by one (``f0000``/``d0000``, ...), so the digest
+    and hence the stage keys match those of per-sample field lists.
     """
-    named = {"n_samples": len(fields), "mask": np.asarray(fields[0].mask)}
-    for i, fld in enumerate(fields):
-        named[f"f{i:04d}"] = fld.f
-        named[f"d{i:04d}"] = fld.directions
+    named = {"n_samples": len(stack), "mask": stack.mask}
+    for i in range(len(stack)):
+        named[f"f{i:04d}"] = stack.f[i]
+        named[f"d{i:04d}"] = stack.directions[i]
     return fingerprint_arrays(**named)
 
 
@@ -219,7 +221,7 @@ def memoized_streamlining(
     Parameters
     ----------
     fields:
-        Posterior sample :class:`~repro.models.fields.FiberField` list.
+        The posterior :class:`~repro.models.fields.FiberStack`.
     cfg:
         The :class:`~repro.tracking.probtrack.ProbtrackConfig` to run.
     store:

@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.config.stages import CONNECTOME, SAMPLING, TRACKING, stage_hash
 from repro.pipeline.bedpost import BedpostConfig, bedpost
-from repro.pipeline.tracto import tracto
 from repro.telemetry import get_registry
-from repro.tracking.probtrack import ProbtrackConfig
+from repro.tracking.probtrack import ProbtrackConfig, default_seed_mask
 
 __all__ = [
     "StageContext",
@@ -87,12 +86,12 @@ class StageContext:
 
         return RunSpec.from_dict(self.doc)
 
-    def fields_fp(self, fields) -> str:
-        """Fingerprint of the posterior fields, computed once per run."""
+    def fields_fp(self, stack) -> str:
+        """Fingerprint of the posterior stack, computed once per run."""
         if self._fields_fp is None:
             from repro.pipeline.memo import fields_fingerprint
 
-            self._fields_fp = fields_fingerprint(fields)
+            self._fields_fp = fields_fingerprint(stack)
         return self._fields_fp
 
 
@@ -125,42 +124,32 @@ def run_sampling_stage(ctx: StageContext) -> StageOutcome:
 
 def run_tracking_stage(ctx: StageContext) -> StageOutcome:
     """Stage 2: probabilistic streamlining, memoized when a store is live."""
-    bp = ctx.outcomes[SAMPLING.name].result
-    pt_cfg = ctx.probtrack_config
-    if ctx.n_workers is not None:
-        from dataclasses import replace
-
-        pt_cfg = replace(
-            pt_cfg if pt_cfg is not None else ProbtrackConfig(),
-            n_workers=ctx.n_workers,
-        )
-    registry = get_registry()
-    if ctx.store is None:
-        with registry.span(f"workflow.{TRACKING.name}"):
-            pt = tracto(bp, config=pt_cfg, seed_mask=ctx.seed_mask)
-        return StageOutcome(
-            stage=TRACKING.name,
-            result=pt,
-            supervision=pt.run.supervision,
-        )
-
     from repro.pipeline.memo import memoized_streamlining
     from repro.store import fingerprint_arrays
 
-    pt_cfg = pt_cfg if pt_cfg is not None else ProbtrackConfig()
+    bp = ctx.outcomes[SAMPLING.name].result
+    pt_cfg = ctx.probtrack_config
+    if pt_cfg is None:
+        pt_cfg = ProbtrackConfig()
+    if ctx.n_workers is not None:
+        from dataclasses import replace
+
+        pt_cfg = replace(pt_cfg, n_workers=ctx.n_workers)
     eff_seed_mask = ctx.seed_mask
     if eff_seed_mask is None:
-        eff_seed_mask = bp.mask & (bp.fields[0].f[..., 0] > 0)
+        eff_seed_mask = default_seed_mask(bp.fields)
     eff_seed_mask = np.asarray(eff_seed_mask, dtype=bool)
-    key = stage_hash(
-        ctx.doc,
-        TRACKING.name,
-        inputs={
-            "fields": ctx.fields_fp(bp.fields),
-            "seed_mask": fingerprint_arrays(seed_mask=eff_seed_mask),
-        },
-    )
-    with registry.span(f"workflow.{TRACKING.name}"):
+    key = None
+    if ctx.store is not None:
+        key = stage_hash(
+            ctx.doc,
+            TRACKING.name,
+            inputs={
+                "fields": ctx.fields_fp(bp.fields),
+                "seed_mask": fingerprint_arrays(seed_mask=eff_seed_mask),
+            },
+        )
+    with get_registry().span(f"workflow.{TRACKING.name}"):
         pt, hit, _entry = memoized_streamlining(
             bp.fields,
             pt_cfg,
@@ -183,39 +172,30 @@ def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
     spec = ctx.resolved_spec()
     if spec.connectome.atlas == "none":
         return None
-    from repro.pipeline.connectome import compute_connectome, memoized_connectome
+    from repro.pipeline.connectome import memoized_connectome
     from repro.store import fingerprint_arrays
 
     bp = ctx.outcomes[SAMPLING.name].result
     pt = ctx.outcomes[TRACKING.name].result
-    grid_shape = bp.fields[0].shape3
-    compute_kwargs = dict(
-        min_steps=spec.connectome.min_steps,
-        normalize=spec.connectome.normalize,
-    )
-    registry = get_registry()
-    if ctx.store is None:
-        with registry.span(f"workflow.{CONNECTOME.name}"):
-            result = compute_connectome(
-                pt, grid_shape, spec.connectome.atlas, **compute_kwargs
-            )
-        return StageOutcome(stage=CONNECTOME.name, result=result)
-    key = stage_hash(
-        ctx.doc,
-        CONNECTOME.name,
-        inputs={
-            "fields": ctx.fields_fp(bp.fields),
-            "seeds": fingerprint_arrays(seeds=pt.seeds),
-        },
-    )
-    with registry.span(f"workflow.{CONNECTOME.name}"):
+    key = None
+    if ctx.store is not None:
+        key = stage_hash(
+            ctx.doc,
+            CONNECTOME.name,
+            inputs={
+                "fields": ctx.fields_fp(bp.fields),
+                "seeds": fingerprint_arrays(seeds=pt.seeds),
+            },
+        )
+    with get_registry().span(f"workflow.{CONNECTOME.name}"):
         result, hit, _entry = memoized_connectome(
             pt,
-            grid_shape,
+            bp.fields.shape3,
             key,
             ctx.store,
             spec.connectome.atlas,
             use_cache=ctx.use_cache,
-            **compute_kwargs,
+            min_steps=spec.connectome.min_steps,
+            normalize=spec.connectome.normalize,
         )
     return StageOutcome(stage=CONNECTOME.name, result=result, key=key, hit=hit)

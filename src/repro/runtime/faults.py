@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan"]
+__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "fault_plan_from_runtime"]
 
 #: The injectable misbehaviours (matching the supervisor's taxonomy).
 FAULT_KINDS = ("crash", "hang", "corrupt")
@@ -157,6 +157,22 @@ class FaultPlan:
         if not specs:
             raise ConfigurationError(f"no fault specs in {text!r}")
         return cls(faults=tuple(specs), hang_seconds=hang_seconds)
+
+
+def fault_plan_from_runtime(runtime: dict) -> FaultPlan | None:
+    """The ``runtime`` spec section's fault plan, or None when unset.
+
+    An unset ``hang_seconds`` mirrors the CLI's dev-safety bound: an
+    injected hang never outlives a missing timeout by more than 30 s.
+    """
+    text = runtime.get("fault_plan")
+    if not text:
+        return None
+    hang = runtime.get("hang_seconds")
+    if hang is None:
+        timeout = runtime.get("shard_timeout_s")
+        hang = timeout * 4 if timeout else 30.0
+    return FaultPlan.parse(text, hang_seconds=hang)
 
 
 def _parse_int(text: str, context: str) -> int:

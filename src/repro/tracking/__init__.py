@@ -15,9 +15,9 @@ counts streamline visits.  This package provides:
 * the segmented executor (:mod:`~repro.tracking.executor`) — Algorithm 1
   against the GPU machine model, with host-side compaction between
   kernels and full kernel/reduction/transfer time attribution, executed
-  as one fused lockstep batch over all samples
-  (:mod:`~repro.tracking.fused`) and sharded by sample across worker
-  processes (:mod:`~repro.tracking.shards`);
+  as one fused lockstep batch over the posterior
+  :class:`~repro.models.fields.FiberStack` and sharded by sample across
+  worker processes (:mod:`~repro.tracking.shards`);
 * connectivity accumulation and fiber-length statistics (Fig 5's
   exponential-distribution analysis).
 """
@@ -42,7 +42,6 @@ from repro.tracking.executor import (
     SegmentedTracker,
     TrackingRunResult,
 )
-from repro.tracking.fused import StackedFields
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.lengths import (
     ExponentialFit,
@@ -76,7 +75,6 @@ __all__ = [
     "table2_strategy",
     "SegmentedTracker",
     "TrackingRunResult",
-    "StackedFields",
     "ConnectivityAccumulator",
     "ExponentialFit",
     "fit_exponential",

@@ -12,14 +12,16 @@ The semantics match :func:`repro.tracking.streamline.track_streamline`
 step for step (asserted in the test suite — the paper's "CPU and GPU
 results are substantially the same" check, here made exact).
 
-Fused multi-sample states
--------------------------
-When ``BatchState.sample`` is set, rows belong to different sample
-volumes of a :class:`~repro.tracking.fused.StackedFields` stack: gathers
-add ``sample * n_vox`` to flat voxel indices so one ``take`` serves all
-samples, and visit callbacks receive ``(samples, origins, voxels)``.
-Per-row arithmetic is unchanged, which is why a fused run is
-bit-identical to running each sample alone.
+Sample stacks
+-------------
+The tracker reads one :class:`~repro.models.fields.FiberStack` (a bare
+:class:`~repro.models.fields.FiberField` is a one-sample stack of
+views), and every state row carries the ``sample`` it tracks through:
+gathers add ``sample * n_vox`` to flat voxel indices so one ``take``
+serves all samples, off-mask checks read the one shared mask, and visit
+callbacks receive ``(samples, origins, voxels)``.  Per-row arithmetic
+never looks at the stacking, which is why tracking a stack is
+bit-identical to tracking each sample alone.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.config.spec import INTERPOLATIONS
 from repro.errors import TrackingError
 from repro.gpu.workload import BYTES_DOWN_PER_THREAD, BYTES_UP_PER_THREAD
-from repro.models.fields import FiberField
+from repro.models.fields import FiberField, FiberStack
 from repro.tracking.criteria import StopReason, TerminationCriteria
 from repro.tracking.direction import _choose_direction_core
 from repro.tracking.interpolate import (
@@ -45,9 +48,9 @@ from repro.utils.voxels import flat_voxel_index
 
 __all__ = ["BatchState", "BatchTracker"]
 
-#: visit callback signature: (original thread indices, flat voxel indices)
-#: — or (sample indices, thread indices, voxel indices) for fused states.
-VisitCallback = Callable[..., None]
+#: visit callback signature: (sample indices, original thread indices,
+#: flat voxel indices).
+VisitCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -66,8 +69,7 @@ class BatchState:
         ``(n,)`` indices into the original seed array — preserved across
         compaction so results land on the right seed.
     sample:
-        Optional ``(n,)`` shard-local sample indices for fused
-        multi-sample states (``None`` for single-sample states).
+        ``(n,)`` index of the stack sample each thread tracks through.
     """
 
     positions: np.ndarray
@@ -75,17 +77,15 @@ class BatchState:
     steps: np.ndarray
     reason: np.ndarray
     origin: np.ndarray
-    sample: np.ndarray | None = None
+    sample: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.positions.shape[0]
         if self.positions.shape != (n, 3) or self.headings.shape != (n, 3):
             raise TrackingError("positions/headings must be (n, 3)")
-        for name in ("steps", "reason", "origin"):
+        for name in ("steps", "reason", "origin", "sample"):
             if getattr(self, name).shape != (n,):
                 raise TrackingError(f"{name} must be (n,)")
-        if self.sample is not None and self.sample.shape != (n,):
-            raise TrackingError("sample must be (n,)")
 
     @property
     def n_threads(self) -> int:
@@ -111,7 +111,7 @@ class BatchState:
             steps=self.steps[keep].copy(),
             reason=self.reason[keep].copy(),
             origin=self.origin[keep].copy(),
-            sample=None if self.sample is None else self.sample[keep].copy(),
+            sample=self.sample[keep].copy(),
         )
 
     def payload_bytes_down(self) -> int:
@@ -126,25 +126,26 @@ class BatchState:
 
 
 class BatchTracker:
-    """Vectorized deterministic streamlining over a fiber field.
+    """Vectorized deterministic streamlining over a sample stack.
 
-    ``field`` may also be a :class:`~repro.tracking.fused.StackedFields`,
-    tracked with states that carry a ``sample`` column.
+    ``field`` is a :class:`~repro.models.fields.FiberStack`, or anything
+    :meth:`~repro.models.fields.FiberStack.from_fields` accepts (a bare
+    field tracks as sample 0).
     """
 
     def __init__(
         self,
-        field: FiberField,
+        field: FiberStack | FiberField,
         criteria: TerminationCriteria,
         interpolation: str = "trilinear",
     ) -> None:
-        if interpolation not in ("trilinear", "trilinear-reference", "nearest"):
+        if interpolation not in INTERPOLATIONS:
             raise TrackingError(f"unknown interpolation {interpolation!r}")
-        self.field = field
+        self.stack = FiberStack.from_fields(field)
         self.criteria = criteria
         self.interpolation = interpolation
-        self._off_limits = ~field.flat_views()[2]
-        self._n_vox = math.prod(field.shape3)
+        self._off_limits = ~self.stack.flat_views()[2]
+        self._n_vox = math.prod(self.stack.shape3)
         self._scratch = Scratch()
 
     def init_state(
@@ -160,8 +161,8 @@ class BatchTracker:
         Threads with a zero heading (no population at the seed) start
         terminated with ``NO_DIRECTION``.  ``origin`` overrides the
         default ``arange(n)`` seed identity (the executor passes
-        per-sample permutations); ``sample`` attaches shard-local sample
-        indices to build a fused multi-sample state.
+        per-sample permutations); ``sample`` gives each thread's stack
+        sample (default: all sample 0).
         """
         seeds = np.asarray(seeds, dtype=np.float64)
         headings = np.asarray(headings, dtype=np.float64)
@@ -184,21 +185,25 @@ class BatchTracker:
             steps=np.zeros((n,), dtype=np.int64),
             reason=reason,
             origin=origin,
-            sample=None if sample is None else np.asarray(sample, dtype=np.int64),
+            sample=(
+                np.zeros((n,), dtype=np.int64)
+                if sample is None
+                else np.asarray(sample, dtype=np.int64)
+            ),
         )
 
-    def _reference_fused(self, pos, head, samp):
-        """Reference-mode interpolation for fused states: group rows by
-        sample and run the executable spec per volume (host-side — the
-        reference path is a spec, not a production path)."""
+    def _reference_lookup(self, pos, head, samp):
+        """Reference-mode interpolation: group rows by sample and run the
+        executable spec per sample volume (host-side — the reference
+        path is a spec, not a production path)."""
         n = pos.shape[0]
-        n_fib = self.field.n_fibers
+        n_fib = self.stack.n_fibers
         f = np.empty((n, n_fib), dtype=np.float64)
         d = np.empty((n, n_fib, 3), dtype=np.float64)
         for s in np.unique(samp):
             rows = samp == s
             fs, ds = trilinear_lookup_reference(
-                self.field.fields[int(s)], pos[rows], reference=head[rows]
+                self.stack[int(s)], pos[rows], reference=head[rows]
             )
             f[rows] = fs
             d[rows] = ds
@@ -219,10 +224,9 @@ class BatchTracker:
         if n_iterations < 0:
             raise TrackingError(f"n_iterations must be >= 0, got {n_iterations}")
         crit = self.criteria
-        shape3 = self.field.shape3
+        shape3 = self.stack.shape3
         nx, ny, nz = shape3
         off_limits = self._off_limits
-        fused = state.sample is not None
         n_vox = self._n_vox
         executed = np.zeros((state.n_threads,), dtype=np.int64)
         lo = np.zeros((3,), dtype=np.int64)
@@ -246,30 +250,21 @@ class BatchTracker:
             m = int(idx.shape[0])
             pos = np.take(state.positions, idx, axis=0, out=sc.get("pos", (m, 3)))
             head = np.take(state.headings, idx, axis=0, out=sc.get("head", (m, 3)))
-            if fused:
-                samp = np.take(state.sample, idx, axis=0)
-                row_off = samp * n_vox
-            else:
-                samp = None
-                row_off = None
+            samp = np.take(state.sample, idx, axis=0)
+            row_off = samp * n_vox
 
             if self.interpolation == "trilinear":
                 f, dirs = trilinear_lookup(
-                    self.field,
+                    self.stack,
                     pos,
                     reference=head,
                     scratch=sc,
                     row_offset=row_off,
                 )
             elif self.interpolation == "trilinear-reference":
-                if fused:
-                    f, dirs = self._reference_fused(pos, head, samp)
-                else:
-                    f, dirs = trilinear_lookup_reference(
-                        self.field, pos, reference=head
-                    )
+                f, dirs = self._reference_lookup(pos, head, samp)
             else:
-                f, dirs = nearest_lookup(self.field, pos, row_offset=row_off)
+                f, dirs = nearest_lookup(self.stack, pos, row_offset=row_off)
             chosen, dot, any_ok = _choose_direction_core(
                 f, dirs, head, crit.f_threshold
             )
@@ -284,10 +279,7 @@ class BatchTracker:
             oob = (vox != cv).any(axis=1)
             oob &= ~(no_dir | sharp)
             flat = flat_voxel_index(cv[:, 0], cv[:, 1], cv[:, 2], shape3)
-            if fused:
-                off_mask = off_limits[flat + row_off]
-            else:
-                off_mask = off_limits[flat]
+            off_mask = off_limits[flat]
             off_mask &= ~(no_dir | sharp | oob)
 
             stopped = no_dir | sharp | oob | off_mask
@@ -308,23 +300,17 @@ class BatchTracker:
             if visit_callback is not None and mov.shape[0]:
                 # ok-rows are in bounds, so the clipped flat index equals
                 # the unclipped one the visit contract specifies.
+                visit_samples.append(samp[ok])
                 visit_threads.append(state.origin[mov])
                 visit_voxels.append(flat[ok])
-                if fused:
-                    visit_samples.append(state.sample[mov])
             idx = mov[~hit_budget]
 
         if visit_callback is not None and visit_threads:
-            if fused:
-                visit_callback(
-                    np.concatenate(visit_samples),
-                    np.concatenate(visit_threads),
-                    np.concatenate(visit_voxels),
-                )
-            else:
-                visit_callback(
-                    np.concatenate(visit_threads), np.concatenate(visit_voxels)
-                )
+            visit_callback(
+                np.concatenate(visit_samples),
+                np.concatenate(visit_threads),
+                np.concatenate(visit_voxels),
+            )
         return executed
 
     def run_to_completion(

@@ -9,13 +9,18 @@ functional results (per-seed fiber lengths, endpoints, visits) and the
 paper's time decomposition (kernel / reduction / transfer — Tables II
 and IV).
 
-The host executes that schedule fused: every shard-local sample is
-stacked into one lockstep batch (:mod:`repro.tracking.fused`) and each
+The host executes that schedule fused: the shard-local samples of the
+one posterior :class:`~repro.models.fields.FiberStack` run as a single
+lockstep batch whose threads are ``(sample, seed)`` pairs, and each
 segment is one :meth:`~repro.tracking.batch.BatchTracker.run_segment`
-call over all samples, compacting at segment boundaries.  The modeled
-accounting stays per sample: each launch's per-thread executed counts
-are split by sample — each slice is, in launch order, exactly what that
-sample's own Algorithm 1 launch would have executed — and the events and
+call over all samples, compacting at segment boundaries.  Each row's
+arithmetic depends only on its own position, heading and sample, and
+the stacked gather (``sample * n_vox + flat``) reads exactly the bytes
+a per-sample gather would, so a fused run is bit-identical to tracking
+each sample alone.  The modeled accounting stays per sample: each
+launch's per-thread executed counts are split by sample — each slice
+is, in launch order, exactly what that sample's own Algorithm 1 launch
+would have executed — and the events and
 :class:`~repro.gpu.simulator.KernelLaunch` records are emitted in
 sample-major order.  The model is therefore a function of the measured
 per-thread step counts only, never of how the host schedules them.
@@ -30,10 +35,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from repro.config.spec import ORDER_POLICIES
 from repro.errors import ConfigurationError, TrackingError
 from repro.gpu.device import DeviceSpec, HostSpec
 from repro.gpu.presets import PHENOM_X4, RADEON_5870
@@ -41,12 +48,11 @@ from repro.gpu.memory import DeviceBuffer, DeviceMemory
 from repro.gpu.simulator import KernelLaunch, kernel_time, reduction_time, transfer_time
 from repro.gpu.timeline import Timeline
 from repro.gpu.workload import BYTES_DOWN_PER_THREAD, BYTES_UP_PER_THREAD
-from repro.models.fields import FiberField
+from repro.models.fields import FiberField, FiberStack
 from repro.tracking.batch import BatchTracker
 from repro.tracking.criteria import StopReason, TerminationCriteria
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.direction import initial_directions
-from repro.tracking.fused import FusedVisitBuffer, StackedFields
 from repro.tracking.interpolate import nearest_flat_index
 from repro.tracking.segmentation import SegmentationStrategy
 from repro.telemetry import get_registry
@@ -62,10 +68,39 @@ __all__ = [
 STEP_HISTOGRAM_EDGES = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 
 
-def _field_image_bytes(field: FiberField) -> int:
+def _image_bytes(stack: FiberStack) -> int:
     """Device footprint of one sample volume: f + directions as float32."""
-    n_vox = int(np.prod(field.shape3))
-    return n_vox * field.n_fibers * 4 * 4  # (1 fraction + 3 components) * 4 B
+    n_vox = int(np.prod(stack.shape3))
+    return n_vox * stack.n_fibers * 4 * 4  # (1 fraction + 3 components) * 4 B
+
+
+class FusedVisitBuffer:
+    """Buffers fused visit callbacks and replays them per sample.
+
+    The connectivity accumulator's contract is per-sample
+    (``begin_sample`` / ``visit`` / ``end_sample``); the fused kernel
+    emits visits for all samples interleaved.  Visits are bucketed by
+    sample here and flushed in global sample order once tracking ends —
+    the accumulator dedups per sample with a set-union (``np.unique``),
+    so the replayed maps are bit-identical to tracking each sample alone.
+    """
+
+    def __init__(self, n_samples: int) -> None:
+        self._threads: list[list[np.ndarray]] = [[] for _ in range(n_samples)]
+        self._voxels: list[list[np.ndarray]] = [[] for _ in range(n_samples)]
+
+    def record(self, samples: np.ndarray, threads: np.ndarray, voxels: np.ndarray) -> None:
+        for s in np.unique(samples):
+            rows = samples == s
+            self._threads[int(s)].append(threads[rows])
+            self._voxels[int(s)].append(voxels[rows])
+
+    def flush(self, connectivity) -> None:
+        for threads, voxels in zip(self._threads, self._voxels):
+            connectivity.begin_sample()
+            for t, v in zip(threads, voxels):
+                connectivity.visit(t, v)
+            connectivity.end_sample()
 
 
 @dataclass
@@ -192,7 +227,7 @@ class SegmentedTracker:
 
     def run(
         self,
-        fields: list[FiberField],
+        fields: FiberStack | Sequence[FiberField],
         seeds: np.ndarray,
         criteria: TerminationCriteria,
         strategy: SegmentationStrategy,
@@ -209,8 +244,10 @@ class SegmentedTracker:
         Parameters
         ----------
         fields:
-            Posterior sample volumes (or a single ground-truth field);
-            all must share one grid shape and fiber count.
+            The posterior :class:`~repro.models.fields.FiberStack`, or
+            sample fields sharing one grid shape, fiber count and mask
+            (stacked once, see
+            :meth:`~repro.models.fields.FiberStack.from_fields`).
         seeds:
             ``(n_seeds, 3)`` start positions in voxel coordinates.
         criteria:
@@ -243,14 +280,13 @@ class SegmentedTracker:
             shard applies the *same* permutation the serial path would.
         sample_offset:
             Global index of ``fields[0]`` when this call runs a shard of
-            a larger sample list.  Event labels, overlap stream parity,
+            a larger sample stack.  Event labels, overlap stream parity,
             and the sorted-order condition all use the global sample
             index, so per-shard outputs are bit-identical to the
             corresponding slice of a serial run.
         """
-        if not fields:
-            raise TrackingError("need at least one sample volume")
-        if order not in ("natural", "sorted"):
+        stack = FiberStack.from_fields(fields)
+        if order not in ORDER_POLICIES:
             raise ConfigurationError(f"unknown order policy {order!r}")
         if sample_offset < 0:
             raise ConfigurationError(
@@ -282,17 +318,19 @@ class SegmentedTracker:
         registry = get_registry()
         t0 = time.perf_counter()
         n_seeds = seeds.shape[0]
-        n_samples = len(fields)
+        n_samples = stack.n_samples
         # Residency depends only on the seed count and image sizes, so an
         # over-capacity device fails before any tracking.
-        peak_bytes = self._model_residency(fields, n_seeds, overlap, sample_offset)
+        peak_bytes = self._model_residency(stack, n_seeds, overlap, sample_offset)
 
         lengths = np.zeros((n_samples, n_seeds), dtype=np.int64)
         reasons = np.zeros((n_samples, n_seeds), dtype=np.int64)
         endpoints = np.zeros((n_samples, n_seeds, 3), dtype=np.float64)
         # Per local sample: one (segment, iters, executed) record per
         # launch the sample took part in, in segment order.
-        records: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in fields]
+        records: list[list[tuple[int, int, np.ndarray]]] = [
+            [] for _ in range(n_samples)
+        ]
         segments = strategy.segments(criteria.max_steps)
 
         # Fig 4 needs sample 0's lengths before later samples can be
@@ -302,7 +340,7 @@ class SegmentedTracker:
             phases = [(0, 1), (1, n_samples)]
         for lo, hi in phases:
             self._track(
-                fields[lo:hi],
+                stack[lo:hi],
                 seeds,
                 criteria,
                 segments,
@@ -317,7 +355,7 @@ class SegmentedTracker:
             )
 
         timeline, launches = self._model_launches(
-            fields, records, overlap, sample_offset
+            stack, records, overlap, sample_offset
         )
         # Per-row observations: a shard's histogram contributions equal
         # the serial run's for the same sample rows, so bucket counts
@@ -342,7 +380,7 @@ class SegmentedTracker:
 
     def _track(
         self,
-        fields: list[FiberField],
+        stack: FiberStack,
         seeds: np.ndarray,
         criteria: TerminationCriteria,
         segments: list[int],
@@ -355,10 +393,10 @@ class SegmentedTracker:
         out: tuple[np.ndarray, np.ndarray, np.ndarray],
         records: list[list[tuple[int, int, np.ndarray]]],
     ) -> None:
-        """Track ``fields`` as one stacked lockstep batch.
+        """Track ``stack`` as one lockstep batch.
 
         Writes lengths, reasons, and endpoints into ``out`` (row ``s`` =
-        ``fields[s]``) and appends each launch's per-sample executed
+        ``stack[s]``) and appends each launch's per-sample executed
         slice to ``records[s]``.  Counters follow the *logical*
         per-sample launches — a segment covering k live samples counts
         k launches and k compactions — so the deterministic telemetry
@@ -367,26 +405,27 @@ class SegmentedTracker:
         registry = get_registry()
         lengths, reasons, endpoints = out
         n_seeds = seeds.shape[0]
-        n_samples = len(fields)
-        stack = StackedFields(list(fields))
+        n_samples = stack.n_samples
         tracker = BatchTracker(stack, criteria, self.interpolation)
 
         # Per-sample launch blocks: seed voxel arithmetic hoisted (the
-        # stack guarantees a single grid shape), per-sample gathers and
-        # the Fig 4 permutation applied per block.
+        # stack has a single grid shape), per-sample gathers and the
+        # Fig 4 permutation applied per block.
         seed_flat = None if headings is not None else nearest_flat_index(
             seeds, stack.shape3
         )
+        f2, d2, _ = stack.flat_views()
+        n_vox = stack.mask.size
         permutation = np.argsort(sort_key, kind="stable") if order == "sorted" else None
         pos_blocks: list[np.ndarray] = []
         head_blocks: list[np.ndarray] = []
         origin_blocks: list[np.ndarray] = []
-        for s, field in enumerate(fields):
+        for s in range(n_samples):
             if headings is not None:
                 h = headings
             else:
-                f2, d2, _ = field.flat_views()
-                h = initial_directions(f2[seed_flat], d2[seed_flat])
+                rows = seed_flat + s * n_vox
+                h = initial_directions(f2[rows], d2[rows])
                 if heading_signs is not None:
                     h = h * heading_signs[:, None]
             if permutation is not None and s + sample_offset > 0:
@@ -469,7 +508,7 @@ class SegmentedTracker:
 
     def _model_residency(
         self,
-        fields: list[FiberField],
+        stack: FiberStack,
         n_seeds: int,
         overlap: bool,
         sample_offset: int,
@@ -490,14 +529,14 @@ class SegmentedTracker:
         )
         image_handles: deque[int] = deque()
         resident_images = 2 if overlap else 1
-        for s, field in enumerate(fields):
+        for s in range(stack.n_samples):
             while len(image_handles) >= resident_images:
                 memory.free(image_handles.popleft())
             image_handles.append(
                 memory.alloc(
                     DeviceBuffer(
                         f"sample{s + sample_offset}:images",
-                        _field_image_bytes(field),
+                        _image_bytes(stack),
                     )
                 )
             )
@@ -505,7 +544,7 @@ class SegmentedTracker:
 
     def _model_launches(
         self,
-        fields: list[FiberField],
+        stack: FiberStack,
         records: list[list[tuple[int, int, np.ndarray]]],
         overlap: bool,
         sample_offset: int,
@@ -513,13 +552,13 @@ class SegmentedTracker:
         """Algorithm 1's event log, sample-major, from per-sample launches."""
         timeline = Timeline()
         launches: list[KernelLaunch] = []
-        for s, field in enumerate(fields):
+        for s in range(stack.n_samples):
             g = s + sample_offset  # global sample index
             stream = (g % 2) if overlap else 0
             timeline.add(
                 "transfer",
                 f"sample{g}:images",
-                transfer_time(_field_image_bytes(field), self.device),
+                transfer_time(_image_bytes(stack), self.device),
                 stream=stream,
             )
             for i, seg_iters, executed in records[s]:

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from repro.errors import TrackingError
-from repro.models.fields import FiberField
+from repro.models.fields import FiberField, FiberStack
 from repro.utils.voxels import flat_voxel_index
 
 __all__ = [
@@ -139,7 +139,7 @@ def nearest_flat_index(points, shape3: tuple[int, int, int]) -> np.ndarray:
 
 
 def nearest_lookup(
-    field: FiberField,
+    field: FiberField | FiberStack,
     points: np.ndarray,
     *,
     row_offset=None,
@@ -150,8 +150,8 @@ def nearest_lookup(
     ``(n, N, 3)``.  Positions outside the grid clamp to the border voxel.
 
     ``row_offset`` is an ``(n,)`` per-point offset into stacked flat
-    views: the fused tracker passes a
-    :class:`~repro.tracking.fused.StackedFields` as ``field`` and
+    views: the batch tracker passes a
+    :class:`~repro.models.fields.FiberStack` as ``field`` and
     ``sample * n_vox`` here, so one gather serves all samples.
     """
     flat = nearest_flat_index(points, field.shape3)
@@ -162,7 +162,7 @@ def nearest_lookup(
 
 
 def trilinear_lookup(
-    field: FiberField,
+    field: FiberField | FiberStack,
     points: np.ndarray,
     reference: np.ndarray | None = None,
     scratch: Scratch | None = None,
@@ -174,7 +174,7 @@ def trilinear_lookup(
     Parameters
     ----------
     field:
-        The sample volume.
+        The sample volume (or a sample stack, with ``row_offset``).
     points:
         ``(n, 3)`` continuous voxel coordinates (voxel centers at integer
         coordinates).
@@ -187,7 +187,7 @@ def trilinear_lookup(
         Optional :class:`Scratch` arena; pass one to reuse the corner
         buffers across calls (the lockstep tracker does, per segment).
     row_offset:
-        The fused tracker's ``(n,)`` per-point stacked-view offset (see
+        The batch tracker's ``(n,)`` per-point stacked-view offset (see
         :func:`nearest_lookup`).
 
     Returns
@@ -211,7 +211,7 @@ def trilinear_lookup(
 
 
 def _trilinear_packed(
-    field: FiberField,
+    field: FiberField | FiberStack,
     pts: np.ndarray,
     ref: np.ndarray | None,
     scratch: Scratch | None = None,

@@ -9,6 +9,7 @@ the tracking stage.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -17,6 +18,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import RunSpec
 
+from repro.config.spec import INTERPOLATIONS, ORDER_POLICIES
 from repro.errors import ConfigurationError, TrackingError
 from repro.gpu.device import DeviceSpec, HostSpec
 from repro.gpu.presets import (
@@ -27,7 +29,7 @@ from repro.gpu.presets import (
     host_preset,
     host_preset_name,
 )
-from repro.models.fields import FiberField
+from repro.models.fields import FiberField, FiberStack
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.criteria import TerminationCriteria
 from repro.tracking.executor import SegmentedTracker, TrackingRunResult
@@ -41,13 +43,12 @@ from repro.tracking.segmentation import (
 )
 from repro.telemetry import get_registry
 
-#: Interpolation modes the batch tracker implements.
-INTERPOLATIONS = ("trilinear", "trilinear-reference", "nearest")
-
-#: Thread-ordering policies the segmented executor implements.
-ORDER_POLICIES = ("natural", "sorted")
-
-__all__ = ["ProbtrackConfig", "ProbtrackResult", "probabilistic_streamlining"]
+__all__ = [
+    "ProbtrackConfig",
+    "ProbtrackResult",
+    "default_seed_mask",
+    "probabilistic_streamlining",
+]
 
 
 @dataclass
@@ -147,20 +148,10 @@ class ProbtrackConfig:
     def from_spec_dict(cls, data: dict) -> "ProbtrackConfig":
         """Rebuild from :meth:`to_spec_dict` output (or the matching
         sections of a full run-spec dict; extra keys are ignored)."""
+        from repro.runtime.faults import fault_plan_from_runtime
+
         tracking = data.get("tracking", {})
         runtime = data.get("runtime", {})
-        fault_plan = None
-        fault_text = runtime.get("fault_plan")
-        if fault_text:
-            from repro.runtime.faults import FaultPlan
-
-            hang = runtime.get("hang_seconds")
-            timeout = runtime.get("shard_timeout_s")
-            if hang is None:
-                # Mirror the CLI's dev-safety bound: an injected hang
-                # never outlives a missing timeout by more than 30 s.
-                hang = timeout * 4 if timeout else 30.0
-            fault_plan = FaultPlan.parse(fault_text, hang_seconds=hang)
         return cls(
             criteria=TerminationCriteria.from_spec_dict(tracking),
             strategy=strategy_from_spec(
@@ -180,7 +171,7 @@ class ProbtrackConfig:
             max_retries=runtime.get("max_retries", 2),
             shard_timeout_s=runtime.get("shard_timeout_s"),
             fallback_to_serial=runtime.get("fallback_to_serial", True),
-            fault_plan=fault_plan,
+            fault_plan=fault_plan_from_runtime(runtime),
         )
 
     @classmethod
@@ -220,8 +211,14 @@ class ProbtrackResult:
         return self.connectivity.probability()
 
 
+def default_seed_mask(stack: FiberStack) -> np.ndarray:
+    """The default seeds: masked voxels with a fiber population in the
+    first sample — the paper's "from each voxel in the brain" seeding."""
+    return stack.mask & (stack.f[0, ..., 0] > 0)
+
+
 def probabilistic_streamlining(
-    fields: list[FiberField],
+    fields: FiberStack | Sequence[FiberField],
     config: "ProbtrackConfig | RunSpec | None" = None,
     seed_mask: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
@@ -231,20 +228,20 @@ def probabilistic_streamlining(
     Parameters
     ----------
     fields:
-        One :class:`FiberField` per posterior sample.
+        The posterior :class:`~repro.models.fields.FiberStack` (or
+        sample fields, stacked once by
+        :meth:`~repro.models.fields.FiberStack.from_fields`).
     config:
         Run configuration — a :class:`ProbtrackConfig`, or a resolved
         :class:`~repro.config.spec.RunSpec` whose ``tracking``/``runtime``
         sections are used.  Defaults reproduce the paper's production
         setup (increasing-interval strategy, trilinear interpolation).
     seed_mask:
-        Boolean volume to seed from (defaults to voxels with a fiber
-        population in the first sample).
+        Boolean volume to seed from (default: :func:`default_seed_mask`).
     seeds:
         Explicit ``(n, 3)`` seed positions (overrides ``seed_mask``).
     """
-    if not fields:
-        raise TrackingError("need at least one sample volume")
+    stack = FiberStack.from_fields(fields)
     if config is None:
         cfg = ProbtrackConfig()
     elif isinstance(config, ProbtrackConfig):
@@ -264,13 +261,13 @@ def probabilistic_streamlining(
     with registry.span("probtrack.seeds"):
         if seeds is None:
             if seed_mask is None:
-                seed_mask = fields[0].mask & (fields[0].f[..., 0] > 0)
+                seed_mask = default_seed_mask(stack)
             seeds = seeds_from_mask(np.asarray(seed_mask, dtype=bool))
         seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.size == 0:
         raise TrackingError("no seeds to track from")
     registry.count("probtrack.seeds_launched", seeds.shape[0])
-    registry.count("probtrack.samples_tracked", len(fields))
+    registry.count("probtrack.samples_tracked", stack.n_samples)
 
     n_seeds = seeds.shape[0]
     launch_seeds = seeds
@@ -287,7 +284,7 @@ def probabilistic_streamlining(
     if cfg.accumulate_connectivity:
         accumulator = ConnectivityAccumulator(
             n_seeds=n_seeds,
-            n_voxels=int(np.prod(fields[0].shape3)),
+            n_voxels=int(np.prod(stack.shape3)),
             seed_map=seed_map,
         )
     tracker = SegmentedTracker(
@@ -303,7 +300,7 @@ def probabilistic_streamlining(
     ):
         if cfg.n_workers == 1:
             run = tracker.run(
-                fields,
+                stack,
                 launch_seeds,
                 cfg.criteria,
                 cfg.strategy,
@@ -319,7 +316,7 @@ def probabilistic_streamlining(
 
             run = run_sharded(
                 tracker,
-                fields,
+                stack,
                 launch_seeds,
                 cfg.criteria,
                 cfg.strategy,

@@ -18,9 +18,11 @@ For any worker count, ``lengths``, ``reasons``, ``endpoints``,
 connectivity counts, and per-kind timeline totals are **bit-identical**
 to the serial path:
 
-* samples are sharded contiguously (:func:`partition_seeds`), and each
-  shard is told its global ``sample_offset`` — so every per-sample
-  computation, label, and stream parity matches the serial run;
+* samples are sharded contiguously (:func:`partition_seeds`) as views
+  of the one :class:`~repro.models.fields.FiberStack` — a task pickles
+  only its own samples — and each shard is told its global
+  ``sample_offset``, so every per-sample computation, label, and stream
+  parity matches the serial run;
 * the ``"sorted"`` order policy depends on the first sample's lengths,
   so sample 0 runs in-parent first and its length row becomes every
   shard's explicit ``sort_key`` — each shard then applies the exact
@@ -39,12 +41,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ShardResultError, TrackingError
 from repro.gpu.multigpu import partition_seeds
+from repro.models.fields import FiberField, FiberStack
 from repro.runtime.faults import FaultPlan
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.stage import StageShard, StageShardExecutor
@@ -62,7 +66,8 @@ class ShardTask:
     """One worker's picklable work unit: a contiguous sample shard."""
 
     tracker: SegmentedTracker
-    fields: list
+    #: A view of the shard's samples; pickling it ships only their bytes.
+    stack: FiberStack
     seeds: np.ndarray
     criteria: TerminationCriteria
     strategy: SegmentationStrategy
@@ -97,7 +102,7 @@ def _run_shard(
     local = MetricsRegistry()
     with use_registry(local):
         result = task.tracker.run(
-            task.fields,
+            task.stack,
             task.seeds,
             task.criteria,
             task.strategy,
@@ -120,16 +125,16 @@ def _run_shard(
 
 def _shard_samples(task: ShardTask) -> range:
     """Global sample indices a task covers (for sample-targeted faults)."""
-    return range(task.sample_offset, task.sample_offset + len(task.fields))
+    return range(task.sample_offset, task.sample_offset + len(task.stack))
 
 
 def _split_shard_task(task: ShardTask) -> list[ShardTask]:
-    """Re-shard: one single-sample subtask per field, offsets preserved."""
+    """Re-shard: one single-sample subtask per sample, offsets preserved."""
     return [
         dataclasses.replace(
-            task, fields=task.fields[i : i + 1], sample_offset=task.sample_offset + i
+            task, stack=task.stack[i : i + 1], sample_offset=task.sample_offset + i
         )
-        for i in range(len(task.fields))
+        for i in range(len(task.stack))
     ]
 
 
@@ -151,7 +156,7 @@ def _validate_shard_payload(task: ShardTask, payload) -> None:
     result, pairs, metrics = payload
     if not isinstance(metrics, dict):
         raise _bad(f"metrics snapshot must be a dict, got {type(metrics).__name__}")
-    n_samples, n_seeds = len(task.fields), task.seeds.shape[0]
+    n_samples, n_seeds = len(task.stack), task.seeds.shape[0]
     lengths = getattr(result, "lengths", None)
     reasons = getattr(result, "reasons", None)
     if not isinstance(lengths, np.ndarray) or lengths.shape != (n_samples, n_seeds):
@@ -217,7 +222,7 @@ TRACKING_SHARD = StageShard(
 
 def run_sharded(
     tracker: SegmentedTracker,
-    fields: list,
+    fields: FiberStack | Sequence[FiberField],
     seeds: np.ndarray,
     criteria: TerminationCriteria,
     strategy: SegmentationStrategy,
@@ -244,8 +249,7 @@ def run_sharded(
     :class:`~repro.errors.PoolExhaustedError`, dev/test-only
     deterministic fault injection, and the backoff-jitter seed.
     """
-    if not fields:
-        raise TrackingError("need at least one sample volume")
+    stack = FiberStack.from_fields(fields)
     if connectivity is not None and not (
         hasattr(connectivity, "sample_pairs") and hasattr(connectivity, "absorb")
     ):
@@ -263,11 +267,11 @@ def run_sharded(
     # its row becomes every shard's explicit sort_key.
     phase0: TrackingRunResult | None = None
     sort_key = None
-    shard_fields = fields
+    shard_stack = stack
     first_shard_sample = 0
     if order == "sorted":
         phase0 = tracker.run(
-            fields[:1],
+            stack[:1],
             seeds,
             criteria,
             strategy,
@@ -278,9 +282,9 @@ def run_sharded(
             heading_signs=heading_signs,
         )
         sort_key = phase0.lengths[0]
-        shard_fields = fields[1:]
+        shard_stack = stack[1:]
         first_shard_sample = 1
-        if not shard_fields:
+        if not shard_stack.n_samples:
             phase0.wall_seconds = time.perf_counter() - t0
             return phase0
 
@@ -292,13 +296,13 @@ def run_sharded(
         fault_plan=fault_plan,
         retry_seed=retry_seed,
     )
-    n_shards = executor.plan_shards(TRACKING_SHARD, len(shard_fields))
+    n_shards = executor.plan_shards(TRACKING_SHARD, shard_stack.n_samples)
     tasks = []
-    for sl in partition_seeds(len(shard_fields), n_shards):
+    for sl in partition_seeds(shard_stack.n_samples, n_shards):
         tasks.append(
             ShardTask(
                 tracker=tracker,
-                fields=shard_fields[sl],
+                stack=shard_stack[sl],
                 seeds=seeds,
                 criteria=criteria,
                 strategy=strategy,

@@ -6,8 +6,13 @@ import pytest
 from repro.data import dataset1, make_gradient_table, rasterize_bundles, straight_bundle, synthesize_dwi
 from repro.errors import DataError
 from repro.mcmc import MCMCConfig
-from repro.pipeline import BedpostConfig, bedpost, run_workflow, tracto
-from repro.tracking import ProbtrackConfig, TerminationCriteria, UniformStrategy
+from repro.pipeline import BedpostConfig, bedpost, run_workflow
+from repro.tracking import (
+    ProbtrackConfig,
+    TerminationCriteria,
+    UniformStrategy,
+    probabilistic_streamlining,
+)
 from repro.utils.geometry import spherical_to_cartesian
 
 
@@ -90,7 +95,7 @@ class TestWorkflow:
                 max_steps=80, min_dot=0.7, step_length=0.4
             ),
         )
-        pt = tracto(res, config=pt_cfg)
+        pt = probabilistic_streamlining(res.fields, config=pt_cfg)
         # Streamlines seeded in the bundle must travel along it.
         assert pt.run.lengths.mean() > 3.0
         assert pt.run.longest_fiber > 8
@@ -112,8 +117,8 @@ class TestWorkflow:
         from repro.pipeline import bedpost as bp_fn
 
         bp = bp_fn(ph.dwi, ph.gtab, wm, bp_cfg)
-        pt = tracto(
-            bp,
+        pt = probabilistic_streamlining(
+            bp.fields,
             config=ProbtrackConfig(
                 criteria=TerminationCriteria(
                     max_steps=60, min_dot=0.7, step_length=0.4
@@ -137,8 +142,8 @@ class TestWorkflow:
         from repro.runtime.faults import FaultPlan
 
         bp = bp_fn(ph.dwi, ph.gtab, ph.wm_mask, bp_cfg)
-        pt = tracto(
-            bp,
+        pt = probabilistic_streamlining(
+            bp.fields,
             config=ProbtrackConfig(
                 criteria=TerminationCriteria(
                     max_steps=60, min_dot=0.7, step_length=0.4

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SamplerError
+from repro.errors import ConfigurationError, DataError, SamplerError
 from repro.io import GradientTable
 from repro.mcmc import (
     AdaptiveProposals,
@@ -16,7 +16,7 @@ from repro.mcmc import (
     split_rhat,
 )
 from repro.mcmc.diagnostics import autocorrelation
-from repro.models import LogPosterior, MultiFiberModel
+from repro.models import FiberStack, LogPosterior, MultiFiberModel
 from repro.rng import seed_streams
 from repro.utils.geometry import fibonacci_sphere
 
@@ -352,7 +352,7 @@ class TestToFiberFields:
         res = MCMCSampler(cfg).run(post)
         mask = np.zeros((3, 2, 2), dtype=bool)
         mask[0, 0, 0] = mask[1, 1, 1] = mask[2, 0, 1] = True
-        fields = res.to_fiber_fields(mask, post.layout)
+        fields = FiberStack.from_posterior(res.samples, mask, post.layout)
         assert len(fields) == 4
         fld = fields[0]
         assert fld.shape3 == (3, 2, 2)
@@ -372,15 +372,19 @@ class TestToFiberFields:
         res.samples[0, :, 4] = 0.01  # f2 below threshold
         res.samples[0, :, 5:7] = np.pi / 2
         mask = np.ones((2, 1, 1), dtype=bool)
-        fields = res.to_fiber_fields(mask, post.layout, f_threshold=0.05)
+        fields = FiberStack.from_posterior(
+            res.samples, mask, post.layout, f_threshold=0.05
+        )
         assert np.all(fields[0].f[..., 1] == 0.0)
         assert np.all(fields[0].f[..., 0] == 0.5)
 
     def test_mask_size_mismatch(self, gtab):
         post = make_posterior(gtab, n=3)
         res = MCMCSampler(MCMCConfig(n_burnin=2, n_samples=1)).run(post)
-        with pytest.raises(SamplerError):
-            res.to_fiber_fields(np.ones((2, 2, 2), bool), post.layout)
+        with pytest.raises(DataError):
+            FiberStack.from_posterior(
+                res.samples, np.ones((2, 2, 2), bool), post.layout
+            )
 
 
 class TestDiagnostics:

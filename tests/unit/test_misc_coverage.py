@@ -9,7 +9,6 @@ from repro.mcmc.sampler import MCMCResult
 from repro.models import MultiFiberModel
 from repro.models.base import DiffusionModel
 from repro.models.fields import FiberField
-from repro.pipeline import tracto
 from repro.tracking import (
     ProbtrackConfig,
     TerminationCriteria,
@@ -78,7 +77,7 @@ class TestTractoWithRawFields:
             criteria=TerminationCriteria(max_steps=60, step_length=0.5),
             strategy=UniformStrategy(10),
         )
-        result = tracto([field, field], config=cfg)
+        result = probabilistic_streamlining([field, field], config=cfg)
         assert result.run.n_samples == 2
         assert result.run.total_steps > 0
 

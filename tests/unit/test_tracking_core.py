@@ -419,7 +419,7 @@ class TestBatchTracker:
             np.array([[1.0, 3.0, 3.0]]), np.array([[1.0, 0.0, 0.0]])
         )
         visits = []
-        tracker.run_segment(state, 4, lambda o, v: visits.append((o.copy(), v.copy())))
+        tracker.run_segment(state, 4, lambda s, o, v: visits.append((o.copy(), v.copy())))
         # Visits are batched per segment (the modeled readback granularity),
         # one entry per executed move regardless of callback cadence.
         origins = np.concatenate([o for o, _ in visits])

@@ -84,7 +84,7 @@ def main(argv=None):
     np.testing.assert_array_equal(
         cold.probtrack.run.lengths, warm.probtrack.run.lengths
     )
-    shape3 = cold.bedpost.fields[0].shape3
+    shape3 = cold.bedpost.fields.shape3
     np.testing.assert_array_equal(
         cold.probtrack.connectivity.visit_count_volume(shape3),
         warm.probtrack.connectivity.visit_count_volume(shape3),
