@@ -1,8 +1,8 @@
 """Service throughput benchmark — ``BENCH_service.json``.
 
 Drives one in-process :class:`~repro.service.TractographyService` per
-scheduler slot count (1, 2, 4) through the same batch of distinct
-tracking jobs, twice:
+scheduler slot count (1, 2, 4; counts above ``os.cpu_count()`` are not
+swept) through the same batch of distinct tracking jobs, twice:
 
 * **cold** — a fresh store: every job really computes (the batch shares
   one sampling config, so after the first job the sampling stage is
@@ -16,17 +16,19 @@ speedup.  The acceptance assertions: every warm response is flagged
 ``cache_hit`` and every job's manifest is byte-identical between the
 two passes (the cache serves the same document the cold run wrote).
 
-On machines with fewer cores than slots the cold wall does not improve
-with slot count (jobs time-slice one core); the warm numbers still do,
-because cache hits never compute.
+Slot counts are capped at the core count because on fewer cores than
+slots the cold jobs only time-slice the same cores.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
+
+import numpy as np
 
 from benchmarks.conftest import BENCH_SCALE, emit
 from repro.analysis import render_table
@@ -38,7 +40,9 @@ JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 SAMPLING = {"n_burnin": 20, "n_samples": 4, "sample_interval": 2, "adapt_every": 7}
 SWEEP_STEPS = (40, 48, 56, 64)
 
-SLOT_COUNTS = (1, 2, 4)
+#: Slot counts swept, capped at this machine's core count.
+NPROC = os.cpu_count() or 1
+SLOT_COUNTS = [s for s in (1, 2, 4) if s <= NPROC]
 WAIT_S = 600.0
 
 
@@ -106,7 +110,9 @@ def test_service_throughput_report(benchmark, tmp_path_factory, capsys):
                 "sweep": "tracking.max_steps " + str(list(SWEEP_STEPS)),
                 "sampling": dict(SAMPLING),
             },
-            "n_cpus": os.cpu_count(),
+            "nproc": NPROC,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "slots": per_slots,
             "basis": (
                 "cold = fresh store, every job computes (the batch "
@@ -114,7 +120,8 @@ def test_service_throughput_report(benchmark, tmp_path_factory, capsys):
                 "reuse the sampling artifact -- a tracking sweep); "
                 "warm = identical batch resubmitted, served entirely "
                 "from the RunSpec-keyed result cache.  Warm manifests "
-                "are asserted identical to the cold pass's."
+                "are asserted identical to the cold pass's.  Slot "
+                "counts above nproc are not swept."
             ),
         }
 
@@ -139,7 +146,7 @@ def test_service_throughput_report(benchmark, tmp_path_factory, capsys):
             rows,
             title=(
                 f"Service throughput ({report['workload']['n_jobs']} jobs, "
-                f"{report['n_cpus']} cpus)"
+                f"{report['nproc']} cpus)"
             ),
         ),
     )

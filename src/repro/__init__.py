@@ -33,7 +33,7 @@ Subpackages
 - :mod:`repro.baselines` — deterministic / scalar-CPU / point-estimate
 - :mod:`repro.pipeline` — bedpost / stage-runner / connectome / workflow drivers
 - :mod:`repro.runtime` — supervised sharded execution of a stage
-- :mod:`repro.config` — the :class:`~repro.config.RunSpec` and stage registry
+- :mod:`repro.config` — the :class:`~repro.config.RunSpec` and the three stages' hashes
 - :mod:`repro.store` — content-addressed memoization of stage outputs
 - :mod:`repro.telemetry` — metrics registry and run manifests
 - :mod:`repro.service` — job queue and HTTP service

@@ -41,21 +41,11 @@ from repro.config.stages import (
     TRACKING,
     StageDef,
     get_stage,
-    register_stage,
-    stage_defs,
     stage_hash,
     stage_names,
     stage_subtree,
-    unregister_stage,
 )
 from repro.config.toml_io import HAVE_TOML, dumps_json, dumps_toml, load_spec_file
-
-
-def __getattr__(name: str):
-    """Back-compat: ``STAGES`` reads the live registry, not a snapshot."""
-    if name == "STAGES":
-        return stage_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "RunSpec",
@@ -68,15 +58,11 @@ __all__ = [
     "stage_hash",
     "stage_subtree",
     "StageDef",
-    "register_stage",
-    "unregister_stage",
     "get_stage",
     "stage_names",
-    "stage_defs",
     "SAMPLING",
     "TRACKING",
     "CONNECTOME",
-    "STAGES",
     "RUNTIME_DETERMINISTIC_FIELDS",
     "HASH_EXCLUDED_SECTIONS",
     "NOISE_MODELS",

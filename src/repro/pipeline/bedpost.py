@@ -9,6 +9,7 @@ model times for the Table III speedup.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
@@ -32,10 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import RunSpec
 from repro.gpu.simulator import kernel_time
 from repro.io.gradients import GradientTable
+from repro.io.samples import load_samples, save_samples
 from repro.io.volume import Volume
 from repro.mcmc.sampler import MCMCConfig
 from repro.models.fields import FiberStack
 from repro.models.posterior import ParameterLayout
+from repro.pipeline.memo import run_memoized
 from repro.telemetry import get_registry
 
 __all__ = ["BedpostConfig", "BedpostResult", "bedpost", "modeled_mcmc_times"]
@@ -356,7 +359,7 @@ def bedpost(
     dwi: Volume,
     gtab: GradientTable,
     mask: np.ndarray,
-    config: "BedpostConfig | RunSpec | None" = None,
+    config: BedpostConfig | None = None,
     store=None,
     use_cache: bool = True,
     checkpoint_every: int | None = None,
@@ -364,15 +367,12 @@ def bedpost(
 ) -> BedpostResult:
     """Run stage 1 over every masked voxel (memoized when given a store).
 
-    ``config`` may be a :class:`BedpostConfig` or a resolved
-    :class:`~repro.config.spec.RunSpec` (its ``sampling`` section plus
-    machine presets are used).  Voxels are split into blocks of
-    ``config.block_voxels``, the unit of checkpointing, retry, and
-    fault targeting; each voxel draws its own RNG lane of the full
-    problem, so its chain depends only on its own stream and data.
-    Serially, all blocks form one task, swept in lockstep batches of
-    whole blocks (up to :data:`~repro.mcmc.shards.BATCH_VOXELS` voxels
-    each).  With
+    Voxels are split into blocks of ``config.block_voxels``, the unit of
+    checkpointing, retry, and fault targeting; each voxel draws its own
+    RNG lane of the full problem, so its chain depends only on its own
+    stream and data.  Serially, all blocks form one task, swept in
+    lockstep batches of whole blocks (up to
+    :data:`~repro.mcmc.shards.BATCH_VOXELS` voxels each).  With
     ``config.n_workers > 1`` (``runtime.bedpost_workers``) contiguous
     runs of blocks are sharded across supervised worker processes
     (:mod:`repro.mcmc.shards`), each shard batched the same way —
@@ -385,12 +385,11 @@ def bedpost(
     store:
         An :class:`~repro.store.ArtifactStore` (or its root path).  The
         run is keyed by the sampling-stage hash of the config plus a
-        fingerprint of the data inputs: on a hit the stored posterior is
-        served bit-identically (no MCMC runs, stored deterministic
-        counters are replayed into the active registry); on a miss the
-        result is published atomically.  When ``config`` is a
-        :class:`RunSpec` and ``store`` is None, ``telemetry.store``
-        supplies the root.
+        fingerprint of the data inputs and memoized through
+        :func:`~repro.pipeline.memo.run_memoized`: on a hit the stored
+        posterior is served bit-identically (no MCMC runs, stored
+        deterministic counters are replayed into the active registry);
+        on a miss the result is published atomically.
     use_cache:
         ``False`` never *reads* store entries (forces recompute) but
         still publishes, refreshing the cache — the ``--no-cache``
@@ -399,34 +398,13 @@ def bedpost(
         Checkpoint the chain every this many loops while a store is
         active (checkpoints live under the store root and an interrupted
         run resumes from them bit-identically).  Defaults to
-        ``runtime.checkpoint_every_loops`` from a RunSpec config, else
         :data:`DEFAULT_CHECKPOINT_LOOPS`; ``0`` disables.
     on_checkpoint:
         Test hook ``callback(block_start, loop)`` invoked after each
         block's checkpoint save (fault-injection uses it to simulate
         crashes, including between one batch's per-block saves).
     """
-    spec = None
-    if config is None:
-        cfg = BedpostConfig()
-    elif isinstance(config, BedpostConfig):
-        cfg = config
-    else:
-        from repro.config import RunSpec
-
-        if not isinstance(config, RunSpec):
-            raise ConfigurationError(
-                f"config must be a BedpostConfig or RunSpec, "
-                f"got {type(config).__name__}"
-            )
-        spec = config
-        cfg = BedpostConfig.from_run_spec(config)
-    if spec is not None:
-        if store is None and spec.telemetry.store:
-            store = spec.telemetry.store
-        use_cache = use_cache and spec.telemetry.cache
-        if checkpoint_every is None and spec.runtime.checkpoint_every_loops > 0:
-            checkpoint_every = spec.runtime.checkpoint_every_loops
+    cfg = config if config is not None else BedpostConfig()
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != dwi.shape3:
         raise DataError(f"mask shape {mask.shape} != grid {dwi.shape3}")
@@ -448,53 +426,64 @@ def bedpost(
 
         stage_key = _sampling_stage_key(cfg, dwi, gtab, mask, fingerprint_arrays)
 
-    if store is not None and use_cache:
-        entry = store.lookup(SAMPLING.name, stage_key)
-        if entry is not None:
-            return _result_from_entry(
-                entry, cfg, mask, layout, n_vox, stage_key, t0
+    def compute():
+        if store is None:
+            cadence, ckpt_dir = checkpoint_every or 0, None
+        else:
+            cadence = (
+                DEFAULT_CHECKPOINT_LOOPS if checkpoint_every is None
+                else checkpoint_every
             )
-
-    if store is None:
-        all_samples, history, supervision = _compute_samples(
-            flat, sel_idx, gtab, cfg, layout, checkpoint_every or 0,
-            on_checkpoint=on_checkpoint,
+            ckpt_dir = store.checkpoint_dir(SAMPLING.name, stage_key)
+        return _compute_samples(
+            flat, sel_idx, gtab, cfg, layout, cadence,
+            ckpt_dir=ckpt_dir, on_checkpoint=on_checkpoint,
         )
-    else:
-        # Compute under a child registry so the deterministic metrics of
-        # exactly this stage can be stored and replayed on future hits.
-        from repro.telemetry import MetricsRegistry, use_registry
 
-        cadence = (
-            DEFAULT_CHECKPOINT_LOOPS if checkpoint_every is None
-            else checkpoint_every
-        )
-        child = MetricsRegistry()
-        with use_registry(child):
-            all_samples, history, supervision = _compute_samples(
-                flat,
-                sel_idx,
-                gtab,
-                cfg,
-                layout,
-                cadence,
-                ckpt_dir=store.checkpoint_dir(SAMPLING.name, stage_key),
-                on_checkpoint=on_checkpoint,
-            )
-        get_registry().merge(child)
-        snap = child.snapshot()
-        _publish_sampling_entry(
-            store,
-            stage_key,
+    def serialize(tmp_dir, computed) -> None:
+        all_samples, history, _ = computed
+        # float64 so a cache-served posterior is bit-identical to the
+        # in-memory one (the samples.npz *CLI* contract stays float32).
+        save_samples(
+            tmp_dir / "samples.npz",
             all_samples,
             mask,
             layout,
-            cfg,
+            cfg.f_threshold,
             dwi.affine,
-            history,
-            {"counters": snap["counters"], "histograms": snap["histograms"]},
-            n_vox,
+            dtype=np.float64,
         )
+        (tmp_dir / "meta.json").write_text(
+            json.dumps(
+                {"acceptance_history": history, "n_voxels": n_vox},
+                sort_keys=True,
+            )
+        )
+
+    def rehydrate(entry):
+        all_samples = load_samples(entry.file("samples.npz")).samples
+        meta = json.loads(entry.file("meta.json").read_text())
+        if all_samples.shape[1] != n_vox:  # pragma: no cover - key collision guard
+            raise DataError(
+                f"store entry covers {all_samples.shape[1]} voxels, "
+                f"mask selects {n_vox}"
+            )
+        return all_samples, [float(x) for x in meta["acceptance_history"]], None
+
+    (all_samples, history, supervision), hit, _entry = run_memoized(
+        store,
+        SAMPLING.name,
+        stage_key,
+        compute,
+        serialize,
+        rehydrate,
+        meta=lambda computed: {
+            "n_voxels": n_vox,
+            "n_samples": int(computed[0].shape[0]),
+        },
+        use_cache=use_cache,
+    )
+    if store is not None and not hit:
         store.clear_checkpoints(SAMPLING.name, stage_key)
     wall = time.perf_counter() - t0
 
@@ -513,7 +502,7 @@ def bedpost(
         cpu_seconds=cpu_s,
         wall_seconds=wall,
         stage_key=stage_key,
-        served_from_store=False,
+        served_from_store=hit,
         supervision=supervision,
     )
 
@@ -535,92 +524,3 @@ def _sampling_stage_key(cfg, dwi, gtab, mask, fingerprint_arrays) -> str:
     from repro.config import stage_hash
 
     return stage_hash(cfg.to_spec_dict(), SAMPLING.name, inputs={"data": fp})
-
-
-def _publish_sampling_entry(
-    store,
-    stage_key,
-    all_samples,
-    mask,
-    layout,
-    cfg,
-    affine,
-    history,
-    telemetry,
-    n_vox,
-) -> None:
-    """Atomically publish one computed sampling stage into the store."""
-    import json
-
-    from repro.io.samples import save_samples
-
-    def _write(tmp_dir):
-        # float64 so a cache-served posterior is bit-identical to the
-        # in-memory one (the samples.npz *CLI* contract stays float32).
-        save_samples(
-            tmp_dir / "samples.npz",
-            all_samples,
-            mask,
-            layout,
-            cfg.f_threshold,
-            affine,
-            dtype=np.float64,
-        )
-        (tmp_dir / "meta.json").write_text(
-            json.dumps(
-                {"acceptance_history": history, "n_voxels": n_vox},
-                sort_keys=True,
-            )
-        )
-        (tmp_dir / "telemetry.json").write_text(
-            json.dumps(telemetry, sort_keys=True)
-        )
-
-    store.publish(
-        SAMPLING.name,
-        stage_key,
-        _write,
-        meta={"n_voxels": n_vox, "n_samples": int(all_samples.shape[0])},
-    )
-
-
-def _result_from_entry(
-    entry, cfg, mask, layout, n_vox, stage_key, t0
-) -> BedpostResult:
-    """Rebuild a :class:`BedpostResult` from a store hit.
-
-    Replays the stored deterministic telemetry (counters + histograms)
-    into the active registry so a warm run's manifest sections are
-    bit-identical to the cold run that published the entry.
-    """
-    import json
-
-    from repro.io.samples import load_samples
-
-    archive = load_samples(entry.file("samples.npz"))
-    meta = json.loads(entry.file("meta.json").read_text())
-    telemetry = json.loads(entry.file("telemetry.json").read_text())
-    get_registry().merge_snapshot(telemetry)
-    all_samples = archive.samples
-    if all_samples.shape[1] != n_vox:  # pragma: no cover - key collision guard
-        raise DataError(
-            f"store entry covers {all_samples.shape[1]} voxels, "
-            f"mask selects {n_vox}"
-        )
-    gpu_s, cpu_s = modeled_mcmc_times(
-        n_vox, cfg.mcmc, layout.n_params, cfg.device, cfg.host
-    )
-    return BedpostResult(
-        fields=FiberStack.from_posterior(
-            all_samples, mask, layout, cfg.f_threshold
-        ),
-        samples=all_samples,
-        layout=layout,
-        mask=mask,
-        acceptance_history=[float(x) for x in meta["acceptance_history"]],
-        gpu_seconds=gpu_s,
-        cpu_seconds=cpu_s,
-        wall_seconds=time.perf_counter() - t0,
-        stage_key=stage_key,
-        served_from_store=True,
-    )

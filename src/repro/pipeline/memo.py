@@ -1,12 +1,15 @@
 """Stage memoization: serialize, publish, and rehydrate stage runs.
 
-:func:`run_memoized` is the one lookup-or-compute protocol every stage
-shares — stage-agnostic, driven by the registry's stage names, with the
+:func:`run_memoized` is the one lookup-or-compute protocol all three
+stages share (:func:`~repro.pipeline.bedpost.bedpost`,
+:func:`memoized_streamlining`,
+:func:`~repro.pipeline.connectome.memoized_connectome`), with the
 telemetry round-trip (child-registry compute, snapshot publish, replay
-on hit) built in.  The tracking stage's round-trip lives here too; its
-output is richer than the sampling stage's ``samples.npz`` — per-seed
-lengths, stop reasons and end positions, the modeled event timeline,
-and the sparse connectivity matrix:
+on hit) built in; each stage supplies only its own serialize and
+rehydrate.  The tracking stage's round-trip lives here too; its output
+is richer than the sampling stage's ``samples.npz`` — per-seed lengths,
+stop reasons and end positions, the modeled event timeline, and the
+sparse connectivity matrix:
 
 * on a **miss**, :func:`memoized_streamlining` runs
   :func:`~repro.tracking.probtrack.probabilistic_streamlining` under a
@@ -54,7 +57,7 @@ def run_memoized(
 ):
     """Serve one stage from the store, or compute and publish it.
 
-    The shared memoization protocol every registered stage runs through:
+    The shared memoization protocol every stage runs through:
 
     * on a **hit** (``use_cache`` and the entry exists), replay the
       entry's stored deterministic telemetry into the active registry

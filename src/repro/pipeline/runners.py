@@ -1,16 +1,11 @@
-"""Built-in stage runners: the registry's executable side.
+"""The three stage runners :func:`~repro.pipeline.workflow.run_workflow` calls.
 
-Each registered :class:`~repro.config.stages.StageDef` names one
-function here (lazily resolved, so the config layer never imports the
-pipeline).  A runner takes the shared :class:`StageContext`, produces
-its stage's result — memoized through the artifact store when one is in
-play — and returns a :class:`StageOutcome` the generic workflow walk
-folds into the run's cache section and report.  Returning ``None``
-skips the stage (e.g. the connectome stage with ``atlas = "none"``).
-
-A new stage needs exactly two things: a ``StageDef`` registration and a
-runner with this signature — the store, the walk, the cache section,
-and the report pick it up from the registry.
+Each runner takes the shared :class:`StageContext`, produces its stage's
+result — memoized through the artifact store when one is in play, under
+the stage hash of :mod:`repro.config.stages` — and returns a
+:class:`StageOutcome` the workflow folds into the run's cache section
+and report.  The connectome runner returns ``None`` (the stage is
+skipped) when ``connectome.atlas = "none"``.
 """
 
 from __future__ import annotations
@@ -36,12 +31,12 @@ __all__ = [
 
 @dataclass
 class StageOutcome:
-    """What one stage run reports back to the workflow walk."""
+    """What one stage run reports back to the workflow."""
 
-    #: Registered stage name.
+    #: Stage name.
     stage: str
-    #: The stage's result object (``BedpostResult``, ``ProbtrackResult``,
-    #: ``ConnectomeResult``, or whatever a custom stage produces).
+    #: The stage's result object (``BedpostResult``, ``ProbtrackResult``
+    #: or ``ConnectomeResult``).
     result: Any
     #: The stage's store key (``sha256:<hex>``), when a store was in play.
     key: str | None = None
@@ -53,11 +48,10 @@ class StageOutcome:
 
 @dataclass
 class StageContext:
-    """Everything a stage runner may need, threaded through the walk.
+    """Everything a stage runner may need, threaded through the workflow.
 
     Upstream results are reached through ``outcomes`` (keyed by stage
-    name, populated in topological order), so a runner never needs
-    positional knowledge of the pipeline's shape.
+    name, populated in execution order).
     """
 
     phantom: Any
@@ -74,7 +68,7 @@ class StageContext:
     fit_mask: Any = None
     n_workers: int | None = None
     checkpoint_every: int | None = None
-    #: Completed stages' outcomes, in registration order.
+    #: Completed stages' outcomes, in execution order.
     outcomes: dict[str, StageOutcome] = dc_field(default_factory=dict)
     _fields_fp: str | None = None
 

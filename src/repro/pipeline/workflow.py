@@ -1,14 +1,10 @@
-"""The full workflow: a generic walk of the stage registry.
+"""The full workflow: the three pipeline stages, in order.
 
-:func:`run_workflow` is the library's one-call entry point.  It no
-longer hardcodes the two-stage shape: every stage registered in
-:mod:`repro.config.stages` runs in topological order through its
-declared runner, each memoized under its own stage hash when an
-artifact store is in play.  The manifest ``cache`` section, the
-supervision report, and the text summary are all derived from the same
-registry — registering a new stage (see
-:data:`~repro.config.stages.CONNECTOME`) adds it to all three with zero
-edits here.
+:func:`run_workflow` is the library's one-call entry point.  It calls
+the stage runners of :mod:`repro.pipeline.runners` — sampling, tracking,
+connectome — directly, each memoized under its own stage hash when an
+artifact store is in play, and folds their outcomes into the manifest
+``cache`` section, the supervision report, and the text summary.
 """
 
 from __future__ import annotations
@@ -18,14 +14,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.config.stages import stage_defs, stage_names
+from repro.config.stages import CONNECTOME, SAMPLING, TRACKING, stage_names
 from repro.data.phantoms import Phantom
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import RunSpec
 from repro.pipeline.bedpost import BedpostConfig, BedpostResult
-from repro.pipeline.runners import StageContext, StageOutcome
+from repro.pipeline.runners import (
+    StageContext,
+    StageOutcome,
+    run_connectome_stage,
+    run_sampling_stage,
+    run_tracking_stage,
+)
 from repro.telemetry import MetricsRegistry, get_registry
 from repro.tracking.probtrack import ProbtrackConfig, ProbtrackResult
 
@@ -46,27 +48,23 @@ class WorkflowResult:
     #: hit/miss/byte stats — the manifest's ``cache`` section.  ``None``
     #: for store-less runs.
     cache: dict | None = None
-    #: Per-stage outcomes keyed by registered stage name, in execution
-    #: order; stages that were skipped (e.g. connectome without an
-    #: atlas) are absent.
+    #: Per-stage outcomes keyed by stage name, in execution order;
+    #: stages that were skipped (e.g. connectome without an atlas) are
+    #: absent.
     outcomes: dict[str, StageOutcome] = dc_field(default_factory=dict)
 
     @property
     def connectome(self):
         """The connectome stage's result, or ``None`` if it did not run."""
-        from repro.config.stages import CONNECTOME
-
         outcome = self.outcomes.get(CONNECTOME.name)
         return outcome.result if outcome is not None else None
 
     def _supervision_rows(self):
-        """(stage, report) pairs, registry-ordered, from the outcomes."""
+        """(stage, report) pairs, in execution order, from the outcomes."""
         if self.outcomes:
             return [(name, o.supervision) for name, o in self.outcomes.items()]
-        # Hand-built results (no walk ran): fall back to the results'
-        # own supervision attributes, labeled from the registry.
-        from repro.config.stages import SAMPLING, TRACKING
-
+        # Hand-built results (no workflow ran): fall back to the results'
+        # own supervision attributes.
         return [
             (SAMPLING.name, getattr(self.bedpost, "supervision", None)),
             (TRACKING.name, self.probtrack.run.supervision),
@@ -140,7 +138,7 @@ def run_workflow(
     store=None,
     use_cache: bool = True,
 ) -> WorkflowResult:
-    """Run every registered stage on a phantom acquisition.
+    """Run every pipeline stage on a phantom acquisition.
 
     ``spec`` — a resolved :class:`~repro.config.spec.RunSpec` — is the
     declarative alternative to the per-stage configs: both
@@ -163,12 +161,12 @@ def run_workflow(
     *and* tracking).  ``use_cache=False`` (or ``telemetry.cache =
     false``) forces a full recompute but still refreshes the store.
 
-    The stages themselves come from the registry
-    (:func:`repro.config.stages.stage_defs`): each stage's declared
-    runner is invoked in topological order against a shared
-    :class:`~repro.pipeline.runners.StageContext`, and may skip itself
-    by returning ``None`` (the connectome stage does, unless
-    ``connectome.atlas`` names a parcellation).
+    The stage runners — :func:`~repro.pipeline.runners.run_sampling_stage`,
+    :func:`~repro.pipeline.runners.run_tracking_stage` and
+    :func:`~repro.pipeline.runners.run_connectome_stage` — run in that
+    order against a shared :class:`~repro.pipeline.runners.StageContext`;
+    the connectome stage skips itself (returns ``None``) unless
+    ``connectome.atlas`` names a parcellation.
     """
     if spec is not None:
         if bedpost_config is not None or probtrack_config is not None:
@@ -217,16 +215,11 @@ def run_workflow(
         n_workers=n_workers,
         checkpoint_every=checkpoint_every,
     )
-    for sdef in stage_defs():
-        runner = sdef.resolve_runner()
-        if runner is None:
-            continue
-        outcome = runner(ctx)
-        if outcome is None:
-            continue
-        ctx.outcomes[sdef.name] = outcome
-
-    from repro.config.stages import SAMPLING, TRACKING
+    ctx.outcomes[SAMPLING.name] = run_sampling_stage(ctx)
+    ctx.outcomes[TRACKING.name] = run_tracking_stage(ctx)
+    connectome = run_connectome_stage(ctx)
+    if connectome is not None:
+        ctx.outcomes[CONNECTOME.name] = connectome
 
     bp = ctx.outcomes[SAMPLING.name].result
     pt = ctx.outcomes[TRACKING.name].result

@@ -19,7 +19,6 @@ from repro.runtime.supervisor import (
     ProcessLauncher,
     RetryPolicy,
     ShardAttempt,
-    ShardRunner,
     ShardSupervisor,
     SupervisorReport,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FaultSpec",
     "RetryPolicy",
     "ShardAttempt",
-    "ShardRunner",
     "ShardSupervisor",
     "SupervisorReport",
     "ProcessLauncher",

@@ -42,7 +42,6 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.supervisor import (
     ProcessLauncher,
     RetryPolicy,
-    ShardRunner,
     ShardSupervisor,
     SupervisorReport,
 )
@@ -109,15 +108,9 @@ class StageShard:
     corrupt: Callable[[Any], Any] | None = None
     units: Callable[[Any], range] | None = None
 
-    def runner(self) -> ShardRunner:
-        """The supervisor-facing view of this contract."""
-        return ShardRunner(
-            run=self.run,
-            validate=self.validate,
-            split=self.split,
-            corrupt=self.corrupt,
-            samples=self.units,
-        )
+    def unit_range(self, task: Any) -> range:
+        """Global unit indices covered by ``task`` (empty if unknown)."""
+        return self.units(task) if self.units is not None else range(0)
 
 
 class StageShardExecutor:
@@ -228,7 +221,7 @@ class StageShardExecutor:
                 next_flush += 1
 
         _, report = supervisor.run_tasks(
-            tasks, shard.runner(), on_task_done=_on_task_done
+            tasks, shard, on_task_done=_on_task_done
         )
         # Every task completed (run_tasks would have raised otherwise),
         # and flushing is monotone — so nothing can still be buffered.

@@ -43,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -58,10 +58,12 @@ from repro.errors import (
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.telemetry import get_registry
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.runtime.stage import StageShard
+
 __all__ = [
     "RetryPolicy",
     "ShardAttempt",
-    "ShardRunner",
     "SupervisorReport",
     "ShardSupervisor",
     "ProcessLauncher",
@@ -182,29 +184,6 @@ class SupervisorReport:
         )
 
 
-@dataclass(frozen=True)
-class ShardRunner:
-    """How the supervisor executes, checks, and splits one task.
-
-    ``run`` must be a **top-level, picklable** function (it crosses the
-    process boundary under every start method) and a *pure* function of
-    its task — that purity is the whole determinism argument.
-    """
-
-    run: Callable[[Any], Any]
-    validate: Callable[[Any, Any], None] | None = None
-    split: Callable[[Any], list[Any]] | None = None
-    corrupt: Callable[[Any], Any] | None = None
-    #: Global shardable-unit indices a task covers (tracking samples,
-    #: bedpost voxel blocks, ...) — the coordinate system ``sN`` fault
-    #: targets address.
-    samples: Callable[[Any], range] | None = None
-
-    def sample_range(self, task: Any) -> range:
-        """Global unit indices covered by ``task`` (empty if unknown)."""
-        return self.samples(task) if self.samples is not None else range(0)
-
-
 class _OutputState:
     """Per-run payload assembly, with optional streaming completion.
 
@@ -313,7 +292,7 @@ class ProcessLauncher:
         if seconds > 0:
             time.sleep(seconds)
 
-    def start(self, job: _Job, runner: ShardRunner,
+    def start(self, job: _Job, runner: StageShard,
               fault: FaultSpec | None, hang_seconds: float,
               timeout_s: float | None) -> None:
         """Spawn a worker process for one attempt and arm its deadline."""
@@ -420,7 +399,7 @@ class InlineLauncher:
         self.clock = 0.0
         self.launches: list[tuple[int, int, str]] = []
         self.slept: list[float] = []
-        self._pending: list[tuple[_Job, ShardRunner]] = []
+        self._pending: list[tuple[_Job, StageShard]] = []
 
     def now(self) -> float:
         """The fake clock's current reading."""
@@ -512,7 +491,7 @@ class ShardSupervisor:
     def run_tasks(
         self,
         tasks: list[Any],
-        runner: ShardRunner,
+        runner: StageShard,
         on_task_done: Callable[[int, list[Any]], None] | None = None,
     ) -> tuple[list[list[Any]], SupervisorReport]:
         """Execute every task; return per-task payload parts + report.
@@ -537,7 +516,7 @@ class ShardSupervisor:
             _Job(
                 shard=i,
                 task=task,
-                samples=runner.sample_range(task),
+                samples=runner.unit_range(task),
                 attempt=0,
                 stage="pool",
                 slot=(i, 0),
@@ -696,7 +675,7 @@ class ShardSupervisor:
             for k, sub in enumerate(subtasks):
                 queue.append(_Job(
                     shard=job.shard, task=sub,
-                    samples=runner.sample_range(sub),
+                    samples=runner.unit_range(sub),
                     attempt=job.attempt + 1, stage="reshard",
                     slot=(job.slot[0], k),
                 ))

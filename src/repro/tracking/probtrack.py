@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.config import RunSpec
 
 from repro.config.spec import INTERPOLATIONS, ORDER_POLICIES
 from repro.errors import ConfigurationError, TrackingError
@@ -219,7 +215,7 @@ def default_seed_mask(stack: FiberStack) -> np.ndarray:
 
 def probabilistic_streamlining(
     fields: FiberStack | Sequence[FiberField],
-    config: "ProbtrackConfig | RunSpec | None" = None,
+    config: ProbtrackConfig | None = None,
     seed_mask: np.ndarray | None = None,
     seeds: np.ndarray | None = None,
 ) -> ProbtrackResult:
@@ -232,9 +228,7 @@ def probabilistic_streamlining(
         sample fields, stacked once by
         :meth:`~repro.models.fields.FiberStack.from_fields`).
     config:
-        Run configuration — a :class:`ProbtrackConfig`, or a resolved
-        :class:`~repro.config.spec.RunSpec` whose ``tracking``/``runtime``
-        sections are used.  Defaults reproduce the paper's production
+        Run configuration.  Defaults reproduce the paper's production
         setup (increasing-interval strategy, trilinear interpolation).
     seed_mask:
         Boolean volume to seed from (default: :func:`default_seed_mask`).
@@ -242,20 +236,7 @@ def probabilistic_streamlining(
         Explicit ``(n, 3)`` seed positions (overrides ``seed_mask``).
     """
     stack = FiberStack.from_fields(fields)
-    if config is None:
-        cfg = ProbtrackConfig()
-    elif isinstance(config, ProbtrackConfig):
-        cfg = config
-    else:
-        # Deferred: repro.config lazily pulls runtime modules back in.
-        from repro.config import RunSpec
-
-        if not isinstance(config, RunSpec):
-            raise ConfigurationError(
-                f"config must be a ProbtrackConfig or RunSpec, "
-                f"got {type(config).__name__}"
-            )
-        cfg = ProbtrackConfig.from_run_spec(config)
+    cfg = config if config is not None else ProbtrackConfig()
     registry = get_registry()
 
     with registry.span("probtrack.seeds"):

@@ -14,7 +14,6 @@ import pytest
 from repro.config import (
     HAVE_TOML,
     RUNTIME_DETERMINISTIC_FIELDS,
-    STAGES,
     RunSpec,
     apply_override,
     deep_merge,
@@ -25,6 +24,7 @@ from repro.config import (
     parse_set_argument,
     resolve_run_spec,
     stage_hash,
+    stage_names,
     stage_subtree,
 )
 from repro.errors import ConfigurationError, TelemetryError
@@ -387,14 +387,14 @@ STAGE_HASH_CASES = [
 
 
 class TestStageHashes:
-    BASE = {s: stage_hash({}, s) for s in STAGES}
+    BASE = {s: stage_hash({}, s) for s in stage_names()}
 
     @pytest.mark.parametrize(
         "path,value,moved", STAGE_HASH_CASES, ids=[c[0] for c in STAGE_HASH_CASES]
     )
     def test_edit_moves_exactly_the_right_hashes(self, path, value, moved):
         doc = RunSpec().with_overrides({path: value}).to_dict()
-        for stage in STAGES:
+        for stage in stage_names():
             changed = stage_hash(doc, stage) != self.BASE[stage]
             assert changed == (stage in moved), (
                 f"{path} {'moved' if changed else 'kept'} the {stage} hash"
@@ -403,7 +403,7 @@ class TestStageHashes:
     def test_defaults_hash_like_partial_docs(self):
         # Normalization: omitted sections == explicit defaults.
         full = RunSpec().to_dict()
-        for stage in STAGES:
+        for stage in stage_names():
             assert stage_hash(full, stage) == self.BASE[stage]
             assert stage_hash({"tracking": {}}, stage) == self.BASE[stage]
 

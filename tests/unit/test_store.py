@@ -123,6 +123,12 @@ class TestPublishLookup:
         with pytest.raises(IOFormatError, match="non-hex"):
             store.entry_dir("sampling", "sha256:../../etc")
 
+    def test_lookup_rejects_unknown_stage(self, tmp_path):
+        # The store serves only the pipeline's three fixed stages.
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(IOFormatError, match="unknown store stage"):
+            store.lookup("toy", "sha256:" + "0" * 64)
+
     def test_ops_counters_not_deterministic(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         reg = MetricsRegistry()

@@ -19,10 +19,10 @@ from repro.errors import (
     classify_shard_failure,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.stage import StageShard
 from repro.runtime.supervisor import (
     InlineLauncher,
     RetryPolicy,
-    ShardRunner,
     ShardSupervisor,
     classify_outcome,
 )
@@ -41,12 +41,14 @@ def run_tasks(tasks, script=None, *, policy=None, fallback=True, plan=None,
         max_workers=max_workers,
         launcher=launcher,
     )
-    runner = ShardRunner(
+    runner = StageShard(
+        stage="test",
+        unit="task",
         run=lambda task: ("payload", task),
         validate=validate,
         split=split,
         corrupt=corrupt,
-        samples=samples,
+        units=samples,
     )
     outputs, report = sup.run_tasks(tasks, runner)
     return outputs, report, launcher
@@ -200,7 +202,9 @@ class TestSupervisorStateMachine:
 
     def test_requires_launcher(self):
         with pytest.raises(ConfigurationError):
-            ShardSupervisor().run_tasks(["a"], ShardRunner(run=lambda t: t))
+            ShardSupervisor().run_tasks(
+                ["a"], StageShard(stage="test", unit="task", run=lambda t: t)
+            )
 
     def test_invalid_supervisor_config(self):
         with pytest.raises(ConfigurationError):
