@@ -21,8 +21,12 @@ from repro.errors import (
     ServiceError,
     UnknownJobError,
 )
+from repro.service.jobs import TERMINAL_STATES
 
 __all__ = ["ServiceClient"]
+
+#: Pause after a long-poll the server answered in under half its wait.
+EARLY_ANSWER_PAUSE_S = 0.2
 
 #: HTTP status -> the error class the client raises for it.
 _STATUS_ERRORS = {
@@ -115,23 +119,27 @@ class ServiceClient:
         """``POST /shutdown`` — stop the remote server."""
         return self._request("POST", "/shutdown")
 
-    def wait(
-        self,
-        job_id: str,
-        timeout_s: float = 300.0,
-        poll_s: float = 0.2,
-    ) -> dict:
-        """Poll until the job reaches a terminal state; returns its view.
+    def wait(self, job_id: str, timeout_s: float = 300.0) -> dict:
+        """Block until the job reaches a terminal state; returns its view.
 
-        Raises :class:`~repro.errors.ServiceError` on timeout.
+        Each request long-polls ``GET /jobs/<id>?wait=<s>``, for at most
+        half the socket timeout so the server answers first.  A server
+        that answers a long-poll early (one without long-poll support
+        ignores ``wait``) gets a :data:`EARLY_ANSWER_PAUSE_S` pause
+        before the next request, so the loop never spins.  Raises
+        :class:`~repro.errors.ServiceError` on timeout.
         """
         deadline = time.monotonic() + timeout_s
         while True:
-            view = self.status(job_id)
-            if view["state"] in ("done", "failed", "cancelled"):
+            sent = time.monotonic()
+            wait_s = min(max(deadline - sent, 0.0), self.timeout_s / 2)
+            view = self._request("GET", f"/jobs/{job_id}?wait={wait_s:.3f}")
+            if view["state"] in TERMINAL_STATES:
                 return view
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {view['state']} after {timeout_s}s"
                 )
-            time.sleep(poll_s)
+            if now - sent < wait_s / 2:
+                time.sleep(min(EARLY_ANSWER_PAUSE_S, deadline - now))

@@ -13,6 +13,8 @@ Routes (all JSON)::
                                 400 invalid spec, 429 queue full (with
                                 Retry-After)
     GET  /jobs/<id>          job status view (404 unknown)
+    GET  /jobs/<id>?wait=<s> long-poll: the view once the job is terminal
+                             or after min(s, 30) s (400 malformed s)
     GET  /jobs/<id>/result   the completed job's telemetry manifest
                              (409 while not done)
     POST /jobs/<id>/cancel   cancel (idempotent)
@@ -26,8 +28,10 @@ Error mapping is the :class:`~repro.errors.ServiceError` taxonomy's
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError, ServiceError
 from repro.service.service import TractographyService
@@ -36,6 +40,9 @@ __all__ = ["ServiceHTTPServer", "serve_http"]
 
 #: Seconds clients are told to back off after a 429 rejection.
 RETRY_AFTER_S = 1
+
+#: Longest a ``GET /jobs/<id>?wait=`` long-poll holds its handler thread.
+MAX_WAIT_S = 30.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -85,6 +92,17 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("request body must be a JSON object")
         return doc
 
+    def _wait_s(self) -> float:
+        """The ``?wait=<seconds>`` long-poll budget (absent -> 0)."""
+        raw = parse_qs(urlsplit(self.path).query).get("wait", ["0"])[-1]
+        try:
+            wait_s = float(raw)
+        except ValueError:
+            wait_s = math.nan
+        if not 0 <= wait_s < math.inf:
+            raise ValueError(f"wait must be a non-negative number, got {raw!r}")
+        return min(wait_s, MAX_WAIT_S)
+
     # -- routes -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -97,12 +115,12 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ["stats"]:
                 self._send(200, svc.stats())
             elif len(parts) == 2 and parts[0] == "jobs":
-                self._send(200, svc.status(parts[1]))
+                self._send(200, svc.wait(parts[1], timeout=self._wait_s()))
             elif len(parts) == 3 and parts[:1] == ["jobs"] and parts[2] == "result":
                 self._send(200, svc.result(parts[1]))
             else:
                 self._send(404, {"error": f"no route {self.path}", "type": "route"})
-        except ReproError as exc:
+        except (ReproError, ValueError) as exc:
             self._send_error(exc)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming

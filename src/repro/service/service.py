@@ -24,17 +24,24 @@ keep serving their manifests.
 
 Execution happens in one non-daemonic child process per job (the
 :mod:`~repro.service.worker` entry point), supervised by a single
-scheduler thread.  Child processes make cancellation honest — a running
-job is terminated, and the store's atomic publish guarantees the kill
-cannot corrupt stage artifacts.
+scheduler thread.  The thread has no tick: it blocks until a child
+exits or a submit, requeue or stop writes to its wake pipe.  Each child
+builds its own phantom, so a large dataset costs the job, not the
+service, and the builds of concurrent jobs run in parallel.  Child
+processes make cancellation honest — a running job is terminated, and
+the store's atomic publish guarantees the kill cannot corrupt stage
+artifacts.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _conn_wait
 
 from repro.errors import JobStateError, UnknownJobError
 from repro.runtime.stage import default_workers
@@ -61,6 +68,23 @@ def _service_context() -> mp.context.BaseContext:
     return mp.get_context()
 
 
+def _exit_handle(proc: mp.process.BaseProcess) -> int:
+    """A waitable fd that turns readable when ``proc`` itself exits.
+
+    ``proc.sentinel`` is a pipe whose write end every process the job
+    forks (its shard workers) inherits, so a killed job would look alive
+    until its orphaned workers finish.  A pidfd tracks the child alone;
+    it is closed when ``proc`` is collected.  Where pidfds are
+    unavailable the sentinel is the fallback.
+    """
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        return proc.sentinel
+    weakref.finalize(proc, os.close, fd)
+    return fd
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Operator-facing knobs for one service instance.
@@ -82,8 +106,6 @@ class ServiceConfig:
         ``cpu_count - 1``); each job gets ``budget // slots`` workers.
     queue_limit:
         Waiting jobs admitted before submissions are rejected.
-    poll_interval_s:
-        Scheduler loop cadence (reaping finished workers, dispatching).
     """
 
     store_root: str
@@ -91,7 +113,6 @@ class ServiceConfig:
     slots: int = 2
     worker_budget: int = 0
     queue_limit: int = 16
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         validate_dataset(self.dataset)
@@ -119,9 +140,11 @@ class TractographyService:
         self._records: dict[str, JobRecord] = {}
         self._by_key: dict[str, str] = {}
         self._running: dict[str, mp.process.BaseProcess] = {}
+        self._exit_handles: dict[str, int] = {}
         self._events: dict[str, threading.Event] = {}
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        self._wake_w: int | None = None
         self._started_s = time.time()
         self._recover()
         if autostart:
@@ -135,8 +158,14 @@ class TractographyService:
             if self._thread is not None and self._thread.is_alive():
                 return
             self._stop.clear()
+            wake_r, self._wake_w = os.pipe()
+            os.set_blocking(wake_r, False)
+            os.set_blocking(self._wake_w, False)
             self._thread = threading.Thread(
-                target=self._loop, name="repro-serve-scheduler", daemon=True
+                target=self._loop,
+                args=(wake_r, self._wake_w),
+                name="repro-serve-scheduler",
+                daemon=True,
             )
             self._thread.start()
 
@@ -146,8 +175,11 @@ class TractographyService:
         With ``terminate_running`` (the default) in-flight worker
         processes are killed; their jobs stay ``running`` on disk and
         will be requeued by the next service instance's recovery scan.
+        The scheduler thread closes the wake pipe on its way out.
         """
         self._stop.set()
+        with self._lock:
+            self._wake()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -251,6 +283,20 @@ class TractographyService:
         self._by_key[rec.key] = rec.job_id
         self._events[rec.job_id] = threading.Event()
         self.jobstore.save(rec)
+        self._wake()
+
+    def _wake(self) -> None:
+        """Wake the scheduler with one byte on its pipe (lock held).
+
+        A no-op before :meth:`start`: the loop's first pass dispatches
+        whatever is already queued.
+        """
+        if self._wake_w is None:
+            return
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full, so a wake-up is already pending
 
     def status(self, job_id: str) -> dict:
         """The job's current status view; raises on unknown ids."""
@@ -338,18 +384,39 @@ class TractographyService:
 
     # -- scheduler loop -----------------------------------------------------
 
-    def _loop(self) -> None:
-        """Single scheduler thread: reap finished workers, dispatch queued."""
-        while not self._stop.is_set():
-            self._reap()
-            self._dispatch()
-            self._stop.wait(self.config.poll_interval_s)
+    def _loop(self, wake_r: int, wake_w: int) -> None:
+        """Single scheduler thread: reap, dispatch, then block until woken.
+
+        One ``wait`` on every running child's exit handle plus the wake
+        pipe, with no timeout: the thread runs only when a child exits
+        or a submit, requeue or stop writes a byte.  No wake-up is lost.
+        The handles are read after ``_dispatch``, a child that exits
+        before the wait leaves its handle readable, and a write before
+        the wait leaves a byte in the pipe.
+        """
+        try:
+            while not self._stop.is_set():
+                self._reap()
+                self._dispatch()
+                with self._lock:
+                    handles = list(self._exit_handles.values())
+                _conn_wait(handles + [wake_r])
+                try:
+                    os.read(wake_r, 1 << 16)  # one read empties the pipe
+                except BlockingIOError:
+                    pass  # woken by a child, not the pipe
+        finally:
+            with self._lock:
+                if self._wake_w == wake_w:
+                    self._wake_w = None
+                os.close(wake_w)
+            os.close(wake_r)
 
     def _dispatch(self) -> None:
-        """Fill free slots from the queue (FIFO)."""
+        """Fill free slots from the queue (FIFO); fork nothing once stopped."""
         while True:
             with self._lock:
-                if len(self._running) >= self.config.slots:
+                if self._stop.is_set() or len(self._running) >= self.config.slots:
                     return
                 job_id = self.queue.pop()
                 if job_id is None:
@@ -373,6 +440,7 @@ class TractographyService:
                 )
                 proc.start()
                 self._running[job_id] = proc
+                self._exit_handles[job_id] = _exit_handle(proc)
 
     def _reap(self) -> None:
         """Fold exited worker processes into terminal job states."""
@@ -385,6 +453,7 @@ class TractographyService:
             for job_id, proc in exited:
                 proc.join()
                 del self._running[job_id]
+                del self._exit_handles[job_id]
                 rec = self._records[job_id]
                 manifest_ok = self.jobstore.manifest_path(job_id).is_file()
                 if rec.cancel_requested:

@@ -55,8 +55,8 @@ SPEC_DOC = {
 
 DATASET = {"name": "dataset1", "scale": 0.12, "snr": 40.0, "seed": 0}
 
-#: Generous terminal-state timeout: one job is sub-second of compute,
-#: the rest is scheduler polling and child-process spawn.
+#: Generous terminal-state timeout: one job is sub-second of compute
+#: plus a child-process fork; the margin is for a loaded CI machine.
 WAIT_S = 180.0
 
 
