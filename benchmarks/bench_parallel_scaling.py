@@ -7,8 +7,9 @@ and as machine-readable ``BENCH_parallel.json`` at the repo root:
    the tree: :func:`trilinear_lookup_reference` is the verbatim
    pre-optimization interpolation, and :func:`_reference_track_streamline`
    below replicates the pre-PR scalar tracker loop (per-step ``(1, 3)``
-   wrapping through the validating batch API) against it.  The scalar
-   per-step cost is the cleanest view of the kernel itself — one
+   wrapping through the validating batch API) against it, and
+   :func:`_reference_batch_lookup` swaps it into the batch kernel.  The
+   scalar per-step cost is the cleanest view of the kernel itself — one
    interpolation + direction choice per step with no batch amortization;
    the batch-executor wall shows the same pass at lockstep batch sizes.
 
@@ -35,10 +36,12 @@ and as machine-readable ``BENCH_parallel.json`` at the repo root:
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from repro.tracking import (
     seeds_from_mask,
     table2_strategy,
     track_streamline,
+    trilinear_lookup,
 )
 from repro.tracking.interpolate import trilinear_lookup_reference
 from repro.tracking.shards import run_sharded
@@ -100,6 +104,20 @@ def _reference_track_streamline(field, seed, heading, criteria):
     return n_steps
 
 
+def _reference_batch_lookup(stack, pos, reference=None, scratch=None, row_offset=None):
+    """The batch kernel's trilinear lookup done the pre-optimization way:
+    the executable spec, run once per sample volume the rows track."""
+    samp = row_offset // math.prod(stack.shape3)
+    f = np.empty((len(pos), stack.n_fibers))
+    d = np.empty((len(pos), stack.n_fibers, 3))
+    for s in np.unique(samp):
+        rows = samp == s
+        f[rows], d[rows] = trilinear_lookup_reference(
+            stack[int(s)], pos[rows], reference=reference[rows]
+        )
+    return f, d
+
+
 def _scalar_pass(field, seeds, criteria):
     f0, d0 = nearest_lookup(field, seeds)
     from repro.tracking.direction import initial_directions
@@ -123,17 +141,19 @@ def _scalar_pass(field, seeds, criteria):
     return wall_ref / steps_ref * 1e6, wall_new / steps_new * 1e6
 
 
-def _batch_pass(stack, seeds, criteria, interpolation, n_voxels, reps=3):
+def _batch_pass(stack, seeds, criteria, n_voxels, reference=False, reps=3):
     walls = []
     run = None
-    for _ in range(reps):
-        acc = ConnectivityAccumulator(len(seeds), n_voxels)
-        tracker = SegmentedTracker(interpolation=interpolation)
-        t0 = time.perf_counter()
-        run = tracker.run(
-            stack, seeds, criteria, table2_strategy(), connectivity=acc
-        )
-        walls.append(time.perf_counter() - t0)
+    lookup = _reference_batch_lookup if reference else trilinear_lookup
+    with mock.patch("repro.tracking.batch.trilinear_lookup", lookup):
+        for _ in range(reps):
+            acc = ConnectivityAccumulator(len(seeds), n_voxels)
+            tracker = SegmentedTracker()
+            t0 = time.perf_counter()
+            run = tracker.run(
+                stack, seeds, criteria, table2_strategy(), connectivity=acc
+            )
+            walls.append(time.perf_counter() - t0)
     return min(walls), run
 
 
@@ -177,13 +197,13 @@ def test_parallel_scaling_report(benchmark, phantom1, fields1, capsys):
         scalar_ref_us, scalar_new_us = _scalar_pass(
             stack[0], seeds[:N_SCALAR_SEEDS], criteria
         )
-        batch_ref_wall, _ = _batch_pass(
-            stack[:N_FIELDS_BATCH], seeds, criteria,
-            "trilinear-reference", n_voxels,
+        batch_ref_wall, batch_ref_run = _batch_pass(
+            stack[:N_FIELDS_BATCH], seeds, criteria, n_voxels, reference=True
         )
         batch_new_wall, batch_run = _batch_pass(
-            stack[:N_FIELDS_BATCH], seeds, criteria, "trilinear", n_voxels
+            stack[:N_FIELDS_BATCH], seeds, criteria, n_voxels
         )
+        assert np.array_equal(batch_ref_run.lengths, batch_run.lengths)
         serial_wall, serial_run = _parallel_pass(
             stack, seeds, criteria, 1, n_voxels
         )

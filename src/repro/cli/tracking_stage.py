@@ -39,15 +39,13 @@ def export_sample0_trk(path: Path, fields, seeds, spec, affine) -> int:
     Only lines of at least ``tracking.min_export_steps`` steps are kept
     (the paper's Figs 11/12 view).  The engine records end positions,
     not polylines, so the geometry comes from the scalar tracker run
-    with the configured interpolation; it implements the reference
-    interpolation directly, so ``trilinear-reference`` maps onto its
-    ``trilinear`` here.
+    with the configured interpolation.
     """
     cpu = cpu_probabilistic_tracking(
         fields[:1],
         seeds,
         ProbtrackConfig.from_run_spec(spec).criteria,
-        interpolation=spec.tracking.interpolation.removesuffix("-reference"),
+        interpolation=spec.tracking.interpolation,
         keep_streamlines=True,
     )
     lines = filter_by_steps(

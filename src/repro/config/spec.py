@@ -71,7 +71,7 @@ __all__ = [
 NOISE_MODELS = ("gaussian", "rician")
 
 #: Valid ``tracking.interpolation`` values (mirrors ``BatchTracker``).
-INTERPOLATIONS = ("trilinear", "trilinear-reference", "nearest")
+INTERPOLATIONS = ("trilinear", "nearest")
 
 #: Valid ``tracking.order`` thread-ordering policies (mirrors the executor).
 ORDER_POLICIES = ("natural", "sorted")

@@ -71,16 +71,19 @@ class SamplerCheckpoint:
     def save(self, path: str | Path) -> None:
         """Serialize to an ``.npz`` file, atomically.
 
-        The payload is written to a sibling temporary file and
-        ``os.replace``\\ d into place, so a crash mid-save leaves either
-        the previous complete checkpoint or none — never a truncated
-        file that :meth:`load` would choke on at resume time.
+        The archive is uncompressed: it is mostly float64 chain state,
+        which zlib barely shrinks, so compressing costs more time than
+        the bytes it saves.  The payload is written to a sibling
+        temporary file and ``os.replace``\\ d into place, so a crash
+        mid-save leaves either the previous complete checkpoint or none
+        — never a truncated file that :meth:`load` would choke on at
+        resume time.
         """
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
             with open(tmp, "wb") as fh:
-                np.savez_compressed(
+                np.savez(
                     fh,
                     params=self.params,
                     log_posterior=self.log_posterior,
@@ -105,7 +108,7 @@ class SamplerCheckpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "SamplerCheckpoint":
-        """Restore from an ``.npz`` file.
+        """Restore from an ``.npz`` file (compressed or not).
 
         Raises
         ------

@@ -34,7 +34,12 @@ def mh_parameter_update(
     Parameters
     ----------
     log_posterior:
-        Maps ``(n_vox, n_params)`` states to ``(n_vox,)`` log densities.
+        Maps ``(n_vox, n_params)`` states to ``(n_vox,)`` log densities;
+        or an incremental target with ``propose(proposal, param_index)``
+        (the same densities, for a proposal that differs from ``params``
+        in ``param_index`` only) and ``commit(accepted)``, called once
+        the decisions are made (a
+        :class:`~repro.models.posterior.CompartmentCache`).
     params:
         Current states, modified **in place** where proposals are accepted.
     current_lp:
@@ -72,7 +77,11 @@ def mh_parameter_update(
     if proposal is None:
         proposal = params.copy()
     proposal[:, param_index] += step
-    prop_lp = log_posterior(proposal)
+    incremental = hasattr(log_posterior, "propose")
+    if incremental:
+        prop_lp = log_posterior.propose(proposal, param_index)
+    else:
+        prop_lp = log_posterior(proposal)
 
     with np.errstate(invalid="ignore"):
         log_ratio = prop_lp - current_lp
@@ -80,6 +89,8 @@ def mh_parameter_update(
     log_ratio = np.where(np.isneginf(current_lp) & np.isfinite(prop_lp), np.inf, log_ratio)
     accepted = np.log(np.maximum(u, 1e-300)) < log_ratio
 
+    if incremental:
+        log_posterior.commit(accepted)
     params[accepted, param_index] = proposal[accepted, param_index]
     current_lp[accepted] = prop_lp[accepted]
     proposal[:, param_index] = params[:, param_index]

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SamplerError
 from repro.mcmc.metropolis import mh_parameter_update
 from repro.mcmc.proposals import AdaptiveProposals
-from repro.models.posterior import LogPosterior
+from repro.models.posterior import CompartmentCache, LogPosterior
 from repro.rng.streams import seed_streams
 from repro.rng.tausworthe import HybridTaus
 from repro.telemetry import get_registry
@@ -290,9 +290,12 @@ class MCMCSampler:
             registry.count("mcmc.accepts", sum(prior_accepts))
         t0 = time.perf_counter()
         # Accepts per voxel since this call began (summed per block for
-        # the checkpoints), and the one proposal buffer the sweep reuses.
+        # the checkpoints), the one proposal buffer the sweep reuses, and
+        # the chain's model terms, rebuilt from the state on every entry
+        # (fresh or resumed) rather than checkpointed.
         voxel_accepts = np.zeros(n_vox, dtype=np.int64)
         proposal = params.copy()
+        cache = CompartmentCache(posterior, params)
 
         def _run_loops(lo: int, hi: int, stage: str) -> None:
             """Run loops ``lo..hi`` inclusive under an ``mcmc.<stage>`` span."""
@@ -306,7 +309,7 @@ class MCMCSampler:
                 for loop in range(lo, hi + 1):
                     for p_idx in range(n_par):
                         accepted, lp = mh_parameter_update(
-                            posterior, params, lp, p_idx,
+                            cache, params, lp, p_idx,
                             proposals.sigma[:, p_idx], rng, proposal,
                         )
                         proposals.record(p_idx, accepted)

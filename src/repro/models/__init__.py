@@ -14,7 +14,8 @@ gradient directions ``r_i``):
   sampled by the paper and is not implemented.
 
 :class:`LogPosterior` packages the multi-fiber likelihood and priors into
-the 9-parameter-per-voxel target density the MCMC stage samples.
+the 9-parameter-per-voxel target density the MCMC stage samples;
+:class:`CompartmentCache` evaluates it one perturbed parameter at a time.
 """
 
 from repro.models.base import DiffusionModel
@@ -23,7 +24,11 @@ from repro.models.multi_fiber import MultiFiberModel
 from repro.models.fields import FiberField, FiberStack
 from repro.models.priors import MultiFiberPriors
 from repro.models.likelihood import gaussian_loglike, rician_loglike
-from repro.models.posterior import LogPosterior, ParameterLayout
+from repro.models.posterior import (
+    CompartmentCache,
+    LogPosterior,
+    ParameterLayout,
+)
 
 __all__ = [
     "DiffusionModel",
@@ -35,6 +40,7 @@ __all__ = [
     "MultiFiberPriors",
     "gaussian_loglike",
     "rician_loglike",
+    "CompartmentCache",
     "LogPosterior",
     "ParameterLayout",
 ]

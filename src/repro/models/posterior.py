@@ -4,7 +4,8 @@
 (``N = 2``) inside the per-voxel state vector, and :class:`LogPosterior`
 evaluates ``log P(omega | Y, M) = log P(Y | omega, M) + log P(omega | M)``
 for *all voxels at once* — the lockstep structure the GPU kernel runs with
-one thread per voxel.
+one thread per voxel.  :class:`CompartmentCache` evaluates the same
+density one perturbed parameter at a time, for the MCMC sweep.
 """
 
 from __future__ import annotations
@@ -16,13 +17,17 @@ import numpy as np
 from repro.config.spec import NOISE_MODELS
 from repro.errors import DataError, ModelError
 from repro.io.gradients import GradientTable
-from repro.models.likelihood import gaussian_loglike, rician_loglike
+from repro.models.likelihood import (
+    gaussian_loglike,
+    gaussian_loglike_sse,
+    rician_loglike,
+)
 from repro.models.multi_fiber import MultiFiberModel
 from repro.models.priors import MultiFiberPriors
 from repro.models.tensor import TensorModel
-from repro.utils.geometry import cartesian_to_spherical
+from repro.utils.geometry import cartesian_to_spherical, spherical_to_cartesian
 
-__all__ = ["ParameterLayout", "LogPosterior"]
+__all__ = ["ParameterLayout", "LogPosterior", "CompartmentCache"]
 
 
 @dataclass(frozen=True)
@@ -259,3 +264,113 @@ class LogPosterior:
             params[:, layout.sigma] = np.abs(params[:, layout.sigma]) + 1e-6
             params[:, layout.f] = np.clip(params[:, layout.f], 0.0, 0.45)
         return params
+
+
+class CompartmentCache:
+    """A chain's model terms, so one MH step recomputes only what it moves.
+
+    The sweep perturbs one flat parameter per step.  The cache holds the
+    current state's ball ``exp(-b d)`` and ``b d`` ``(n, m)``, the squared
+    gradient projections ``dot2`` and the sticks ``(n, N, m)``, the mix
+    ``(n, m)``, and the per-voxel SSE (gaussian) or the predicted signal
+    ``mu`` (rician).  :meth:`propose` recomputes by parameter:
+
+    ===================  ==========================================
+    ``s0``               ``mu = s0 * mix`` from the cached mix
+    ``sigma``            the likelihood alone, from the cached SSE / mu
+    ``d``                ball and every stick from the cached ``dot2``
+    ``f_j``              the mix from the cached ball and sticks
+    ``theta_j/phi_j``    ``dot2`` and stick ``j``, then the mix
+    ===================  ==========================================
+
+    and the prior in full.  Each term is the same array expression, on
+    the same contiguous layout, as in :meth:`LogPosterior.__call__`, so
+    ``propose(proposal, k)`` equals ``posterior(proposal)`` bitwise: the
+    full call stays the executable spec.  :meth:`commit` copies the
+    accepted rows of the proposed terms into the cache.  Rows the prior
+    vetoes are ``-inf`` (their terms are computed but never committed).
+    The cache is a pure function of the state, so it is rebuilt from the
+    state rather than checkpointed.
+    """
+
+    def __init__(self, posterior: LogPosterior, params: np.ndarray) -> None:
+        self.posterior = posterior
+        self._b = posterior.gtab.bvals[None, :]
+        self._gaussian = posterior.noise_model == "gaussian"
+        p = posterior.layout.unpack(np.asarray(params, dtype=np.float64))
+        # Rows the prior vetoes may overflow; their terms never reach an
+        # lp, so the warnings are noise.
+        with np.errstate(all="ignore"):
+            self.bd = self._b * p["d"][:, None]
+            self.ball = np.exp(-self.bd)
+            dirs = spherical_to_cartesian(
+                np.ascontiguousarray(p["theta"]), np.ascontiguousarray(p["phi"])
+            )
+            self.dot2 = np.einsum("vnj,mj->vnm", dirs, posterior.gtab.bvecs) ** 2
+            self.sticks = np.exp(-self.bd[:, None, :] * self.dot2)
+            self.mix = self._mix(p["f"], self.ball, self.sticks)
+            self.fit = self._fit(p["s0"], self.mix)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    @staticmethod
+    def _mix(f: np.ndarray, ball: np.ndarray, sticks: np.ndarray) -> np.ndarray:
+        f = np.ascontiguousarray(f)
+        f_iso = 1.0 - f.sum(axis=1)
+        return f_iso[:, None] * ball + np.einsum("vn,vnm->vm", f, sticks)
+
+    def _fit(self, s0: np.ndarray, mix: np.ndarray) -> np.ndarray:
+        """SSE ``(n,)`` (gaussian) or ``mu`` ``(n, m)`` (rician)."""
+        mu = np.ascontiguousarray(s0)[:, None] * mix
+        if self._gaussian:
+            return np.sum((self.posterior.data - mu) ** 2, axis=1)
+        return mu
+
+    def propose(self, proposal: np.ndarray, index: int) -> np.ndarray:
+        """``(n_vox,)`` log-posterior of ``proposal``, which differs from
+        the cached state in flat parameter ``index`` only."""
+        post = self.posterior
+        lay = post.layout
+        p = lay.unpack(proposal)
+        lp = post.priors.log_prior(
+            p["s0"], p["d"], p["sigma"], p["f"], p["theta"], p["phi"]
+        )
+        finite = np.isfinite(lp)
+        self._pending = []
+        if not finite.any():
+            return lp
+        new: dict[str, np.ndarray] = {}
+        with np.errstate(all="ignore"):
+            if index == lay.d:
+                new["bd"] = bd = self._b * p["d"][:, None]
+                new["ball"] = np.exp(-bd)
+                new["sticks"] = np.exp(-bd[:, None, :] * self.dot2)
+                new["mix"] = self._mix(p["f"], new["ball"], new["sticks"])
+            elif lay.is_angular(index):
+                j = (index - lay.theta.start) % lay.n_fibers
+                dirs = spherical_to_cartesian(
+                    np.ascontiguousarray(p["theta"][:, j]),
+                    np.ascontiguousarray(p["phi"][:, j]),
+                )
+                dot2 = np.einsum("vj,mj->vm", dirs, post.gtab.bvecs) ** 2
+                self._pending.append((self.dot2[:, j], dot2))
+                new["sticks"] = self.sticks.copy()
+                new["sticks"][:, j] = np.exp(-self.bd * dot2)
+                new["mix"] = self._mix(p["f"], self.ball, new["sticks"])
+            elif lay.f.start <= index < lay.f.stop:
+                new["mix"] = self._mix(p["f"], self.ball, self.sticks)
+            if index != lay.sigma:
+                new["fit"] = self._fit(p["s0"], new.get("mix", self.mix))
+            fit = new.get("fit", self.fit)
+            if self._gaussian:
+                ll = gaussian_loglike_sse(fit, p["sigma"], post.data.shape[1])
+            else:
+                ll = rician_loglike(post.data, fit, p["sigma"])
+        self._pending += [(getattr(self, name), arr) for name, arr in new.items()]
+        np.add(lp, ll, out=lp, where=finite)
+        return lp
+
+    def commit(self, accepted: np.ndarray) -> None:
+        """Copy the accepted rows of the last :meth:`propose` into the cache."""
+        for dst, src in self._pending:
+            np.copyto(dst, src, where=accepted.reshape((-1,) + (1,) * (dst.ndim - 1)))
+        self._pending = []

@@ -8,9 +8,9 @@ linear congruential generator, giving a combined period of roughly
 :math:`2^{121}`.
 
 Each simulated GPU thread owns an independent 4-word state; the NumPy
-implementation keeps all thread states in one ``(n_threads, 4)`` uint32
-array and advances every lane per call — the same lockstep structure the
-GPU kernel has.
+implementation keeps all thread states in one uint32 array, stored
+component-major ``(4, n_threads)``, and advances every lane per call —
+the same lockstep structure the GPU kernel has.
 
 Reference single-thread form (GPU Gems 3, fig. 37-4)::
 
@@ -43,6 +43,12 @@ TAUS_PARAMS: tuple[tuple[int, int, int, int], ...] = (
     (3, 11, 17, 0xFFFFFFF0),
 )
 
+#: ``TAUS_PARAMS`` as four ``(3, 1)`` uint32 columns (S1, S2, S3, mask),
+#: which step the three components' lanes in one pass.
+_TAUS_COLUMNS = tuple(
+    np.array(col, dtype=np.uint32)[:, None] for col in zip(*TAUS_PARAMS)
+)
+
 _LCG_A = np.uint32(1664525)
 _LCG_C = np.uint32(1013904223)
 #: 2**-32, mapping a uint32 into [0, 1).
@@ -54,16 +60,34 @@ _U32_TO_UNIT = 2.3283064365386963e-10
 MIN_STATE = 128
 
 
-def taus_step(z: np.ndarray, s1: int, s2: int, s3: int, mask: int) -> np.ndarray:
-    """Advance one Tausworthe component in place; returns the new state."""
-    b = ((z << np.uint32(s1)) ^ z) >> np.uint32(s2)
-    z[...] = ((z & np.uint32(mask)) << np.uint32(s3)) ^ b
+def taus_step(
+    z: np.ndarray,
+    s1: int | np.ndarray,
+    s2: int | np.ndarray,
+    s3: int | np.ndarray,
+    mask: int | np.ndarray,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Advance Tausworthe state in place; returns the new state.
+
+    The shifts and mask are one component's ints, or uint32 arrays that
+    broadcast against ``z`` to step several components at once.
+    ``scratch``, a uint32 buffer shaped like ``z``, holds the
+    intermediate ``b`` instead of a fresh array.
+    """
+    b = np.left_shift(z, s1, out=scratch)
+    np.bitwise_xor(b, z, out=b)
+    np.right_shift(b, s2, out=b)
+    np.bitwise_and(z, mask, out=z)
+    np.left_shift(z, s3, out=z)
+    np.bitwise_xor(z, b, out=z)
     return z
 
 
 def lcg_step(z: np.ndarray) -> np.ndarray:
-    """Advance the LCG component in place; returns the new state."""
-    z[...] = _LCG_A * z + _LCG_C
+    """Advance the LCG component in place (mod 2**32); returns the new state."""
+    np.multiply(z, _LCG_A, out=z)
+    np.add(z, _LCG_C, out=z)
     return z
 
 
@@ -99,27 +123,28 @@ class HybridTaus:
                 f"Tausworthe state words must be >= {MIN_STATE} "
                 "(degenerate orbits otherwise); use seed_streams()"
             )
-        self._state = state.copy()
+        # Component-major, so each component's lanes are contiguous and
+        # every step runs in place.
+        self._state = np.ascontiguousarray(state.T)
+        self._scratch = np.empty((3, state.shape[0]), dtype=np.uint32)
 
     @property
     def n_threads(self) -> int:
         """Number of independent lanes."""
-        return self._state.shape[0]
+        return self._state.shape[1]
 
     @property
     def state(self) -> np.ndarray:
-        """A copy of the current per-thread state (for checkpointing)."""
-        return self._state.copy()
+        """A copy of the current ``(n_threads, 4)`` per-thread state (for
+        checkpointing)."""
+        return self._state.T.copy()
 
     def next_uint32(self) -> np.ndarray:
         """One uint32 per thread; advances all lanes."""
         s = self._state
-        with np.errstate(over="ignore"):
-            out = taus_step(s[:, 0], *TAUS_PARAMS[0])
-            out = out ^ taus_step(s[:, 1], *TAUS_PARAMS[1])
-            out = out ^ taus_step(s[:, 2], *TAUS_PARAMS[2])
-            out = out ^ lcg_step(s[:, 3])
-        return out
+        taus_step(s[:3], *_TAUS_COLUMNS, scratch=self._scratch)
+        lcg_step(s[3])
+        return np.bitwise_xor.reduce(s, axis=0)
 
     def uniform(self) -> np.ndarray:
         """One float64 in ``[0, 1)`` per thread."""

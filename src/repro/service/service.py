@@ -185,12 +185,18 @@ class TractographyService:
             self._thread = None
         if terminate_running:
             with self._lock:
-                procs = list(self._running.values())
-            for proc in procs:
+                running = [
+                    (proc, self._exit_handles[job_id])
+                    for job_id, proc in self._running.items()
+                ]
+            for proc, _ in running:
                 if proc.is_alive():
                     proc.terminate()
-            for proc in procs:
-                proc.join(timeout=5.0)
+            # Wait on the exit handle, not ``join``'s sentinel: a killed
+            # job's orphaned shard workers hold the sentinel open.
+            for proc, handle in running:
+                if _conn_wait([handle], timeout=5.0):
+                    proc.join()
 
     def __enter__(self) -> "TractographyService":
         """Start the scheduler on entry."""

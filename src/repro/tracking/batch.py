@@ -42,7 +42,6 @@ from repro.tracking.interpolate import (
     Scratch,
     nearest_lookup,
     trilinear_lookup,
-    trilinear_lookup_reference,
 )
 from repro.utils.voxels import flat_voxel_index
 
@@ -192,23 +191,6 @@ class BatchTracker:
             ),
         )
 
-    def _reference_lookup(self, pos, head, samp):
-        """Reference-mode interpolation: group rows by sample and run the
-        executable spec per sample volume (host-side — the reference
-        path is a spec, not a production path)."""
-        n = pos.shape[0]
-        n_fib = self.stack.n_fibers
-        f = np.empty((n, n_fib), dtype=np.float64)
-        d = np.empty((n, n_fib, 3), dtype=np.float64)
-        for s in np.unique(samp):
-            rows = samp == s
-            fs, ds = trilinear_lookup_reference(
-                self.stack[int(s)], pos[rows], reference=head[rows]
-            )
-            f[rows] = fs
-            d[rows] = ds
-        return f, d
-
     def run_segment(
         self,
         state: BatchState,
@@ -261,8 +243,6 @@ class BatchTracker:
                     scratch=sc,
                     row_offset=row_off,
                 )
-            elif self.interpolation == "trilinear-reference":
-                f, dirs = self._reference_lookup(pos, head, samp)
             else:
                 f, dirs = nearest_lookup(self.stack, pos, row_offset=row_off)
             chosen, dot, any_ok = _choose_direction_core(

@@ -209,8 +209,7 @@ class SegmentedTracker:
     device, host:
         Machine model the modeled timeline is charged against.
     interpolation:
-        Field lookup mode (``"trilinear"``, ``"trilinear-reference"``,
-        ``"nearest"``).
+        Field lookup mode (``"trilinear"`` or ``"nearest"``).
     """
 
     def __init__(

@@ -49,9 +49,7 @@ RUN_SPEC_DICTS = st.fixed_dictionaries(
                 "strategy": st.sampled_from(
                     ["increasing", "b", "c", "single", "a1", "a20"]
                 ),
-                "interpolation": st.sampled_from(
-                    ["trilinear", "trilinear-reference", "nearest"]
-                ),
+                "interpolation": st.sampled_from(["trilinear", "nearest"]),
                 "order": st.sampled_from(["natural", "sorted"]),
                 "bidirectional": st.booleans(),
                 "min_export_steps": st.integers(0, 500),

@@ -44,6 +44,7 @@ from repro.tracking import (
     table2_strategy,
 )
 from repro.utils.geometry import normalize
+from tests.tracking_spec import spec_stack_lookup
 
 N_SAMPLES = 5
 CRITERIA = TerminationCriteria(max_steps=64, min_dot=0.8, step_length=0.2)
@@ -157,7 +158,17 @@ def observed(result):
 @pytest.mark.parametrize("overlap", [False, True])
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("order", ["natural", "sorted"])
-def test_matches_spec(fields, order, bidirectional, overlap, interpolation):
+def test_matches_spec(fields, order, bidirectional, overlap, interpolation, monkeypatch):
+    """``"trilinear-reference"`` runs the trilinear mode on the spec lookup
+    (per-sample ``trilinear_lookup_reference``) and must also reproduce
+    the packed lookup's lengths and stop reasons."""
+    packed = None
+    if interpolation == "trilinear-reference":
+        packed, _ = run(fields, order=order, bidirectional=bidirectional, overlap=overlap)
+        monkeypatch.setattr(
+            "repro.tracking.batch.trilinear_lookup", spec_stack_lookup
+        )
+        interpolation = "trilinear"
     result, manifest = run(
         fields,
         order=order,
@@ -165,6 +176,9 @@ def test_matches_spec(fields, order, bidirectional, overlap, interpolation):
         overlap=overlap,
         interpolation=interpolation,
     )
+    if packed is not None:
+        assert np.array_equal(result.run.lengths, packed.run.lengths)
+        assert np.array_equal(result.run.reasons, packed.run.reasons)
     launches, events, peak = spec_schedule(result, fields, order, overlap)
     assert observed(result) == (launches, events, peak)
     counters = manifest["counters"]

@@ -154,6 +154,40 @@ class TestAtomicSaveLoad:
             restored.rng_state, part.checkpoint.rng_state
         )
 
+    def test_save_is_uncompressed(self, posterior, tmp_path):
+        import zipfile
+
+        part = MCMCSampler(CFG).run(posterior, stop_after_loop=15)
+        path = tmp_path / "ckpt.npz"
+        part.checkpoint.save(path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_compressed_checkpoint_still_loads(self, posterior, tmp_path):
+        # Checkpoints were once written with savez_compressed; one left on
+        # disk by such a run must still resume bit-identically.
+        ck = MCMCSampler(CFG).run(posterior, stop_after_loop=15).checkpoint
+        path = tmp_path / "ckpt.npz"
+        np.savez_compressed(
+            path,
+            params=ck.params,
+            log_posterior=ck.log_posterior,
+            rng_state=ck.rng_state,
+            proposal_sigma=ck.proposal_sigma,
+            window_accepted=ck.window_accepted,
+            window_rejected=ck.window_rejected,
+            loop=np.int64(ck.loop),
+            taken=np.int64(ck.taken),
+            samples=ck.samples,
+            acceptance_history=np.asarray(ck.acceptance_history),
+            total_accepts=np.int64(ck.total_accepts),
+        )
+        restored = SamplerCheckpoint.load(path)
+        assert (restored.loop, restored.total_accepts) == (ck.loop, ck.total_accepts)
+        resumed = MCMCSampler(CFG).run(posterior, checkpoint=restored)
+        full = MCMCSampler(CFG).run(posterior)
+        np.testing.assert_array_equal(full.samples, resumed.samples)
+
     def test_corrupt_file_raises_sampler_error(self, posterior, tmp_path):
         path = tmp_path / "ckpt.npz"
         path.write_bytes(b"definitely not an npz archive")

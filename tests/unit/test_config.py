@@ -79,6 +79,10 @@ class TestRunSpecValidation:
             ({"runtime": {"device": "geforce_256"}}, "runtime.device"),
             ({"runtime": {"host": "cray_1"}}, "runtime.host"),
             ({"runtime": {"fault_plan": "explode:0"}}, "runtime.fault_plan"),
+            (
+                {"tracking": {"interpolation": "trilinear-reference"}},
+                "tracking.interpolation",
+            ),
         ],
     )
     def test_invalid_field_names_dotted_path(self, doc, path):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DataError, ModelError
 from repro.io import GradientTable
 from repro.models import (
+    CompartmentCache,
     LogPosterior,
     MultiFiberModel,
     MultiFiberPriors,
@@ -271,3 +272,101 @@ class TestLogPosterior:
             LogPosterior(gtab, np.zeros(5))
         with pytest.raises(DataError):
             LogPosterior(gtab, np.zeros((2, 7)))
+
+
+def _walk_posterior(gtab, n_fibers, noise_model, ard, n=24):
+    data, _ = synth_signal(gtab, n=n, noise=2.0)
+    return LogPosterior(
+        gtab,
+        np.abs(data),  # a magnitude image, so the rician likelihood is finite
+        priors=MultiFiberPriors(ard=ard),
+        n_fibers=n_fibers,
+        noise_model=noise_model,
+    )
+
+
+def _assert_same_terms(a, b):
+    for name in ("bd", "ball", "dot2", "sticks", "mix", "fit"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestCompartmentCache:
+    """The incremental terms give the full evaluation's ``lp``, bitwise."""
+
+    @pytest.mark.parametrize("n_fibers", [1, 2, 3])
+    @pytest.mark.parametrize("noise_model", ["gaussian", "rician"])
+    @pytest.mark.parametrize("ard", [False, True])
+    def test_random_walk_matches_full_evaluation(
+        self, gtab, n_fibers, noise_model, ard
+    ):
+        post = _walk_posterior(gtab, n_fibers, noise_model, ard)
+        lay = post.layout
+        params = post.initial_params()
+        params[0, lay.d] = -2e-4  # chain 0 starts at -inf (prior veto)
+        lp = post(params)
+        assert np.isneginf(lp[0]) and np.isfinite(lp[1:]).all()
+        cache = CompartmentCache(post, params)
+        rng = np.random.default_rng(n_fibers)
+        # Wide steps, so many proposals leave the prior's support.
+        scale = np.abs(params).mean(axis=0) * 0.3
+        vetoed = 0
+        n_sweeps = 12
+        for sweep in range(n_sweeps):
+            if sweep == n_sweeps // 2:
+                # A resume rebuilds the cache from the state alone.
+                fresh = CompartmentCache(post, params)
+                _assert_same_terms(cache, fresh)
+                cache = fresh
+            for k in range(lay.n_params):
+                proposal = params.copy()
+                proposal[:, k] += rng.normal(size=post.n_voxels) * scale[k]
+                got = cache.propose(proposal, k)
+                want = post(proposal)
+                assert np.array_equal(got, want), (sweep, lay.names[k])
+                vetoed += int(np.isneginf(want).sum())
+                accepted = np.isfinite(want) & (
+                    (rng.random(post.n_voxels) < 0.6) | np.isneginf(lp)
+                )
+                cache.commit(accepted)
+                params[accepted, k] = proposal[accepted, k]
+                lp[accepted] = want[accepted]
+        assert vetoed > 0
+        assert np.isfinite(lp[0])  # the vetoed chain escaped
+        _assert_same_terms(cache, CompartmentCache(post, params))
+
+    def test_all_vetoed_proposal(self, gtab):
+        post = _walk_posterior(gtab, 2, "gaussian", False, n=3)
+        params = post.initial_params()
+        cache = CompartmentCache(post, params)
+        proposal = params.copy()
+        proposal[:, post.layout.sigma] = -1.0
+        assert np.all(np.isneginf(cache.propose(proposal, post.layout.sigma)))
+        cache.commit(np.zeros(3, dtype=bool))
+        _assert_same_terms(cache, CompartmentCache(post, params))
+
+    @pytest.mark.parametrize("noise_model", ["gaussian", "rician"])
+    def test_sampler_matches_full_evaluation_sweep(
+        self, gtab, noise_model, monkeypatch
+    ):
+        """The sampler's cached sweep equals the same sweep driven by the
+        plain ``LogPosterior`` callable: samples, histories, counters."""
+        from repro.mcmc import MCMCConfig, MCMCSampler
+        from repro.mcmc import sampler as sampler_mod
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        post = _walk_posterior(gtab, 2, noise_model, True, n=10)
+        cfg = MCMCConfig(n_burnin=15, n_samples=4, sample_interval=2, adapt_every=5)
+
+        def run():
+            reg = MetricsRegistry()
+            with use_registry(reg):
+                res = MCMCSampler(cfg).run(post, blocks=[(0, 4), (4, 10)])
+            counters = reg.snapshot()["counters"]
+            return res, {k: v for k, v in counters.items() if k.startswith("mcmc.")}
+
+        cached, cached_counters = run()
+        monkeypatch.setattr(sampler_mod, "CompartmentCache", lambda p, _: p)
+        full, full_counters = run()
+        assert np.array_equal(cached.samples, full.samples)
+        assert cached.block_histories == full.block_histories
+        assert cached_counters == full_counters

@@ -11,7 +11,7 @@ from repro.rng import (
     random_memory_bytes,
     seed_streams,
 )
-from repro.rng.tausworthe import MIN_STATE, lcg_step, taus_step
+from repro.rng.tausworthe import MIN_STATE, TAUS_PARAMS, lcg_step, taus_step
 
 
 class TestTausComponents:
@@ -83,6 +83,27 @@ class TestHybridTaus:
         g2 = HybridTaus(snapshot)
         g3 = HybridTaus(snapshot)
         np.testing.assert_array_equal(g2.next_uint32(), g3.next_uint32())
+
+    def test_stream_matches_row_major_lanes(self):
+        # The generator steps a component-major (4, n) state in place;
+        # its stream is the per-lane one of GPU Gems' fig. 37-4, stepped
+        # here word by word on an (n, 4) copy.
+        g = seed_streams(37, seed=11)
+        state = g.state
+        assert state.shape == (37, 4) and state.flags.c_contiguous
+        expect = []
+        for _ in range(50):
+            out = np.zeros(37, dtype=np.uint32)
+            for i, (s1, s2, s3, mask) in enumerate(TAUS_PARAMS):
+                z = state[:, i]
+                b = ((z << np.uint32(s1)) ^ z) >> np.uint32(s2)
+                state[:, i] = ((z & np.uint32(mask)) << np.uint32(s3)) ^ b
+                out ^= state[:, i]
+            state[:, 3] = state[:, 3] * np.uint32(1664525) + np.uint32(1013904223)
+            out ^= state[:, 3]
+            expect.append(out)
+        np.testing.assert_array_equal([g.next_uint32() for _ in range(50)], expect)
+        np.testing.assert_array_equal(g.state, state)
 
     def test_jump_advances(self):
         g1 = seed_streams(4, seed=9)

@@ -7,6 +7,7 @@ a slow build holds up no other job.  No wall-clock bound here is tighter
 than 1 s; ``perfbench`` measures the latency.
 """
 
+import contextlib
 import json
 import multiprocessing as mp
 import os
@@ -153,32 +154,55 @@ def _job_with_orphan(job_dir, *args):
     time.sleep(60)
 
 
-@pytest.mark.skipif(
+needs_pidfd = pytest.mark.skipif(
     not hasattr(os, "pidfd_open") or "fork" not in mp.get_all_start_methods(),
     reason="needs pidfds and the fork start method",
 )
-def test_cancel_reaps_a_job_whose_workers_outlive_it(tmp_path, monkeypatch):
-    # The child's multiprocessing sentinel stays open while its orphaned
-    # worker lives; the scheduler must still see the child exit.
-    monkeypatch.setattr(service_mod, "run_job_process", _job_with_orphan)
-    pid_file = None
+
+
+@contextlib.contextmanager
+def _orphan_job(svc):
+    """Submit a :func:`_job_with_orphan` job; yield ``(job_id, worker
+    pid)`` once its worker runs, and kill the worker on exit."""
+    view = svc.submit({"spec": spec_doc(40)})
+    pid_file = svc.jobstore.job_dir(view["job_id"]) / "worker.pid"
     try:
-        with make_service(tmp_path) as svc:
-            view = svc.submit({"spec": spec_doc(40)})
-            pid_file = svc.jobstore.job_dir(view["job_id"]) / "worker.pid"
-            deadline = time.monotonic() + 20
-            while not pid_file.is_file() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert pid_file.is_file()
-            svc.cancel(view["job_id"])
-            final = svc.wait(view["job_id"], timeout=10)
-            assert final["state"] == "cancelled"
+        deadline = time.monotonic() + 20
+        while not pid_file.is_file() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pid_file.is_file()
+        yield view["job_id"], int(pid_file.read_text())
     finally:
-        if pid_file is not None and pid_file.is_file():
+        if pid_file.is_file():
             try:
                 os.kill(int(pid_file.read_text()), signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+@needs_pidfd
+def test_cancel_reaps_a_job_whose_workers_outlive_it(tmp_path, monkeypatch):
+    # The child's multiprocessing sentinel stays open while its orphaned
+    # worker lives; the scheduler must still see the child exit.
+    monkeypatch.setattr(service_mod, "run_job_process", _job_with_orphan)
+    with make_service(tmp_path) as svc, _orphan_job(svc) as (job_id, _):
+        svc.cancel(job_id)
+        final = svc.wait(job_id, timeout=10)
+        assert final["state"] == "cancelled"
+
+
+@needs_pidfd
+def test_stop_does_not_wait_for_orphaned_workers(tmp_path, monkeypatch):
+    # stop() kills the running job; its orphaned worker keeps the job's
+    # sentinel open, so stop() must wait on the job's exit alone.
+    monkeypatch.setattr(service_mod, "run_job_process", _job_with_orphan)
+    svc = make_service(tmp_path)
+    svc.start()
+    with _orphan_job(svc) as (_, worker_pid):
+        t0 = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - t0 < 1.0
+        os.kill(worker_pid, 0)  # the orphan still sleeps
 
 
 class TestLongPoll:

@@ -17,6 +17,7 @@ from repro.tracking import (
     trilinear_lookup,
 )
 from repro.tracking.interpolate import trilinear_lookup_reference
+from tests.tracking_spec import spec_stack_lookup
 
 
 def uniform_x_field(shape=(12, 6, 6), f=0.6):
@@ -119,20 +120,50 @@ class TestTrilinearLookup:
             assert np.array_equal(f_opt, f_ref)
             assert np.array_equal(d_opt, d_ref)
 
-    def test_batch_tracker_reference_mode_identical(self):
-        """Full batch runs agree bitwise between optimized and spec modes."""
+    def test_batch_tracker_reference_mode_identical(self, monkeypatch):
+        """Full batch runs agree bitwise between the packed lookup and the
+        spec lookup run per sample volume."""
         field = crossing_field()
         crit = TerminationCriteria(max_steps=60, min_dot=0.6, step_length=0.3)
         seeds = np.argwhere(field.mask)[::7].astype(np.float64)
         headings = np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
         runs = {}
-        for mode in ("trilinear", "trilinear-reference"):
-            state = BatchTracker(field, crit, interpolation=mode).run_to_completion(
-                seeds, headings
-            )
+        for mode in ("packed", "spec"):
+            if mode == "spec":
+                monkeypatch.setattr(
+                    "repro.tracking.batch.trilinear_lookup", spec_stack_lookup
+                )
+            state = BatchTracker(field, crit).run_to_completion(seeds, headings)
             runs[mode] = (state.steps.copy(), state.reason.copy())
-        assert np.array_equal(runs["trilinear"][0], runs["trilinear-reference"][0])
-        assert np.array_equal(runs["trilinear"][1], runs["trilinear-reference"][1])
+        assert np.array_equal(runs["packed"][0], runs["spec"][0])
+        assert np.array_equal(runs["packed"][1], runs["spec"][1])
+
+    @pytest.mark.parametrize(
+        "lookup", [trilinear_lookup, trilinear_lookup_reference]
+    )
+    def test_field_linear_in_each_coordinate_is_exact(self, lookup):
+        """Trilinear interpolation reproduces ``a + bx + cy + dz + exy +
+        fyz + gxz + hxyz`` exactly, at any point inside the grid."""
+
+        def g(x, y, z):
+            return (
+                0.1 + 0.02 * x + 0.01 * y + 0.03 * z
+                + 0.001 * x * y + 0.002 * y * z + 0.003 * x * z
+                + 0.0005 * x * y * z
+            )
+
+        shape = (5, 4, 3)
+        fr = np.zeros(shape + (2,))
+        fr[..., 0] = g(*np.indices(shape).astype(np.float64))
+        dirs = np.zeros(shape + (2, 3))
+        dirs[..., 0, 2] = 1.0
+        field = FiberField(f=fr, directions=dirs, mask=np.ones(shape, bool))
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, 1.0, size=(64, 3)) * (np.array(shape) - 1)
+        f, d = lookup(field, pts, reference=np.tile([0.0, 0.0, 1.0], (64, 1)))
+        np.testing.assert_allclose(f[:, 0], g(*pts.T), rtol=1e-13, atol=0)
+        assert np.all(f[:, 1] == 0.0)
+        np.testing.assert_array_equal(d[:, 0], np.tile([0.0, 0.0, 1.0], (64, 1)))
 
 
 class TestChooseDirection:
