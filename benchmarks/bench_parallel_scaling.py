@@ -58,9 +58,8 @@ from repro.tracking import (
     seeds_from_mask,
     table2_strategy,
     track_streamline,
-    trilinear_lookup,
 )
-from repro.tracking.interpolate import trilinear_lookup_reference
+from repro.tracking.interpolate import trilinear_lookup_reference, trilinear_rows
 from repro.tracking.shards import run_sharded
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
@@ -104,17 +103,21 @@ def _reference_track_streamline(field, seed, heading, criteria):
     return n_steps
 
 
-def _reference_batch_lookup(stack, pos, reference=None, scratch=None, row_offset=None):
+def _reference_batch_lookup(stack, pts, ref, scratch=None, *, row_offset=None):
     """The batch kernel's trilinear lookup done the pre-optimization way:
-    the executable spec, run once per sample volume the rows track."""
+    the executable spec, run once per sample volume the rows track, in
+    the kernel's row-innermost layout (``(3, n)`` in, ``(N, n)`` and
+    ``(3, N, n)`` out)."""
     samp = row_offset // math.prod(stack.shape3)
-    f = np.empty((len(pos), stack.n_fibers))
-    d = np.empty((len(pos), stack.n_fibers, 3))
+    f = np.empty((stack.n_fibers, pts.shape[1]))
+    d = np.empty((3, stack.n_fibers, pts.shape[1]))
     for s in np.unique(samp):
         rows = samp == s
-        f[rows], d[rows] = trilinear_lookup_reference(
-            stack[int(s)], pos[rows], reference=reference[rows]
+        fs, ds = trilinear_lookup_reference(
+            stack[int(s)], pts[:, rows].T, reference=ref[:, rows].T
         )
+        f[:, rows] = fs.T
+        d[:, :, rows] = ds.transpose(2, 1, 0)
     return f, d
 
 
@@ -144,8 +147,8 @@ def _scalar_pass(field, seeds, criteria):
 def _batch_pass(stack, seeds, criteria, n_voxels, reference=False, reps=3):
     walls = []
     run = None
-    lookup = _reference_batch_lookup if reference else trilinear_lookup
-    with mock.patch("repro.tracking.batch.trilinear_lookup", lookup):
+    lookup = _reference_batch_lookup if reference else trilinear_rows
+    with mock.patch("repro.tracking.batch.trilinear_rows", lookup):
         for _ in range(reps):
             acc = ConnectivityAccumulator(len(seeds), n_voxels)
             tracker = SegmentedTracker()

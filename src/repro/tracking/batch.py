@@ -22,6 +22,22 @@ serves all samples, off-mask checks read the one shared mask, and visit
 callbacks receive ``(samples, origins, voxels)``.  Per-row arithmetic
 never looks at the stacking, which is why tracking a stack is
 bit-identical to tracking each sample alone.
+
+Row-innermost layout
+--------------------
+The paper runs one GPU thread per streamline; here a "thread" is a row,
+and within a segment the live rows are kept dense with the row axis
+innermost: positions and headings are ``(3, m)``, interpolated
+fractions ``(N, m)`` and directions ``(3, N, m)``.  Every ufunc of the
+lookup (:func:`~repro.tracking.interpolate.trilinear_rows`), the
+direction choice and the step then runs one contiguous inner loop of
+length ``m`` rather than of length N (2) or 3 behind a broadcast, which
+NumPy executes several times slower per element.  The
+:class:`BatchState` stays thread-major ``(n, 3)``: a row is written
+back once, in the iteration it retires, and the survivors once at the
+segment end, so no per-iteration gather or scatter of state remains.
+Only the gathered corners are transposed; the stack keeps its one
+``(n_vox, ...)`` layout and is never copied.
 """
 
 from __future__ import annotations
@@ -38,11 +54,7 @@ from repro.gpu.workload import BYTES_DOWN_PER_THREAD, BYTES_UP_PER_THREAD
 from repro.models.fields import FiberField, FiberStack
 from repro.tracking.criteria import StopReason, TerminationCriteria
 from repro.tracking.direction import _choose_direction_core
-from repro.tracking.interpolate import (
-    Scratch,
-    nearest_lookup,
-    trilinear_lookup,
-)
+from repro.tracking.interpolate import Scratch, nearest_lookup, trilinear_rows
 from repro.utils.voxels import flat_voxel_index
 
 __all__ = ["BatchState", "BatchTracker"]
@@ -201,7 +213,8 @@ class BatchTracker:
 
         ``executed[i]`` is the number of kernel-loop iterations thread
         ``i`` performed (a lane executes the iteration in which it
-        decides to stop).  State arrays are updated in place.
+        decides to stop).  State arrays are updated in place: a row is
+        written in the iteration it retires, the survivors at the end.
         """
         if n_iterations < 0:
             raise TrackingError(f"n_iterations must be >= 0, got {n_iterations}")
@@ -209,11 +222,11 @@ class BatchTracker:
         shape3 = self.stack.shape3
         nx, ny, nz = shape3
         off_limits = self._off_limits
-        n_vox = self._n_vox
         executed = np.zeros((state.n_threads,), dtype=np.int64)
-        lo = np.zeros((3,), dtype=np.int64)
-        hi = np.asarray([nx - 1, ny - 1, nz - 1], dtype=np.int64)
+        lo = np.zeros((3, 1), dtype=np.int64)
+        hi = np.asarray([[nx - 1], [ny - 1], [nz - 1]], dtype=np.int64)
         sc = self._scratch
+        trilinear = self.interpolation == "trilinear"
 
         # Visits are buffered and emitted once per segment (the readback
         # granularity of the modeled kernel) instead of per iteration.
@@ -221,69 +234,101 @@ class BatchTracker:
         visit_voxels: list[np.ndarray] = []
         visit_samples: list[np.ndarray] = []
 
-        # The active set only shrinks inside a segment, and only through
-        # the writes below — track it incrementally instead of rescanning
-        # the reason array every iteration.
+        # The live rows, dense and row-innermost for the whole segment:
+        # ``idx`` maps them to state rows, and the state is written only
+        # when a row retires and once at the end.
         idx = np.flatnonzero(state.active)
-        for _ in range(n_iterations):
-            if idx.shape[0] == 0:
-                break
-            executed[idx] += 1
-            m = int(idx.shape[0])
-            pos = np.take(state.positions, idx, axis=0, out=sc.get("pos", (m, 3)))
-            head = np.take(state.headings, idx, axis=0, out=sc.get("head", (m, 3)))
-            samp = np.take(state.sample, idx, axis=0)
-            row_off = samp * n_vox
-
-            if self.interpolation == "trilinear":
-                f, dirs = trilinear_lookup(
-                    self.stack,
-                    pos,
-                    reference=head,
-                    scratch=sc,
-                    row_offset=row_off,
-                )
+        pos = np.ascontiguousarray(state.positions[idx].T)
+        head = np.ascontiguousarray(state.headings[idx].T)
+        steps = state.steps[idx]
+        samp = state.sample[idx]
+        # The lookup's gather does not bounds-check (see trilinear_rows),
+        # so a row must name a sample of this stack.
+        if samp.size and not 0 <= samp.min() <= samp.max() < self.stack.n_samples:
+            raise TrackingError(
+                f"state samples must lie in [0, {self.stack.n_samples})"
+            )
+        origin = state.origin[idx]
+        row_off = samp * self._n_vox
+        it = 0
+        while it < n_iterations and idx.shape[0]:
+            it += 1
+            if trilinear:
+                f, dirs = trilinear_rows(self.stack, pos, head, sc, row_offset=row_off)
             else:
-                f, dirs = nearest_lookup(self.stack, pos, row_offset=row_off)
+                f, dirs = nearest_lookup(self.stack, pos.T, row_offset=row_off)
+                f, dirs = f.T, dirs.transpose(2, 1, 0)
             chosen, dot, any_ok = _choose_direction_core(
                 f, dirs, head, crit.f_threshold
             )
 
             no_dir = ~any_ok
-            sharp = ~no_dir & (dot < crit.min_dot)
+            sharp = dot < crit.min_dot
+            sharp &= any_ok
 
-            new_pos = pos + crit.step_length * chosen
+            new_pos = chosen * crit.step_length
+            new_pos += pos
             vox = np.rint(new_pos).astype(np.int64)
             cv = np.minimum(np.maximum(vox, lo), hi)
             # Clipping moved a coordinate iff the step left the grid.
-            oob = (vox != cv).any(axis=1)
-            oob &= ~(no_dir | sharp)
-            flat = flat_voxel_index(cv[:, 0], cv[:, 1], cv[:, 2], shape3)
+            oob = (vox != cv).any(axis=0)
+            ended = no_dir | sharp
+            oob &= ~ended
+            ended |= oob
+            flat = flat_voxel_index(cv[0], cv[1], cv[2], shape3)
             off_mask = off_limits[flat]
-            off_mask &= ~(no_dir | sharp | oob)
+            off_mask &= ~ended
+            ended |= off_mask
+            ok = ~ended
+            stopped = bool(ended.any())
+            steps += ok
+            hit_budget = steps >= crit.max_steps
+            hit_budget &= ok
 
-            stopped = no_dir | sharp | oob | off_mask
-            ok = ~stopped
-
-            state.reason[idx[no_dir]] = StopReason.NO_DIRECTION
-            state.reason[idx[sharp]] = StopReason.ANGLE
-            state.reason[idx[oob]] = StopReason.OUT_OF_BOUNDS
-            state.reason[idx[off_mask]] = StopReason.OUT_OF_MASK
-
-            mov = idx[ok]
-            state.positions[mov] = new_pos[ok]
-            state.headings[mov] = chosen[ok]
-            state.steps[mov] += 1
-            hit_budget = state.steps[mov] >= crit.max_steps
-            state.reason[mov[hit_budget]] = StopReason.MAX_STEPS
-
-            if visit_callback is not None and mov.shape[0]:
-                # ok-rows are in bounds, so the clipped flat index equals
-                # the unclipped one the visit contract specifies.
+            # ok-rows are in bounds, so the clipped flat index equals the
+            # unclipped one the visit contract specifies.
+            if visit_callback is not None and not stopped:
+                visit_samples.append(samp)
+                visit_threads.append(origin)
+                visit_voxels.append(flat)
+            elif visit_callback is not None and ok.any():
                 visit_samples.append(samp[ok])
-                visit_threads.append(state.origin[mov])
+                visit_threads.append(origin[ok])
                 visit_voxels.append(flat[ok])
-            idx = mov[~hit_budget]
+
+            if not stopped and not hit_budget.any():
+                pos, head = new_pos, chosen
+                continue
+            ended |= hit_budget
+            # Retire: write the leaving rows' final state back once.
+            out = np.flatnonzero(ended)
+            rows = idx[out]
+            moved = ok[out]
+            state.positions[rows] = np.where(moved, new_pos[:, out], pos[:, out]).T
+            state.headings[rows] = np.where(moved, chosen[:, out], head[:, out]).T
+            state.steps[rows] = steps[out]
+            reason = np.full(out.shape, int(StopReason.MAX_STEPS), dtype=np.int64)
+            reason[no_dir[out]] = StopReason.NO_DIRECTION
+            reason[sharp[out]] = StopReason.ANGLE
+            reason[oob[out]] = StopReason.OUT_OF_BOUNDS
+            reason[off_mask[out]] = StopReason.OUT_OF_MASK
+            state.reason[rows] = reason
+            executed[rows] = it
+
+            keep = np.flatnonzero(~ended)
+            idx = idx[keep]
+            pos = new_pos[:, keep]
+            head = chosen[:, keep]
+            steps = steps[keep]
+            samp = samp[keep]
+            origin = origin[keep]
+            row_off = row_off[keep]
+
+        if idx.shape[0]:
+            state.positions[idx] = pos.T
+            state.headings[idx] = head.T
+            state.steps[idx] = steps
+            executed[idx] = it
 
         if visit_callback is not None and visit_threads:
             visit_callback(

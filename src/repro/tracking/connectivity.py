@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import TrackingError
+from repro.utils.voxels import unique_sorted
 
 __all__ = ["ConnectivityAccumulator"]
 
@@ -100,7 +101,7 @@ class ConnectivityAccumulator:
         if self._pending is None:
             raise TrackingError("end_sample() without begin_sample()")
         pairs = (
-            np.unique(np.concatenate(self._pending))
+            unique_sorted(np.concatenate(self._pending))
             if self._pending
             else np.empty(0, dtype=np.int64)
         )

@@ -15,18 +15,6 @@ from repro.errors import TrackingError
 
 __all__ = ["choose_direction", "initial_directions"]
 
-#: Cached ``arange`` — the row index of every fancy lookup in the
-#: selection core, reallocated only when a batch outgrows it.
-_ROWS = np.arange(256)
-
-
-def _rows(m: int) -> np.ndarray:
-    global _ROWS
-    if _ROWS.shape[0] < m:
-        _ROWS = np.arange(m)
-    return _ROWS[:m]
-
-
 def choose_direction(
     f: np.ndarray,
     directions: np.ndarray,
@@ -65,8 +53,10 @@ def choose_direction(
         raise TrackingError(
             f"heading must be ({f.shape[0]}, 3), got {heading.shape}"
         )
-    chosen, abs_dot, _ = _choose_direction_core(f, directions, heading, f_threshold)
-    return chosen, abs_dot
+    chosen, abs_dot, _ = _choose_direction_core(
+        f.T, directions.transpose(2, 1, 0), heading.T, f_threshold
+    )
+    return chosen.T, abs_dot
 
 
 def _choose_direction_core(
@@ -77,25 +67,37 @@ def _choose_direction_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validation-free selection core shared by the batch and scalar paths.
 
-    Returns ``(chosen, abs_dot, any_ok)`` — the extra ``any_ok`` mask
-    (``(n,)``, True where some population clears the fraction floor) is
-    exactly the tracker's NO_DIRECTION test, computed here once so the
-    hot loop does not re-reduce ``f``.
+    Row-innermost layout, as :func:`~repro.tracking.interpolate.trilinear_rows`
+    returns it: ``f`` is ``(N, n)``, ``directions`` ``(3, N, n)`` and
+    ``heading`` ``(3, n)``.  Returns ``(chosen, abs_dot, any_ok)`` with
+    ``chosen`` ``(3, n)``; the extra ``any_ok`` mask (``(n,)``, True
+    where some population clears the fraction floor) is exactly the
+    tracker's NO_DIRECTION test, computed here once so the hot loop does
+    not re-reduce ``f``.
+
+    The winner is the first population with the largest score, as
+    ``np.argmax`` over the population axis picks it (a NaN score wins,
+    as in ``argmax``), found by a running comparison over the N rows so
+    every ufunc's inner loop runs over the n threads.
     """
-    # Unrolled dot products (n, N): einsum's generic loop is several
-    # times slower at tracking batch sizes.
-    dots = directions[..., 0] * heading[:, None, 0]
-    dots += directions[..., 1] * heading[:, None, 1]
-    dots += directions[..., 2] * heading[:, None, 2]
+    dots = directions[0] * heading[0]
+    dots += directions[1] * heading[1]
+    dots += directions[2] * heading[2]
     eligible = f > f_threshold
     score = np.where(eligible, np.abs(dots), -1.0)
-    best = np.argmax(score, axis=1)  # (n,)
-    rows = _rows(f.shape[0])
-    best_dot = dots[rows, best]
-    best_dir = directions[rows, best]
-    any_ok = eligible.any(axis=1)
+    best_score = score[0]
+    best_dot = dots[0]
+    best_dir = directions[:, 0]
+    for k in range(1, f.shape[0]):
+        # ~(s <= best) is s > best or either is NaN; a NaN best is final.
+        take = ~(score[k] <= best_score)
+        take &= best_score == best_score
+        best_score = np.where(take, score[k], best_score)
+        best_dot = np.where(take, dots[k], best_dot)
+        best_dir = np.where(take, directions[:, k], best_dir)
+    any_ok = np.logical_or.reduce(eligible, axis=0)
     sign = np.where(best_dot < 0.0, -1.0, 1.0)
-    chosen = np.where(any_ok[:, None], best_dir * sign[:, None], 0.0)
+    chosen = np.where(any_ok, best_dir * sign, 0.0)
     abs_dot = np.where(any_ok, np.abs(best_dot), 0.0)
     return chosen, abs_dot, any_ok
 

@@ -81,7 +81,7 @@ class FusedVisitBuffer:
     (``begin_sample`` / ``visit`` / ``end_sample``); the fused kernel
     emits visits for all samples interleaved.  Visits are bucketed by
     sample here and flushed in global sample order once tracking ends —
-    the accumulator dedups per sample with a set-union (``np.unique``),
+    the accumulator dedups per sample with a set-union (sorted unique),
     so the replayed maps are bit-identical to tracking each sample alone.
     """
 
@@ -90,7 +90,7 @@ class FusedVisitBuffer:
         self._voxels: list[list[np.ndarray]] = [[] for _ in range(n_samples)]
 
     def record(self, samples: np.ndarray, threads: np.ndarray, voxels: np.ndarray) -> None:
-        for s in np.unique(samples):
+        for s in np.flatnonzero(np.bincount(samples)):
             rows = samples == s
             self._threads[int(s)].append(threads[rows])
             self._voxels[int(s)].append(voxels[rows])

@@ -16,16 +16,25 @@ bounds criterion, so clamping only affects the final partial step.
 
 Hot path
 --------
-The production implementation gathers all 8 corners from the field's
-packed flat views (:meth:`~repro.models.fields.FiberField.flat_views`):
-the six clipped axis index arrays are computed once per call, combined
-into flat row-major indices, and both ``f`` and ``directions`` are read
-with single contiguous ``take`` ops — instead of eight rounds of
-three-axis fancy indexing.  A :class:`Scratch` arena lets the lockstep
-tracker reuse the per-call corner buffers across iterations.  The
-corner-by-corner accumulation order is unchanged, so results are
-bit-identical to :func:`trilinear_lookup_reference` (the pre-optimization
-implementation, kept for benchmarking and as an executable spec).
+The production core, :func:`trilinear_rows`, keeps the thread (row)
+axis innermost.  It gathers all 8 corners with one contiguous ``take``
+per image from the field's packed flat views
+(:meth:`~repro.models.fields.FiberField.flat_views`, ``(n_vox, N)`` and
+``(n_vox, N, 3)``), then copies the gathered directions once into
+corner-major, row-innermost scratch ``(8, 3, N, n)`` (the fractions are
+read once, through a transposed view).  Every later ufunc — sign
+alignment, weighting, the corner sum and the renormalization — then
+runs an inner loop of length ``n`` over contiguous memory instead of one
+of length N (2) or 3 behind a broadcast, which is what made the
+thread-major form slow at tracking batch sizes.  The transpose is of the gathered corners only: the
+resident stack keeps its one ``(n_vox, ...)`` layout, so no second copy
+of the posterior is ever built.  A :class:`Scratch` arena lets the
+lockstep tracker reuse the per-call corner buffers across iterations.
+The corner-by-corner accumulation order is the reference loop's, so
+results are bit-identical to :func:`trilinear_lookup_reference` (the
+pre-optimization implementation, kept for benchmarking and as an
+executable spec).  :func:`trilinear_lookup` is the same core behind the
+public ``(n, ...)`` signature.
 
 The packed views stay ``float64``: the paper's GPU images are float32,
 but this reproduction asserts *exact* CPU/lockstep agreement in its test
@@ -48,6 +57,7 @@ __all__ = [
     "nearest_lookup",
     "trilinear_lookup",
     "trilinear_lookup_reference",
+    "trilinear_rows",
 ]
 
 
@@ -79,46 +89,45 @@ class Scratch:
         return buf[:need].reshape(shape)
 
 
-#: Corner offsets along the (2, n, 3) low/high axis of `_corner_indices`.
+#: Corner offsets along the (2, 3, n) low/high axis of `_corner_indices`.
 _CORNER_OFF = np.array([[[0]], [[1]]], dtype=np.int64)
+#: ``frac * _W_SCALE + _W_SHIFT`` is ``(1 - frac, frac)`` on that axis
+#: (``-frac + 1`` is ``1 - frac`` bitwise).
+_W_SCALE = np.array([[[-1.0]], [[1.0]]])
+_W_SHIFT = np.array([[[1.0]], [[0.0]]])
 
 
 def _corner_indices(pts: np.ndarray, shape3: tuple[int, int, int]):
     """Clipped flat indices and weights of the 8 surrounding corners.
 
-    Returns ``(flat, w, frac)``: ``flat`` is ``(8, n)`` int64 and ``w``
-    ``(8, n)`` float64, corner ``c`` at offset bit pattern
-    ``(c & 1, (c >> 1) & 1, (c >> 2) & 1)``; ``frac`` is the ``(n, 3)``
-    in-cell offset.  Built from per-axis low/high pairs broadcast over a
-    ``(z, y, x)``-ordered cube, so the whole corner fan costs a handful
-    of vector ops instead of eight rounds of three-axis arithmetic.
+    ``pts`` is ``(3, n)``.  Returns ``(flat, w)``: ``flat`` is ``(8, n)``
+    int64 and ``w`` ``(8, n)`` float64, corner ``c`` at offset bit
+    pattern ``(c & 1, (c >> 1) & 1, (c >> 2) & 1)``.  Built from per-axis
+    low/high pairs broadcast over a ``(z, y, x)``-ordered cube, so the
+    whole corner fan costs a handful of vector ops instead of eight
+    rounds of three-axis arithmetic.
     """
     nx, ny, nz = shape3
-    n = pts.shape[0]
+    n = pts.shape[1]
     base_f = np.floor(pts)
     frac = pts - base_f
-    base = base_f.astype(np.int64)
-    # Clip both corner planes of all three axes at once: (2, n, 3), row 0
-    # the low corner, row 1 the high corner.
-    bb = np.maximum(base[None, :, :] + _CORNER_OFF, 0)
-    bb = np.minimum(bb, np.asarray([nx - 1, ny - 1, nz - 1]), out=bb)
-    x, y, z = bb[..., 0], bb[..., 1], bb[..., 2]
+    # Both corner planes of all three axes at once, (2, 3, n) with row 0
+    # the low corner and row 1 the high one: clipped to the grid, then
+    # scaled by the row-major axis strides.
+    lim = np.array([[nx - 1, ny * nz], [ny - 1, nz], [nz - 1, 1]])
+    bb = base_f.astype(np.int64) + _CORNER_OFF
+    np.maximum(bb, 0, out=bb)
+    np.minimum(bb, lim[:, :1], out=bb)
+    bb *= lim[:, 1:]
+    x, y, z = bb[:, 0], bb[:, 1], bb[:, 2]
     # flat = (x * ny + y) * nz + z; broadcasting (z, y, x) puts corner c
     # at flat row c = xbit + 2*ybit + 4*zbit after the C-order reshape.
-    flat = (
-        (x * (ny * nz))[None, None, :, :]
-        + (y * nz)[None, :, None, :]
-        + z[:, None, None, :]
-    ).reshape(8, n)
+    flat = (x[None, None] + y[None, :, None] + z[:, None, None]).reshape(8, n)
 
-    ww = np.empty((2, n, 3))
-    ww[1] = frac
-    np.subtract(1.0, frac, out=ww[0])
-    wx, wy, wz = ww[..., 0], ww[..., 1], ww[..., 2]
-    w = (
-        wx[None, None, :, :] * wy[None, :, None, :] * wz[:, None, None, :]
-    ).reshape(8, n)
-    return flat, w, frac
+    ww = frac * _W_SCALE + _W_SHIFT
+    wx, wy, wz = ww[:, 0], ww[:, 1], ww[:, 2]
+    w = (wx[None, None] * wy[None, :, None] * wz[:, None, None]).reshape(8, n)
+    return flat, w
 
 
 def nearest_flat_index(points, shape3: tuple[int, int, int]) -> np.ndarray:
@@ -184,33 +193,34 @@ def trilinear_lookup(
         directions are aligned to the first corner's direction per
         population.
     scratch:
-        Optional :class:`Scratch` arena; pass one to reuse the corner
-        buffers across calls (the lockstep tracker does, per segment).
+        Optional :class:`Scratch` arena for the corner buffers.
     row_offset:
-        The batch tracker's ``(n,)`` per-point stacked-view offset (see
+        ``(n,)`` per-point stacked-view offset (see
         :func:`nearest_lookup`).
 
     Returns
     -------
     (f, directions):
         ``f`` is ``(n, N)``; ``directions`` is ``(n, N, 3)``, renormalized
-        to unit length where non-zero.  ``f`` and ``directions`` are
-        freshly allocated (never scratch views), so callers may keep them.
+        to unit length where non-zero.  Both are transposed views of
+        :func:`trilinear_rows`' freshly allocated outputs, so callers may
+        keep them.
     """
     pts = _check_points(points)
     n = pts.shape[0]
+    ref = None
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64)
         if ref.shape != (n, 3):
             raise TrackingError(f"reference must be ({n}, 3), got {ref.shape}")
-    else:
-        ref = None
-    return _trilinear_packed(
-        field, pts, ref, scratch, row_offset=row_offset
+        ref = np.ascontiguousarray(ref.T)
+    f, d = trilinear_rows(
+        field, np.ascontiguousarray(pts.T), ref, scratch, row_offset=row_offset
     )
+    return f.T, d.transpose(2, 1, 0)
 
 
-def _trilinear_packed(
+def trilinear_rows(
     field: FiberField | FiberStack,
     pts: np.ndarray,
     ref: np.ndarray | None,
@@ -218,65 +228,84 @@ def _trilinear_packed(
     *,
     row_offset=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validation-free trilinear core over the packed flat views.
+    """Validation-free trilinear core, thread axis innermost.
 
-    The scalar reference tracker calls this directly with ``(1, 3)``
-    arrays — the same code path as the lockstep batch, so scalar and
-    batch interpolation agree bitwise by construction.
+    ``pts`` and ``ref`` are ``(3, n)`` (``ref`` may be None: align to
+    corner 0, as :func:`trilinear_lookup`); ``row_offset`` is the batch
+    tracker's ``(n,)`` stacked-view offset.  Returns ``f`` ``(N, n)``
+    and ``directions`` ``(3, N, n)``, views of one freshly allocated
+    array (never scratch).  The lockstep tracker calls this with its
+    live rows and the scalar reference tracker with one row, so scalar
+    and batch interpolation agree bitwise by construction.
     """
-    n = pts.shape[0]
+    n = pts.shape[1]
     n_fib = field.n_fibers
     f2, d2, _ = field.flat_views()
-    flat, w, _ = _corner_indices(pts, field.shape3)
+    flat, w = _corner_indices(pts, field.shape3)
     if row_offset is not None:
-        flat = flat + row_offset[None, :]
+        flat += row_offset
     sc = scratch if scratch is not None else Scratch()
 
-    # One contiguous gather for all 8 corners of both images.
+    # One contiguous gather per image for all 8 corners; the directions
+    # are then copied once into corner-major, row-innermost scratch
+    # cd (8, 3, N, n), and the fractions read through a transposed view.
+    # The indices are in range by construction (clipped corners, sample
+    # offsets below the stack size), and ``mode="clip"`` lets ``take``
+    # write straight into ``out``: the default mode gathers into a
+    # temporary and copies it over.
     flat_all = flat.reshape(8 * n)
-    cf = np.take(
-        f2, flat_all, axis=0, out=sc.get("cf", (8, n, n_fib)).reshape(8 * n, n_fib)
-    ).reshape(8, n, n_fib)
-    cd = np.take(
-        d2,
-        flat_all,
-        axis=0,
-        out=sc.get("cd", (8, n, n_fib, 3)).reshape(8 * n, n_fib, 3),
-    ).reshape(8, n, n_fib, 3)
+    gf = sc.get("gf", (8 * n, n_fib))
+    np.take(f2, flat_all, axis=0, out=gf, mode="clip")
+    gd = sc.get("gd", (8 * n, n_fib, 3))
+    np.take(d2, flat_all, axis=0, out=gd, mode="clip")
+    cd = sc.get("cd", (8, 3, n_fib, n))
+    cd[...] = gd.reshape(8, n, n_fib, 3).transpose(0, 3, 2, 1)
 
-    # Axial sign alignment for every corner at once.  The dot products
-    # are unrolled over the 3 components (einsum's generic loop is ~4x
-    # slower at tracking batch sizes); only the *sign* of the dot is
-    # consumed, so its last-ulp accumulation order cannot matter short
-    # of a dot within one ulp of zero.
-    r = ref[None, :, None, :] if ref is not None else cd[0][None]
-    sign = np.multiply(cd[..., 0], r[..., 0], out=sc.get("sign", (8, n, n_fib)))
-    tmp = np.multiply(cd[..., 1], r[..., 1], out=sc.get("tmp", (8, n, n_fib)))
-    sign += tmp
-    tmp = np.multiply(cd[..., 2], r[..., 2], out=tmp)
-    sign += tmp
-    np.sign(sign, out=sign)
-    np.copyto(sign, 1.0, where=sign == 0.0)
+    # Axial sign alignment for every corner at once.  Only the sign of
+    # the dot is consumed, so its last-ulp accumulation order cannot
+    # matter short of a dot within one ulp of zero.
+    r = ref[:, None, :] if ref is not None else cd[0]
+    dot = np.multiply(cd[:, 0], r[0], out=sc.get("dot", (8, n_fib, n)))
+    tmp = np.multiply(cd[:, 1], r[1], out=sc.get("tmp", (8, n_fib, n)))
+    dot += tmp
+    np.multiply(cd[:, 2], r[2], out=tmp)
+    dot += tmp
 
-    # Weighted corner accumulation; the reductions over the 8-corner
-    # axis run in corner order, matching the reference loop.
-    wf = np.multiply(w[:, :, None], cf, out=sc.get("wf", (8, n, n_fib)))
-    f_out = wf.sum(axis=0)
-    wf = np.multiply(wf, sign, out=wf)
-    wfd = np.multiply(wf[..., None], cd, out=sc.get("wfd", (8, n, n_fib, 3)))
-    d_out = wfd.sum(axis=0)
+    # Weighted corner terms, ``terms[c]`` = (w f, sign-aligned w f d) of
+    # corner c.  Sign alignment uses the reference's sign 0 -> +1:
+    # ``+ 0.0`` turns a -0.0 dot into +0.0, and copysign onto ``dot * wf``
+    # (not ``dot``) keeps the sign of a negative fraction, so ``swf``
+    # equals ``wf * sign`` for every finite input.
+    terms = sc.get("terms", (8, 4, n_fib, n))
+    wf = np.multiply(
+        w[:, None, :], gf.reshape(8, n, n_fib).transpose(0, 2, 1), out=terms[:, 0]
+    )
+    dot += 0.0
+    swf = np.multiply(dot, wf, out=tmp)
+    np.copysign(wf, swf, out=swf)
+    np.multiply(swf[:, None], cd, out=terms[:, 1:])
+    # Corner-major terms make the sum over axis 0 add whole (4, N, n)
+    # slabs corner by corner, the reference loop's order; NumPy sums
+    # pairwise only along the contiguous axis, which is never the
+    # corner axis here (4 N n >= 4).
+    acc = np.add.reduce(terms, axis=0)
+    f_out, d_out = acc[0], acc[1:]
 
     # Renormalize: x*x is bitwise abs(x)**2, so this matches the
     # reference path's np.linalg.norm over the 3-vector exactly.
-    nrm = np.multiply(d_out[..., 0], d_out[..., 0], out=sc.get("nrm", (n, n_fib)))
-    t0 = np.multiply(d_out[..., 1], d_out[..., 1], out=tmp[0])
+    nrm = np.multiply(d_out[0], d_out[0], out=tmp[0])
+    t0 = np.multiply(d_out[1], d_out[1], out=tmp[1])
     nrm += t0
-    t0 = np.multiply(d_out[..., 2], d_out[..., 2], out=tmp[0])
+    np.multiply(d_out[2], d_out[2], out=t0)
     nrm += t0
     np.sqrt(nrm, out=nrm)
-    ok3 = (nrm > 1e-12)[:, :, None]
-    np.divide(d_out, nrm[:, :, None], out=d_out, where=ok3)
-    np.copyto(d_out, 0.0, where=~ok3)
+    # Zero the populations whose norm is not above 1e-12 (NaN included);
+    # dividing them by 1 first keeps the division unmasked (a ``where=``
+    # ufunc runs several times slower).
+    zero = ~(nrm > 1e-12)
+    np.copyto(nrm, 1.0, where=zero)
+    d_out /= nrm
+    np.copyto(d_out, 0.0, where=zero)
     return f_out, d_out
 
 

@@ -16,8 +16,8 @@ from repro.errors import TrackingError
 from repro.models.fields import FiberField
 from repro.tracking.criteria import StopReason, TerminationCriteria
 from repro.tracking.direction import _choose_direction_core
-from repro.tracking.interpolate import Scratch, _trilinear_packed, nearest_lookup
-from repro.utils.voxels import flat_voxel_index, in_bounds_mask
+from repro.tracking.interpolate import Scratch, nearest_lookup, trilinear_rows
+from repro.utils.voxels import flat_voxel_index, in_bounds_mask, unique_sorted
 
 __all__ = ["Streamline", "track_streamline"]
 
@@ -62,7 +62,7 @@ class Streamline:
         idx = np.rint(self.points).astype(np.int64)
         idx = idx[in_bounds_mask(idx, shape3)]
         flat = flat_voxel_index(idx[:, 0], idx[:, 1], idx[:, 2], shape3)
-        return np.unique(flat)
+        return unique_sorted(flat)
 
 
 def track_streamline(
@@ -93,23 +93,25 @@ def track_streamline(
     heading = np.asarray(heading, dtype=np.float64).reshape(3)
 
     shape3 = field.shape3
+    nx, ny, nz = shape3
     _, _, mask_flat = field.flat_views()
-    # Fast scalar path: one reusable (1, 3) view pair routed through the
-    # same packed-gather cores as the lockstep batch — no per-step array
+    # Fast scalar path: one reusable (3, 1) row pair routed through the
+    # same row-innermost cores as the lockstep batch — no per-step array
     # wrapping/validation, and bitwise-identical interpolation.
-    p = np.empty((1, 3))
-    h = np.empty((1, 3))
-    p[0] = seed
-    h[0] = heading
+    p = np.empty((3, 1))
+    h = np.empty((3, 1))
+    p[:, 0] = seed
+    h[:, 0] = heading
     scratch = Scratch()
     trilinear = interpolation == "trilinear"
     points = [seed.copy()]
     reason = StopReason.MAX_STEPS
     for _ in range(criteria.max_steps):
         if trilinear:
-            f, dirs = _trilinear_packed(field, p, h, scratch)
+            f, dirs = trilinear_rows(field, p, h, scratch)
         else:
-            f, dirs = nearest_lookup(field, p)
+            f, dirs = nearest_lookup(field, p.T)
+            f, dirs = f.T, dirs.transpose(2, 1, 0)
         chosen, dot, any_ok = _choose_direction_core(
             f, dirs, h, criteria.f_threshold
         )
@@ -119,15 +121,15 @@ def track_streamline(
         if dot[0] < criteria.min_dot:
             reason = StopReason.ANGLE
             break
-        new_pos = p[0] + criteria.step_length * chosen[0]
-        idx = np.rint(new_pos).astype(np.int64)
-        if not in_bounds_mask(idx, shape3):
+        new_pos = p[:, 0] + criteria.step_length * chosen[:, 0]
+        i, j, k = np.rint(new_pos).astype(np.int64).tolist()
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
             reason = StopReason.OUT_OF_BOUNDS
             break
-        if not mask_flat[flat_voxel_index(idx[0], idx[1], idx[2], shape3)]:
+        if not mask_flat[flat_voxel_index(i, j, k, shape3)]:
             reason = StopReason.OUT_OF_MASK
             break
-        p[0] = new_pos
-        h[0] = chosen[0]
+        p[:, 0] = new_pos
+        h[:, 0] = chosen[:, 0]
         points.append(new_pos.copy())
     return Streamline(points=np.array(points), reason=reason)

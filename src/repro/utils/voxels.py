@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["flat_voxel_index", "in_bounds_mask", "clip_to_grid"]
+__all__ = ["flat_voxel_index", "in_bounds_mask", "clip_to_grid", "unique_sorted"]
 
 
 def flat_voxel_index(
@@ -40,3 +40,20 @@ def clip_to_grid(ijk: np.ndarray, shape3: tuple[int, int, int]) -> np.ndarray:
     """Integer coords clamped to the grid (``CLAMP_TO_EDGE`` semantics)."""
     nx, ny, nz = shape3
     return np.clip(ijk, 0, np.array([nx - 1, ny - 1, nz - 1]))
+
+
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array: ``np.unique`` by sort.
+
+    A sort plus an adjacent-difference mask gives the array
+    ``np.unique`` returns on every NumPy version, without the hash-based
+    ``unique`` NumPy 2.4 switched to, which is several times slower on
+    the tracker's visit arrays (tens of thousands of int64 indices).
+    """
+    out = np.sort(values)
+    if out.size < 2:
+        return out
+    keep = np.empty(out.shape, dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]

@@ -44,7 +44,7 @@ from repro.tracking import (
     table2_strategy,
 )
 from repro.utils.geometry import normalize
-from tests.tracking_spec import spec_stack_lookup
+from tests.tracking_spec import KERNEL_LOOKUP, SpecStackLookup
 
 N_SAMPLES = 5
 CRITERIA = TerminationCriteria(max_steps=64, min_dot=0.8, step_length=0.2)
@@ -163,11 +163,11 @@ def test_matches_spec(fields, order, bidirectional, overlap, interpolation, monk
     (per-sample ``trilinear_lookup_reference``) and must also reproduce
     the packed lookup's lengths and stop reasons."""
     packed = None
+    spec = None
     if interpolation == "trilinear-reference":
         packed, _ = run(fields, order=order, bidirectional=bidirectional, overlap=overlap)
-        monkeypatch.setattr(
-            "repro.tracking.batch.trilinear_lookup", spec_stack_lookup
-        )
+        spec = SpecStackLookup()
+        monkeypatch.setattr(KERNEL_LOOKUP, spec)
         interpolation = "trilinear"
     result, manifest = run(
         fields,
@@ -177,6 +177,7 @@ def test_matches_spec(fields, order, bidirectional, overlap, interpolation, monk
         interpolation=interpolation,
     )
     if packed is not None:
+        assert spec.calls > 0
         assert np.array_equal(result.run.lengths, packed.run.lengths)
         assert np.array_equal(result.run.reasons, packed.run.reasons)
     launches, events, peak = spec_schedule(result, fields, order, overlap)

@@ -17,7 +17,7 @@ from repro.tracking import (
     trilinear_lookup,
 )
 from repro.tracking.interpolate import trilinear_lookup_reference
-from tests.tracking_spec import spec_stack_lookup
+from tests.tracking_spec import KERNEL_LOOKUP, SpecStackLookup
 
 
 def uniform_x_field(shape=(12, 6, 6), f=0.6):
@@ -105,20 +105,56 @@ class TestTrilinearLookup:
             )
 
     def test_packed_gather_matches_reference_bitwise(self):
-        """The optimized packed gather is the reference spec, exactly."""
+        """The optimized packed gather is the reference spec, exactly.
+
+        Besides random fields: corners whose dot with the reference (or
+        with corner 0) is exactly +0.0 or -0.0, zero-length directions,
+        f = 0 corners with arbitrary (even NaN) directions, a slightly
+        negative fraction (the field validation admits -1e-9), N = 1, 2,
+        3, one-row batches, and ``reference=None``."""
         field = crossing_field()
         rng = np.random.default_rng(3)
         # Interior, boundary, and out-of-grid points (clamp path).
         pts = rng.uniform(-2.0, 12.0, size=(200, 3))
         ref = rng.normal(size=(200, 3))
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-        for reference in (None, ref):
-            f_opt, d_opt = trilinear_lookup(field, pts, reference=reference)
-            f_ref, d_ref = trilinear_lookup_reference(
-                field, pts, reference=reference
-            )
-            assert np.array_equal(f_opt, f_ref)
-            assert np.array_equal(d_opt, d_ref)
+        cases = [(field, pts, ref)]
+
+        shape = (4, 4, 3)
+        n_pts = 120
+        pts = rng.uniform(-0.5, 3.5, size=(n_pts, 3))
+        pts[:10] = np.rint(pts[:10])  # voxel centres: zero weights
+        ref = rng.normal(size=(n_pts, 3))
+        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+        # Against (1, 0, 0) these give dots of exactly +0.0 and -0.0.
+        ref[10:40:2] = [0.0, 0.6, 0.8]
+        ref[11:40:2] = [-0.0, -0.6, -0.8]
+        for n_fib in (1, 2, 3):
+            fr = rng.uniform(0.0, 1.0 / n_fib, size=shape + (n_fib,))
+            dirs = rng.normal(size=shape + (n_fib, 3))
+            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+            dirs[0] = [1.0, 0.0, 0.0]
+            # (1, 0, 0) . (-0, -1, -0) is -0.0 (corner-0 alignment).
+            dirs[1, :2] = [-0.0, -1.0, -0.0]
+            dirs[2, 0] = 0.0  # zero-length directions
+            fr[2, 1] = 0.0  # f = 0 with arbitrary, non-unit directions
+            dirs[2, 1] = rng.normal(scale=3.0, size=(shape[2], n_fib, 3))
+            dirs[2, 1, 0] = np.nan  # "any value" includes NaN where f = 0
+            fr[3, 3, 0] = -1e-10
+            f = FiberField(f=fr, directions=dirs, mask=np.ones(shape, bool))
+            cases.append((f, pts, ref))
+
+        for f, p, r in cases:
+            for reference in (None, r):
+                batches = [(p, reference)] + [
+                    (p[i : i + 1], None if reference is None else reference[i : i + 1])
+                    for i in (0, 10, 11, len(p) - 1)
+                ]
+                for bp, br in batches:
+                    f_opt, d_opt = trilinear_lookup(f, bp, reference=br)
+                    f_ref, d_ref = trilinear_lookup_reference(f, bp, reference=br)
+                    assert np.array_equal(f_opt, f_ref)
+                    assert np.array_equal(d_opt, d_ref)
 
     def test_batch_tracker_reference_mode_identical(self, monkeypatch):
         """Full batch runs agree bitwise between the packed lookup and the
@@ -128,13 +164,13 @@ class TestTrilinearLookup:
         seeds = np.argwhere(field.mask)[::7].astype(np.float64)
         headings = np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
         runs = {}
+        spec = SpecStackLookup()
         for mode in ("packed", "spec"):
             if mode == "spec":
-                monkeypatch.setattr(
-                    "repro.tracking.batch.trilinear_lookup", spec_stack_lookup
-                )
+                monkeypatch.setattr(KERNEL_LOOKUP, spec)
             state = BatchTracker(field, crit).run_to_completion(seeds, headings)
             runs[mode] = (state.steps.copy(), state.reason.copy())
+        assert spec.calls > 0
         assert np.array_equal(runs["packed"][0], runs["spec"][0])
         assert np.array_equal(runs["packed"][1], runs["spec"][1])
 
@@ -469,6 +505,10 @@ class TestBatchTracker:
         state = tracker.init_state(np.ones((1, 3)), np.ones((1, 3)))
         with pytest.raises(TrackingError):
             tracker.run_segment(state, -1)
+        # A row naming a sample the stack does not hold.
+        state = tracker.init_state(np.ones((1, 3)), np.ones((1, 3)), sample=[1])
+        with pytest.raises(TrackingError, match="samples"):
+            tracker.run_segment(state, 1)
 
     def test_payload_sizes(self):
         field, crit = self.make_setup()
