@@ -17,7 +17,9 @@ and as machine-readable ``BENCH_parallel.json`` at the repo root:
    posterior :class:`~repro.models.fields.FiberStack` (each shard
    receives a view of its own samples).  Worker counts above
    ``os.cpu_count()`` are not swept: on fewer cores than workers the
-   shards only time-slice one core.  Per worker count:
+   shards only time-slice one core.  Every timed figure, in both parts,
+   is the minimum over :data:`REPS` rounds, and each round times every
+   run compared in a ratio once, in turn.  Per worker count:
 
    * ``wall_s`` — measured end-to-end wall of the sharded run,
      including fork/pickle overhead; ``measured_speedup`` is
@@ -65,6 +67,9 @@ from repro.tracking.shards import run_sharded
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 N_SCALAR_SEEDS = 40
 N_FIELDS_BATCH = 3
+#: Repetitions per timed wall; each figure is the minimum, so a gate
+#: tests the code rather than a momentary slowdown of the machine.
+REPS = 5
 #: Worker counts swept, capped at this machine's core count.
 NPROC = os.cpu_count() or 1
 WORKER_COUNTS = [w for w in (2, 4) if w <= NPROC]
@@ -121,73 +126,69 @@ def _reference_batch_lookup(stack, pts, ref, scratch=None, *, row_offset=None):
     return f, d
 
 
+def _min_walls(*fns, reps=REPS):
+    """``[(min wall, last result), ...]``, one pair per ``fn``.
+
+    Each of the ``reps`` rounds calls every ``fn`` once, in order, so the
+    two sides of a ratio are timed alternately: a slow spell of the
+    machine lands on both rather than on one side's repetitions.
+    """
+    walls = [[] for _ in fns]
+    results = [None] * len(fns)
+    for _ in range(reps):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[i] = fn()
+            walls[i].append(time.perf_counter() - t0)
+    return [(min(w), r) for w, r in zip(walls, results)]
+
+
 def _scalar_pass(field, seeds, criteria):
     f0, d0 = nearest_lookup(field, seeds)
     from repro.tracking.direction import initial_directions
 
     headings = initial_directions(f0, d0)
 
-    t0 = time.perf_counter()
-    steps_ref = sum(
-        _reference_track_streamline(field, s, h, criteria)
-        for s, h in zip(seeds, headings)
-    )
-    wall_ref = time.perf_counter() - t0
+    def reference():
+        return sum(
+            _reference_track_streamline(field, s, h, criteria)
+            for s, h in zip(seeds, headings)
+        )
 
-    t0 = time.perf_counter()
-    steps_new = sum(
-        track_streamline(field, s, h, criteria).n_steps
-        for s, h in zip(seeds, headings)
-    )
-    wall_new = time.perf_counter() - t0
+    def production():
+        return sum(
+            track_streamline(field, s, h, criteria).n_steps
+            for s, h in zip(seeds, headings)
+        )
+
+    (wall_ref, steps_ref), (wall_new, steps_new) = _min_walls(reference, production)
     assert steps_ref == steps_new, "kernel rewrite changed scalar results"
     return wall_ref / steps_ref * 1e6, wall_new / steps_new * 1e6
 
 
-def _batch_pass(stack, seeds, criteria, n_voxels, reference=False, reps=3):
-    walls = []
-    run = None
-    lookup = _reference_batch_lookup if reference else trilinear_rows
-    with mock.patch("repro.tracking.batch.trilinear_rows", lookup):
-        for _ in range(reps):
-            acc = ConnectivityAccumulator(len(seeds), n_voxels)
-            tracker = SegmentedTracker()
-            t0 = time.perf_counter()
-            run = tracker.run(
-                stack, seeds, criteria, table2_strategy(), connectivity=acc
-            )
-            walls.append(time.perf_counter() - t0)
-    return min(walls), run
+def _tracking_run(stack, seeds, criteria, n_voxels=None, n_workers=1, lookup=None):
+    """A zero-argument tracking run: serial, or sharded over ``n_workers``;
+    with a connectivity accumulator when ``n_voxels`` is given; with
+    ``lookup`` patched in as the kernel's trilinear lookup."""
 
-
-def _shard_bound_wall(stack, seeds, criteria, n_workers):
-    """Uncontended wall of the largest shard: run each shard's sample
-    slice serially and take the max.  This is the decomposition's
-    parallel critical path, free of core contention."""
-    walls = []
-    for sl in partition_seeds(len(stack), n_workers):
+    def run():
+        acc = (
+            None if n_voxels is None
+            else ConnectivityAccumulator(len(seeds), n_voxels)
+        )
         tracker = SegmentedTracker()
-        t0 = time.perf_counter()
-        tracker.run(stack[sl], seeds, criteria, table2_strategy())
-        walls.append(time.perf_counter() - t0)
-    return max(walls)
+        kernel_lookup = lookup or trilinear_rows
+        with mock.patch("repro.tracking.batch.trilinear_rows", kernel_lookup):
+            if n_workers <= 1:
+                return tracker.run(
+                    stack, seeds, criteria, table2_strategy(), connectivity=acc
+                )
+            return run_sharded(
+                tracker, stack, seeds, criteria, table2_strategy(),
+                n_workers=n_workers, connectivity=acc,
+            )
 
-
-def _parallel_pass(stack, seeds, criteria, n_workers, n_voxels):
-    acc = ConnectivityAccumulator(len(seeds), n_voxels)
-    tracker = SegmentedTracker()
-    t0 = time.perf_counter()
-    if n_workers <= 1:
-        run = tracker.run(
-            stack, seeds, criteria, table2_strategy(), connectivity=acc
-        )
-    else:
-        run = run_sharded(
-            tracker, stack, seeds, criteria, table2_strategy(),
-            n_workers=n_workers, connectivity=acc,
-        )
-    wall = time.perf_counter() - t0
-    return wall, run
+    return run
 
 
 def test_parallel_scaling_report(benchmark, phantom1, fields1, capsys):
@@ -200,21 +201,28 @@ def test_parallel_scaling_report(benchmark, phantom1, fields1, capsys):
         scalar_ref_us, scalar_new_us = _scalar_pass(
             stack[0], seeds[:N_SCALAR_SEEDS], criteria
         )
-        batch_ref_wall, batch_ref_run = _batch_pass(
-            stack[:N_FIELDS_BATCH], seeds, criteria, n_voxels, reference=True
-        )
-        batch_new_wall, batch_run = _batch_pass(
-            stack[:N_FIELDS_BATCH], seeds, criteria, n_voxels
+        batch = stack[:N_FIELDS_BATCH]
+        (batch_ref_wall, batch_ref_run), (batch_new_wall, batch_run) = _min_walls(
+            _tracking_run(batch, seeds, criteria, n_voxels,
+                          lookup=_reference_batch_lookup),
+            _tracking_run(batch, seeds, criteria, n_voxels),
         )
         assert np.array_equal(batch_ref_run.lengths, batch_run.lengths)
-        serial_wall, serial_run = _parallel_pass(
-            stack, seeds, criteria, 1, n_voxels
-        )
+        # One interleaved set of rounds for the serial run, each sharded
+        # run, and each shard's sample slice run serially (uncontended):
+        # the largest slice is the decomposition's critical path.
+        slices = {w: partition_seeds(len(stack), w) for w in WORKER_COUNTS}
+        fns = [_tracking_run(stack, seeds, criteria, n_voxels)]
+        for w in WORKER_COUNTS:
+            fns.append(_tracking_run(stack, seeds, criteria, n_voxels, n_workers=w))
+            fns += [_tracking_run(stack[sl], seeds, criteria) for sl in slices[w]]
+        timed = iter(_min_walls(*fns))
+        serial_wall, serial_run = next(timed)
         workers = {}
         for w in WORKER_COUNTS:
-            wall, run = _parallel_pass(stack, seeds, criteria, w, n_voxels)
+            wall, run = next(timed)
             assert np.array_equal(run.lengths, serial_run.lengths)
-            bound = _shard_bound_wall(stack, seeds, criteria, w)
+            bound = max(next(timed)[0] for _ in slices[w])
             workers[str(w)] = {
                 "wall_s": round(wall, 4),
                 "measured_speedup": round(serial_wall / wall, 2),
@@ -253,7 +261,9 @@ def test_parallel_scaling_report(benchmark, phantom1, fields1, capsys):
                 "serial_wall_s": round(serial_wall, 4),
                 "workers": workers,
                 "basis": (
-                    "Every wall is measured on this run.  kernel_pass "
+                    f"Every wall is measured on this run: the minimum of "
+                    f"{REPS} rounds, each round timing every run once, in "
+                    f"turn.  kernel_pass "
                     "'before' times the reference interpolation kept in "
                     "the tree against the production kernel.  "
                     "shard_bound_wall_s times the largest shard's sample "

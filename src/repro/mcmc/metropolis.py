@@ -86,7 +86,9 @@ def mh_parameter_update(
     with np.errstate(invalid="ignore"):
         log_ratio = prop_lp - current_lp
     # -inf current posterior: accept anything finite.
-    log_ratio = np.where(np.isneginf(current_lp) & np.isfinite(prop_lp), np.inf, log_ratio)
+    stuck = np.isneginf(current_lp)
+    if stuck.any():
+        log_ratio = np.where(stuck & np.isfinite(prop_lp), np.inf, log_ratio)
     accepted = np.log(np.maximum(u, 1e-300)) < log_ratio
 
     if incremental:

@@ -20,7 +20,12 @@ from scipy.special import i0e
 
 from repro.errors import ModelError
 
-__all__ = ["gaussian_loglike", "gaussian_loglike_sse", "rician_loglike"]
+__all__ = [
+    "gaussian_loglike",
+    "gaussian_loglike_sse",
+    "gaussian_sigma_terms",
+    "rician_loglike",
+]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -55,14 +60,31 @@ def gaussian_loglike(
     return gaussian_loglike_sse(np.sum((data - mu) ** 2, axis=1), sigma, data.shape[1])
 
 
-def gaussian_loglike_sse(sse: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
-    """:func:`gaussian_loglike` from the per-voxel sum of squared
-    residuals ``sse`` over ``m`` measurements (a sigma-only change
-    reuses it)."""
+def gaussian_sigma_terms(
+    sigma: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of :func:`gaussian_loglike_sse` that depend on ``sigma``
+    alone: ``(sigma > 0, -m/2 log 2pi - m log sigma, 2 sigma^2)`` (a
+    change to any other parameter reuses them)."""
     ok = sigma > 0
     safe = np.where(ok, sigma, 1.0)
-    ll = -0.5 * m * _LOG_2PI - m * np.log(safe) - sse / (2.0 * safe**2)
-    return np.where(ok, ll, -np.inf)
+    return ok, -0.5 * m * _LOG_2PI - m * np.log(safe), 2.0 * safe**2
+
+
+def gaussian_loglike_sse(
+    sse: np.ndarray,
+    sigma: np.ndarray,
+    m: int,
+    sigma_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """:func:`gaussian_loglike` from the per-voxel sum of squared
+    residuals ``sse`` over ``m`` measurements (a sigma-only change
+    reuses it), and optionally ``sigma``'s precomputed
+    :func:`gaussian_sigma_terms`."""
+    if sigma_terms is None:
+        sigma_terms = gaussian_sigma_terms(sigma, m)
+    ok, norm, denom = sigma_terms
+    return np.where(ok, norm - sse / denom, -np.inf)
 
 
 def rician_loglike(

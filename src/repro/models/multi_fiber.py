@@ -19,7 +19,37 @@ from repro.io.gradients import GradientTable
 from repro.models.base import DiffusionModel
 from repro.utils.geometry import spherical_to_cartesian
 
-__all__ = ["MultiFiberModel"]
+__all__ = ["MultiFiberModel", "gradient_projection"]
+
+
+def gradient_projection(
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    g: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Project unit vectors on every gradient direction.
+
+    ``x, y, z`` are the vectors' components (one shape ``S``, any
+    strides) and ``g`` the gradient table's ``bvecs.T``, ``(3, m)``.
+    Returns ``(x gx + z gz) + y gy`` with shape ``S + (m,)``, written
+    into ``out`` when given; ``scratch`` (same shape) holds the second
+    product.  The summation order is the one ``np.einsum("...j,mj->...m",
+    dirs, bvecs)`` used for these length-3 contractions, at about half
+    its cost: the values are equal bit for bit, except that an exact
+    zero (a b=0 row) may come out as ``-0.0`` where the einsum gave
+    ``+0.0``.  Every consumer squares the projection, so the squares are
+    bitwise equal (``tests/unit/test_gradient_projection.py``).  The
+    model and the sampler's compartment cache both project through here.
+    """
+    gx, gy, gz = g
+    out = np.multiply(x[..., None], gx, out=out)
+    scratch = np.multiply(z[..., None], gz, out=scratch)
+    np.add(out, scratch, out=out)
+    np.multiply(y[..., None], gy, out=scratch)
+    return np.add(out, scratch, out=out)
 
 
 class MultiFiberModel(DiffusionModel):
@@ -81,7 +111,9 @@ class MultiFiberModel(DiffusionModel):
         bd = b * d[:, None]  # (n, m)
         ball = np.exp(-bd)
         # (n, N, m): squared projection of each gradient on each stick.
-        dot2 = np.einsum("vnj,mj->vnm", dirs, gtab.bvecs) ** 2
+        dot2 = gradient_projection(
+            dirs[..., 0], dirs[..., 1], dirs[..., 2], gtab.bvecs.T
+        ) ** 2
         sticks = np.exp(-bd[:, None, :] * dot2)
         f_iso = 1.0 - f.sum(axis=1)
         mix = f_iso[:, None] * ball + np.einsum("vn,vnm->vm", f, sticks)

@@ -20,12 +20,13 @@ from repro.io.gradients import GradientTable
 from repro.models.likelihood import (
     gaussian_loglike,
     gaussian_loglike_sse,
+    gaussian_sigma_terms,
     rician_loglike,
 )
-from repro.models.multi_fiber import MultiFiberModel
+from repro.models.multi_fiber import MultiFiberModel, gradient_projection
 from repro.models.priors import MultiFiberPriors
 from repro.models.tensor import TensorModel
-from repro.utils.geometry import cartesian_to_spherical, spherical_to_cartesian
+from repro.utils.geometry import cartesian_to_spherical
 
 __all__ = ["ParameterLayout", "LogPosterior", "CompartmentCache"]
 
@@ -266,111 +267,329 @@ class LogPosterior:
         return params
 
 
+#: Rows of :attr:`CompartmentCache.support`: one support flag per prior term.
+_S0, _D, _SIGMA, _F, _THETA = range(5)
+
+
 class CompartmentCache:
-    """A chain's model terms, so one MH step recomputes only what it moves.
+    """A chain's model and prior terms, so one MH step recomputes only
+    what it moves.
 
-    The sweep perturbs one flat parameter per step.  The cache holds the
-    current state's ball ``exp(-b d)`` and ``b d`` ``(n, m)``, the squared
-    gradient projections ``dot2`` and the sticks ``(n, N, m)``, the mix
-    ``(n, m)``, and the per-voxel SSE (gaussian) or the predicted signal
-    ``mu`` (rician).  :meth:`propose` recomputes by parameter:
+    The sweep perturbs one flat parameter per step.  For the current
+    state the cache holds the likelihood terms
 
-    ===================  ==========================================
-    ``s0``               ``mu = s0 * mix`` from the cached mix
-    ``sigma``            the likelihood alone, from the cached SSE / mu
-    ``d``                ball and every stick from the cached ``dot2``
-    ``f_j``              the mix from the cached ball and sticks
-    ``theta_j/phi_j``    ``dot2`` and stick ``j``, then the mix
-    ===================  ==========================================
+    * ``neg_bd = -b d``, the ball ``exp(-b d)`` and the isotropic term
+      ``iso = f_iso * ball``, each ``(n, m)``;
+    * the squared gradient projections ``dot2`` and the sticks
+      ``(n, N, m)``, and the mix ``(n, m)``;
+    * the per-voxel SSE and ``sigma_terms`` (gaussian), or the predicted
+      signal ``mu`` (rician; ``sigma_terms`` is ``None``);
 
-    and the prior in full.  Each term is the same array expression, on
-    the same contiguous layout, as in :meth:`LogPosterior.__call__`, so
-    ``propose(proposal, k)`` equals ``posterior(proposal)`` bitwise: the
-    full call stays the executable spec.  :meth:`commit` copies the
-    accepted rows of the proposed terms into the cache.  Rows the prior
-    vetoes are ``-inf`` (their terms are computed but never committed).
-    The cache is a pure function of the state, so it is rebuilt from the
-    state rather than checkpointed.
+    and the terms of :meth:`MultiFiberPriors.log_prior`
+
+    * ``support`` ``(5, n)``, one flag per term (``s0``, ``d``,
+      ``sigma``, ``f``, ``theta``; ``True`` outside the support), and
+      the per-fiber ``poles`` ``(n, N)`` behind the ``theta`` flag;
+    * ``neg_log_sigma = 0 - log sigma``, ``log_sin = log|sin theta|``
+      ``(n, N)`` with its row sums ``log_sin_sum``, and the ARD sum
+      ``ard_sum`` (``None`` without ARD);
+    * ``prior_body``, those real terms combined, and ``prior``, the
+      log-prior itself.
+
+    :meth:`propose` recomputes by parameter:
+
+    ===========  ==========================================  =====================
+    parameter    likelihood                                  prior
+    ===========  ==========================================  =====================
+    ``s0``       ``mu = s0 * mix`` from the cached mix       its flag
+    ``sigma``    ``sigma_terms``, with the cached SSE / mu   its flag, ``-log sigma``
+    ``d``        ``-b d``, ball, iso, every stick from       its flag
+                 the cached ``dot2``, then the mix
+    ``f_j``      iso, then the mix                           its flag, the ARD sum
+    ``theta_j``  ``dot2`` and stick ``j``, then the mix      its flag, ``log_sin[:, j]``
+    ``phi_j``    ``dot2`` and stick ``j``, then the mix      cached
+    ===========  ==========================================  =====================
+
+    Each term is the same array expression as in
+    :meth:`LogPosterior.__call__` and ``log_prior`` (the projection is
+    the model's own :func:`gradient_projection`), and the terms are
+    combined in the same order, so ``propose(proposal, k)`` equals
+    ``posterior(proposal)`` bitwise: the full call stays the executable
+    spec.  Sticks are proposed into a second ``(n, N, m)`` buffer that
+    mirrors ``sticks``, so an angle step writes one fiber's column and
+    the mix reads the same full layout.  :meth:`commit` copies the
+    accepted rows of the proposed terms into the cache, then restores
+    the mirror.  Rows the prior vetoes are ``-inf`` (their terms are
+    computed but never committed).  The cache is a pure function of the
+    state, so it is rebuilt from the state rather than checkpointed.
     """
 
     def __init__(self, posterior: LogPosterior, params: np.ndarray) -> None:
         self.posterior = posterior
+        lay = posterior.layout
+        priors = posterior.priors
+        n, m = posterior.data.shape
+        n_fib = lay.n_fibers
         self._b = posterior.gtab.bvals[None, :]
+        self._g = np.ascontiguousarray(posterior.gtab.bvecs.T)
         self._gaussian = posterior.noise_model == "gaussian"
-        p = posterior.layout.unpack(np.asarray(params, dtype=np.float64))
+        self._m = m
+        self._f = lay.f
+        self._theta0 = lay.theta.start
+        self._phi0 = lay.phi.start
+        self._ard = priors.ard and n_fib > 1
+        cls = type(self)
+        self._steps = (
+            [(cls._s0_step, 0), (cls._d_step, 0), (cls._sigma_step, 0)]
+            + [(cls._f_step, j) for j in range(n_fib)]
+            + [(cls._theta_step, j) for j in range(n_fib)]
+            + [(cls._phi_step, j) for j in range(n_fib)]
+        )
+        # Scratch for the proposed projection and a second (n, m)
+        # operand; the stick mirror is built with the sticks below.
+        self._dot2_new = np.empty((n, m))
+        self._tmp = np.empty((n, m))
+        self._reject = np.zeros(n, dtype=bool)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._restore: list[tuple[np.ndarray, np.ndarray]] = []
+
+        p = lay.unpack(np.asarray(params, dtype=np.float64))
         # Rows the prior vetoes may overflow; their terms never reach an
         # lp, so the warnings are noise.
         with np.errstate(all="ignore"):
-            self.bd = self._b * p["d"][:, None]
-            self.ball = np.exp(-self.bd)
-            dirs = spherical_to_cartesian(
-                np.ascontiguousarray(p["theta"]), np.ascontiguousarray(p["phi"])
+            self.neg_bd = np.negative(self._b * p["d"][:, None])
+            self.ball = np.exp(self.neg_bd)
+            theta = np.ascontiguousarray(p["theta"])
+            phi = np.ascontiguousarray(p["phi"])
+            sin_t = np.sin(theta)
+            self.dot2 = gradient_projection(
+                sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta), self._g
             )
-            self.dot2 = np.einsum("vnj,mj->vnm", dirs, posterior.gtab.bvecs) ** 2
-            self.sticks = np.exp(-self.bd[:, None, :] * self.dot2)
-            self.mix = self._mix(p["f"], self.ball, self.sticks)
+            np.square(self.dot2, out=self.dot2)
+            self.sticks = np.exp(self.neg_bd[:, None, :] * self.dot2)
+            self._sticks_new = self.sticks.copy()
+            f = np.ascontiguousarray(p["f"])
+            f_sum = f.sum(axis=1)
+            self.iso = (1.0 - f_sum)[:, None] * self.ball
+            self.mix = self._mix(self.iso, f, self.sticks)
             self.fit = self._fit(p["s0"], self.mix)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+            self.sigma_terms = (
+                gaussian_sigma_terms(p["sigma"], m) if self._gaussian else None
+            )
+
+            abs_sin = np.abs(sin_t)
+            self.poles = abs_sin <= 0.0
+            self.support = np.stack([
+                self._s0_flag(p["s0"]),
+                self._d_flag(p["d"]),
+                self._sigma_flag(p["sigma"]),
+                self._f_flag(f, f_sum),
+                self.poles.any(axis=1),
+            ])
+            self.neg_log_sigma = 0.0 - np.log(p["sigma"])
+            self.log_sin = np.log(np.where(abs_sin > 0.0, abs_sin, 1.0))
+            self.log_sin_sum = self.log_sin.sum(axis=1)
+            self.ard_sum = self._ard_sum(f)
+            self.prior_body = self._body(
+                self.neg_log_sigma, self.log_sin_sum, self.ard_sum
+            )
+            self.prior = np.where(self.support.any(axis=0), -np.inf, self.prior_body)
+
+    # -- the prior's terms (``MultiFiberPriors.log_prior``, split up) ------
+
+    def _s0_flag(self, s0: np.ndarray) -> np.ndarray:
+        return (s0 <= 0) | (s0 > self.posterior.priors.s0_max)
+
+    def _d_flag(self, d: np.ndarray) -> np.ndarray:
+        return (d <= 0) | (d > self.posterior.priors.d_max)
+
+    def _sigma_flag(self, sigma: np.ndarray) -> np.ndarray:
+        lo, hi = self.posterior.priors.sigma_bounds
+        return (sigma < lo) | (sigma > hi)
 
     @staticmethod
-    def _mix(f: np.ndarray, ball: np.ndarray, sticks: np.ndarray) -> np.ndarray:
-        f = np.ascontiguousarray(f)
-        f_iso = 1.0 - f.sum(axis=1)
-        return f_iso[:, None] * ball + np.einsum("vn,vnm->vm", f, sticks)
+    def _f_flag(f: np.ndarray, f_sum: np.ndarray) -> np.ndarray:
+        return np.any(f < 0.0, axis=1) | (f_sum > 1.0)
+
+    def _ard_sum(self, f: np.ndarray) -> np.ndarray | None:
+        if not self._ard:
+            return None
+        f_sec = np.maximum(f[:, 1:], self.posterior.priors.f_min_ard)
+        return np.log(f_sec).sum(axis=1)
+
+    @staticmethod
+    def _body(
+        neg_log_sigma: np.ndarray, log_sin_sum: np.ndarray, ard_sum: np.ndarray | None
+    ) -> np.ndarray:
+        body = neg_log_sigma + log_sin_sum
+        if ard_sum is not None:
+            body -= ard_sum
+        return body
+
+    def _prior(
+        self, row: int, flag: np.ndarray, body: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The log-prior with support flag ``row`` set to ``flag`` and,
+        if given, the real terms' sum set to ``body``; staged for
+        :meth:`commit`."""
+        support = self.support.copy()
+        support[row] = flag
+        if body is None:
+            body = self.prior_body
+        else:
+            self._pending.append((self.prior_body, body))
+        prior = np.where(support.any(axis=0), -np.inf, body)
+        self._pending += [(self.support[row], flag), (self.prior, prior)]
+        return prior
+
+    # -- the likelihood's terms -------------------------------------------
+
+    @staticmethod
+    def _mix(iso: np.ndarray, f: np.ndarray, sticks: np.ndarray) -> np.ndarray:
+        mix = np.einsum("vn,vnm->vm", f, sticks)
+        return np.add(iso, mix, out=mix)
 
     def _fit(self, s0: np.ndarray, mix: np.ndarray) -> np.ndarray:
         """SSE ``(n,)`` (gaussian) or ``mu`` ``(n, m)`` (rician)."""
-        mu = np.ascontiguousarray(s0)[:, None] * mix
-        if self._gaussian:
-            return np.sum((self.posterior.data - mu) ** 2, axis=1)
-        return mu
+        if not self._gaussian:
+            return s0[:, None] * mix
+        mu = np.multiply(s0[:, None], mix, out=self._tmp)
+        np.subtract(self.posterior.data, mu, out=mu)
+        return np.square(mu, out=mu).sum(axis=1)
 
-    def propose(self, proposal: np.ndarray, index: int) -> np.ndarray:
-        """``(n_vox,)`` log-posterior of ``proposal``, which differs from
-        the cached state in flat parameter ``index`` only."""
-        post = self.posterior
-        lay = post.layout
-        p = lay.unpack(proposal)
-        lp = post.priors.log_prior(
-            p["s0"], p["d"], p["sigma"], p["f"], p["theta"], p["phi"]
-        )
-        finite = np.isfinite(lp)
-        self._pending = []
+    def _refit(self, p: np.ndarray, mix: np.ndarray) -> np.ndarray:
+        """The fit of ``mix`` at the proposal's ``s0``, with ``mix``
+        (when new) staged."""
+        if mix is not self.mix:
+            self._pending.append((self.mix, mix))
+        fit = self._fit(p[:, 0], mix)
+        self._pending.append((self.fit, fit))
+        return fit
+
+    def _lp(
+        self, prior: np.ndarray, p: np.ndarray, fit: np.ndarray,
+        sigma_terms: tuple | None = None,
+    ) -> np.ndarray:
+        """``prior`` plus the likelihood of ``fit`` where the prior is
+        finite."""
+        finite = np.isfinite(prior)
+        lp = prior.copy()
         if not finite.any():
             return lp
-        new: dict[str, np.ndarray] = {}
-        with np.errstate(all="ignore"):
-            if index == lay.d:
-                new["bd"] = bd = self._b * p["d"][:, None]
-                new["ball"] = np.exp(-bd)
-                new["sticks"] = np.exp(-bd[:, None, :] * self.dot2)
-                new["mix"] = self._mix(p["f"], new["ball"], new["sticks"])
-            elif lay.is_angular(index):
-                j = (index - lay.theta.start) % lay.n_fibers
-                dirs = spherical_to_cartesian(
-                    np.ascontiguousarray(p["theta"][:, j]),
-                    np.ascontiguousarray(p["phi"][:, j]),
-                )
-                dot2 = np.einsum("vj,mj->vm", dirs, post.gtab.bvecs) ** 2
-                self._pending.append((self.dot2[:, j], dot2))
-                new["sticks"] = self.sticks.copy()
-                new["sticks"][:, j] = np.exp(-self.bd * dot2)
-                new["mix"] = self._mix(p["f"], self.ball, new["sticks"])
-            elif lay.f.start <= index < lay.f.stop:
-                new["mix"] = self._mix(p["f"], self.ball, self.sticks)
-            if index != lay.sigma:
-                new["fit"] = self._fit(p["s0"], new.get("mix", self.mix))
-            fit = new.get("fit", self.fit)
-            if self._gaussian:
-                ll = gaussian_loglike_sse(fit, p["sigma"], post.data.shape[1])
-            else:
-                ll = rician_loglike(post.data, fit, p["sigma"])
-        self._pending += [(getattr(self, name), arr) for name, arr in new.items()]
+        if self._gaussian:
+            ll = gaussian_loglike_sse(
+                fit, p[:, 2], self._m, sigma_terms or self.sigma_terms
+            )
+        else:
+            ll = rician_loglike(self.posterior.data, fit, p[:, 2])
         np.add(lp, ll, out=lp, where=finite)
         return lp
 
+    # -- one step per kind of parameter -------------------------------------
+    # A proposal's columns 0, 1, 2 are s0, d and sigma (ParameterLayout).
+
+    def _s0_step(self, p: np.ndarray, _: int) -> np.ndarray:
+        prior = self._prior(_S0, self._s0_flag(p[:, 0]))
+        return self._lp(prior, p, self._refit(p, self.mix))
+
+    def _d_step(self, p: np.ndarray, _: int) -> np.ndarray:
+        d = p[:, 1]
+        prior = self._prior(_D, self._d_flag(d))
+        neg_bd = np.negative(self._b * d[:, None])
+        ball = np.exp(neg_bd)
+        sticks = self._sticks_new
+        np.exp(np.multiply(neg_bd[:, None, :], self.dot2, out=sticks), out=sticks)
+        f = np.ascontiguousarray(p[:, self._f])
+        iso = (1.0 - f.sum(axis=1))[:, None] * ball
+        self._pending += [
+            (self.neg_bd, neg_bd), (self.ball, ball), (self.iso, iso),
+            (self.sticks, sticks),
+        ]
+        self._restore.append((sticks, self.sticks))
+        return self._lp(prior, p, self._refit(p, self._mix(iso, f, sticks)))
+
+    def _sigma_step(self, p: np.ndarray, _: int) -> np.ndarray:
+        sigma = p[:, 2]
+        neg_log_sigma = 0.0 - np.log(sigma)
+        self._pending.append((self.neg_log_sigma, neg_log_sigma))
+        body = self._body(neg_log_sigma, self.log_sin_sum, self.ard_sum)
+        prior = self._prior(_SIGMA, self._sigma_flag(sigma), body)
+        terms = None
+        if self._gaussian:
+            terms = gaussian_sigma_terms(sigma, self._m)
+            self._pending += list(zip(self.sigma_terms, terms))
+        return self._lp(prior, p, self.fit, terms)
+
+    def _f_step(self, p: np.ndarray, _: int) -> np.ndarray:
+        f = np.ascontiguousarray(p[:, self._f])
+        f_sum = f.sum(axis=1)
+        body = None
+        if self._ard:
+            ard_sum = self._ard_sum(f)
+            self._pending.append((self.ard_sum, ard_sum))
+            body = self._body(self.neg_log_sigma, self.log_sin_sum, ard_sum)
+        prior = self._prior(_F, self._f_flag(f, f_sum), body)
+        iso = (1.0 - f_sum)[:, None] * self.ball
+        self._pending.append((self.iso, iso))
+        return self._lp(prior, p, self._refit(p, self._mix(iso, f, self.sticks)))
+
+    def _theta_step(self, p: np.ndarray, j: int) -> np.ndarray:
+        theta = p[:, self._theta0 + j]
+        sin_t = np.sin(theta)
+        abs_sin = np.abs(sin_t)
+        poles = self.poles.copy()
+        poles[:, j] = abs_sin <= 0.0
+        log_sin = self.log_sin.copy()
+        log_sin[:, j] = np.log(np.where(abs_sin > 0.0, abs_sin, 1.0))
+        log_sin_sum = log_sin.sum(axis=1)
+        self._pending += [
+            (self.poles, poles), (self.log_sin, log_sin),
+            (self.log_sin_sum, log_sin_sum),
+        ]
+        body = self._body(self.neg_log_sigma, log_sin_sum, self.ard_sum)
+        prior = self._prior(_THETA, poles.any(axis=1), body)
+        return self._lp(prior, p, self._angle_fit(p, j, theta, sin_t))
+
+    def _phi_step(self, p: np.ndarray, j: int) -> np.ndarray:
+        theta = p[:, self._theta0 + j]
+        return self._lp(self.prior, p, self._angle_fit(p, j, theta, np.sin(theta)))
+
+    def _angle_fit(
+        self, p: np.ndarray, j: int, theta: np.ndarray, sin_t: np.ndarray
+    ) -> np.ndarray:
+        """Fiber ``j``'s projection and stick, then the mix and its fit."""
+        phi = p[:, self._phi0 + j]
+        dot2 = gradient_projection(
+            sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta), self._g,
+            out=self._dot2_new, scratch=self._tmp,
+        )
+        np.square(dot2, out=dot2)
+        stick = self._sticks_new[:, j]
+        np.exp(np.multiply(self.neg_bd, dot2, out=stick), out=stick)
+        self._pending += [(self.dot2[:, j], dot2), (self.sticks[:, j], stick)]
+        self._restore.append((stick, self.sticks[:, j]))
+        f = np.ascontiguousarray(p[:, self._f])
+        return self._refit(p, self._mix(self.iso, f, self._sticks_new))
+
+    # -- the protocol the MH step drives ----------------------------------
+
+    def propose(self, proposal: np.ndarray, index: int) -> np.ndarray:
+        """``(n_vox,)`` log-posterior of ``proposal``, which differs from
+        the cached state in flat parameter ``index`` only.  A proposal
+        that was not committed is rejected first."""
+        if self._pending or self._restore:
+            self.commit(self._reject)
+        step, j = self._steps[index]
+        with np.errstate(all="ignore"):
+            return step(self, proposal, j)
+
     def commit(self, accepted: np.ndarray) -> None:
-        """Copy the accepted rows of the last :meth:`propose` into the cache."""
+        """Copy the accepted rows of the last :meth:`propose` into the
+        cache, and make the stick mirror equal the sticks again."""
+        masks = (None, accepted, accepted[:, None], accepted[:, None, None])
         for dst, src in self._pending:
-            np.copyto(dst, src, where=accepted.reshape((-1,) + (1,) * (dst.ndim - 1)))
+            np.copyto(dst, src, where=masks[dst.ndim])
+        for dst, src in self._restore:
+            np.copyto(dst, src)
         self._pending = []
+        self._restore = []

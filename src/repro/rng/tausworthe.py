@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.rng.boxmuller import box_muller
 
 __all__ = ["HybridTaus", "TAUS_PARAMS", "taus_step", "lcg_step"]
 
@@ -166,8 +167,6 @@ class HybridTaus:
         parameter update: two for the Gaussian proposal increment (this
         call) and one for the accept/reject test (:meth:`uniform`).
         """
-        from repro.rng.boxmuller import box_muller
-
         u1 = self.uniform()
         u2 = self.uniform()
         return box_muller(u1, u2)

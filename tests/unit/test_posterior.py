@@ -285,9 +285,26 @@ def _walk_posterior(gtab, n_fibers, noise_model, ard, n=24):
     )
 
 
+#: Every term a CompartmentCache holds: the likelihood's, then the prior's.
+CACHE_TERMS = (
+    "neg_bd", "ball", "iso", "dot2", "sticks", "mix", "fit",
+    "support", "poles", "neg_log_sigma", "log_sin", "log_sin_sum", "ard_sum",
+    "prior_body", "prior", "sigma_terms",
+)
+
+
+def _bits(arr):
+    if isinstance(arr, tuple):
+        return tuple(_bits(a) for a in arr)
+    return None if arr is None else (arr.dtype, arr.shape, arr.tobytes())
+
+
 def _assert_same_terms(a, b):
-    for name in ("bd", "ball", "dot2", "sticks", "mix", "fit"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    """``a`` and ``b`` hold bitwise the same terms, and ``a``'s stick
+    mirror equals its sticks (no proposal is outstanding)."""
+    for name in CACHE_TERMS:
+        assert _bits(getattr(a, name, None)) == _bits(getattr(b, name, None)), name
+    assert _bits(a._sticks_new) == _bits(a.sticks)
 
 
 class TestCompartmentCache:
@@ -343,6 +360,52 @@ class TestCompartmentCache:
         assert np.all(np.isneginf(cache.propose(proposal, post.layout.sigma)))
         cache.commit(np.zeros(3, dtype=bool))
         _assert_same_terms(cache, CompartmentCache(post, params))
+
+    def test_uncommitted_proposal_is_rejected(self, gtab):
+        post = _walk_posterior(gtab, 2, "gaussian", False, n=5)
+        params = post.initial_params()
+        cache = CompartmentCache(post, params)
+        for k in (1, 8):  # d, phi2: each writes the stick mirror
+            proposal = params.copy()
+            proposal[:, k] *= 1.05
+            cache.propose(proposal, k)
+        # theta1's mix reads fiber 2's stick from the mirror.
+        proposal = params.copy()
+        proposal[:, 5] *= 0.9
+        assert cache.propose(proposal, 5).tobytes() == post(proposal).tobytes()
+        cache.commit(np.zeros(post.n_voxels, dtype=bool))
+        _assert_same_terms(cache, CompartmentCache(post, params))
+
+    def test_propose_runs_neither_the_prior_spec_nor_a_projection_einsum(
+        self, gtab, monkeypatch
+    ):
+        """Every step composes the cached prior terms and projects with
+        ``gradient_projection``; the only einsum left is the mix's."""
+        post = _walk_posterior(gtab, 2, "gaussian", True, n=6)
+        params = post.initial_params()
+        cache = CompartmentCache(post, params)
+        want = []
+        for k in range(post.layout.n_params):
+            proposal = params.copy()
+            proposal[:, k] *= 1.01
+            want.append((proposal, post(proposal)))
+
+        def no_prior(*args, **kwargs):
+            raise AssertionError("propose evaluated log_prior")
+
+        subscripts = set()
+        einsum = np.einsum
+
+        def spy(spec, *operands, **kwargs):
+            subscripts.add(spec)
+            return einsum(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(MultiFiberPriors, "log_prior", no_prior)
+        monkeypatch.setattr(np, "einsum", spy)
+        for k, (proposal, lp) in enumerate(want):
+            assert cache.propose(proposal, k).tobytes() == lp.tobytes()
+            cache.commit(np.zeros(post.n_voxels, dtype=bool))
+        assert subscripts == {"vn,vnm->vm"}
 
     @pytest.mark.parametrize("noise_model", ["gaussian", "rician"])
     def test_sampler_matches_full_evaluation_sweep(
