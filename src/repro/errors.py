@@ -31,8 +31,6 @@ __all__ = [
     "ShardTimeoutError",
     "ShardResultError",
     "PoolExhaustedError",
-    "FAILURE_KINDS",
-    "classify_shard_failure",
 ]
 
 
@@ -148,7 +146,8 @@ class ShardTimeoutError(ShardError):
 
 
 class ShardResultError(ShardError):
-    """The worker returned, but its payload failed validation."""
+    """The worker returned, but its payload failed its transport digest
+    or the stage's validation."""
 
     kind = "corrupt"
 
@@ -158,22 +157,3 @@ class PoolExhaustedError(ShardError):
 
     kind = "exhausted"
 
-
-#: Failure-kind string -> the taxonomy class the supervisor raises/records.
-FAILURE_KINDS = {
-    "crash": ShardCrashError,
-    "timeout": ShardTimeoutError,
-    "corrupt": ShardResultError,
-}
-
-
-def classify_shard_failure(exc: BaseException) -> str:
-    """Map an exception to its taxonomy kind string.
-
-    :class:`ShardError` subclasses carry their own ``kind``; anything
-    else (a worker raising arbitrary Python errors) is a ``"crash"`` —
-    the worker failed to produce a result through its own fault.
-    """
-    if isinstance(exc, ShardError):
-        return exc.kind
-    return "crash"

@@ -341,23 +341,6 @@ def _validate_block_payload(task: BlockTask, payload) -> None:
         )
 
 
-def _corrupt_block_payload(payload):
-    """Fault injection ``corrupt``: mangle a real payload detectably.
-
-    A truncated voxel column and a dropped history model bit-rot in the
-    result channel; ``_validate_block_payload`` must catch both.  The
-    metrics snapshot passes through untouched — a corrupt payload is
-    discarded wholesale, metrics included.
-    """
-    result, metrics = payload
-    result = dict(
-        result,
-        samples=result["samples"][:, :-1, :],
-        histories=result["histories"][:-1],
-    )
-    return result, metrics
-
-
 #: The bedpost MCMC stage expressed as an instance of the stage-generic
 #: sharding contract: contiguous runs of the serial voxel blocks,
 #: re-shardable to single blocks, with ``sN`` fault targets addressing
@@ -368,7 +351,6 @@ BEDPOST_BLOCK_SHARD = StageShard(
     run=run_block_task,
     validate=_validate_block_payload,
     split=_split_block_task,
-    corrupt=_corrupt_block_payload,
     units=_block_units,
 )
 

@@ -39,6 +39,7 @@ from repro.mcmc.sampler import MCMCConfig
 from repro.models.fields import FiberStack
 from repro.models.posterior import ParameterLayout
 from repro.pipeline.memo import run_memoized
+from repro.runtime.supervisor import RetryPolicy
 from repro.telemetry import get_registry
 
 __all__ = ["BedpostConfig", "BedpostResult", "bedpost", "modeled_mcmc_times"]
@@ -62,20 +63,10 @@ class BedpostConfig:
     #: sharded posterior is bit-identical to serial for any count (see
     #: :mod:`repro.mcmc.shards`); maps to ``runtime.bedpost_workers``.
     n_workers: int = 1
-    #: Supervised retries per failed block shard before re-sharding /
-    #: fallback (shared execution-policy field: ``runtime.max_retries``).
-    max_retries: int = 2
-    #: Per-shard attempt deadline in seconds; None disables the hang
-    #: watchdog (``runtime.shard_timeout_s``).
-    shard_timeout_s: float | None = None
-    #: After retries and re-sharding are exhausted, run the failing work
-    #: in-parent instead of raising
-    #: :class:`~repro.errors.PoolExhaustedError`.
-    fallback_to_serial: bool = True
-    #: Dev/test-only deterministic fault injection
-    #: (:class:`~repro.runtime.faults.FaultPlan`); keep None in
-    #: production.
-    fault_plan: object | None = None
+    #: How block shards are supervised: retries, deadline, serial
+    #: fallback, and the dev/test-only fault plan — the ``runtime``
+    #: policy keys, shared with the tracking stage.
+    supervision: RetryPolicy = dc_field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.n_fibers < 1:
@@ -99,15 +90,6 @@ class BedpostConfig:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
-            raise ConfigurationError(
-                f"shard_timeout_s must be positive (or None), "
-                f"got {self.shard_timeout_s}"
-            )
 
     def to_spec_dict(self) -> dict:
         """The run-spec form: the ``sampling`` section plus this stage's
@@ -122,20 +104,13 @@ class BedpostConfig:
             f_threshold=self.f_threshold,
             block_voxels=self.block_voxels,
         )
-        fault = self.fault_plan
         return {
             SAMPLING.name: sampling,
             "runtime": {
                 "device": device_preset_name(self.device),
                 "host": host_preset_name(self.host),
                 "bedpost_workers": self.n_workers,
-                "max_retries": self.max_retries,
-                "shard_timeout_s": self.shard_timeout_s,
-                "fallback_to_serial": self.fallback_to_serial,
-                "fault_plan": fault.to_spec() if fault is not None else None,
-                "hang_seconds": (
-                    fault.hang_seconds if fault is not None else None
-                ),
+                **self.supervision.to_runtime(),
             },
         }
 
@@ -143,8 +118,6 @@ class BedpostConfig:
     def from_spec_dict(cls, data: dict) -> "BedpostConfig":
         """Rebuild from :meth:`to_spec_dict` output (or the matching
         sections of a full run-spec dict; extra keys are ignored)."""
-        from repro.runtime.faults import fault_plan_from_runtime
-
         sampling = data.get(SAMPLING.name, {})
         runtime = data.get("runtime", {})
         return cls(
@@ -157,10 +130,7 @@ class BedpostConfig:
             device=device_preset(runtime.get("device", "radeon_5870")),
             host=host_preset(runtime.get("host", "phenom_x4")),
             n_workers=runtime.get("bedpost_workers", 1),
-            max_retries=runtime.get("max_retries", 2),
-            shard_timeout_s=runtime.get("shard_timeout_s"),
-            fallback_to_serial=runtime.get("fallback_to_serial", True),
-            fault_plan=fault_plan_from_runtime(runtime),
+            supervision=RetryPolicy.from_runtime(runtime),
         )
 
     @classmethod
@@ -315,13 +285,7 @@ def _compute_samples(
         payload = run_blocks(task)
         all_samples, histories = payload["samples"], payload["histories"]
     else:
-        executor = StageShardExecutor(
-            cfg.n_workers,
-            max_retries=cfg.max_retries,
-            shard_timeout_s=cfg.shard_timeout_s,
-            fallback_to_serial=cfg.fallback_to_serial,
-            fault_plan=cfg.fault_plan,
-        )
+        executor = StageShardExecutor(cfg.n_workers, cfg.supervision)
         n_shards = executor.plan_shards(BEDPOST_BLOCK_SHARD, len(blocks))
         all_samples = np.empty((cfg.mcmc.n_samples, n_vox, layout.n_params))
         histories: list[np.ndarray] = []

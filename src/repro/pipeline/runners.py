@@ -66,7 +66,6 @@ class StageContext:
     use_cache: bool = True
     seed_mask: Any = None
     fit_mask: Any = None
-    n_workers: int | None = None
     checkpoint_every: int | None = None
     #: Completed stages' outcomes, in execution order.
     outcomes: dict[str, StageOutcome] = dc_field(default_factory=dict)
@@ -125,10 +124,6 @@ def run_tracking_stage(ctx: StageContext) -> StageOutcome:
     pt_cfg = ctx.probtrack_config
     if pt_cfg is None:
         pt_cfg = ProbtrackConfig()
-    if ctx.n_workers is not None:
-        from dataclasses import replace
-
-        pt_cfg = replace(pt_cfg, n_workers=ctx.n_workers)
     eff_seed_mask = ctx.seed_mask
     if eff_seed_mask is None:
         eff_seed_mask = default_seed_mask(bp.fields)

@@ -133,7 +133,6 @@ def run_workflow(
     probtrack_config: ProbtrackConfig | None = None,
     seed_mask: np.ndarray | None = None,
     fit_mask: np.ndarray | None = None,
-    n_workers: int | None = None,
     spec: "RunSpec | None" = None,
     store=None,
     use_cache: bool = True,
@@ -148,9 +147,10 @@ def run_workflow(
     subset (e.g. a white-matter mask — the paper likewise samples only
     "valid (white matter)" voxels); it defaults to the phantom's full
     valid mask.  ``seed_mask`` restricts stage-2 seeding (default:
-    fitted voxels with a surviving population).  ``n_workers`` overrides
-    the tracking stage's process count (results are bit-identical for
-    any value; see :mod:`repro.runtime`).
+    fitted voxels with a surviving population).  The tracking stage's
+    process count is ``ProbtrackConfig.n_workers`` (``runtime.n_workers``
+    in a spec); results are bit-identical for any value (see
+    :mod:`repro.runtime`).
 
     ``store`` (an :class:`~repro.store.ArtifactStore` or its root path;
     defaults to ``spec.telemetry.store`` when a spec is given) memoizes
@@ -175,8 +175,6 @@ def run_workflow(
             )
         bedpost_config = BedpostConfig.from_run_spec(spec)
         probtrack_config = ProbtrackConfig.from_run_spec(spec)
-        if n_workers is None:
-            n_workers = spec.runtime.n_workers
         if store is None and spec.telemetry.store:
             store = spec.telemetry.store
         use_cache = use_cache and spec.telemetry.cache
@@ -212,7 +210,6 @@ def run_workflow(
         use_cache=use_cache,
         seed_mask=seed_mask,
         fit_mask=fit_mask,
-        n_workers=n_workers,
         checkpoint_every=checkpoint_every,
     )
     ctx.outcomes[SAMPLING.name] = run_sampling_stage(ctx)

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` describes *exactly* which shard attempts misbehave
 and how — crash the worker process, hang until the supervisor's deadline
-fires, or return a corrupted payload.  Plans are data, not monkeypatching:
-they travel inside the picklable work unit, are applied by the worker
-entry point, and therefore behave identically under ``fork`` and
+fires, or ship a payload whose bytes no longer match their digest.
+Plans are data, not monkeypatching: they travel inside the supervision
+policy, are applied by the worker entry point, and therefore behave identically under ``fork`` and
 ``spawn`` start methods.  Tests (and the dev-only ``repro-track
 --inject-fault`` flag) use plans to prove that recovery reproduces a
 clean run bit for bit.
@@ -20,7 +20,7 @@ Spec grammar (comma-separated)::
 Examples: ``crash:0`` (shard 0's first attempt crashes, the retry
 succeeds), ``hang:1:*`` (shard 1 hangs on every attempt — forces the
 serial fallback), ``corrupt:s3`` (whichever shard owns global sample 3
-returns garbage once).
+ships a damaged payload once).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "fault_plan_from_runtime"]
+__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan"]
 
 #: The injectable misbehaviours (matching the supervisor's taxonomy).
 FAULT_KINDS = ("crash", "hang", "corrupt")
@@ -157,22 +157,6 @@ class FaultPlan:
         if not specs:
             raise ConfigurationError(f"no fault specs in {text!r}")
         return cls(faults=tuple(specs), hang_seconds=hang_seconds)
-
-
-def fault_plan_from_runtime(runtime: dict) -> FaultPlan | None:
-    """The ``runtime`` spec section's fault plan, or None when unset.
-
-    An unset ``hang_seconds`` mirrors the CLI's dev-safety bound: an
-    injected hang never outlives a missing timeout by more than 30 s.
-    """
-    text = runtime.get("fault_plan")
-    if not text:
-        return None
-    hang = runtime.get("hang_seconds")
-    if hang is None:
-        timeout = runtime.get("shard_timeout_s")
-        hang = timeout * 4 if timeout else 30.0
-    return FaultPlan.parse(text, hang_seconds=hang)
 
 
 def _parse_int(text: str, context: str) -> int:

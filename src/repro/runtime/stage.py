@@ -8,14 +8,15 @@ machinery out into two pieces:
 
 * :class:`StageShard` — a stage's sharding contract: the picklable pure
   ``run`` function plus the supervisor seams (payload validation,
-  re-shard splitting, fault-injection corruption, and the global unit
-  range each task covers).  The tracking instance lives in
-  :mod:`repro.tracking.shards`; the bedpost voxel-block instance in
-  :mod:`repro.mcmc.shards`.
-* :class:`StageShardExecutor` — the execution policy (pool size, retry
-  policy, timeouts, fault plan) applied to any stage's task list, with
-  the shared worker-clamp warning and a **streaming in-task-order
-  merge**: completed task payloads are handed to the caller's
+  re-shard splitting, and the global unit range each task covers).
+  Transport integrity is not a seam: the supervisor checks every
+  payload's digest the same way for every stage.  The tracking
+  instance lives in :mod:`repro.tracking.shards`; the bedpost
+  voxel-block instance in :mod:`repro.mcmc.shards`.
+* :class:`StageShardExecutor` — the execution policy (pool size plus one
+  :class:`~repro.runtime.supervisor.RetryPolicy`) applied to any stage's
+  task list, with the shared worker-clamp warning and a **streaming
+  in-task-order merge**: completed task payloads are handed to the caller's
   ``consume`` callback as soon as every earlier task has completed,
   instead of gathering the whole result set first.  Out-of-order
   completions are buffered only until the gap fills, so peak parent
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
-from repro.runtime.faults import FaultPlan
 from repro.runtime.supervisor import (
     ProcessLauncher,
     RetryPolicy,
@@ -92,9 +92,6 @@ class StageShard:
     split:
         ``task -> [subtasks]`` for re-shard escalation: one single-unit
         subtask per unit, unit order preserved.
-    corrupt:
-        Fault-injection seam: detectably mangle a real payload (the
-        ``corrupt`` fault kind); ``validate`` must catch its output.
     units:
         ``task -> range`` of the *global* unit indices the task covers —
         the coordinate system of ``sN`` fault targets.
@@ -105,7 +102,6 @@ class StageShard:
     run: Callable[[Any], Any]
     validate: Callable[[Any, Any], None] | None = None
     split: Callable[[Any], list[Any]] | None = None
-    corrupt: Callable[[Any], Any] | None = None
     units: Callable[[Any], range] | None = None
 
     def unit_range(self, task: Any) -> range:
@@ -120,31 +116,23 @@ class StageShardExecutor:
     supervised run, and the streaming in-task-order hand-off to the
     caller's merge.
 
-    ``n_workers`` is the pool size, ``max_retries``/``shard_timeout_s``/``fallback_to_serial``
-    configure the :class:`~repro.runtime.supervisor.ShardSupervisor`
-    escalation ladder, ``fault_plan`` injects deterministic test faults,
-    and ``retry_seed`` seeds the backoff jitter.  ``launcher_factory``
-    is a test seam returning a launcher per run (defaults to a fresh
+    ``n_workers`` is the pool size and ``policy`` the supervision
+    contract (:class:`~repro.runtime.supervisor.RetryPolicy`: retries,
+    deadline, serial fallback, fault plan).  ``launcher_factory`` is a
+    test seam returning a launcher per run (defaults to a fresh
     :class:`~repro.runtime.supervisor.ProcessLauncher`).
     """
 
     def __init__(
         self,
         n_workers: int,
-        max_retries: int = 2,
-        shard_timeout_s: float | None = None,
-        fallback_to_serial: bool = True,
-        fault_plan: FaultPlan | None = None,
-        retry_seed: int = 0,
+        policy: RetryPolicy | None = None,
         launcher_factory: Callable[[], Any] | None = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.policy = RetryPolicy(max_retries=max_retries, seed=retry_seed)
-        self.shard_timeout_s = shard_timeout_s
-        self.fallback_to_serial = fallback_to_serial
-        self.fault_plan = fault_plan
+        self.policy = policy if policy is not None else RetryPolicy()
         self.launcher_factory = launcher_factory
         self._clamp_logged = False
 
@@ -194,7 +182,7 @@ class StageShardExecutor:
         """
         if not tasks:
             raise ConfigurationError(f"{shard.stage}: no shard tasks to run")
-        if len(tasks) == 1 and inline_single and self.fault_plan is None:
+        if len(tasks) == 1 and inline_single and self.policy.fault_plan is None:
             consume(0, [shard.run(tasks[0])])
             return None
         launcher = (
@@ -204,9 +192,6 @@ class StageShardExecutor:
         )
         supervisor = ShardSupervisor(
             policy=self.policy,
-            shard_timeout_s=self.shard_timeout_s,
-            fallback_to_serial=self.fallback_to_serial,
-            fault_plan=self.fault_plan,
             max_workers=min(self.n_workers, len(tasks)),
             launcher=launcher,
         )

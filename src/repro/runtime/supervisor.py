@@ -11,7 +11,8 @@ pool built for long sweeps:
 * failures are classified into the :mod:`repro.errors` taxonomy —
   :class:`~repro.errors.ShardCrashError` (process died or raised),
   :class:`~repro.errors.ShardTimeoutError` (deadline exceeded),
-  :class:`~repro.errors.ShardResultError` (payload failed validation);
+  :class:`~repro.errors.ShardResultError` (payload failed its transport
+  digest or the stage's validator);
 * failed shards are retried up to ``RetryPolicy.max_retries`` times with
   capped exponential backoff and **seeded, deterministic jitter** — the
   same seed always yields the same delay schedule, so chaos tests are
@@ -22,8 +23,14 @@ pool built for long sweeps:
   attempt on the surviving pool (a fault pinned to one unit no longer
   poisons its shard-mates);
 * work that still fails degrades to an **in-parent serial run** of the
-  very same task (the stage's own serial code path), unless ``fallback_to_serial=False``, in which case
+  very same task (the stage's own serial code path), unless
+  ``fallback_to_serial=False``, in which case
   :class:`~repro.errors.PoolExhaustedError` propagates.
+
+One frozen :class:`RetryPolicy` carries the whole supervision contract
+(retries, backoff, deadline, fallback, fault plan) from the run spec's
+``runtime`` section to the supervisor; both sharded stages hold it as
+their ``supervision`` field.
 
 Determinism: a shard task is a pure function of its inputs, so *where*
 it finally succeeds — first try, third retry, re-shard, or in-parent —
@@ -31,14 +38,22 @@ cannot change its payload.  The supervisor additionally returns outputs
 indexed by task order (never completion order), so the stage's merge
 remains bit-identical to a clean serial run.
 
+Transport integrity: a worker ships ``sha256(blob) + blob`` of its
+pickled payload and the launcher recomputes the digest, so a payload
+damaged on the way back is an outcome ``"corrupt"`` whatever the stage.
+
 Fault injection (:class:`~repro.runtime.faults.FaultPlan`) is applied by
 the *worker entry point*, never by the in-parent fallback: the fallback
-runs the real code, which is what guarantees forward progress.
+runs the real code, which is what guarantees forward progress.  The
+``corrupt`` fault flips one byte of the pickled payload after hashing,
+so it exercises exactly the digest check.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -47,14 +62,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    PoolExhaustedError,
-    ShardCrashError,
-    ShardError,
-    ShardResultError,
-    ShardTimeoutError,
-)
+from repro.errors import ConfigurationError, PoolExhaustedError, ShardResultError
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.telemetry import get_registry
 
@@ -68,7 +76,6 @@ __all__ = [
     "ShardSupervisor",
     "ProcessLauncher",
     "InlineLauncher",
-    "classify_outcome",
 ]
 
 #: Cap on a single blocking poll, so queued retries start on time even
@@ -78,7 +85,14 @@ _POLL_CAP_S = 0.5
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff with deterministic, seeded jitter.
+    """The supervision contract of a sharded stage, validated once.
+
+    ``max_retries`` failed pool attempts per shard are retried before
+    re-sharding; ``shard_timeout_s`` is the per-attempt deadline (None
+    disables the hang watchdog); ``fallback_to_serial`` runs exhausted
+    work in-parent instead of raising
+    :class:`~repro.errors.PoolExhaustedError`; ``fault_plan`` injects
+    deterministic test faults (None in production).
 
     The delay before retry ``attempt`` (1-based) of shard ``shard`` is::
 
@@ -95,6 +109,9 @@ class RetryPolicy:
     max_delay_s: float = 1.0
     jitter: float = 0.5
     seed: int = 0
+    shard_timeout_s: float | None = None
+    fallback_to_serial: bool = True
+    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -107,6 +124,42 @@ class RetryPolicy:
             raise ConfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
+            raise ConfigurationError(
+                f"shard_timeout_s must be > 0 or None, got {self.shard_timeout_s}"
+            )
+
+    @classmethod
+    def from_runtime(cls, runtime: dict) -> "RetryPolicy":
+        """The policy a run spec's ``runtime`` section describes.
+
+        An unset ``hang_seconds`` is 4x the timeout, else 30 s, so an
+        injected hang never outlives a missing timeout by more than that.
+        """
+        timeout = runtime.get("shard_timeout_s")
+        plan = None
+        if runtime.get("fault_plan"):
+            hang = runtime.get("hang_seconds")
+            if hang is None:
+                hang = timeout * 4 if timeout else 30.0
+            plan = FaultPlan.parse(runtime["fault_plan"], hang_seconds=hang)
+        return cls(
+            max_retries=runtime.get("max_retries", 2),
+            shard_timeout_s=timeout,
+            fallback_to_serial=runtime.get("fallback_to_serial", True),
+            fault_plan=plan,
+        )
+
+    def to_runtime(self) -> dict:
+        """The ``runtime`` spec keys (inverse of :meth:`from_runtime`)."""
+        plan = self.fault_plan
+        return {
+            "max_retries": self.max_retries,
+            "shard_timeout_s": self.shard_timeout_s,
+            "fallback_to_serial": self.fallback_to_serial,
+            "fault_plan": plan.to_spec() if plan is not None else None,
+            "hang_seconds": plan.hang_seconds if plan is not None else None,
+        }
 
     def delay(self, shard: int, attempt: int) -> float:
         """Seconds to wait before launching retry ``attempt`` (>= 1)."""
@@ -248,26 +301,36 @@ class _Job:
         self.deadline = None
 
 
-def _worker_entry(conn, run_fn, corrupt_fn, task, fault_kind, hang_seconds):
+#: Message tags on a worker's result pipe: a digest-framed payload, or
+#: the text of an exception the task raised.
+_PAYLOAD, _RAISED = b"p", b"r"
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+def _worker_entry(conn, run_fn, task, fault_kind, hang_seconds):
     """Worker process entry: apply any injected fault, run, ship payload.
 
-    Crashes are simulated with ``os._exit`` (no exception, no cleanup —
-    the closest a test can get to a segfault); hangs sleep until the
-    supervisor's deadline kills the process; corruption runs the *real*
-    task and then mangles the payload, exercising result validation.
+    The payload travels as ``sha256(blob) + blob`` of its pickle, which
+    :meth:`ProcessLauncher.poll` checks.  Crashes are simulated with
+    ``os._exit`` (no exception, no cleanup — the closest a test can get
+    to a segfault); hangs sleep until the supervisor's deadline kills
+    the process; corruption runs the *real* task and flips one byte of
+    the blob after hashing, exercising the digest check.
     """
     try:
         if fault_kind == "hang":
             time.sleep(hang_seconds)
         if fault_kind == "crash":
             os._exit(13)
-        payload = run_fn(task)
-        if fault_kind == "corrupt" and corrupt_fn is not None:
-            payload = corrupt_fn(payload)
-        conn.send(("ok", payload))
+        blob = pickle.dumps(run_fn(task))
+        digest = hashlib.sha256(blob).digest()
+        if fault_kind == "corrupt":
+            blob = bytearray(blob)
+            blob[len(blob) // 2] ^= 0xFF
+        conn.send_bytes(_PAYLOAD + digest + blob)
     except BaseException as exc:  # noqa: BLE001 — report, then die
         try:
-            conn.send(("raise", f"{type(exc).__name__}: {exc}"))
+            conn.send_bytes(_RAISED + f"{type(exc).__name__}: {exc}".encode())
         except Exception:
             pass
     finally:
@@ -275,6 +338,21 @@ def _worker_entry(conn, run_fn, corrupt_fn, task, fault_kind, hang_seconds):
             conn.close()
         except Exception:
             pass
+
+
+def _receive(conn) -> tuple[str, Any]:
+    """Read one worker message; check a payload against its digest."""
+    try:
+        message = memoryview(conn.recv_bytes())
+    except (EOFError, OSError):
+        return "crash", "result pipe closed unexpectedly"
+    if message[:1] != _PAYLOAD:
+        return "crash", bytes(message[1:]).decode(errors="replace")
+    digest = message[1 : 1 + _DIGEST_BYTES]
+    blob = message[1 + _DIGEST_BYTES :]
+    if hashlib.sha256(blob).digest() != digest:
+        return "corrupt", "payload digest mismatch"
+    return "ok", pickle.loads(blob)
 
 
 class ProcessLauncher:
@@ -302,7 +380,6 @@ class ProcessLauncher:
             args=(
                 send_conn,
                 runner.run,
-                runner.corrupt,
                 job.task,
                 fault.kind if fault is not None else None,
                 hang_seconds,
@@ -319,9 +396,10 @@ class ProcessLauncher:
     def poll(self, jobs: list[_Job], timeout: float | None) -> list[tuple]:
         """Wait for activity; return ``(job, outcome, payload_or_msg)``.
 
-        ``outcome`` is ``"ok"``, ``"crash"``, or ``"timeout"`` — result
-        validation (the ``"corrupt"`` classification) is the
-        supervisor's job, not the launcher's.
+        ``outcome`` is ``"ok"``, ``"crash"``, ``"timeout"``, or
+        ``"corrupt"`` (the payload failed its digest) — the stage's
+        semantic validation of an ``"ok"`` payload is the supervisor's
+        job, not the launcher's.
         """
         handles = [j.conn for j in jobs] + [j.process.sentinel for j in jobs]
         _conn_wait(handles, timeout=timeout)
@@ -337,14 +415,7 @@ class ProcessLauncher:
             # clean exit as a crash, discarding a good payload.
             dead = not job.process.is_alive()
             if job.conn.poll():
-                try:
-                    tag, body = job.conn.recv()
-                except (EOFError, OSError):
-                    tag, body = "raise", "result pipe closed unexpectedly"
-                if tag == "ok":
-                    outcome, payload = "ok", body
-                else:
-                    outcome, payload = "crash", body
+                outcome, payload = _receive(job.conn)
             elif dead:
                 outcome, payload = "crash", f"worker exit code {job.process.exitcode}"
             elif job.deadline is not None and now >= job.deadline:
@@ -426,11 +497,6 @@ class InlineLauncher:
         for job, runner, kind in self._pending:
             if kind == "ok":
                 finished.append((job, "ok", runner.run(job.task)))
-            elif kind == "corrupt":
-                payload = runner.run(job.task)
-                if runner.corrupt is not None:
-                    payload = runner.corrupt(payload)
-                finished.append((job, "ok", payload))
             else:
                 finished.append((job, kind, f"scripted {kind}"))
             self.clock += 0.001
@@ -448,15 +514,9 @@ class ShardSupervisor:
     Parameters
     ----------
     policy:
-        Retry/backoff policy (deterministic; see :class:`RetryPolicy`).
-    shard_timeout_s:
-        Per-attempt deadline; ``None`` disables the watchdog.
-    fallback_to_serial:
-        Run exhausted work in-parent (guaranteed forward progress) vs.
-        raising :class:`~repro.errors.PoolExhaustedError`.
-    fault_plan:
-        Injected faults for tests / the dev CLI flag; ``None`` in
-        production.
+        The supervision contract (see :class:`RetryPolicy`): retries and
+        their deterministic backoff, the per-attempt deadline, serial
+        fallback, and any injected fault plan.
     max_workers:
         Concurrent attempt cap (usually the executor's pool size).
     launcher:
@@ -467,22 +527,12 @@ class ShardSupervisor:
     def __init__(
         self,
         policy: RetryPolicy | None = None,
-        shard_timeout_s: float | None = None,
-        fallback_to_serial: bool = True,
-        fault_plan: FaultPlan | None = None,
         max_workers: int = 1,
         launcher=None,
     ) -> None:
-        if shard_timeout_s is not None and shard_timeout_s <= 0:
-            raise ConfigurationError(
-                f"shard_timeout_s must be > 0 or None, got {shard_timeout_s}"
-            )
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
         self.policy = policy if policy is not None else RetryPolicy()
-        self.shard_timeout_s = shard_timeout_s
-        self.fallback_to_serial = fallback_to_serial
-        self.fault_plan = fault_plan
         self.max_workers = max_workers
         self.launcher = launcher
 
@@ -581,17 +631,15 @@ class ShardSupervisor:
             if len(running) >= self.max_workers:
                 break
             queue.remove(job)
+            plan = self.policy.fault_plan
             fault = None
-            if self.fault_plan is not None:
-                fault = self.fault_plan.lookup(job.shard, job.samples, job.attempt)
-            hang = (
-                self.fault_plan.hang_seconds
-                if self.fault_plan is not None
-                else 0.0
-            )
+            hang = 0.0
+            if plan is not None:
+                fault = plan.lookup(job.shard, job.samples, job.attempt)
+                hang = plan.hang_seconds
             try:
                 self.launcher.start(
-                    job, runner, fault, hang, self.shard_timeout_s
+                    job, runner, fault, hang, self.policy.shard_timeout_s
                 )
             except OSError as exc:
                 # Could not even spawn a worker (fd/pid pressure): treat
@@ -680,7 +728,7 @@ class ShardSupervisor:
                     slot=(job.slot[0], k),
                 ))
             return
-        if not self.fallback_to_serial:
+        if not self.policy.fallback_to_serial:
             raise PoolExhaustedError(
                 f"shard {job.shard} failed every attempt (last: {outcome}: "
                 f"{message}) and serial fallback is disabled",
@@ -697,13 +745,3 @@ class ShardSupervisor:
         report.fallbacks.append(job.shard)
         outputs.store(job.slot, payload)
 
-
-def classify_outcome(outcome: str, shard: int, attempt: int,
-                     message: str = "") -> ShardError:
-    """Build the taxonomy exception for a recorded failure outcome."""
-    cls = {
-        "crash": ShardCrashError,
-        "timeout": ShardTimeoutError,
-        "corrupt": ShardResultError,
-    }.get(outcome, ShardError)
-    return cls(message or outcome, shard=shard, attempt=attempt)

@@ -200,8 +200,8 @@ class MetricsRegistry:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
-        #: name -> [total_seconds, count]; the flat stage ledger
-        #: (:class:`repro.utils.profiling.TimingAccumulator`'s substrate).
+        #: name -> [total_seconds, count]; the flat stage ledger that
+        #: :meth:`add_time` and closed spans fill.
         self.timers: dict[str, list] = {}
         self.spans: list[SpanRecord] = []
         self._span_stack: list[int] = []

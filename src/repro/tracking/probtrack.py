@@ -26,6 +26,7 @@ from repro.gpu.presets import (
     host_preset_name,
 )
 from repro.models.fields import FiberField, FiberStack
+from repro.runtime.supervisor import RetryPolicy
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.criteria import TerminationCriteria
 from repro.tracking.executor import SegmentedTracker, TrackingRunResult
@@ -67,21 +68,10 @@ class ProbtrackConfig:
     #: run's merged output is bit-identical to serial for any count
     #: (see :mod:`repro.tracking.shards`).
     n_workers: int = 1
-    #: Supervised retries per failed shard before re-sharding / fallback
-    #: (sharded runs only; retries replay a pure function, so results
-    #: stay bit-identical).
-    max_retries: int = 2
-    #: Per-shard attempt deadline in seconds; None disables the hang
-    #: watchdog.
-    shard_timeout_s: float | None = None
-    #: After retries and re-sharding are exhausted, run the failing work
-    #: in-parent (guaranteed completion) instead of raising
-    #: :class:`~repro.errors.PoolExhaustedError`.
-    fallback_to_serial: bool = True
-    #: Dev/test-only deterministic fault injection
-    #: (:class:`~repro.runtime.faults.FaultPlan`); keep None in
-    #: production.
-    fault_plan: object | None = None
+    #: How sharded runs are supervised: retries, deadline, serial
+    #: fallback, and the dev/test-only fault plan (retries replay a pure
+    #: function, so results stay bit-identical).
+    supervision: RetryPolicy = dc_field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.interpolation not in INTERPOLATIONS:
@@ -97,27 +87,17 @@ class ProbtrackConfig:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
-            raise ConfigurationError(
-                f"shard_timeout_s must be positive (or None), "
-                f"got {self.shard_timeout_s}"
-            )
 
     def to_spec_dict(self) -> dict:
         """The run-spec form: ``tracking`` and ``runtime`` section fields.
 
         Criteria fields are inlined into ``tracking`` (the spec keeps one
         flat section per stage); the strategy serializes to its name or
-        an explicit array; device/host serialize as preset names; a
-        :class:`~repro.runtime.faults.FaultPlan` serializes back to its
-        spec grammar.
+        an explicit array; device/host serialize as preset names; the
+        supervision policy serializes through
+        :meth:`~repro.runtime.supervisor.RetryPolicy.to_runtime`.
         """
         name, array = strategy_to_spec(self.strategy)
-        fault = self.fault_plan
         tracking = dict(self.criteria.to_spec_dict())
         tracking.update(
             strategy=name,
@@ -130,11 +110,7 @@ class ProbtrackConfig:
         )
         runtime = {
             "n_workers": self.n_workers,
-            "max_retries": self.max_retries,
-            "shard_timeout_s": self.shard_timeout_s,
-            "fallback_to_serial": self.fallback_to_serial,
-            "fault_plan": fault.to_spec() if fault is not None else None,
-            "hang_seconds": fault.hang_seconds if fault is not None else None,
+            **self.supervision.to_runtime(),
             "device": device_preset_name(self.device),
             "host": host_preset_name(self.host),
         }
@@ -144,8 +120,6 @@ class ProbtrackConfig:
     def from_spec_dict(cls, data: dict) -> "ProbtrackConfig":
         """Rebuild from :meth:`to_spec_dict` output (or the matching
         sections of a full run-spec dict; extra keys are ignored)."""
-        from repro.runtime.faults import fault_plan_from_runtime
-
         tracking = data.get("tracking", {})
         runtime = data.get("runtime", {})
         return cls(
@@ -164,10 +138,7 @@ class ProbtrackConfig:
             ),
             bidirectional=tracking.get("bidirectional", False),
             n_workers=runtime.get("n_workers", 1),
-            max_retries=runtime.get("max_retries", 2),
-            shard_timeout_s=runtime.get("shard_timeout_s"),
-            fallback_to_serial=runtime.get("fallback_to_serial", True),
-            fault_plan=fault_plan_from_runtime(runtime),
+            supervision=RetryPolicy.from_runtime(runtime),
         )
 
     @classmethod
@@ -306,10 +277,7 @@ def probabilistic_streamlining(
                 order=cfg.order,
                 overlap=cfg.overlap,
                 heading_signs=heading_signs,
-                max_retries=cfg.max_retries,
-                shard_timeout_s=cfg.shard_timeout_s,
-                fallback_to_serial=cfg.fallback_to_serial,
-                fault_plan=cfg.fault_plan,
+                policy=cfg.supervision,
             )
     with registry.span("probtrack.length_fit"):
         try:

@@ -49,9 +49,9 @@ import numpy as np
 from repro.errors import ShardResultError, TrackingError
 from repro.gpu.multigpu import partition_seeds
 from repro.models.fields import FiberField, FiberStack
-from repro.runtime.faults import FaultPlan
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.stage import StageShard, StageShardExecutor
+from repro.runtime.supervisor import RetryPolicy
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.criteria import TerminationCriteria
@@ -120,7 +120,7 @@ def _run_shard(
 
 # -- supervisor seams --------------------------------------------------------
 # Top-level (picklable) hooks the ShardSupervisor uses to run, check,
-# split, and (under fault injection only) corrupt shard payloads.
+# and split shard payloads.
 
 
 def _shard_samples(task: ShardTask) -> range:
@@ -189,22 +189,6 @@ def _validate_shard_payload(task: ShardTask, payload) -> None:
         raise _bad("unexpected visit pairs for a connectivity-free run")
 
 
-def _corrupt_payload(payload):
-    """Fault injection ``corrupt``: mangle a real payload detectably.
-
-    Negated lengths and a dropped visit-pair row model bit-rot in the
-    result channel; ``_validate_shard_payload`` must catch both.  The
-    metrics snapshot passes through untouched — a corrupt payload is
-    discarded wholesale, metrics included, so nothing of it can leak
-    into the merged registry.
-    """
-    result, pairs, metrics = payload
-    result.lengths = -result.lengths - 1
-    if pairs is not None and len(pairs) > 0:
-        pairs = pairs[:-1]
-    return result, pairs, metrics
-
-
 #: The tracking stage expressed as an instance of the stage-generic
 #: sharding contract (:mod:`repro.runtime.stage`): contiguous sample
 #: shards, re-shardable to single samples, with ``sN`` fault targets
@@ -215,7 +199,6 @@ TRACKING_SHARD = StageShard(
     run=_run_shard,
     validate=_validate_shard_payload,
     split=_split_shard_task,
-    corrupt=_corrupt_payload,
     units=_shard_samples,
 )
 
@@ -233,21 +216,14 @@ def run_sharded(
     overlap: bool = False,
     headings: np.ndarray | None = None,
     heading_signs: np.ndarray | None = None,
-    max_retries: int = 2,
-    shard_timeout_s: float | None = None,
-    fallback_to_serial: bool = True,
-    fault_plan: FaultPlan | None = None,
-    retry_seed: int = 0,
+    policy: RetryPolicy | None = None,
 ) -> TrackingRunResult:
     """Shard the samples across worker processes, merge in sample order.
 
     ``n_workers`` is the pool size; shards never outnumber samples (a
-    larger request is clamped to the shardable sample count).  The
-    remaining knobs configure the supervisor: retries per shard before
-    re-sharding / fallback, the per-attempt deadline (None disables the
-    hang watchdog), in-parent fallback instead of
-    :class:`~repro.errors.PoolExhaustedError`, dev/test-only
-    deterministic fault injection, and the backoff-jitter seed.
+    larger request is clamped to the shardable sample count).
+    ``policy`` is the supervision contract (retries, deadline, serial
+    fallback, fault plan; default :class:`RetryPolicy`).
     """
     stack = FiberStack.from_fields(fields)
     if connectivity is not None and not (
@@ -288,14 +264,7 @@ def run_sharded(
             phase0.wall_seconds = time.perf_counter() - t0
             return phase0
 
-    executor = StageShardExecutor(
-        n_workers,
-        max_retries=max_retries,
-        shard_timeout_s=shard_timeout_s,
-        fallback_to_serial=fallback_to_serial,
-        fault_plan=fault_plan,
-        retry_seed=retry_seed,
-    )
+    executor = StageShardExecutor(n_workers, policy)
     n_shards = executor.plan_shards(TRACKING_SHARD, shard_stack.n_samples)
     tasks = []
     for sl in partition_seeds(shard_stack.n_samples, n_shards):

@@ -1,4 +1,4 @@
-"""Shared utilities: geometry and timing helpers.
+"""Shared utilities: geometry helpers.
 
 Process-level parallelism lives in :mod:`repro.runtime` (stage-generic
 shards with supervision); the old ``utils.parallel`` chunked-map
@@ -15,7 +15,6 @@ from repro.utils.geometry import (
     rotation_matrix,
     spherical_to_cartesian,
 )
-from repro.utils.profiling import Stopwatch, TimingAccumulator
 
 __all__ = [
     "angle_between",
@@ -26,6 +25,4 @@ __all__ = [
     "rotation_between",
     "rotation_matrix",
     "spherical_to_cartesian",
-    "Stopwatch",
-    "TimingAccumulator",
 ]

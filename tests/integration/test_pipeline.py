@@ -140,6 +140,7 @@ class TestWorkflow:
         from repro.pipeline import bedpost as bp_fn
         from repro.pipeline.workflow import WorkflowResult
         from repro.runtime.faults import FaultPlan
+        from repro.runtime.supervisor import RetryPolicy
 
         bp = bp_fn(ph.dwi, ph.gtab, ph.wm_mask, bp_cfg)
         pt = probabilistic_streamlining(
@@ -150,7 +151,7 @@ class TestWorkflow:
                 ),
                 strategy=UniformStrategy(10),
                 n_workers=2,
-                fault_plan=FaultPlan.parse("crash:0"),
+                supervision=RetryPolicy(fault_plan=FaultPlan.parse("crash:0")),
             ),
         )
         report = WorkflowResult(bedpost=bp, probtrack=pt).report()

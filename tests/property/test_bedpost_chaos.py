@@ -19,6 +19,7 @@ from repro.errors import PoolExhaustedError
 from repro.mcmc import MCMCConfig
 from repro.pipeline import BedpostConfig, bedpost
 from repro.runtime.faults import FaultPlan
+from repro.runtime.supervisor import RetryPolicy
 from repro.telemetry import MetricsRegistry, use_registry
 
 pytestmark = pytest.mark.chaos
@@ -38,10 +39,12 @@ def run(phantom, n_workers, plan=None, timeout=None, fallback=True,
         mcmc=FAST,
         block_voxels=BLOCK_VOXELS,
         n_workers=n_workers,
-        fault_plan=plan,
-        shard_timeout_s=timeout,
-        fallback_to_serial=fallback,
-        max_retries=max_retries,
+        supervision=RetryPolicy(
+            fault_plan=plan,
+            shard_timeout_s=timeout,
+            fallback_to_serial=fallback,
+            max_retries=max_retries,
+        ),
     )
     registry = MetricsRegistry()
     with use_registry(registry):

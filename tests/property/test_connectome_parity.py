@@ -24,6 +24,7 @@ from repro.connectome import build_atlas, endpoint_connectome
 from repro.models.fields import FiberField
 from repro.pipeline.connectome import compute_connectome
 from repro.runtime.faults import FaultPlan
+from repro.runtime.supervisor import RetryPolicy
 from repro.tracking import ProbtrackConfig, probabilistic_streamlining
 from repro.tracking.criteria import TerminationCriteria
 
@@ -113,7 +114,9 @@ class TestFaultRecoveryParity:
     ):
         _, clean = _connectome(tracked_inputs, n_workers=2)
         pt, faulty = _connectome(
-            tracked_inputs, n_workers=2, fault_plan=FaultPlan.parse(plan_text)
+            tracked_inputs,
+            n_workers=2,
+            supervision=RetryPolicy(fault_plan=FaultPlan.parse(plan_text)),
         )
         np.testing.assert_array_equal(clean.counts, faulty.counts)
         assert pt.run.supervision is not None

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.models.fields import FiberField
 from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.supervisor import RetryPolicy
 from repro.tracking import (
     ProbtrackConfig,
     TerminationCriteria,
@@ -70,9 +71,9 @@ def run(fields, seed_mask, n_workers, plan=None, timeout=None,
         overlap=overlap,
         bidirectional=bidirectional,
         n_workers=n_workers,
-        fault_plan=plan,
-        shard_timeout_s=timeout,
-        max_retries=2,
+        supervision=RetryPolicy(
+            fault_plan=plan, shard_timeout_s=timeout, max_retries=2
+        ),
     )
     return probabilistic_streamlining(fields, config=cfg, seed_mask=seed_mask)
 
@@ -182,9 +183,9 @@ def test_exhaustion_raises_when_fallback_disabled(fields, seed_mask):
     cfg = ProbtrackConfig(
         criteria=TerminationCriteria(max_steps=40, min_dot=0.7, step_length=0.25),
         n_workers=2,
-        fault_plan=plan,
-        fallback_to_serial=False,
-        max_retries=1,
+        supervision=RetryPolicy(
+            fault_plan=plan, fallback_to_serial=False, max_retries=1
+        ),
     )
     with pytest.raises(PoolExhaustedError):
         probabilistic_streamlining(fields, config=cfg, seed_mask=seed_mask)

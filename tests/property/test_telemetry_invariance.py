@@ -109,12 +109,13 @@ def test_worker_spans_merge_into_parent(fields):
 def test_retries_do_not_perturb_deterministic_section(fields):
     """A crashed-then-retried shard must count its work exactly once."""
     from repro.runtime.faults import FaultPlan
+    from repro.runtime.supervisor import RetryPolicy
 
     serial = run_with_metrics(fields, 1)
     cfg = ProbtrackConfig(
         criteria=TerminationCriteria(max_steps=64, min_dot=0.8, step_length=0.2),
         n_workers=2,
-        fault_plan=FaultPlan.parse("crash:0"),
+        supervision=RetryPolicy(fault_plan=FaultPlan.parse("crash:0")),
     )
     registry = MetricsRegistry()
     with use_registry(registry):

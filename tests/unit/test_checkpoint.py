@@ -386,12 +386,13 @@ class TestShardedInterruptResume:
 
     def _cfg(self, n_workers=2):
         from repro.pipeline import BedpostConfig
+        from repro.runtime.supervisor import RetryPolicy
 
         return BedpostConfig(
             mcmc=CFG,
             block_voxels=self.BLOCK_VOXELS,
             n_workers=n_workers,
-            max_retries=1,
+            supervision=RetryPolicy(max_retries=1),
         )
 
     def _det(self, registry):

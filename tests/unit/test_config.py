@@ -38,6 +38,7 @@ from repro.gpu.presets import (
 )
 from repro.mcmc import MCMCConfig
 from repro.pipeline import BedpostConfig
+from repro.runtime.supervisor import RetryPolicy
 from repro.telemetry import (
     MANIFEST_SCHEMA_V1,
     MetricsRegistry,
@@ -259,8 +260,12 @@ class TestStageConfigRoundTrips:
         ],
     )
     def test_probtrack_post_init_validation(self, kwargs):
+        # The supervision keys are validated by the one RetryPolicy.
         with pytest.raises(ConfigurationError):
-            ProbtrackConfig(**kwargs)
+            if {"max_retries", "shard_timeout_s"} & kwargs.keys():
+                ProbtrackConfig(supervision=RetryPolicy(**kwargs))
+            else:
+                ProbtrackConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",

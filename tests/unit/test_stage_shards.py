@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime import StageShard, StageShardExecutor, default_workers
 from repro.runtime.faults import FaultPlan
-from repro.runtime.supervisor import InlineLauncher
+from repro.runtime.supervisor import InlineLauncher, RetryPolicy
 
 pytestmark = pytest.mark.chaos
 
@@ -47,8 +47,8 @@ def run_executor(tasks, script=None, *, n_workers=4, launcher_cls=InlineLauncher
                  **kwargs):
     executor = StageShardExecutor(
         n_workers,
+        RetryPolicy(**kwargs),
         launcher_factory=lambda: launcher_cls(script or {}),
-        **kwargs,
     )
     consumed = []
     report = executor.run(
@@ -146,7 +146,7 @@ class TestInlineSingleTask:
         # A fault plan must reach the supervisor even for one task.
         executor = StageShardExecutor(
             4,
-            fault_plan=FaultPlan.parse("crash:0"),
+            RetryPolicy(fault_plan=FaultPlan.parse("crash:0")),
             launcher_factory=InlineLauncher,
         )
         consumed = []

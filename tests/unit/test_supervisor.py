@@ -10,44 +10,37 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
-    FAILURE_KINDS,
     PoolExhaustedError,
     ShardCrashError,
     ShardError,
     ShardResultError,
     ShardTimeoutError,
-    classify_shard_failure,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.stage import StageShard
-from repro.runtime.supervisor import (
-    InlineLauncher,
-    RetryPolicy,
-    ShardSupervisor,
-    classify_outcome,
-)
+from repro.runtime.supervisor import InlineLauncher, RetryPolicy, ShardSupervisor
 
 pytestmark = pytest.mark.chaos
 
 
 def run_tasks(tasks, script=None, *, policy=None, fallback=True, plan=None,
-              split=None, samples=None, validate=None, corrupt=None,
+              split=None, samples=None, validate=None, run=None,
               max_workers=2):
     launcher = InlineLauncher(script or {})
     sup = ShardSupervisor(
-        policy=policy or RetryPolicy(max_retries=2, base_delay_s=0.0),
-        fallback_to_serial=fallback,
-        fault_plan=plan,
+        policy=policy or RetryPolicy(
+            max_retries=2, base_delay_s=0.0,
+            fallback_to_serial=fallback, fault_plan=plan,
+        ),
         max_workers=max_workers,
         launcher=launcher,
     )
     runner = StageShard(
         stage="test",
         unit="task",
-        run=lambda task: ("payload", task),
+        run=run or (lambda task: ("payload", task)),
         validate=validate,
         split=split,
-        corrupt=corrupt,
         units=samples,
     )
     outputs, report = sup.run_tasks(tasks, runner)
@@ -85,28 +78,55 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.5)
         with pytest.raises(ConfigurationError):
             RetryPolicy().delay(0, 0)
+        for timeout in (0.0, -2.0):
+            with pytest.raises(ConfigurationError):
+                RetryPolicy(shard_timeout_s=timeout)
+
+    def test_from_runtime_defaults_and_hang_rule(self):
+        assert RetryPolicy.from_runtime({}) == RetryPolicy()
+        plain = RetryPolicy.from_runtime({"fault_plan": "hang:0"})
+        assert plain.fault_plan.hang_seconds == 30.0
+        timed = RetryPolicy.from_runtime(
+            {"fault_plan": "hang:0", "shard_timeout_s": 1.5})
+        assert timed.fault_plan.hang_seconds == 6.0
+        explicit = RetryPolicy.from_runtime(
+            {"fault_plan": "hang:0", "shard_timeout_s": 1.5,
+             "hang_seconds": 2.0})
+        assert explicit.fault_plan.hang_seconds == 2.0
+        with pytest.raises(ConfigurationError):
+            RetryPolicy.from_runtime({"max_retries": -1})
+        with pytest.raises(ConfigurationError):
+            RetryPolicy.from_runtime({"fault_plan": "explode:0"})
+
+    def test_runtime_round_trip(self):
+        policy = RetryPolicy(
+            max_retries=4, shard_timeout_s=2.5, fallback_to_serial=False,
+            fault_plan=FaultPlan.parse("crash:0,corrupt:s3:*", hang_seconds=7.0),
+        )
+        runtime = policy.to_runtime()
+        assert runtime == {
+            "max_retries": 4, "shard_timeout_s": 2.5,
+            "fallback_to_serial": False, "fault_plan": "crash:0,corrupt:s3:*",
+            "hang_seconds": 7.0,
+        }
+        assert RetryPolicy.from_runtime(runtime) == policy
+        assert RetryPolicy().to_runtime()["fault_plan"] is None
+        assert RetryPolicy.from_runtime(RetryPolicy().to_runtime()) == RetryPolicy()
 
 
 class TestErrorTaxonomy:
     def test_failure_kinds_map_to_shard_error_subclasses(self):
-        assert FAILURE_KINDS["crash"] is ShardCrashError
-        assert FAILURE_KINDS["timeout"] is ShardTimeoutError
-        assert FAILURE_KINDS["corrupt"] is ShardResultError
-        for cls in FAILURE_KINDS.values():
+        # Each outcome a ShardAttempt records names one ShardError subclass.
+        kinds = {
+            ShardCrashError: "crash",
+            ShardTimeoutError: "timeout",
+            ShardResultError: "corrupt",
+            PoolExhaustedError: "exhausted",
+        }
+        for cls, kind in kinds.items():
             assert issubclass(cls, ShardError)
-
-    def test_classify_shard_failure(self):
-        assert classify_shard_failure(ShardTimeoutError("x")) == "timeout"
-        assert classify_shard_failure(ShardResultError("x")) == "corrupt"
-        assert classify_shard_failure(ShardCrashError("x")) == "crash"
-        assert classify_shard_failure(ValueError("boom")) == "crash"
-
-    def test_classify_outcome_builds_taxonomy_errors(self):
-        err = classify_outcome("timeout", shard=3, attempt=1, message="slow")
-        assert isinstance(err, ShardTimeoutError)
-        assert (err.shard, err.attempt) == (3, 1)
-        assert isinstance(classify_outcome("corrupt", 0, 0), ShardResultError)
-        assert isinstance(classify_outcome("crash", 0, 0), ShardCrashError)
+            assert cls.kind == kind
+            assert cls("x", shard=3, attempt=1).kind == kind
 
     def test_shard_errors_are_catchable_as_repro_errors(self):
         from repro.errors import ReproError
@@ -176,14 +196,32 @@ class TestSupervisorStateMachine:
         assert outputs[0] == [("payload", "a"), ("payload", "b")]
 
     def test_corrupt_result_detected_by_validation(self):
+        # The first run returns a payload its validator rejects; the
+        # rejection is recorded as "corrupt" and the retry recovers.
+        calls = []
+
+        def run(task):
+            calls.append(task)
+            return ("payload", task + ("!" if len(calls) == 1 else ""))
+
         def validate(task, payload):
             if payload[1].endswith("!"):
                 raise ShardResultError("mangled")
 
+        outputs, report, _ = run_tasks(["a"], validate=validate, run=run)
+        assert report.failure_counts() == {"corrupt": 1}
+        assert outputs[0] == [("payload", "a")]
+
+    def test_scripted_corrupt_is_an_outcome_that_is_retried(self):
+        # A digest mismatch reaches the supervisor as outcome "corrupt";
+        # no payload is handed to the validator.
+        seen = []
         outputs, report, _ = run_tasks(
             ["a"], {(0, 0): "corrupt"},
-            validate=validate, corrupt=lambda p: (p[0], p[1] + "!"))
+            validate=lambda task, payload: seen.append(payload))
         assert report.failure_counts() == {"corrupt": 1}
+        assert report.n_retries == 1
+        assert seen == [("payload", "a")]
         assert outputs[0] == [("payload", "a")]
 
     def test_fault_plan_drives_inline_outcomes(self):
@@ -208,7 +246,7 @@ class TestSupervisorStateMachine:
 
     def test_invalid_supervisor_config(self):
         with pytest.raises(ConfigurationError):
-            ShardSupervisor(shard_timeout_s=0.0)
+            ShardSupervisor(RetryPolicy(shard_timeout_s=0.0))
         with pytest.raises(ConfigurationError):
             ShardSupervisor(max_workers=0)
 

@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.telemetry` and the profiling adapters."""
+"""Unit tests for :mod:`repro.telemetry`."""
 
 import json
 
@@ -22,7 +22,6 @@ from repro.telemetry import (
     validate_manifest,
     write_manifest,
 )
-from repro.utils.profiling import Stopwatch, TimingAccumulator
 
 
 class TestCounters:
@@ -275,35 +274,6 @@ class TestTraceSpanExport:
         write_chrome_trace(path, tl)
         doc = json.loads(path.read_text())
         assert not [e for e in doc["traceEvents"] if e.get("cat") == "measured"]
-
-
-class TestProfilingAdapters:
-    def test_stopwatch_reentry_raises(self):
-        sw = Stopwatch()
-        with sw:
-            with pytest.raises(RuntimeError, match="already running"):
-                sw.__enter__()
-
-    def test_stopwatch_unentered_exit_raises(self):
-        with pytest.raises(RuntimeError, match="never entered"):
-            Stopwatch().__exit__(None, None, None)
-
-    def test_accumulator_is_a_registry_view(self):
-        reg = MetricsRegistry()
-        acc = TimingAccumulator(registry=reg)
-        acc.add("stage", 0.25)
-        reg.add_time("stage", 0.75)
-        assert acc.totals == {"stage": 1.0}
-        assert acc.counts == {"stage": 2}
-
-    def test_accumulator_merge(self):
-        a, b = TimingAccumulator(), TimingAccumulator()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.totals == {"x": 3.0, "y": 3.0}
-        assert a.counts == {"x": 2, "y": 1}
 
 
 class TestCompareManifests:

@@ -9,7 +9,7 @@ unit test keeps it honest locally):
   ``#anchors`` are skipped);
 * the doctest-bearing modules (``repro.telemetry.*``,
   ``repro.config.*``, ``repro.store.fingerprint``,
-  ``repro.service.jobs``, ``repro.utils.profiling``) must pass
+  ``repro.service.jobs``) must pass
   ``doctest.testmod``;
 * every example run spec in ``examples/specs/`` must resolve to a valid
   ``RunSpec`` (the CI job additionally resolves each through
@@ -55,7 +55,6 @@ DOCTEST_MODULES = (
     "repro.config.stages",
     "repro.store.fingerprint",
     "repro.service.jobs",
-    "repro.utils.profiling",
 )
 
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
