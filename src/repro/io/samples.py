@@ -64,6 +64,10 @@ def save_samples(
     stays ``float32`` (halves the footprint), but the artifact store
     passes ``float64`` so a cache-served posterior is bit-identical to
     the in-memory one it memoized.
+
+    The archive is uncompressed: posterior floats barely deflate, so
+    compressing costs far more time than the bytes it saves.
+    :func:`load_samples` reads compressed archives as well.
     """
     samples = np.asarray(samples)
     mask = np.asarray(mask, dtype=bool)
@@ -81,7 +85,7 @@ def save_samples(
             f"samples have {samples.shape[2]} parameters, layout expects "
             f"{layout.n_params}"
         )
-    np.savez_compressed(
+    np.savez(
         path,
         samples=samples.astype(dtype),
         mask=mask,

@@ -95,7 +95,7 @@ def compute_connectome(
 
 def _serialize(tmp_dir, result: ConnectomeResult) -> None:
     """Write one connectome result's payload files into ``tmp_dir``."""
-    np.savez_compressed(
+    np.savez(
         tmp_dir / "connectome.npz",
         counts=result.counts,
         labels=result.atlas.labels,

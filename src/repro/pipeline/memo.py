@@ -38,7 +38,6 @@ from repro.store.fingerprint import fingerprint_arrays
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.executor import TrackingRunResult
-from repro.tracking.lengths import fit_exponential
 from repro.tracking.probtrack import ProbtrackResult, probabilistic_streamlining
 
 __all__ = ["fields_fingerprint", "memoized_streamlining", "run_memoized"]
@@ -141,7 +140,10 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
             conn_shape=np.asarray(counts.shape, dtype=np.int64),
             conn_n_samples=np.int64(conn.n_samples),
         )
-    np.savez_compressed(tmp_dir / "arrays.npz", **arrays)
+    # Uncompressed, like every store payload: deflating costs more time
+    # than the bytes it saves (docs/storage.md), and np.load still reads
+    # entries that were written compressed.
+    np.savez(tmp_dir / "arrays.npz", **arrays)
     (tmp_dir / "timeline.json").write_text(
         json.dumps(
             {
@@ -193,19 +195,11 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
             (blob["conn_data"], blob["conn_indices"], blob["conn_indptr"]),
             shape=shape,
         )
-    from repro.errors import TrackingError
-
-    try:
-        fit = fit_exponential(
-            run.lengths.ravel(), truncate_at=float(cfg.criteria.max_steps)
-        )
-    except TrackingError:
-        fit = None
     return ProbtrackResult(
         run=run,
         connectivity=connectivity,
         seeds=blob["seeds"],
-        length_fit=fit,
+        max_steps=cfg.criteria.max_steps,
     )
 
 

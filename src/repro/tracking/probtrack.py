@@ -2,15 +2,16 @@
 
 :func:`probabilistic_streamlining` wires the pieces together: seeds from a
 mask, initial headings from each sample volume, the segmented executor
-with a chosen strategy, connectivity accumulation, and fiber-length
-statistics — returning everything the paper's evaluation reports about
-the tracking stage.
+with a chosen strategy, and connectivity accumulation — returning
+everything the paper's evaluation reports about the tracking stage (the
+fiber-length fit is computed when first read).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -160,15 +161,28 @@ class ProbtrackResult:
         The seed-by-voxel accumulator (None if disabled).
     seeds:
         The ``(n_seeds, 3)`` launch positions.
+    max_steps:
+        The run's step cap — the truncation point of the length fit.
     length_fit:
         Exponential MLE of the pooled fiber lengths (Fig 5), or None if
-        the pool was too small/degenerate to fit.
+        the pool was too small/degenerate to fit.  Lazy: computed from
+        ``run.lengths`` and ``max_steps`` on first read and cached, so a
+        run whose caller never reads it never pays for the fit.
     """
 
     run: TrackingRunResult
     connectivity: ConnectivityAccumulator | None
     seeds: np.ndarray
-    length_fit: ExponentialFit | None
+    max_steps: int
+
+    @cached_property
+    def length_fit(self) -> ExponentialFit | None:
+        try:
+            return fit_exponential(
+                self.run.lengths.ravel(), truncate_at=float(self.max_steps)
+            )
+        except TrackingError:
+            return None
 
     @property
     def connectivity_probability(self):
@@ -279,13 +293,9 @@ def probabilistic_streamlining(
                 heading_signs=heading_signs,
                 policy=cfg.supervision,
             )
-    with registry.span("probtrack.length_fit"):
-        try:
-            fit = fit_exponential(
-                run.lengths.ravel(), truncate_at=float(cfg.criteria.max_steps)
-            )
-        except TrackingError:
-            fit = None
     return ProbtrackResult(
-        run=run, connectivity=accumulator, seeds=seeds, length_fit=fit
+        run=run,
+        connectivity=accumulator,
+        seeds=seeds,
+        max_steps=cfg.criteria.max_steps,
     )
