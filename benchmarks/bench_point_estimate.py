@@ -20,12 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.analysis import dice_overlap, render_table
+from repro.analysis import render_table
 from repro.baselines import PointEstimateModel, cpu_probabilistic_tracking
 from repro.data import crossing_pair, make_gradient_table, rasterize_bundles, synthesize_dwi
 from repro.mcmc import MCMCConfig
 from repro.pipeline import BedpostConfig, bedpost
-from repro.tracking import TerminationCriteria, density_map, seeds_from_mask
+from repro.tracking import (
+    TerminationCriteria,
+    density_map,
+    dice_overlap,
+    seeds_from_mask,
+)
 from repro.utils.geometry import spherical_to_cartesian
 
 

@@ -24,8 +24,8 @@ Subpackages
 - :mod:`repro.data` — synthetic DWI phantoms (dataset replicas)
 - :mod:`repro.models` — the tensor and multi-fiber models (Table I,
   Eq. 1) and the posterior
-- :mod:`repro.mcmc` — Metropolis-Hastings engine (Fig 2), diagnostics,
-  multi-chain runs
+- :mod:`repro.mcmc` — Metropolis-Hastings engine (Fig 2) and its sharded
+  voxel-block driver
 - :mod:`repro.rng` — combined Tausworthe + Box-Muller device RNG
 - :mod:`repro.gpu` — SIMD/wavefront execution-model simulator
 - :mod:`repro.tracking` — probabilistic streamlining + segmentation
@@ -38,7 +38,7 @@ Subpackages
 - :mod:`repro.telemetry` — metrics registry and run manifests
 - :mod:`repro.service` — job queue and HTTP service
 - :mod:`repro.cli` — the ``repro-*`` commands
-- :mod:`repro.analysis` — table & figure assembly, run comparison
+- :mod:`repro.analysis` — table & figure assembly
 - :mod:`repro.io` — NIfTI-1, gradient tables, TrackVis
 """
 

@@ -25,19 +25,6 @@ from repro.analysis.projection import (
     project_tracking_times,
     segment_executed,
 )
-from repro.analysis.compare import (
-    ManifestDiff,
-    RunComparison,
-    compare_lengths,
-    compare_manifests,
-    dice_overlap,
-)
-from repro.analysis.convergence import (
-    ConvergenceReport,
-    bhattacharyya_coefficient,
-    convergence_report,
-    visit_map_correlation,
-)
 
 __all__ = [
     "render_table",
@@ -57,13 +44,4 @@ __all__ = [
     "ProjectedTimes",
     "project_tracking_times",
     "segment_executed",
-    "ManifestDiff",
-    "RunComparison",
-    "compare_lengths",
-    "compare_manifests",
-    "dice_overlap",
-    "ConvergenceReport",
-    "bhattacharyya_coefficient",
-    "convergence_report",
-    "visit_map_correlation",
 ]

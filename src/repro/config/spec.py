@@ -366,36 +366,24 @@ class TelemetrySpec:
         _check(TelemetrySpec, self)
 
 
-#: field name -> coercion kind, per section (annotations are strings
-#: under ``from __future__ import annotations``, so kinds are explicit).
+#: Coercion kind per field annotation (annotations are strings under
+#: ``from __future__ import annotations``).
+_ANNOTATION_KINDS = {
+    "int": "int",
+    "float": "float",
+    "bool": "bool",
+    "str": "str",
+    "float | None": "opt_float",
+    "str | None": "opt_str",
+    "tuple[int, ...] | None": "opt_int_list",
+}
+
+#: field name -> coercion kind, per section, read off the section
+#: dataclasses so each field list is written once; a field whose
+#: annotation has no kind fails here, at import.
 _FIELD_KINDS: dict[type, dict[str, str]] = {
-    SamplingSpec: {
-        "n_burnin": "int", "n_samples": "int", "sample_interval": "int",
-        "adapt_every": "int", "seed": "int", "n_fibers": "int",
-        "ard": "bool", "noise_model": "str", "f_threshold": "float",
-        "block_voxels": "int",
-    },
-    TrackingSpec: {
-        "max_steps": "int", "min_dot": "float", "step_length": "float",
-        "f_threshold": "float", "strategy": "str",
-        "strategy_array": "opt_int_list", "interpolation": "str",
-        "order": "str", "overlap": "bool", "bidirectional": "bool",
-        "accumulate_connectivity": "bool", "min_export_steps": "int",
-    },
-    ConnectomeSpec: {
-        "atlas": "str", "min_steps": "int", "normalize": "str",
-    },
-    RuntimeSpec: {
-        "n_workers": "int", "bedpost_workers": "int", "max_retries": "int",
-        "shard_timeout_s": "opt_float", "fallback_to_serial": "bool",
-        "fault_plan": "opt_str", "hang_seconds": "opt_float",
-        "device": "str", "host": "str",
-        "checkpoint_every_loops": "int",
-    },
-    TelemetrySpec: {
-        "metrics_out": "opt_str", "trace_out": "opt_str",
-        "store": "opt_str", "cache": "bool",
-    },
+    cls: {f.name: _ANNOTATION_KINDS[f.type] for f in fields(cls)}
+    for cls in (SamplingSpec, TrackingSpec, ConnectomeSpec, RuntimeSpec, TelemetrySpec)
 }
 
 

@@ -22,7 +22,6 @@ from repro.data.noise import add_gaussian_noise, add_rician_noise
 from repro.data.gradient_schemes import make_gradient_table
 from repro.data.phantoms import Phantom, rasterize_bundles, synthesize_dwi
 from repro.data.datasets import DatasetSpec, dataset1, dataset2, make_dataset
-from repro.data.loaders import Acquisition, load_acquisition
 
 __all__ = [
     "Bundle",
@@ -41,6 +40,4 @@ __all__ = [
     "dataset1",
     "dataset2",
     "make_dataset",
-    "Acquisition",
-    "load_acquisition",
 ]

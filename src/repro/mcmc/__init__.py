@@ -17,13 +17,7 @@ streams the device kernel would.  The scalar mode loops voxel-by-voxel
 from repro.mcmc.proposals import AdaptiveProposals
 from repro.mcmc.metropolis import mh_parameter_update
 from repro.mcmc.sampler import MCMCConfig, MCMCResult, MCMCSampler
-from repro.mcmc.diagnostics import (
-    effective_sample_size,
-    geweke_zscore,
-    split_rhat,
-)
 from repro.mcmc.checkpoint import SamplerCheckpoint
-from repro.mcmc.multichain import MultiChainResult, run_chains
 from repro.mcmc.shards import (
     BEDPOST_BLOCK_SHARD,
     BlockTask,
@@ -43,10 +37,5 @@ __all__ = [
     "MCMCConfig",
     "MCMCResult",
     "MCMCSampler",
-    "effective_sample_size",
-    "geweke_zscore",
-    "split_rhat",
     "SamplerCheckpoint",
-    "MultiChainResult",
-    "run_chains",
 ]

@@ -50,8 +50,7 @@ from repro.tracking.lengths import (
     length_histogram,
 )
 from repro.tracking.probtrack import ProbtrackConfig, ProbtrackResult, probabilistic_streamlining
-from repro.tracking.validation import BundleValidation, validate_against_bundle
-from repro.tracking.postprocess import density_map, filter_by_steps
+from repro.tracking.postprocess import density_map, dice_overlap, filter_by_steps
 
 __all__ = [
     "nearest_lookup",
@@ -83,8 +82,7 @@ __all__ = [
     "ProbtrackConfig",
     "ProbtrackResult",
     "probabilistic_streamlining",
-    "BundleValidation",
-    "validate_against_bundle",
     "density_map",
+    "dice_overlap",
     "filter_by_steps",
 ]

@@ -2,7 +2,8 @@
 
 The paper's Figs 11/12 render "fibers whose length > 100"; this module
 provides that filtering plus the track-density map the point-estimate
-comparison counts visits with.
+comparison counts visits with, and the Dice overlap it scores two such
+maps by.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import TrackingError
+from repro.errors import ConfigurationError, TrackingError
 from repro.tracking.streamline import Streamline
 
-__all__ = ["filter_by_steps", "density_map"]
+__all__ = ["filter_by_steps", "density_map", "dice_overlap"]
 
 
 def filter_by_steps(
@@ -54,3 +55,21 @@ def density_map(
     for line in streamlines:
         flat[line.visited_voxels(shape3)] += 1
     return out
+
+
+def dice_overlap(volume_a: np.ndarray, volume_b: np.ndarray, threshold: float = 0.0) -> float:
+    """Dice coefficient of two density/probability maps above ``threshold``.
+
+    ``2 |A ∩ B| / (|A| + |B|)`` over the binarized volumes; 1.0 for
+    identical support, and defined as 1.0 when both are empty.
+    """
+    a = np.asarray(volume_a) > threshold
+    b = np.asarray(volume_b) > threshold
+    if a.shape != b.shape:
+        raise ConfigurationError(
+            f"volumes must have equal shapes, got {a.shape}, {b.shape}"
+        )
+    total = int(a.sum()) + int(b.sum())
+    if total == 0:
+        return 1.0
+    return 2.0 * int((a & b).sum()) / total

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["flat_voxel_index", "in_bounds_mask", "clip_to_grid", "unique_sorted"]
+__all__ = ["flat_voxel_index", "in_bounds_mask", "unique_sorted"]
 
 
 def flat_voxel_index(
@@ -18,8 +18,8 @@ def flat_voxel_index(
 ) -> np.ndarray:
     """Row-major flat index for integer voxel coordinates.
 
-    No bounds handling: callers either clip first (:func:`clip_to_grid`)
-    or filter with :func:`in_bounds_mask`.  Accepts scalars or arrays.
+    No bounds handling: callers clamp first or filter with
+    :func:`in_bounds_mask`.  Accepts scalars or arrays.
     """
     _, ny, nz = shape3
     return (i * ny + j) * nz + k
@@ -34,12 +34,6 @@ def in_bounds_mask(ijk: np.ndarray, shape3: tuple[int, int, int]) -> np.ndarray:
         & (j >= 0) & (j < ny)
         & (k >= 0) & (k < nz)
     )
-
-
-def clip_to_grid(ijk: np.ndarray, shape3: tuple[int, int, int]) -> np.ndarray:
-    """Integer coords clamped to the grid (``CLAMP_TO_EDGE`` semantics)."""
-    nx, ny, nz = shape3
-    return np.clip(ijk, 0, np.array([nx - 1, ny - 1, nz - 1]))
 
 
 def unique_sorted(values: np.ndarray) -> np.ndarray:

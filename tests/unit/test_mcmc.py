@@ -10,12 +10,8 @@ from repro.mcmc import (
     MCMCConfig,
     MCMCResult,
     MCMCSampler,
-    effective_sample_size,
-    geweke_zscore,
     mh_parameter_update,
-    split_rhat,
 )
-from repro.mcmc.diagnostics import autocorrelation
 from repro.models import FiberStack, LogPosterior, MultiFiberModel
 from repro.rng import seed_streams
 from repro.utils.geometry import fibonacci_sphere
@@ -385,65 +381,3 @@ class TestToFiberFields:
             FiberStack.from_posterior(
                 res.samples, np.ones((2, 2, 2), bool), post.layout
             )
-
-
-class TestDiagnostics:
-    def test_autocorrelation_white_noise(self):
-        rng = np.random.default_rng(0)
-        rho = autocorrelation(rng.normal(size=4000))
-        assert rho[0] == pytest.approx(1.0)
-        assert np.max(np.abs(rho[1:20])) < 0.08
-
-    def test_autocorrelation_ar1(self):
-        rng = np.random.default_rng(1)
-        x = np.zeros(8000)
-        for i in range(1, len(x)):
-            x[i] = 0.9 * x[i - 1] + rng.normal()
-        rho = autocorrelation(x)
-        assert rho[1] == pytest.approx(0.9, abs=0.05)
-
-    def test_autocorrelation_constant_chain(self):
-        rho = autocorrelation(np.ones(100))
-        assert rho[0] == 1.0 and np.all(rho[1:] == 0.0)
-
-    def test_ess_iid_close_to_n(self):
-        rng = np.random.default_rng(2)
-        ess = effective_sample_size(rng.normal(size=2000))
-        assert ess > 1500
-
-    def test_ess_correlated_much_smaller(self):
-        rng = np.random.default_rng(3)
-        x = np.zeros(2000)
-        for i in range(1, len(x)):
-            x[i] = 0.95 * x[i - 1] + rng.normal()
-        assert effective_sample_size(x) < 300
-
-    def test_geweke_stationary_small(self):
-        rng = np.random.default_rng(4)
-        z = geweke_zscore(rng.normal(size=2000))
-        assert abs(z) < 3.0
-
-    def test_geweke_flags_trend(self):
-        x = np.linspace(0, 10, 2000) + np.random.default_rng(5).normal(size=2000)
-        assert abs(geweke_zscore(x)) > 5.0
-
-    def test_geweke_validation(self):
-        with pytest.raises(ConfigurationError):
-            geweke_zscore(np.ones(5))
-        with pytest.raises(ConfigurationError):
-            geweke_zscore(np.ones(100), first=0.8, last=0.8)
-
-    def test_rhat_same_distribution_near_one(self):
-        rng = np.random.default_rng(6)
-        chains = rng.normal(size=(4, 1000))
-        assert split_rhat(chains) < 1.02
-
-    def test_rhat_flags_disagreement(self):
-        rng = np.random.default_rng(7)
-        chains = rng.normal(size=(4, 500))
-        chains[0] += 5.0
-        assert split_rhat(chains) > 1.5
-
-    def test_rhat_validation(self):
-        with pytest.raises(ConfigurationError):
-            split_rhat(np.ones((2, 2)))

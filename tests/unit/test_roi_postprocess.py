@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import TrackingError
+from repro.errors import ConfigurationError, TrackingError
 from repro.models.fields import FiberField
 from repro.tracking import (
     TerminationCriteria,
     density_map,
+    dice_overlap,
     filter_by_steps,
     track_streamline,
 )
@@ -54,3 +55,15 @@ class TestPostprocess:
         assert dm.sum() > 0
         # Voxels along y=4,z=4 get hits; elsewhere zero.
         assert dm[:, 4, 4].sum() == dm.sum()
+
+    def test_dice(self):
+        a = np.zeros((4, 4, 4))
+        b = np.zeros((4, 4, 4))
+        a[:2] = 1
+        b[1:3] = 1
+        # |A|=32, |B|=32, |A&B|=16 -> dice 0.5
+        assert dice_overlap(a, b) == pytest.approx(0.5)
+        assert dice_overlap(a, a) == 1.0
+        assert dice_overlap(np.zeros((2, 2, 2)), np.zeros((2, 2, 2))) == 1.0
+        with pytest.raises(ConfigurationError):
+            dice_overlap(np.zeros((2, 2)), np.zeros((3, 3)))

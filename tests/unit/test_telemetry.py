@@ -275,47 +275,3 @@ class TestTraceSpanExport:
         doc = json.loads(path.read_text())
         assert not [e for e in doc["traceEvents"] if e.get("cat") == "measured"]
 
-
-class TestCompareManifests:
-    @staticmethod
-    def _manifest(counter_value, hist_counts):
-        reg = MetricsRegistry()
-        reg.count("tracking.steps", counter_value)
-        h = reg.histogram("tracking.lengths", edges=(2, 5))
-        for bucket, n in zip(("low", "mid", "high"), hist_counts):
-            values = {"low": 1, "mid": 3, "high": 9}[bucket]
-            h.observe_many([values] * n)
-        return build_manifest(reg, meta={})
-
-    def test_identical_runs_agree(self):
-        from repro.analysis import compare_manifests
-
-        a = self._manifest(10, (1, 2, 3))
-        b = self._manifest(10, (1, 2, 3))
-        diff = compare_manifests(a, b)
-        assert diff.identical
-        assert diff.counter_diffs == {}
-        assert diff.histogram_diffs == []
-
-    def test_counter_and_histogram_drift_reported(self):
-        from repro.analysis import compare_manifests
-
-        a = self._manifest(10, (1, 2, 3))
-        b = self._manifest(12, (1, 2, 4))
-        diff = compare_manifests(a, b)
-        assert not diff.identical
-        assert diff.counter_diffs == {"tracking.steps": (10, 12)}
-        assert diff.histogram_diffs == ["tracking.lengths"]
-
-    def test_missing_counter_treated_as_zero(self):
-        from repro.analysis import compare_manifests
-
-        a = self._manifest(10, (0, 0, 0))
-        b = self._manifest(10, (0, 0, 0))
-        extra = MetricsRegistry()
-        extra.count("tracking.steps", 10)
-        extra.count("mcmc.accepts", 7)
-        extra.histogram("tracking.lengths", edges=(2, 5))
-        c = build_manifest(extra, meta={})
-        diff = compare_manifests(a, c)
-        assert diff.counter_diffs == {"mcmc.accepts": (0, 7)}

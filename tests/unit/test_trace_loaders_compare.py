@@ -1,16 +1,12 @@
-"""Tests for trace export, acquisition loading, and run comparison."""
+"""Tests for Chrome-trace export of the modeled timeline."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.analysis.compare import compare_lengths, dice_overlap
-from repro.data.loaders import load_acquisition
-from repro.errors import ConfigurationError, DataError, DeviceError
+from repro.errors import DeviceError
 from repro.gpu import Timeline
 from repro.gpu.trace_export import timeline_to_trace_events, write_chrome_trace
-from repro.io import Volume, write_bvals_bvecs, write_nifti
 
 
 class TestTraceExport:
@@ -54,114 +50,3 @@ class TestTraceExport:
         with pytest.raises(DeviceError):
             timeline_to_trace_events(Timeline(), schedule="magic")
 
-
-class TestLoadAcquisition:
-    def write_session(self, d, n_dirs=6, with_masks=True):
-        from repro.data import make_gradient_table
-
-        gtab = make_gradient_table(n_directions=n_dirs, n_b0=2)
-        data = np.random.default_rng(0).uniform(
-            10, 100, size=(6, 5, 4, len(gtab))
-        )
-        write_nifti(d / "dwi.nii.gz", Volume(data.astype(np.float32)))
-        write_bvals_bvecs(gtab, d / "bvals", d / "bvecs")
-        if with_masks:
-            mask = np.ones((6, 5, 4), dtype=np.uint8)
-            write_nifti(d / "mask.nii.gz", Volume(mask))
-        return gtab
-
-    def test_round_trip(self, tmp_path):
-        gtab = self.write_session(tmp_path)
-        acq = load_acquisition(tmp_path)
-        assert acq.dwi.data.shape == (6, 5, 4, len(gtab))
-        assert acq.n_valid == 6 * 5 * 4
-        assert acq.wm_mask is None
-        np.testing.assert_allclose(acq.gtab.bvals, gtab.bvals, atol=1e-4)
-
-    def test_default_mask_all_ones(self, tmp_path):
-        self.write_session(tmp_path, with_masks=False)
-        acq = load_acquisition(tmp_path)
-        assert acq.mask.all()
-
-    def test_missing_files(self, tmp_path):
-        with pytest.raises(DataError, match="dwi"):
-            load_acquisition(tmp_path)
-        self.write_session(tmp_path)
-        (tmp_path / "bvals").unlink()
-        with pytest.raises(DataError, match="bvals"):
-            load_acquisition(tmp_path)
-
-    def test_frame_count_mismatch(self, tmp_path):
-        self.write_session(tmp_path)
-        # Overwrite bvals/bvecs with a shorter table.
-        from repro.data import make_gradient_table
-
-        write_bvals_bvecs(
-            make_gradient_table(n_directions=3, n_b0=1),
-            tmp_path / "bvals",
-            tmp_path / "bvecs",
-        )
-        with pytest.raises(DataError, match="frames"):
-            load_acquisition(tmp_path)
-
-    def test_mask_shape_mismatch(self, tmp_path):
-        self.write_session(tmp_path)
-        write_nifti(
-            tmp_path / "mask.nii.gz", Volume(np.ones((2, 2, 2), dtype=np.uint8))
-        )
-        with pytest.raises(DataError, match="mask"):
-            load_acquisition(tmp_path)
-
-    def test_cli_phantom_output_loads(self, tmp_path):
-        from repro.cli import phantom_main
-
-        phantom_main([str(tmp_path / "p"), "--scale", "0.12"])
-        acq = load_acquisition(tmp_path / "p")
-        assert acq.wm_mask is not None
-        assert 0 < acq.wm_mask.sum() < acq.n_valid
-
-
-class TestCompare:
-    def test_identical_runs(self):
-        a = np.array([3, 5, 7, 9])
-        c = compare_lengths(a, a, a * 0, a * 0)
-        assert c.identical_lengths == 1.0
-        assert c.length_correlation == 1.0
-        assert c.mean_abs_diff == 0.0
-        assert c.identical_reasons == 1.0
-        assert c.substantially_same
-
-    def test_diverging_runs(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 100, size=200)
-        b = a + rng.integers(0, 10, size=200)
-        c = compare_lengths(a, b)
-        assert c.identical_lengths < 0.5
-        assert c.length_correlation > 0.9
-        assert c.mean_abs_diff > 0
-        assert np.isnan(c.identical_reasons)
-        assert not c.substantially_same
-
-    def test_constant_arrays(self):
-        c = compare_lengths(np.full(5, 7), np.full(5, 7))
-        assert c.length_correlation == 1.0
-        c2 = compare_lengths(np.full(5, 7), np.full(5, 8))
-        assert c2.length_correlation == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            compare_lengths(np.ones(3), np.ones(4))
-        with pytest.raises(ConfigurationError):
-            compare_lengths(np.ones(3), np.ones(3), np.ones(2), np.ones(3))
-
-    def test_dice(self):
-        a = np.zeros((4, 4, 4))
-        b = np.zeros((4, 4, 4))
-        a[:2] = 1
-        b[1:3] = 1
-        # |A|=32, |B|=32, |A&B|=16 -> dice 0.5
-        assert dice_overlap(a, b) == pytest.approx(0.5)
-        assert dice_overlap(a, a) == 1.0
-        assert dice_overlap(np.zeros((2, 2, 2)), np.zeros((2, 2, 2))) == 1.0
-        with pytest.raises(ConfigurationError):
-            dice_overlap(np.zeros((2, 2)), np.zeros((3, 3)))

@@ -358,6 +358,43 @@ class TestScalarTracker:
         r = np.linalg.norm(line.points[:, 1:] - [20.0, 8.0], axis=1)
         assert np.all(np.abs(r - 12.0) < 3.0)
 
+    def test_on_bundle_paths_score_well(self):
+        # Ground truth: paths tracked from the arch apex stay on the
+        # phantom bundle that generated the field.
+        shape = (8, 36, 36)
+        arc = arc_bundle(
+            center=[4, 18, 8], radius_of_curvature=11.0, plane="yz",
+            tube_radius=2.0,
+        )
+        field = rasterize_bundles(shape, [arc], mask=np.ones(shape, bool))
+        crit = TerminationCriteria(max_steps=2000, min_dot=0.95, step_length=0.2)
+        paths = []
+        for phi in (-0.6, 0.0, 0.6):
+            # Seed on the arch, offset along y from its apex.
+            seed = np.array([4.0, 18.0 + 6 * phi, 0.0])
+            seed[2] = 8 + np.sqrt(max(11**2 - (seed[1] - 18) ** 2, 0.0))
+            line = track_streamline(field, seed, [0.0, 1.0, 0.0], crit)
+            if line.n_steps > 10:
+                paths.append(line.points)
+        assert paths, "tracking produced no usable paths"
+
+        # Distance of every tracked point to the resampled centerline; a
+        # point is inside when within the tube radius plus 1.5 voxels of
+        # interpolation slack.
+        center = arc.resample(0.5)
+        deviations, on_bundle = [], 0
+        covered = np.zeros(len(center.points), dtype=bool)
+        for pts in paths:
+            d2 = ((pts[:, None, :] - center.points[None, :, :]) ** 2).sum(-1)
+            nearest = np.argmin(d2, axis=1)
+            dev = np.sqrt(d2[np.arange(len(pts)), nearest])
+            deviations.append(dev)
+            on_bundle += bool(np.all(dev <= center.radius[nearest] + 1.5))
+            covered |= (d2 <= (center.radius[None, :] + 1.5) ** 2).any(axis=0)
+        assert np.concatenate(deviations).mean() < 2.0
+        assert on_bundle / len(paths) > 0.5
+        assert 0.2 < covered.mean() <= 1.0
+
     def test_visited_voxels(self):
         field = uniform_x_field(shape=(12, 6, 6))
         crit = TerminationCriteria(max_steps=100, step_length=0.5)
