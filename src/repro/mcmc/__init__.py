@@ -22,7 +22,6 @@ from repro.mcmc.shards import (
     BEDPOST_BLOCK_SHARD,
     BlockTask,
     make_block_tasks,
-    run_block_task,
     run_blocks,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "BEDPOST_BLOCK_SHARD",
     "BlockTask",
     "make_block_tasks",
-    "run_block_task",
     "run_blocks",
     "AdaptiveProposals",
     "mh_parameter_update",

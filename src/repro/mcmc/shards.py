@@ -22,10 +22,10 @@ Sharded bedpost is bit-identical to the single-process path because:
   :func:`~repro.rng.streams.block_streams` — lane ``v`` of the *full*
   problem, computed directly for the block's span, bitwise-equal to
   slicing the full-state seeding;
-* :func:`run_block_task` is a pure function of its
-  :class:`BlockTask` running under a fresh local registry, and the
-  executor hands payloads to the merge in task order — so samples,
-  acceptance histories, and counter snapshots fold identically however
+* :func:`run_blocks` is a pure function of its :class:`BlockTask`, the
+  runtime runs it under a fresh local registry, and the executor folds
+  the snapshots and hands payloads to the merge in task order — so
+  samples, acceptance histories, and counters fold identically however
   the run was scheduled or recovered.
 
 Checkpoints are keyed by **global voxel start** (``block_{start:08d}.npz``
@@ -50,14 +50,13 @@ from repro.models.priors import MultiFiberPriors
 from repro.rng.streams import block_streams
 from repro.rng.tausworthe import HybridTaus
 from repro.runtime.stage import StageShard
-from repro.telemetry import MetricsRegistry, get_registry, use_registry
+from repro.telemetry import get_registry
 
 __all__ = [
     "BEDPOST_BLOCK_SHARD",
     "BlockTask",
     "block_checkpoint_name",
     "make_block_tasks",
-    "run_block_task",
     "run_blocks",
 ]
 
@@ -262,20 +261,6 @@ def _run_batch(
                     task.on_checkpoint(start, ckpt.loop)
 
 
-def run_block_task(task: BlockTask) -> tuple[dict, dict]:
-    """Worker entry point: run one task under a fresh local registry.
-
-    Top-level (picklable under every start method) and free of parent
-    state; the local snapshot rides back with the payload so the parent
-    can merge shard metrics in task order — the same discipline that
-    keeps the posterior samples bit-identical.
-    """
-    local = MetricsRegistry()
-    with use_registry(local):
-        payload = run_blocks(task)
-    return payload, local.snapshot()
-
-
 # -- supervisor seams --------------------------------------------------------
 
 
@@ -299,7 +284,7 @@ def _split_block_task(task: BlockTask) -> list[BlockTask]:
 
 
 def _validate_block_payload(task: BlockTask, payload) -> None:
-    """Reject payloads that cannot be genuine :func:`run_block_task` output.
+    """Reject payloads that cannot be genuine :func:`run_blocks` output.
 
     A real payload always passes (the checks restate ``run_blocks``'s
     own postconditions) — validation only catches corrupted or truncated
@@ -309,18 +294,11 @@ def _validate_block_payload(task: BlockTask, payload) -> None:
     def _bad(msg: str) -> ShardResultError:
         return ShardResultError(f"corrupt block payload: {msg}")
 
-    if not isinstance(payload, tuple) or len(payload) != 2:
-        raise _bad(
-            f"expected (result, metrics) tuple, got {type(payload).__name__}"
-        )
-    result, metrics = payload
-    if not isinstance(metrics, dict):
-        raise _bad(f"metrics snapshot must be a dict, got {type(metrics).__name__}")
-    if not isinstance(result, dict):
-        raise _bad(f"result must be a dict, got {type(result).__name__}")
+    if not isinstance(payload, dict):
+        raise _bad(f"payload must be a dict, got {type(payload).__name__}")
     n_vox = task.data.shape[0]
     n_params = ParameterLayout(task.n_fibers).n_params
-    samples = result.get("samples")
+    samples = payload.get("samples")
     shape = (task.mcmc.n_samples, n_vox, n_params)
     if not isinstance(samples, np.ndarray) or samples.shape != shape:
         raise _bad(
@@ -328,15 +306,15 @@ def _validate_block_payload(task: BlockTask, payload) -> None:
         )
     if not np.isfinite(samples).all():
         raise _bad("non-finite posterior samples")
-    histories = result.get("histories")
+    histories = payload.get("histories")
     if not isinstance(histories, list) or len(histories) != len(task.blocks):
         raise _bad(
             f"expected {len(task.blocks)} per-block histories, got "
             f"{len(histories) if isinstance(histories, list) else type(histories).__name__}"
         )
-    if result.get("voxel_start") != task.blocks[0][0]:
+    if payload.get("voxel_start") != task.blocks[0][0]:
         raise _bad(
-            f"voxel_start {result.get('voxel_start')} != task span "
+            f"voxel_start {payload.get('voxel_start')} != task span "
             f"{task.blocks[0][0]}"
         )
 
@@ -348,7 +326,7 @@ def _validate_block_payload(task: BlockTask, payload) -> None:
 BEDPOST_BLOCK_SHARD = StageShard(
     stage="sampling",
     unit="voxel block",
-    run=run_block_task,
+    run=run_blocks,
     validate=_validate_block_payload,
     split=_split_block_task,
     units=_block_units,

@@ -40,7 +40,6 @@ from repro.models.fields import FiberStack
 from repro.models.posterior import ParameterLayout
 from repro.pipeline.memo import run_memoized
 from repro.runtime.supervisor import RetryPolicy
-from repro.telemetry import get_registry
 
 __all__ = ["BedpostConfig", "BedpostResult", "bedpost", "modeled_mcmc_times"]
 
@@ -260,7 +259,6 @@ def _compute_samples(
     from repro.runtime.stage import StageShardExecutor
 
     n_vox = sel_idx.size
-    registry = get_registry()
     blocks = [
         (start, min(start + cfg.block_voxels, n_vox))
         for start in range(0, n_vox, cfg.block_voxels)
@@ -293,26 +291,18 @@ def _compute_samples(
             flat[sel_idx], blocks, n_shards, **task_kwargs
         )
         # Streaming in-task-order merge: scatter each shard's samples
-        # into the preallocated posterior and fold its telemetry
-        # snapshot as it arrives — task order regardless of completion
-        # order, so counters and histories match serial bit for bit and
-        # completed payloads never pile up beyond the completion skew.
-        worker_slot = 0
-
+        # into the preallocated posterior as it arrives — task order
+        # regardless of completion order, so histories match serial bit
+        # for bit and completed payloads never pile up beyond the
+        # completion skew.
         def _absorb(index: int, outs: list) -> None:
-            nonlocal worker_slot
-            for result, metrics in outs:
+            for result in outs:
                 lo = result["voxel_start"]
                 part = result["samples"]
                 all_samples[:, lo : lo + part.shape[1], :] = part
                 histories.extend(result["histories"])
-                registry.merge_snapshot(metrics, worker=worker_slot + 1)
-                worker_slot += 1
 
-        with registry.span(
-            "runtime.shards", n_shards=n_shards, stage=SAMPLING.name
-        ):
-            report = executor.run(BEDPOST_BLOCK_SHARD, tasks, _absorb)
+        report = executor.run(BEDPOST_BLOCK_SHARD, tasks, _absorb)
     history = (
         [float(x) for x in np.mean(histories, axis=0)] if histories else []
     )

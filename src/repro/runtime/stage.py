@@ -15,19 +15,24 @@ machinery out into two pieces:
   voxel-block instance in :mod:`repro.mcmc.shards`.
 * :class:`StageShardExecutor` — the execution policy (pool size plus one
   :class:`~repro.runtime.supervisor.RetryPolicy`) applied to any stage's
-  task list, with the shared worker-clamp warning and a **streaming
-  in-task-order merge**: completed task payloads are handed to the caller's
-  ``consume`` callback as soon as every earlier task has completed,
-  instead of gathering the whole result set first.  Out-of-order
-  completions are buffered only until the gap fills, so peak parent
-  memory is bounded by the completion skew, not the run size.
+  task list, with the shared worker-clamp warning, the
+  ``runtime.shards`` span, and a **streaming in-task-order merge**:
+  completed task payloads are handed to the caller's ``consume``
+  callback as soon as every earlier task has completed, instead of
+  gathering the whole result set first.  Out-of-order completions are
+  buffered only until the gap fills, so peak parent memory is bounded
+  by the completion skew, not the run size.
+
+The runtime, not the stage, owns each task's telemetry: every task runs
+under a fresh registry, and its snapshot is merged into the parent's in
+task order just before ``consume`` sees the task's bare payloads.
 
 Determinism is unchanged from the sample-sharding design: tasks are
 pure functions of their payloads, the supervisor reassembles re-sharded
-parts in unit order, and ``consume`` observes payloads in task order
-regardless of completion order — so any in-order fold (counter merge,
-array scatter, connectivity absorb) is bit-identical for every worker
-count and under every recovery path.
+parts in unit order, and snapshots and payloads arrive in task order
+regardless of completion order — so the counter merge and any in-order
+fold (array scatter, connectivity absorb) are bit-identical for every
+worker count and under every recovery path.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from repro.runtime.supervisor import (
     RetryPolicy,
     ShardSupervisor,
     SupervisorReport,
+    _run_scoped,
+    _TaskOrder,
 )
 from repro.telemetry import get_registry
 
@@ -113,8 +120,8 @@ class StageShardExecutor:
     """Execution policy for one stage's shard tasks.
 
     Owns pool sizing (with the once-per-executor clamp warning), the
-    supervised run, and the streaming in-task-order hand-off to the
-    caller's merge.
+    supervised run, and the streaming in-task-order hand-off of each
+    task's telemetry and payloads to the caller's merge.
 
     ``n_workers`` is the pool size and ``policy`` the supervision
     contract (:class:`~repro.runtime.supervisor.RetryPolicy`: retries,
@@ -165,7 +172,6 @@ class StageShardExecutor:
         shard: StageShard,
         tasks: list[Any],
         consume: Callable[[int, list[Any]], None],
-        inline_single: bool = True,
     ) -> SupervisorReport | None:
         """Run ``tasks`` under supervision, streaming payloads in order.
 
@@ -173,42 +179,31 @@ class StageShardExecutor:
         payload parts (one element normally; one per unit after a
         re-shard) **in task order** — task ``i`` is delivered only once
         tasks ``0..i-1`` have been; later completions buffer until the
-        gap fills.  Exceptions raised by ``consume`` abort in-flight
-        work and propagate.
+        gap fills.  Each part's telemetry snapshot is merged into the
+        active registry first, with ``worker = part ordinal + 1``.
+        Exceptions raised by ``consume`` abort in-flight work and
+        propagate.
 
-        With a single task, no fault plan, and ``inline_single`` true,
-        the task runs in-parent (bit-identical by purity; nothing to
-        fork for) and no report is returned.
+        A single task with no fault plan runs in-parent (bit-identical
+        by purity; nothing to fork for) and no report is returned.
         """
         if not tasks:
             raise ConfigurationError(f"{shard.stage}: no shard tasks to run")
-        if len(tasks) == 1 and inline_single and self.policy.fault_plan is None:
-            consume(0, [shard.run(tasks[0])])
-            return None
-        launcher = (
-            self.launcher_factory()
-            if self.launcher_factory is not None
-            else ProcessLauncher(_pool_context())
-        )
-        supervisor = ShardSupervisor(
-            policy=self.policy,
-            max_workers=min(self.n_workers, len(tasks)),
-            launcher=launcher,
-        )
-        pending: dict[int, list[Any]] = {}
-        next_flush = 0
-
-        def _on_task_done(index: int, parts: list[Any]) -> None:
-            nonlocal next_flush
-            pending[index] = parts
-            while next_flush in pending:
-                consume(next_flush, pending.pop(next_flush))
-                next_flush += 1
-
-        _, report = supervisor.run_tasks(
-            tasks, shard, on_task_done=_on_task_done
-        )
-        # Every task completed (run_tasks would have raised otherwise),
-        # and flushing is monotone — so nothing can still be buffered.
-        assert not pending and next_flush == len(tasks)
-        return report
+        with get_registry().span(
+            "runtime.shards", n_shards=len(tasks), stage=shard.stage
+        ):
+            if len(tasks) == 1 and self.policy.fault_plan is None:
+                result = _run_scoped(shard.run, tasks[0])
+                _TaskOrder(1, consume).store((0, 0), result)
+                return None
+            launcher = (
+                self.launcher_factory()
+                if self.launcher_factory is not None
+                else ProcessLauncher(_pool_context())
+            )
+            supervisor = ShardSupervisor(
+                policy=self.policy,
+                max_workers=min(self.n_workers, len(tasks)),
+                launcher=launcher,
+            )
+            return supervisor.run_tasks(tasks, shard, consume)

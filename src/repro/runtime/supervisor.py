@@ -34,9 +34,12 @@ their ``supervision`` field.
 
 Determinism: a shard task is a pure function of its inputs, so *where*
 it finally succeeds — first try, third retry, re-shard, or in-parent —
-cannot change its payload.  The supervisor additionally returns outputs
-indexed by task order (never completion order), so the stage's merge
-remains bit-identical to a clean serial run.
+cannot change its payload.  Every execution site runs the task through
+:func:`_run_scoped`, under a fresh metrics registry whose snapshot rides
+back with the payload, and the supervisor delivers payloads and folds
+snapshots in task order (never completion order), so the stage's merge
+and the deterministic telemetry stay bit-identical to a clean serial
+run.
 
 Transport integrity: a worker ships ``sha256(blob) + blob`` of its
 pickled payload and the launcher recomputes the digest, so a payload
@@ -64,7 +67,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PoolExhaustedError, ShardResultError
 from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.telemetry import get_registry
+from repro.telemetry import MetricsRegistry, get_registry, use_registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.stage import StageShard
@@ -237,44 +240,64 @@ class SupervisorReport:
         )
 
 
-class _OutputState:
-    """Per-run payload assembly, with optional streaming completion.
+def _run_scoped(run: Callable[[Any], Any], task: Any) -> tuple[Any, dict]:
+    """Run one task under a fresh registry: ``(payload, snapshot)``.
 
-    Payload parts land keyed by ``(task_index, part_index)`` slots.  When
-    a completion callback is set, a task whose expected part count is
-    reached is delivered immediately — its parts handed over in part
-    order and **released** (so a streaming caller bounds peak memory) —
-    otherwise parts accumulate for the gather at the end of the run.
+    The one way a shard task runs — in a worker, in a launcher, in the
+    serial fallback, or as the executor's single in-parent task — so no
+    stage counts into whatever registry a forked worker inherited, and
+    the parent folds every task's telemetry the same way.
+    """
+    local = MetricsRegistry()
+    with use_registry(local):
+        payload = run(task)
+    return payload, local.snapshot()
+
+
+class _TaskOrder:
+    """The one task-order buffer: fold and deliver tasks in task order.
+
+    Results land keyed by ``(task_index, part_index)`` slots, in any
+    completion order, as :func:`_run_scoped` pairs.  Once every earlier
+    task has been delivered and a task has all its expected parts, their
+    snapshots merge into the active registry in part order, tagged
+    ``worker = part ordinal + 1`` across the run, and the bare payloads
+    go to ``deliver(index, payloads)`` and are released — so parent
+    memory is bounded by the completion skew, not the run size.
     """
 
-    def __init__(self, n_tasks: int, on_task_done=None) -> None:
-        self.parts: list[dict[int, Any]] = [{} for _ in range(n_tasks)]
+    def __init__(
+        self, n_tasks: int, deliver: Callable[[int, list[Any]], None]
+    ) -> None:
+        self.parts: list[dict[int, tuple[Any, dict]]] = [{} for _ in range(n_tasks)]
         self.expected = [1] * n_tasks
-        self.on_task_done = on_task_done
+        self.deliver = deliver
+        self.next_task = 0
+        self.n_folded = 0
 
-    def store(self, slot: tuple[int, int], payload: Any) -> None:
-        """Record one part; fire the callback when its task completes."""
+    def store(self, slot: tuple[int, int], result: tuple[Any, dict]) -> None:
+        """Record one part; deliver every task it completes, in order."""
         index, part = slot
-        self.parts[index][part] = payload
-        if (
-            self.on_task_done is not None
-            and len(self.parts[index]) == self.expected[index]
+        self.parts[index][part] = result
+        registry = get_registry()
+        while (
+            self.next_task < len(self.parts)
+            and len(self.parts[self.next_task]) == self.expected[self.next_task]
         ):
-            ordered = [self.parts[index][k] for k in sorted(self.parts[index])]
-            self.parts[index] = {}
-            self.on_task_done(index, ordered)
-
-    def discard(self, slot: tuple[int, int]) -> None:
-        """Drop a part that is being re-sharded (idempotent)."""
-        self.parts[slot[0]].pop(slot[1], None)
+            index = self.next_task
+            done, self.parts[index] = self.parts[index], {}
+            self.next_task += 1
+            payloads = []
+            for k in sorted(done):
+                payload, snapshot = done[k]
+                self.n_folded += 1
+                registry.merge_snapshot(snapshot, worker=self.n_folded)
+                payloads.append(payload)
+            self.deliver(index, payloads)
 
     def reshard(self, index: int, n_parts: int) -> None:
         """A task now completes only once all ``n_parts`` subtasks land."""
         self.expected[index] = n_parts
-
-    def gathered(self) -> list[list[Any]]:
-        """Per-task ordered parts (empty for tasks already streamed)."""
-        return [[p[k] for k in sorted(p)] for p in self.parts]
 
 
 class _Job:
@@ -322,7 +345,7 @@ def _worker_entry(conn, run_fn, task, fault_kind, hang_seconds):
             time.sleep(hang_seconds)
         if fault_kind == "crash":
             os._exit(13)
-        blob = pickle.dumps(run_fn(task))
+        blob = pickle.dumps(_run_scoped(run_fn, task))
         digest = hashlib.sha256(blob).digest()
         if fault_kind == "corrupt":
             blob = bytearray(blob)
@@ -496,7 +519,7 @@ class InlineLauncher:
         finished = []
         for job, runner, kind in self._pending:
             if kind == "ok":
-                finished.append((job, "ok", runner.run(job.task)))
+                finished.append((job, "ok", _run_scoped(runner.run, job.task)))
             else:
                 finished.append((job, kind, f"scripted {kind}"))
             self.clock += 0.001
@@ -542,26 +565,21 @@ class ShardSupervisor:
         self,
         tasks: list[Any],
         runner: StageShard,
-        on_task_done: Callable[[int, list[Any]], None] | None = None,
-    ) -> tuple[list[list[Any]], SupervisorReport]:
-        """Execute every task; return per-task payload parts + report.
+        on_task_done: Callable[[int, list[Any]], None],
+    ) -> SupervisorReport:
+        """Execute every task, delivering payloads in task order.
 
-        ``outputs[i]`` is the ordered list of payloads reassembling task
-        ``i`` (one element normally; several if the task was re-sharded).
-        Output order is task order regardless of completion order.
-
-        ``on_task_done(i, parts)`` — the streaming seam — fires as each
-        task *completes* (completion order, not task order; in-order
-        gating is the caller's concern, see
-        :class:`~repro.runtime.stage.StageShardExecutor`), after which
-        the task's payloads are released and its ``outputs[i]`` entry
-        comes back empty.  A callback exception aborts in-flight work
-        and propagates, like any supervisor failure.
+        ``on_task_done(i, parts)`` receives task ``i``'s ordered payloads
+        (one element normally; one per unit if the task was re-sharded)
+        once tasks ``0..i-1`` have been delivered, whatever the
+        completion order; each part's telemetry snapshot is folded into
+        the active registry just before.  A callback exception aborts
+        in-flight work and propagates, like any supervisor failure.
         """
         if self.launcher is None:
             raise ConfigurationError("ShardSupervisor needs a launcher")
         report = SupervisorReport(n_shards=len(tasks))
-        outputs = _OutputState(len(tasks), on_task_done=on_task_done)
+        outputs = _TaskOrder(len(tasks), on_task_done)
         queue: deque[_Job] = deque(
             _Job(
                 shard=i,
@@ -598,8 +616,11 @@ class ShardSupervisor:
         except BaseException:
             self.launcher.abort(running)
             raise
+        # Every task completed (a failure would have raised), and
+        # delivery is monotone — so nothing can still be buffered.
+        assert outputs.next_task == len(tasks)
         self._record_telemetry(report)
-        return outputs.gathered(), report
+        return report
 
     @staticmethod
     def _record_telemetry(report: SupervisorReport) -> None:
@@ -683,12 +704,21 @@ class ShardSupervisor:
         ))
         self._escalate(job, outcome, str(payload), runner, queue, outputs, report)
 
-    def _validate(self, job, payload, runner) -> ShardResultError | None:
-        """Run the payload validator; return the error instead of raising."""
+    def _validate(self, job, result, runner) -> ShardResultError | None:
+        """Check a :func:`_run_scoped` result: its snapshot, then the
+        stage's payload validator; return the error instead of raising."""
+        framed = isinstance(result, tuple) and len(result) == 2
+        snapshot = result[1] if framed else None
+        if not isinstance(snapshot, dict):
+            return ShardResultError(
+                f"shard {job.shard} metrics snapshot must be a dict, got "
+                f"{type(snapshot).__name__}",
+                shard=job.shard, attempt=job.attempt,
+            )
         if runner.validate is None:
             return None
         try:
-            runner.validate(job.task, payload)
+            runner.validate(job.task, result[0])
         except ShardResultError as exc:
             return exc
         except Exception as exc:  # validator found garbage it couldn't parse
@@ -718,7 +748,6 @@ class ShardSupervisor:
             # one single-sample subtask each, one fresh attempt apiece.
             subtasks = runner.split(job.task)
             report.reshards.append(job.shard)
-            outputs.discard(job.slot)
             outputs.reshard(job.slot[0], len(subtasks))
             for k, sub in enumerate(subtasks):
                 queue.append(_Job(
@@ -737,11 +766,11 @@ class ShardSupervisor:
         # Guaranteed forward progress: run the real task in-parent (no
         # fault injection — the fallback IS the serial code path).
         t0 = self.launcher.now()
-        payload = runner.run(job.task)
+        result = _run_scoped(runner.run, job.task)
         report.attempts.append(ShardAttempt(
             shard=job.shard, attempt=job.attempt + 1, outcome="ok",
             seconds=max(0.0, self.launcher.now() - t0), via="serial",
         ))
         report.fallbacks.append(job.shard)
-        outputs.store(job.slot, payload)
+        outputs.store(job.slot, result)
 

@@ -39,6 +39,7 @@ from repro.tracking.segmentation import (
     strategy_to_spec,
     table2_strategy,
 )
+from repro.tracking.shards import run_sharded
 from repro.telemetry import get_registry
 
 __all__ = [
@@ -276,10 +277,6 @@ def probabilistic_streamlining(
                 heading_signs=heading_signs,
             )
         else:
-            # Imported here: the shard layer depends on repro.runtime,
-            # which depends back on repro.tracking.
-            from repro.tracking.shards import run_sharded
-
             run = run_sharded(
                 tracker,
                 stack,

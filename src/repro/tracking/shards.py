@@ -27,14 +27,17 @@ to the serial path:
   so sample 0 runs in-parent first and its length row becomes every
   shard's explicit ``sort_key`` — each shard then applies the exact
   permutation the serial path would;
-* merging concatenates rows/events/launches in global sample order and
-  folds worker connectivity pair-sets in that same order (integer count
-  addition is associative), so even float summation order is preserved.
+* merging (:func:`merge_shard_results`) concatenates rows/events/
+  launches in global sample order and folds worker connectivity
+  pair-sets in that same order (integer count addition is associative),
+  so even float summation order is preserved.
 
 Because :func:`_run_shard` is a pure function of its :class:`ShardTask`,
 *where* a shard finally succeeds cannot change its payload — so a
 recovered merge stays bit-identical to a clean run.  See
-:mod:`repro.runtime.supervisor` and :mod:`repro.runtime.faults`.
+:mod:`repro.runtime.supervisor` and :mod:`repro.runtime.faults`.  The
+runtime runs every shard under a fresh metrics registry and merges the
+snapshots in task order, so the stage sees bare payloads only.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShardResultError, TrackingError
+from repro.gpu.device import HostSpec
 from repro.gpu.multigpu import partition_seeds
+from repro.gpu.timeline import Timeline
 from repro.models.fields import FiberField, FiberStack
-from repro.runtime.merge import merge_shard_results
 from repro.runtime.stage import StageShard, StageShardExecutor
-from repro.runtime.supervisor import RetryPolicy
-from repro.telemetry import MetricsRegistry, get_registry, use_registry
+from repro.runtime.supervisor import RetryPolicy, SupervisorReport
+from repro.telemetry import get_registry
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.criteria import TerminationCriteria
 from repro.tracking.executor import SegmentedTracker, TrackingRunResult
@@ -73,7 +77,6 @@ class ShardTask:
     strategy: SegmentationStrategy
     order: str
     overlap: bool
-    headings: np.ndarray | None
     heading_signs: np.ndarray | None
     sort_key: np.ndarray | None
     sample_offset: int
@@ -84,38 +87,31 @@ class ShardTask:
 
 def _run_shard(
     task: ShardTask,
-) -> tuple[TrackingRunResult, list[np.ndarray] | None, dict]:
-    """Worker entry point: run one shard; return result, visits, metrics.
+) -> tuple[TrackingRunResult, list[np.ndarray] | None]:
+    """Worker entry point: run one shard; return its result and visits.
 
     Top-level (hence picklable under every start method) and free of
     parent state: the worker rebuilds its own accumulator and ships back
     the per-sample deduplicated pair arrays for the parent to absorb.
-    The shard's telemetry runs against a **fresh local registry** (never
-    the fork-inherited parent state) whose snapshot rides back with the
-    payload, so the parent can merge shard metrics in task order — the
-    same discipline that keeps lengths/connectivity bit-identical.
     """
     acc = None
     if task.connectivity_spec is not None:
         n_seeds, n_voxels, seed_map = task.connectivity_spec
         acc = ConnectivityAccumulator(n_seeds, n_voxels, seed_map=seed_map)
-    local = MetricsRegistry()
-    with use_registry(local):
-        result = task.tracker.run(
-            task.stack,
-            task.seeds,
-            task.criteria,
-            task.strategy,
-            connectivity=acc,
-            order=task.order,
-            overlap=task.overlap,
-            headings=task.headings,
-            heading_signs=task.heading_signs,
-            sort_key=task.sort_key,
-            sample_offset=task.sample_offset,
-        )
+    result = task.tracker.run(
+        task.stack,
+        task.seeds,
+        task.criteria,
+        task.strategy,
+        connectivity=acc,
+        order=task.order,
+        overlap=task.overlap,
+        heading_signs=task.heading_signs,
+        sort_key=task.sort_key,
+        sample_offset=task.sample_offset,
+    )
     pairs = acc.sample_pairs() if acc is not None else None
-    return result, pairs, local.snapshot()
+    return result, pairs
 
 
 # -- supervisor seams --------------------------------------------------------
@@ -149,13 +145,9 @@ def _validate_shard_payload(task: ShardTask, payload) -> None:
     def _bad(msg: str) -> ShardResultError:
         return ShardResultError(f"corrupt shard payload: {msg}")
 
-    if not isinstance(payload, tuple) or len(payload) != 3:
-        raise _bad(
-            f"expected (result, pairs, metrics) tuple, got {type(payload).__name__}"
-        )
-    result, pairs, metrics = payload
-    if not isinstance(metrics, dict):
-        raise _bad(f"metrics snapshot must be a dict, got {type(metrics).__name__}")
+    if not isinstance(payload, tuple) or len(payload) != 2:
+        raise _bad(f"expected (result, pairs) tuple, got {type(payload).__name__}")
+    result, pairs = payload
     n_samples, n_seeds = len(task.stack), task.seeds.shape[0]
     lengths = getattr(result, "lengths", None)
     reasons = getattr(result, "reasons", None)
@@ -214,7 +206,6 @@ def run_sharded(
     connectivity: ConnectivityAccumulator | None = None,
     order: str = "natural",
     overlap: bool = False,
-    headings: np.ndarray | None = None,
     heading_signs: np.ndarray | None = None,
     policy: RetryPolicy | None = None,
 ) -> TrackingRunResult:
@@ -235,7 +226,6 @@ def run_sharded(
             f"{type(connectivity).__name__}"
         )
 
-    registry = get_registry()
     t0 = time.perf_counter()
 
     # Phase 1 ("sorted" only): the permutation of samples 1.. depends
@@ -254,7 +244,6 @@ def run_sharded(
             connectivity=connectivity,
             order=order,
             overlap=overlap,
-            headings=headings,
             heading_signs=heading_signs,
         )
         sort_key = phase0.lengths[0]
@@ -277,7 +266,6 @@ def run_sharded(
                 strategy=strategy,
                 order=order,
                 overlap=overlap,
-                headings=headings,
                 heading_signs=heading_signs,
                 sort_key=sort_key,
                 sample_offset=first_shard_sample + sl.start,
@@ -293,34 +281,96 @@ def run_sharded(
             )
         )
 
-    # Streaming in-task-order merge: each shard's result rows,
-    # connectivity pairs, and telemetry snapshot are folded into the
-    # parent as the stage executor delivers them — in task order
-    # regardless of completion order, re-sharded subtasks in sample
-    # order — so global sample order, and therefore the deterministic
-    # merge (integer counter/bucket addition in a fixed order), is
+    # Streaming in-task-order merge: each shard's result rows and
+    # connectivity pairs are folded into the parent as the executor
+    # delivers them — in task order regardless of completion order,
+    # re-sharded subtasks in sample order — so global sample order is
     # preserved and peak parent memory stays bounded.
     parts = [phase0] if phase0 is not None else []
-    worker_slot = 0
 
     def _absorb(index: int, outs: list) -> None:
-        nonlocal worker_slot
-        for result, pairs, metrics in outs:
+        for result, pairs in outs:
             parts.append(result)
             if connectivity is not None:
                 connectivity.absorb(pairs)
-            registry.merge_snapshot(metrics, worker=worker_slot + 1)
-            worker_slot += 1
 
-    with registry.span("runtime.shards", n_shards=n_shards, order=order):
-        report = executor.run(
-            TRACKING_SHARD, tasks, _absorb, inline_single=phase0 is None
-        )
-
-    with registry.span("runtime.merge", n_parts=len(parts)):
+    report = executor.run(TRACKING_SHARD, tasks, _absorb)
+    with get_registry().span("runtime.merge", n_parts=len(parts)):
         return merge_shard_results(
             parts,
             tracker.host,
             wall_seconds=time.perf_counter() - t0,
             supervision=report,
         )
+
+
+def merge_shard_results(
+    parts: list[TrackingRunResult],
+    host: HostSpec,
+    wall_seconds: float,
+    supervision: SupervisorReport | None = None,
+) -> TrackingRunResult:
+    """Merge shard results (already in global sample order) into one.
+
+    A shard told its global ``sample_offset`` produces rows, labels and
+    stream parities bit-identical to the matching slice of a serial
+    run, so merging is concatenation in sample order:
+
+    * ``lengths`` / ``reasons`` / ``endpoints`` — row-stacked blocks;
+    * timeline events and ``KernelLaunch`` records — concatenated, so
+      event seconds, order and per-kind totals equal the serial log;
+      each shard's events move onto a per-worker stream pair so
+      :meth:`Timeline.overlapped_end` models the pool's concurrency;
+    * ``peak_device_bytes`` — the max over shards (every worker models
+      the same device).  Under the Fig 8 ``overlap`` scheme the serial
+      path keeps two sample images resident, so a one-sample shard
+      reports a lower peak: peak memory is a per-worker footprint, not
+      part of the bit-identity contract;
+    * ``cpu_seconds`` — recomputed from the merged integer lengths,
+      hence bitwise the serial value.
+
+    ``supervision`` (the run's
+    :class:`~repro.runtime.supervisor.SupervisorReport`) rides on the
+    result, and each failed attempt becomes a ``"retry"`` event with its
+    measured wall seconds, on a negative stream and the ``"supervisor"``
+    resource so the kernel/transfer/reduction totals never move.
+    """
+    if not parts:
+        raise ValueError("nothing to merge")
+
+    lengths = np.concatenate([p.lengths for p in parts], axis=0)
+    reasons = np.concatenate([p.reasons for p in parts], axis=0)
+    endpoints = np.concatenate([p.endpoints for p in parts], axis=0)
+
+    timeline = Timeline()
+    launches = []
+    for slot, part in enumerate(parts):
+        for ev in part.timeline.events:
+            # Serial runs use stream parity 0/1 (the overlap scheme);
+            # slot * 2 keeps that parity while separating workers.
+            timeline.add(
+                ev.kind, ev.label, ev.seconds, stream=slot * 2 + (ev.stream % 2)
+            )
+        launches.extend(part.launches)
+
+    if supervision is not None:
+        for a in supervision.failed_attempts():
+            timeline.add(
+                "retry",
+                f"shard{a.shard}:attempt{a.attempt}:{a.outcome}",
+                a.seconds,
+                stream=-(a.shard + 1),
+            )
+
+    return TrackingRunResult(
+        lengths=lengths,
+        reasons=reasons,
+        endpoints=endpoints,
+        timeline=timeline,
+        launches=launches,
+        cpu_seconds=float(lengths.sum()) * host.seconds_per_iteration,
+        wall_seconds=wall_seconds,
+        peak_device_bytes=max(p.peak_device_bytes for p in parts),
+        worker_walls=[p.wall_seconds for p in parts],
+        supervision=supervision,
+    )

@@ -106,8 +106,19 @@ def test_worker_spans_merge_into_parent(fields):
         assert s.parent is None or 0 <= s.parent < i
 
 
-def test_retries_do_not_perturb_deterministic_section(fields):
-    """A crashed-then-retried shard must count its work exactly once."""
+@pytest.mark.parametrize(
+    "plan",
+    [
+        pytest.param("crash:0", id="retry"),
+        # Sample 1 crashes on every attempt: its shard re-shards and the
+        # single-sample subtask falls back to the parent.
+        pytest.param("crash:s1:*", id="reshard"),
+        # Every pool attempt of both shards crashes.
+        pytest.param("crash:0:*,crash:1:*", id="exhaustion"),
+    ],
+)
+def test_retries_do_not_perturb_deterministic_section(fields, plan):
+    """A recovered shard must count its work exactly once."""
     from repro.runtime.faults import FaultPlan
     from repro.runtime.supervisor import RetryPolicy
 
@@ -115,7 +126,7 @@ def test_retries_do_not_perturb_deterministic_section(fields):
     cfg = ProbtrackConfig(
         criteria=TerminationCriteria(max_steps=64, min_dot=0.8, step_length=0.2),
         n_workers=2,
-        supervision=RetryPolicy(fault_plan=FaultPlan.parse("crash:0")),
+        supervision=RetryPolicy(fault_plan=FaultPlan.parse(plan)),
     )
     registry = MetricsRegistry()
     with use_registry(registry):

@@ -171,7 +171,6 @@ def test_shard_task_pickles_only_its_samples():
             strategy=table2_strategy(),
             order="natural",
             overlap=False,
-            headings=None,
             heading_signs=None,
             sort_key=None,
             sample_offset=2,

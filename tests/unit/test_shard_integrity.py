@@ -23,7 +23,7 @@ from repro.mcmc import MCMCConfig
 from repro.mcmc.shards import (
     _validate_block_payload,
     make_block_tasks,
-    run_block_task,
+    run_blocks,
 )
 from repro.models.fields import FiberField, FiberStack
 from repro.runtime.faults import FaultPlan
@@ -86,7 +86,6 @@ def shard_task(fields, seed_mask):
         strategy=table2_strategy(),
         order="natural",
         overlap=False,
-        headings=None,
         heading_signs=None,
         sort_key=None,
         sample_offset=0,
@@ -101,22 +100,22 @@ def shard_payload(shard_task):
 
 class TestTrackingValidator:
     def test_genuine_payload_passes(self, shard_task, shard_payload):
-        result, pairs, _ = shard_payload
+        result, pairs = shard_payload
         assert result.lengths.max() > 0 and len(pairs) == len(shard_task.stack)
         tracking_shards._validate_shard_payload(shard_task, shard_payload)
 
     def test_negated_lengths_rejected(self, shard_task, shard_payload):
-        result, pairs, metrics = shard_payload
+        result, pairs = shard_payload
         bad = dataclasses.replace(result, lengths=-result.lengths - 1)
         with pytest.raises(ShardResultError, match="negative"):
             tracking_shards._validate_shard_payload(
-                shard_task, (bad, pairs, metrics))
+                shard_task, (bad, pairs))
 
     def test_dropped_visit_pair_row_rejected(self, shard_task, shard_payload):
-        result, pairs, metrics = shard_payload
+        result, pairs = shard_payload
         with pytest.raises(ShardResultError, match="visit-pair"):
             tracking_shards._validate_shard_payload(
-                shard_task, (result, pairs[:-1], metrics))
+                shard_task, (result, pairs[:-1]))
 
 
 # -- the sampling validator --------------------------------------------------
@@ -137,26 +136,26 @@ def block_task():
 
 @pytest.fixture(scope="module")
 def block_payload(block_task):
-    return run_block_task(block_task)
+    return run_blocks(block_task)
 
 
 class TestBlockValidator:
     def test_genuine_payload_passes(self, block_task, block_payload):
-        result, _ = block_payload
+        result = block_payload
         assert len(result["histories"]) == len(block_task.blocks) == 2
         _validate_block_payload(block_task, block_payload)
 
     def test_truncated_voxel_column_rejected(self, block_task, block_payload):
-        result, metrics = block_payload
+        result = block_payload
         bad = dict(result, samples=result["samples"][:, :-1, :])
         with pytest.raises(ShardResultError, match="samples must be"):
-            _validate_block_payload(block_task, (bad, metrics))
+            _validate_block_payload(block_task, bad)
 
     def test_dropped_history_rejected(self, block_task, block_payload):
-        result, metrics = block_payload
+        result = block_payload
         bad = dict(result, histories=result["histories"][:-1])
         with pytest.raises(ShardResultError, match="histories"):
-            _validate_block_payload(block_task, (bad, metrics))
+            _validate_block_payload(block_task, bad)
 
 
 # -- the transport digest (real worker processes) ----------------------------
@@ -176,7 +175,12 @@ def test_corrupt_fault_is_caught_by_the_digest():
     supervisor = ShardSupervisor(
         policy, max_workers=2, launcher=ProcessLauncher(_pool_context())
     )
-    outputs, report = supervisor.run_tasks([0, 1], TOY)
+    outputs = [None, None]
+
+    def keep(index, parts):
+        outputs[index] = parts
+
+    report = supervisor.run_tasks([0, 1], TOY, keep)
     assert report.failure_counts() == {"corrupt": 1}
     (bad,) = report.failed_attempts()
     assert (bad.shard, bad.attempt, bad.via) == (0, 0, "pool")

@@ -156,15 +156,3 @@ class TestInlineSingleTask:
         assert report is not None
         assert report.n_failures == 1
         assert consumed == [(0, [[0, 2]])]
-
-    def test_inline_single_false_supervises(self):
-        executor = StageShardExecutor(4, launcher_factory=InlineLauncher)
-        consumed = []
-        report = executor.run(
-            TOY,
-            [[0]],
-            lambda i, parts: consumed.append((i, parts)),
-            inline_single=False,
-        )
-        assert report is not None and report.n_shards == 1
-        assert consumed == [(0, [[0]])]

@@ -43,7 +43,12 @@ def run_tasks(tasks, script=None, *, policy=None, fallback=True, plan=None,
         split=split,
         units=samples,
     )
-    outputs, report = sup.run_tasks(tasks, runner)
+    outputs = [None] * len(tasks)
+
+    def keep(index, parts):
+        outputs[index] = parts
+
+    report = sup.run_tasks(tasks, runner, keep)
     return outputs, report, launcher
 
 
@@ -241,7 +246,8 @@ class TestSupervisorStateMachine:
     def test_requires_launcher(self):
         with pytest.raises(ConfigurationError):
             ShardSupervisor().run_tasks(
-                ["a"], StageShard(stage="test", unit="task", run=lambda t: t)
+                ["a"], StageShard(stage="test", unit="task", run=lambda t: t),
+                lambda index, parts: None,
             )
 
     def test_invalid_supervisor_config(self):

@@ -370,13 +370,16 @@ class TestScalarTracker:
         crit = TerminationCriteria(max_steps=2000, min_dot=0.95, step_length=0.2)
         paths = []
         for phi in (-0.6, 0.0, 0.6):
-            # Seed on the arch, offset along y from its apex.
+            # Seed on the arch, offset along y from its apex, heading
+            # along the arc's local tangent.
             seed = np.array([4.0, 18.0 + 6 * phi, 0.0])
             seed[2] = 8 + np.sqrt(max(11**2 - (seed[1] - 18) ** 2, 0.0))
-            line = track_streamline(field, seed, [0.0, 1.0, 0.0], crit)
-            if line.n_steps > 10:
-                paths.append(line.points)
-        assert paths, "tracking produced no usable paths"
+            tangent = np.array([0.0, seed[2] - 8, -(seed[1] - 18)])
+            line = track_streamline(
+                field, seed, tangent / np.linalg.norm(tangent), crit
+            )
+            assert line.n_steps > 10, f"seed {seed} tracked {line.n_steps} steps"
+            paths.append(line.points)
 
         # Distance of every tracked point to the resampled centerline; a
         # point is inside when within the tube radius plus 1.5 voxels of
