@@ -10,10 +10,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
+from repro.config import RunSpec
 from repro.data import dataset1
-from repro.mcmc import MCMCConfig
-from repro.pipeline import BedpostConfig, run_workflow
-from repro.tracking import ProbtrackConfig, TerminationCriteria
+from repro.pipeline import run_workflow
 
 
 def main() -> None:
@@ -24,18 +23,15 @@ def main() -> None:
           f"{phantom.n_valid} valid voxels, "
           f"{int(phantom.wm_mask.sum())} fiber voxels")
 
+    spec = RunSpec.from_dict({
+        # The paper's schedule is burn-in 500 / 50 samples; this demo
+        # uses a shorter chain for speed.
+        "sampling": {"n_burnin": 150, "n_samples": 10, "sample_interval": 2},
+        "tracking": {"max_steps": 200, "min_dot": 0.8, "step_length": 0.3},
+    })
     result = run_workflow(
         phantom,
-        bedpost_config=BedpostConfig(
-            # The paper's schedule is burn-in 500 / 50 samples; this demo
-            # uses a shorter chain for speed.
-            mcmc=MCMCConfig(n_burnin=150, n_samples=10, sample_interval=2),
-        ),
-        probtrack_config=ProbtrackConfig(
-            criteria=TerminationCriteria(
-                max_steps=200, min_dot=0.8, step_length=0.3
-            ),
-        ),
+        spec=spec,
         # Fit and seed only the fiber-bearing voxels (like masking to
         # white matter on a real scan).
         fit_mask=phantom.wm_mask,

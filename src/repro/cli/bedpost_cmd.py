@@ -127,17 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     registry = MetricsRegistry()
     with use_registry(registry):
         result = bedpost(
-            dwi,
-            gtab,
-            mask,
-            cfg,
-            store=store,
-            use_cache=spec.telemetry.cache,
-            checkpoint_every=(
-                spec.runtime.checkpoint_every_loops
-                if spec.runtime.checkpoint_every_loops > 0
-                else None
-            ),
+            dwi, gtab, mask, cfg, store=store, use_cache=spec.telemetry.cache
         )
 
     out = args.output_dir or (data_dir / "bedpost")

@@ -61,28 +61,6 @@ class MCMCConfig:
         """Total loops: ``NumBurnIn + NumSamples * L``."""
         return self.n_burnin + self.n_samples * self.sample_interval
 
-    def to_spec_dict(self) -> dict:
-        """The sampler schedule as plain run-spec fields."""
-        return {
-            "n_burnin": self.n_burnin,
-            "n_samples": self.n_samples,
-            "sample_interval": self.sample_interval,
-            "adapt_every": self.adapt_every,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_spec_dict(cls, data: dict) -> "MCMCConfig":
-        """Rebuild from :meth:`to_spec_dict` output (extra keys ignored,
-        so a whole ``sampling`` spec section can be passed directly)."""
-        return cls(
-            n_burnin=data.get("n_burnin", 500),
-            n_samples=data.get("n_samples", 50),
-            sample_interval=data.get("sample_interval", 2),
-            adapt_every=data.get("adapt_every", 40),
-            seed=data.get("seed", 0),
-        )
-
 
 @dataclass
 class MCMCResult:

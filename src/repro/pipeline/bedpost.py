@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,14 +20,7 @@ from repro.config.spec import NOISE_MODELS
 from repro.config.stages import SAMPLING
 from repro.errors import ConfigurationError, DataError
 from repro.gpu.device import DeviceSpec, HostSpec
-from repro.gpu.presets import (
-    PHENOM_X4,
-    RADEON_5870,
-    device_preset,
-    device_preset_name,
-    host_preset,
-    host_preset_name,
-)
+from repro.gpu.presets import PHENOM_X4, RADEON_5870, device_preset, host_preset
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import RunSpec
@@ -66,6 +59,11 @@ class BedpostConfig:
     #: fallback, and the dev/test-only fault plan — the ``runtime``
     #: policy keys, shared with the tracking stage.
     supervision: RetryPolicy = dc_field(default_factory=RetryPolicy)
+    #: MCMC checkpoint cadence in loops while sampling runs against an
+    #: artifact store (0 = :data:`DEFAULT_CHECKPOINT_LOOPS`); maps to
+    #: ``runtime.checkpoint_every_loops``.  Results are bit-identical for
+    #: any value.
+    checkpoint_every_loops: int = 0
 
     def __post_init__(self) -> None:
         if self.n_fibers < 1:
@@ -89,54 +87,38 @@ class BedpostConfig:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
-
-    def to_spec_dict(self) -> dict:
-        """The run-spec form: the ``sampling`` section plus this stage's
-        share of ``runtime`` (machine presets and execution policy —
-        the latter is excluded from stage hashes, so adding it never
-        moves store keys)."""
-        sampling = dict(self.mcmc.to_spec_dict())
-        sampling.update(
-            n_fibers=self.n_fibers,
-            ard=self.ard,
-            noise_model=self.noise_model,
-            f_threshold=self.f_threshold,
-            block_voxels=self.block_voxels,
-        )
-        return {
-            SAMPLING.name: sampling,
-            "runtime": {
-                "device": device_preset_name(self.device),
-                "host": host_preset_name(self.host),
-                "bedpost_workers": self.n_workers,
-                **self.supervision.to_runtime(),
-            },
-        }
-
-    @classmethod
-    def from_spec_dict(cls, data: dict) -> "BedpostConfig":
-        """Rebuild from :meth:`to_spec_dict` output (or the matching
-        sections of a full run-spec dict; extra keys are ignored)."""
-        sampling = data.get(SAMPLING.name, {})
-        runtime = data.get("runtime", {})
-        return cls(
-            mcmc=MCMCConfig.from_spec_dict(sampling),
-            n_fibers=sampling.get("n_fibers", 2),
-            ard=sampling.get("ard", False),
-            noise_model=sampling.get("noise_model", "gaussian"),
-            f_threshold=sampling.get("f_threshold", 0.05),
-            block_voxels=sampling.get("block_voxels", 50_000),
-            device=device_preset(runtime.get("device", "radeon_5870")),
-            host=host_preset(runtime.get("host", "phenom_x4")),
-            n_workers=runtime.get("bedpost_workers", 1),
-            supervision=RetryPolicy.from_runtime(runtime),
-        )
+        if self.checkpoint_every_loops < 0:
+            raise ConfigurationError(
+                "checkpoint_every_loops must be >= 0, got "
+                f"{self.checkpoint_every_loops}"
+            )
 
     @classmethod
     def from_run_spec(cls, spec: "RunSpec") -> "BedpostConfig":
         """Build the stage-1 config from a resolved
-        :class:`~repro.config.spec.RunSpec`."""
-        return cls.from_spec_dict(spec.to_dict())
+        :class:`~repro.config.spec.RunSpec`: its ``sampling`` section,
+        the machine presets, and the sampling stage's share of
+        ``runtime``."""
+        s, rt = spec.sampling, spec.runtime
+        return cls(
+            mcmc=MCMCConfig(
+                n_burnin=s.n_burnin,
+                n_samples=s.n_samples,
+                sample_interval=s.sample_interval,
+                adapt_every=s.adapt_every,
+                seed=s.seed,
+            ),
+            n_fibers=s.n_fibers,
+            ard=s.ard,
+            noise_model=s.noise_model,
+            f_threshold=s.f_threshold,
+            block_voxels=s.block_voxels,
+            device=device_preset(rt.device),
+            host=host_preset(rt.host),
+            n_workers=rt.bedpost_workers,
+            supervision=RetryPolicy.from_runtime(rt),
+            checkpoint_every_loops=rt.checkpoint_every_loops,
+        )
 
 
 @dataclass
@@ -217,8 +199,8 @@ def modeled_mcmc_times(
     return gpu, cpu
 
 
-#: Default checkpoint cadence (loops) when a store is active and neither
-#: the caller nor the run spec chose one.
+#: Checkpoint cadence (loops) when a store is active and the config
+#: leaves ``checkpoint_every_loops`` at 0.
 DEFAULT_CHECKPOINT_LOOPS = 250
 
 
@@ -316,7 +298,6 @@ def bedpost(
     config: BedpostConfig | None = None,
     store=None,
     use_cache: bool = True,
-    checkpoint_every: int | None = None,
     on_checkpoint=None,
 ) -> BedpostResult:
     """Run stage 1 over every masked voxel (memoized when given a store).
@@ -332,12 +313,15 @@ def bedpost(
     (:mod:`repro.mcmc.shards`), each shard batched the same way —
     posterior samples, acceptance history, and deterministic counters
     stay bit-identical for any worker count, including under recovered
-    shard failures.
+    shard failures.  While a store is active the chain is checkpointed
+    under the store root every ``config.checkpoint_every_loops`` loops,
+    and an interrupted run resumes from those checkpoints
+    bit-identically.
 
     Parameters
     ----------
     store:
-        An :class:`~repro.store.ArtifactStore` (or its root path).  The
+        An :class:`~repro.store.ArtifactStore`, or ``None``.  The
         run is keyed by the sampling-stage hash of the config plus a
         fingerprint of the data inputs and memoized through
         :func:`~repro.pipeline.memo.run_memoized`: on a hit the stored
@@ -348,11 +332,6 @@ def bedpost(
         ``False`` never *reads* store entries (forces recompute) but
         still publishes, refreshing the cache — the ``--no-cache``
         semantics.
-    checkpoint_every:
-        Checkpoint the chain every this many loops while a store is
-        active (checkpoints live under the store root and an interrupted
-        run resumes from them bit-identically).  Defaults to
-        :data:`DEFAULT_CHECKPOINT_LOOPS`; ``0`` disables.
     on_checkpoint:
         Test hook ``callback(block_start, loop)`` invoked after each
         block's checkpoint save (fault-injection uses it to simulate
@@ -370,10 +349,6 @@ def bedpost(
     layout = ParameterLayout(cfg.n_fibers)
     t0 = time.perf_counter()
 
-    if store is not None and not hasattr(store, "lookup"):
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(store)
     stage_key = None
     if store is not None:
         from repro.store import fingerprint_arrays
@@ -382,12 +357,9 @@ def bedpost(
 
     def compute():
         if store is None:
-            cadence, ckpt_dir = checkpoint_every or 0, None
+            cadence, ckpt_dir = 0, None
         else:
-            cadence = (
-                DEFAULT_CHECKPOINT_LOOPS if checkpoint_every is None
-                else checkpoint_every
-            )
+            cadence = cfg.checkpoint_every_loops or DEFAULT_CHECKPOINT_LOOPS
             ckpt_dir = store.checkpoint_dir(SAMPLING.name, stage_key)
         return _compute_samples(
             flat, sel_idx, gtab, cfg, layout, cadence,
@@ -477,4 +449,14 @@ def _sampling_stage_key(cfg, dwi, gtab, mask, fingerprint_arrays) -> str:
     )
     from repro.config import stage_hash
 
-    return stage_hash(cfg.to_spec_dict(), SAMPLING.name, inputs={"data": fp})
+    sampling = dict(
+        asdict(cfg.mcmc),
+        n_fibers=cfg.n_fibers,
+        ard=cfg.ard,
+        noise_model=cfg.noise_model,
+        f_threshold=cfg.f_threshold,
+        block_voxels=cfg.block_voxels,
+    )
+    return stage_hash(
+        {SAMPLING.name: sampling}, SAMPLING.name, inputs={"data": fp}
+    )

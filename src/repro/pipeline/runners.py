@@ -15,7 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.config.stages import CONNECTOME, SAMPLING, TRACKING, stage_hash
+from repro.config import RunSpec
+from repro.config.stages import CONNECTOME, SAMPLING, TRACKING
 from repro.pipeline.bedpost import BedpostConfig, bedpost
 from repro.telemetry import get_registry
 from repro.tracking.probtrack import ProbtrackConfig, default_seed_mask
@@ -50,34 +51,21 @@ class StageOutcome:
 class StageContext:
     """Everything a stage runner may need, threaded through the workflow.
 
+    ``spec`` is the one description of the run: every runner builds its
+    stage config from it and keys its stage with ``spec.stage_hash``.
     Upstream results are reached through ``outcomes`` (keyed by stage
     name, populated in execution order).
     """
 
     phantom: Any
-    bedpost_config: Any = None
-    probtrack_config: Any = None
-    spec: Any = None
-    #: The normalized plain spec dict (always present — derived from
-    #: ``spec`` or from the per-stage configs), the ``doc`` every stage
-    #: hash is computed over.
-    doc: dict = dc_field(default_factory=dict)
+    spec: RunSpec
+    #: The artifact store ``spec.telemetry.store`` names, opened once.
     store: Any = None
-    use_cache: bool = True
     seed_mask: Any = None
     fit_mask: Any = None
-    checkpoint_every: int | None = None
     #: Completed stages' outcomes, in execution order.
     outcomes: dict[str, StageOutcome] = dc_field(default_factory=dict)
     _fields_fp: str | None = None
-
-    def resolved_spec(self):
-        """The run as a ``RunSpec`` (normalizes config-built docs too)."""
-        if self.spec is not None:
-            return self.spec
-        from repro.config import RunSpec
-
-        return RunSpec.from_dict(self.doc)
 
     def fields_fp(self, stack) -> str:
         """Fingerprint of the posterior stack, computed once per run."""
@@ -101,10 +89,9 @@ def run_sampling_stage(ctx: StageContext) -> StageOutcome:
             phantom.dwi,
             phantom.gtab,
             mask,
-            config=ctx.bedpost_config,
+            config=BedpostConfig.from_run_spec(ctx.spec),
             store=ctx.store,
-            use_cache=ctx.use_cache,
-            checkpoint_every=ctx.checkpoint_every,
+            use_cache=ctx.spec.telemetry.cache,
         )
     return StageOutcome(
         stage=SAMPLING.name,
@@ -121,17 +108,13 @@ def run_tracking_stage(ctx: StageContext) -> StageOutcome:
     from repro.store import fingerprint_arrays
 
     bp = ctx.outcomes[SAMPLING.name].result
-    pt_cfg = ctx.probtrack_config
-    if pt_cfg is None:
-        pt_cfg = ProbtrackConfig()
     eff_seed_mask = ctx.seed_mask
     if eff_seed_mask is None:
         eff_seed_mask = default_seed_mask(bp.fields)
     eff_seed_mask = np.asarray(eff_seed_mask, dtype=bool)
     key = None
     if ctx.store is not None:
-        key = stage_hash(
-            ctx.doc,
+        key = ctx.spec.stage_hash(
             TRACKING.name,
             inputs={
                 "fields": ctx.fields_fp(bp.fields),
@@ -141,11 +124,11 @@ def run_tracking_stage(ctx: StageContext) -> StageOutcome:
     with get_registry().span(f"workflow.{TRACKING.name}"):
         pt, hit, _entry = memoized_streamlining(
             bp.fields,
-            pt_cfg,
+            ProbtrackConfig.from_run_spec(ctx.spec),
             ctx.store,
             key,
             seed_mask=eff_seed_mask,
-            use_cache=ctx.use_cache,
+            use_cache=ctx.spec.telemetry.cache,
         )
     return StageOutcome(
         stage=TRACKING.name,
@@ -158,7 +141,7 @@ def run_tracking_stage(ctx: StageContext) -> StageOutcome:
 
 def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
     """Stage 3: ROI connectome; skipped unless an atlas is configured."""
-    spec = ctx.resolved_spec()
+    spec = ctx.spec
     if spec.connectome.atlas == "none":
         return None
     from repro.pipeline.connectome import memoized_connectome
@@ -168,8 +151,7 @@ def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
     pt = ctx.outcomes[TRACKING.name].result
     key = None
     if ctx.store is not None:
-        key = stage_hash(
-            ctx.doc,
+        key = spec.stage_hash(
             CONNECTOME.name,
             inputs={
                 "fields": ctx.fields_fp(bp.fields),
@@ -183,7 +165,7 @@ def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
             key,
             ctx.store,
             spec.connectome.atlas,
-            use_cache=ctx.use_cache,
+            use_cache=spec.telemetry.cache,
             min_steps=spec.connectome.min_steps,
             normalize=spec.connectome.normalize,
         )

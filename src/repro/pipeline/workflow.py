@@ -10,17 +10,13 @@ artifact store is in play, and folds their outcomes into the manifest
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.config import RunSpec
 from repro.config.stages import CONNECTOME, SAMPLING, TRACKING, stage_names
 from repro.data.phantoms import Phantom
-from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.config import RunSpec
-from repro.pipeline.bedpost import BedpostConfig, BedpostResult
+from repro.pipeline.bedpost import BedpostResult
 from repro.pipeline.runners import (
     StageContext,
     StageOutcome,
@@ -29,7 +25,7 @@ from repro.pipeline.runners import (
     run_tracking_stage,
 )
 from repro.telemetry import MetricsRegistry, get_registry
-from repro.tracking.probtrack import ProbtrackConfig, ProbtrackResult
+from repro.tracking.probtrack import ProbtrackResult
 
 __all__ = ["WorkflowResult", "run_workflow"]
 
@@ -129,37 +125,31 @@ class WorkflowResult:
 
 def run_workflow(
     phantom: Phantom,
-    bedpost_config: BedpostConfig | None = None,
-    probtrack_config: ProbtrackConfig | None = None,
+    spec: RunSpec | None = None,
     seed_mask: np.ndarray | None = None,
     fit_mask: np.ndarray | None = None,
-    spec: "RunSpec | None" = None,
-    store=None,
-    use_cache: bool = True,
 ) -> WorkflowResult:
     """Run every pipeline stage on a phantom acquisition.
 
-    ``spec`` — a resolved :class:`~repro.config.spec.RunSpec` — is the
-    declarative alternative to the per-stage configs: both
-    :class:`BedpostConfig` and :class:`ProbtrackConfig` are constructed
-    from it.  Passing ``spec`` together with either per-stage config is
-    ambiguous and raises.  ``fit_mask`` restricts stage 1 to a voxel
+    ``spec`` — a resolved :class:`~repro.config.spec.RunSpec`, default
+    ``RunSpec()`` — is the one description of the run: each stage
+    builds its config from it (``BedpostConfig.from_run_spec``,
+    ``ProbtrackConfig.from_run_spec``) and keys its store entry by
+    the spec's stage hash.  ``fit_mask`` restricts stage 1 to a voxel
     subset (e.g. a white-matter mask — the paper likewise samples only
     "valid (white matter)" voxels); it defaults to the phantom's full
     valid mask.  ``seed_mask`` restricts stage-2 seeding (default:
-    fitted voxels with a surviving population).  The tracking stage's
-    process count is ``ProbtrackConfig.n_workers`` (``runtime.n_workers``
-    in a spec); results are bit-identical for any value (see
-    :mod:`repro.runtime`).
+    fitted voxels with a surviving population).  The stages' process
+    counts are ``runtime.bedpost_workers`` and ``runtime.n_workers``;
+    results are bit-identical for any values (see :mod:`repro.runtime`).
 
-    ``store`` (an :class:`~repro.store.ArtifactStore` or its root path;
-    defaults to ``spec.telemetry.store`` when a spec is given) memoizes
-    every stage by its stage hash: a warm run serves each stage's
-    artifacts bit-identically instead of recomputing, and a run that
-    changes only one stage's parameters reuses every upstream artifact
-    (a tracking sweep reuses sampling; an atlas sweep reuses sampling
-    *and* tracking).  ``use_cache=False`` (or ``telemetry.cache =
-    false``) forces a full recompute but still refreshes the store.
+    ``telemetry.store`` names an artifact store that memoizes every
+    stage by its stage hash: a warm run serves each stage's artifacts
+    bit-identically instead of recomputing, and a run that changes only
+    one stage's parameters reuses every upstream artifact (a tracking
+    sweep reuses sampling; an atlas sweep reuses sampling *and*
+    tracking).  ``telemetry.cache = false`` forces a full recompute but
+    still refreshes the store.
 
     The stage runners — :func:`~repro.pipeline.runners.run_sampling_stage`,
     :func:`~repro.pipeline.runners.run_tracking_stage` and
@@ -168,49 +158,19 @@ def run_workflow(
     the connectome stage skips itself (returns ``None``) unless
     ``connectome.atlas`` names a parcellation.
     """
-    if spec is not None:
-        if bedpost_config is not None or probtrack_config is not None:
-            raise ConfigurationError(
-                "pass either spec= or the per-stage configs, not both"
-            )
-        bedpost_config = BedpostConfig.from_run_spec(spec)
-        probtrack_config = ProbtrackConfig.from_run_spec(spec)
-        if store is None and spec.telemetry.store:
-            store = spec.telemetry.store
-        use_cache = use_cache and spec.telemetry.cache
-    if store is not None and not hasattr(store, "lookup"):
+    if spec is None:
+        spec = RunSpec()
+    store = None
+    if spec.telemetry.store:
         from repro.store import ArtifactStore
 
-        store = ArtifactStore(store)
-    checkpoint_every = None
-    if spec is not None and spec.runtime.checkpoint_every_loops > 0:
-        checkpoint_every = spec.runtime.checkpoint_every_loops
-
-    from repro.config import deep_merge
-
-    doc = (
-        spec.to_dict()
-        if spec is not None
-        else deep_merge(
-            (bedpost_config or BedpostConfig()).to_spec_dict(),
-            (
-                probtrack_config
-                if probtrack_config is not None
-                else ProbtrackConfig()
-            ).to_spec_dict(),
-        )
-    )
+        store = ArtifactStore(spec.telemetry.store)
     ctx = StageContext(
         phantom=phantom,
-        bedpost_config=bedpost_config,
-        probtrack_config=probtrack_config,
         spec=spec,
-        doc=doc,
         store=store,
-        use_cache=use_cache,
         seed_mask=seed_mask,
         fit_mask=fit_mask,
-        checkpoint_every=checkpoint_every,
     )
     ctx.outcomes[SAMPLING.name] = run_sampling_stage(ctx)
     ctx.outcomes[TRACKING.name] = run_tracking_stage(ctx)

@@ -107,25 +107,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.faults)
 
-    def to_spec(self) -> str:
-        """The plan back in CLI/spec grammar (inverse of :meth:`parse`).
-
-        ``FaultPlan.parse(plan.to_spec())`` reproduces ``faults``
-        exactly (``hang_seconds`` travels separately, as it does on the
-        command line), which lets run specs and manifests carry fault
-        plans as plain strings.
-        """
-        parts = []
-        for spec in self.faults:
-            target = f"s{spec.sample}" if spec.sample is not None else str(spec.shard)
-            piece = f"{spec.kind}:{target}"
-            if spec.attempt == EVERY_ATTEMPT:
-                piece += ":*"
-            elif spec.attempt != 0:
-                piece += f":{spec.attempt}"
-            parts.append(piece)
-        return ",".join(parts)
-
     @classmethod
     def parse(cls, text: str, hang_seconds: float = 3600.0) -> "FaultPlan":
         """Parse the CLI/spec grammar (see module docstring)."""

@@ -70,6 +70,7 @@ from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.config.spec import RuntimeSpec
     from repro.runtime.stage import StageShard
 
 __all__ = [
@@ -133,36 +134,25 @@ class RetryPolicy:
             )
 
     @classmethod
-    def from_runtime(cls, runtime: dict) -> "RetryPolicy":
+    def from_runtime(cls, runtime: "RuntimeSpec") -> "RetryPolicy":
         """The policy a run spec's ``runtime`` section describes.
 
         An unset ``hang_seconds`` is 4x the timeout, else 30 s, so an
         injected hang never outlives a missing timeout by more than that.
         """
-        timeout = runtime.get("shard_timeout_s")
+        timeout = runtime.shard_timeout_s
         plan = None
-        if runtime.get("fault_plan"):
-            hang = runtime.get("hang_seconds")
+        if runtime.fault_plan:
+            hang = runtime.hang_seconds
             if hang is None:
                 hang = timeout * 4 if timeout else 30.0
-            plan = FaultPlan.parse(runtime["fault_plan"], hang_seconds=hang)
+            plan = FaultPlan.parse(runtime.fault_plan, hang_seconds=hang)
         return cls(
-            max_retries=runtime.get("max_retries", 2),
+            max_retries=runtime.max_retries,
             shard_timeout_s=timeout,
-            fallback_to_serial=runtime.get("fallback_to_serial", True),
+            fallback_to_serial=runtime.fallback_to_serial,
             fault_plan=plan,
         )
-
-    def to_runtime(self) -> dict:
-        """The ``runtime`` spec keys (inverse of :meth:`from_runtime`)."""
-        plan = self.fault_plan
-        return {
-            "max_retries": self.max_retries,
-            "shard_timeout_s": self.shard_timeout_s,
-            "fallback_to_serial": self.fallback_to_serial,
-            "fault_plan": plan.to_spec() if plan is not None else None,
-            "hang_seconds": plan.hang_seconds if plan is not None else None,
-        }
 
     def delay(self, shard: int, attempt: int) -> float:
         """Seconds to wait before launching retry ``attempt`` (>= 1)."""
@@ -205,8 +195,12 @@ class SupervisorReport:
 
     @property
     def n_retries(self) -> int:
-        """Worker-process launches beyond each shard's first attempt."""
-        return sum(1 for a in self.attempts if a.attempt > 0 and a.via != "serial")
+        """Pool launches beyond each shard's first attempt.
+
+        Re-shard subtask launches are not retries: :attr:`reshards`
+        already counts them.
+        """
+        return sum(1 for a in self.attempts if a.attempt > 0 and a.via == "pool")
 
     @property
     def n_failures(self) -> int:

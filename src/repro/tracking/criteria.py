@@ -71,22 +71,3 @@ class TerminationCriteria:
                 f"f_threshold must be in [0, 1), got {self.f_threshold}"
             )
 
-    def to_spec_dict(self) -> dict:
-        """The stop rules as plain run-spec fields."""
-        return {
-            "max_steps": self.max_steps,
-            "min_dot": self.min_dot,
-            "step_length": self.step_length,
-            "f_threshold": self.f_threshold,
-        }
-
-    @classmethod
-    def from_spec_dict(cls, data: dict) -> "TerminationCriteria":
-        """Rebuild from :meth:`to_spec_dict` output (extra keys ignored,
-        so a whole ``tracking`` spec section can be passed directly)."""
-        return cls(
-            max_steps=data.get("max_steps", 1888),
-            min_dot=data.get("min_dot", 0.8),
-            step_length=data.get("step_length", 0.2),
-            f_threshold=data.get("f_threshold", 0.0),
-        )

@@ -12,20 +12,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.config.spec import INTERPOLATIONS, ORDER_POLICIES
 from repro.errors import ConfigurationError, TrackingError
 from repro.gpu.device import DeviceSpec, HostSpec
-from repro.gpu.presets import (
-    PHENOM_X4,
-    RADEON_5870,
-    device_preset,
-    device_preset_name,
-    host_preset,
-    host_preset_name,
-)
+from repro.gpu.presets import PHENOM_X4, RADEON_5870, device_preset, host_preset
 from repro.models.fields import FiberField, FiberStack
 from repro.runtime.supervisor import RetryPolicy
 from repro.tracking.connectivity import ConnectivityAccumulator
@@ -36,11 +30,13 @@ from repro.tracking.seeds import seeds_from_mask
 from repro.tracking.segmentation import (
     SegmentationStrategy,
     strategy_from_spec,
-    strategy_to_spec,
     table2_strategy,
 )
 from repro.tracking.shards import run_sharded
 from repro.telemetry import get_registry
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.config import RunSpec
 
 __all__ = [
     "ProbtrackConfig",
@@ -90,64 +86,32 @@ class ProbtrackConfig:
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
 
-    def to_spec_dict(self) -> dict:
-        """The run-spec form: ``tracking`` and ``runtime`` section fields.
-
-        Criteria fields are inlined into ``tracking`` (the spec keeps one
-        flat section per stage); the strategy serializes to its name or
-        an explicit array; device/host serialize as preset names; the
-        supervision policy serializes through
-        :meth:`~repro.runtime.supervisor.RetryPolicy.to_runtime`.
-        """
-        name, array = strategy_to_spec(self.strategy)
-        tracking = dict(self.criteria.to_spec_dict())
-        tracking.update(
-            strategy=name,
-            strategy_array=list(array) if array is not None else None,
-            interpolation=self.interpolation,
-            order=self.order,
-            overlap=self.overlap,
-            bidirectional=self.bidirectional,
-            accumulate_connectivity=self.accumulate_connectivity,
-        )
-        runtime = {
-            "n_workers": self.n_workers,
-            **self.supervision.to_runtime(),
-            "device": device_preset_name(self.device),
-            "host": host_preset_name(self.host),
-        }
-        return {"tracking": tracking, "runtime": runtime}
-
     @classmethod
-    def from_spec_dict(cls, data: dict) -> "ProbtrackConfig":
-        """Rebuild from :meth:`to_spec_dict` output (or the matching
-        sections of a full run-spec dict; extra keys are ignored)."""
-        tracking = data.get("tracking", {})
-        runtime = data.get("runtime", {})
-        return cls(
-            criteria=TerminationCriteria.from_spec_dict(tracking),
-            strategy=strategy_from_spec(
-                tracking.get("strategy", "increasing"),
-                tracking.get("strategy_array"),
-            ),
-            device=device_preset(runtime.get("device", "radeon_5870")),
-            host=host_preset(runtime.get("host", "phenom_x4")),
-            interpolation=tracking.get("interpolation", "trilinear"),
-            order=tracking.get("order", "natural"),
-            overlap=tracking.get("overlap", False),
-            accumulate_connectivity=tracking.get(
-                "accumulate_connectivity", True
-            ),
-            bidirectional=tracking.get("bidirectional", False),
-            n_workers=runtime.get("n_workers", 1),
-            supervision=RetryPolicy.from_runtime(runtime),
-        )
-
-    @classmethod
-    def from_run_spec(cls, spec) -> "ProbtrackConfig":
+    def from_run_spec(cls, spec: "RunSpec") -> "ProbtrackConfig":
         """Build the stage-2 config from a resolved
-        :class:`~repro.config.spec.RunSpec`."""
-        return cls.from_spec_dict(spec.to_dict())
+        :class:`~repro.config.spec.RunSpec`: its ``tracking`` section
+        (all but ``min_export_steps``, which only the CLIs' ``.trk``
+        exports read), the machine presets, and the tracking pool's
+        share of ``runtime``."""
+        t, rt = spec.tracking, spec.runtime
+        return cls(
+            criteria=TerminationCriteria(
+                max_steps=t.max_steps,
+                min_dot=t.min_dot,
+                step_length=t.step_length,
+                f_threshold=t.f_threshold,
+            ),
+            strategy=strategy_from_spec(t.strategy, t.strategy_array),
+            device=device_preset(rt.device),
+            host=host_preset(rt.host),
+            interpolation=t.interpolation,
+            order=t.order,
+            overlap=t.overlap,
+            accumulate_connectivity=t.accumulate_connectivity,
+            bidirectional=t.bidirectional,
+            n_workers=rt.n_workers,
+            supervision=RetryPolicy.from_runtime(rt),
+        )
 
 
 @dataclass

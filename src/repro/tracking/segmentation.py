@@ -38,7 +38,6 @@ __all__ = [
     "paper_strategy_c",
     "table2_strategy",
     "strategy_from_spec",
-    "strategy_to_spec",
 ]
 
 
@@ -221,28 +220,3 @@ def strategy_from_spec(
         f"{sorted(_NAMED_STRATEGIES)}, 'a<k>', or 'custom' with an array"
     )
 
-
-def strategy_to_spec(
-    strategy: SegmentationStrategy,
-) -> tuple[str, tuple[int, ...] | None]:
-    """A strategy's ``(name, array)`` run-spec form (inverse of
-    :func:`strategy_from_spec` up to equality of produced segments).
-
-    Named strategies serialize compactly; any other explicit array
-    serializes as ``("custom", array)``.  Strategy subclasses outside
-    this module's taxonomy cannot be expressed in a spec and raise.
-    """
-    if isinstance(strategy, UniformStrategy):
-        return f"a{strategy.k}", None
-    if isinstance(strategy, SingleSegmentStrategy):
-        return "single", None
-    if isinstance(strategy, IncreasingStrategy):
-        for name, factory in _NAMED_STRATEGIES.items():
-            if name == "single":
-                continue
-            if strategy.array == factory().array:
-                return name, None
-        return strategy.name or "custom", tuple(strategy.array)
-    raise ConfigurationError(
-        f"strategy {strategy!r} cannot be expressed in a run spec"
-    )

@@ -1,8 +1,11 @@
 """Integration tests: the two-stage workflow end to end on phantoms."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from repro.config import RunSpec
 from repro.data import dataset1, make_gradient_table, rasterize_bundles, straight_bundle, synthesize_dwi
 from repro.errors import DataError
 from repro.mcmc import MCMCConfig
@@ -165,15 +168,10 @@ class TestWorkflow:
 
         dwi, gtab, mask, truth = small_phantom
         ph = Phantom(dwi=dwi, gtab=gtab, truth=truth, name="tiny")
-        wf = run_workflow(
-            ph,
-            bedpost_config=BedpostConfig(mcmc=FAST_MCMC),
-            probtrack_config=ProbtrackConfig(
-                criteria=TerminationCriteria(
-                    max_steps=50, min_dot=0.7, step_length=0.4
-                )
-            ),
-            seed_mask=truth.f[..., 0] > 0,
-        )
+        spec = RunSpec.from_dict({
+            "sampling": asdict(FAST_MCMC),
+            "tracking": {"max_steps": 50, "min_dot": 0.7, "step_length": 0.4},
+        })
+        wf = run_workflow(ph, spec=spec, seed_mask=truth.f[..., 0] > 0)
         assert wf.bedpost.n_voxels == int(ph.mask.sum())
         assert wf.probtrack.run.n_seeds == int((truth.f[..., 0] > 0).sum())

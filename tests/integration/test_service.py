@@ -92,7 +92,7 @@ def direct_manifest():
     spec = RunSpec.from_dict(SPEC_DOC)
     registry = MetricsRegistry()
     with use_registry(registry):
-        wr = run_workflow(phantom, spec=spec, use_cache=False)
+        wr = run_workflow(phantom, spec=spec)
     return build_manifest(registry, config=spec.to_dict(), cache=wr.cache)
 
 

@@ -6,6 +6,7 @@ uninterrupted posterior bit for bit (counters included).
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -209,10 +210,10 @@ def phantom():
     return dataset1(scale=0.15, snr=40.0)
 
 
-def _bedpost_cfg():
+def _bedpost_cfg(**kwargs):
     from repro.pipeline import BedpostConfig
 
-    return BedpostConfig(mcmc=CFG)
+    return BedpostConfig(mcmc=CFG, **kwargs)
 
 
 class TestInterruptedBedpostResume:
@@ -252,9 +253,8 @@ class TestInterruptedBedpostResume:
                 phantom.dwi,
                 phantom.gtab,
                 phantom.mask,
-                _bedpost_cfg(),
+                _bedpost_cfg(checkpoint_every_loops=10),
                 store=store,
-                checkpoint_every=10,
                 on_checkpoint=die_on_first_checkpoint,
             )
         # The chain state survived the crash...
@@ -269,9 +269,8 @@ class TestInterruptedBedpostResume:
                 phantom.dwi,
                 phantom.gtab,
                 phantom.mask,
-                _bedpost_cfg(),
+                _bedpost_cfg(checkpoint_every_loops=10),
                 store=store,
-                checkpoint_every=10,
             )
         assert not resumed.served_from_store
         np.testing.assert_array_equal(baseline.samples, resumed.samples)
@@ -309,9 +308,8 @@ class TestInterruptedBedpostResume:
                 phantom.dwi,
                 phantom.gtab,
                 phantom.mask,
-                _bedpost_cfg(),
+                _bedpost_cfg(checkpoint_every_loops=10),
                 store=store,
-                checkpoint_every=10,
                 on_checkpoint=lambda s, c: (_ for _ in ()).throw(
                     KeyboardInterrupt()
                 ),
@@ -324,9 +322,8 @@ class TestInterruptedBedpostResume:
             phantom.dwi,
             phantom.gtab,
             phantom.mask,
-            _bedpost_cfg(),
+            _bedpost_cfg(checkpoint_every_loops=10),
             store=store,
-            checkpoint_every=10,
         )
         np.testing.assert_array_equal(baseline.samples, resumed.samples)
 
@@ -341,7 +338,7 @@ class TestInterruptedBedpostResume:
 
         spec = RunSpec.from_dict(
             {
-                "sampling": CFG.to_spec_dict(),
+                "sampling": asdict(CFG),
                 "tracking": {"max_steps": 32},
                 "runtime": {"checkpoint_every_loops": 10},
                 "telemetry": {"store": str(tmp_path / "store")},
@@ -393,6 +390,7 @@ class TestShardedInterruptResume:
             block_voxels=self.BLOCK_VOXELS,
             n_workers=n_workers,
             supervision=RetryPolicy(max_retries=1),
+            checkpoint_every_loops=10,
         )
 
     def _det(self, registry):
@@ -431,7 +429,6 @@ class TestShardedInterruptResume:
                 phantom.mask,
                 self._cfg(),
                 store=store,
-                checkpoint_every=10,
                 on_checkpoint=_die_after_save,
             )
         ckpts = list((store.root / "checkpoints").rglob("block_*.npz"))
@@ -439,7 +436,7 @@ class TestShardedInterruptResume:
         assert max(SamplerCheckpoint.load(p).loop for p in ckpts) >= 10
 
         resumed, reg = self._run(
-            phantom, self._cfg(), store=store, checkpoint_every=10
+            phantom, self._cfg(), store=store
         )
         assert not resumed.served_from_store
         np.testing.assert_array_equal(baseline.samples, resumed.samples)
@@ -462,7 +459,6 @@ class TestShardedInterruptResume:
                 phantom.mask,
                 self._cfg(n_workers=1),
                 store=store,
-                checkpoint_every=10,
                 on_checkpoint=_die_after_save,
             )
         assert list((store.root / "checkpoints").rglob("block_*.npz"))
@@ -470,7 +466,7 @@ class TestShardedInterruptResume:
         # ...and resume it *sharded*: the files are keyed by global voxel
         # start, so the worker pool picks up the serial run's state.
         resumed, reg = self._run(
-            phantom, self._cfg(n_workers=2), store=store, checkpoint_every=10
+            phantom, self._cfg(n_workers=2), store=store
         )
         np.testing.assert_array_equal(baseline.samples, resumed.samples)
         assert self._det(reg) == self._det(base_reg)

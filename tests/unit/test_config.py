@@ -3,8 +3,8 @@
 Covers the :mod:`repro.config` contract: dotted-path validation errors,
 value coercion, layering precedence (defaults < spec file < CLI flags <
 ``--set``), TOML/JSON spec files, the telemetry-invariant content hash,
-spec round-trips through the stage configs, and the manifest v1/v2
-provenance handshake.
+the stage configs built from a spec, and the manifest v1/v2 provenance
+handshake.
 """
 
 import json
@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import (
     HAVE_TOML,
+    RuntimeSpec,
     RUNTIME_DETERMINISTIC_FIELDS,
     RunSpec,
     apply_override,
@@ -51,7 +52,6 @@ from repro.tracking.segmentation import (
     IncreasingStrategy,
     UniformStrategy,
     strategy_from_spec,
-    strategy_to_spec,
     table2_strategy,
 )
 
@@ -223,31 +223,24 @@ class TestPresets:
 
 
 class TestStageConfigRoundTrips:
-    def test_probtrack_roundtrip(self):
-        cfg = ProbtrackConfig(
-            criteria=TerminationCriteria(max_steps=300, min_dot=0.7),
-            strategy=table2_strategy(),
-            n_workers=3,
-            bidirectional=True,
-        )
-        spec = RunSpec.from_dict(cfg.to_spec_dict())
-        assert ProbtrackConfig.from_run_spec(spec) == cfg
+    """A stage config is a one-way view of a spec.  Its dataclass
+    defaults are a second copy of the spec's, pinned equal here."""
 
     def test_probtrack_defaults_match_spec_defaults(self):
         assert ProbtrackConfig.from_run_spec(RunSpec()) == ProbtrackConfig()
 
-    def test_bedpost_roundtrip(self):
-        cfg = BedpostConfig(
-            mcmc=MCMCConfig(n_burnin=100, n_samples=10, seed=9),
-            n_fibers=3,
-            ard=True,
-            noise_model="rician",
-        )
-        spec = RunSpec.from_dict(cfg.to_spec_dict())
-        assert BedpostConfig.from_run_spec(spec) == cfg
-
     def test_bedpost_defaults_match_spec_defaults(self):
         assert BedpostConfig.from_run_spec(RunSpec()) == BedpostConfig()
+
+    def test_mcmc_defaults_match_spec_defaults(self):
+        assert BedpostConfig.from_run_spec(RunSpec()).mcmc == MCMCConfig()
+
+    def test_criteria_defaults_match_spec_defaults(self):
+        built = ProbtrackConfig.from_run_spec(RunSpec()).criteria
+        assert built == TerminationCriteria()
+
+    def test_retry_policy_defaults_match_runtime_spec_defaults(self):
+        assert RetryPolicy.from_runtime(RuntimeSpec()) == RetryPolicy()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -282,34 +275,32 @@ class TestStageConfigRoundTrips:
             BedpostConfig(**kwargs)
 
 
-class TestWorkflowSpec:
-    def test_spec_and_stage_configs_are_mutually_exclusive(self):
-        from repro.pipeline import run_workflow
-
-        # The guard fires before the phantom is touched.
-        with pytest.raises(ConfigurationError, match="not both"):
-            run_workflow(None, spec=RunSpec(), bedpost_config=BedpostConfig())
-
-
 class TestStrategySpec:
     @pytest.mark.parametrize("name", ["increasing", "b", "c", "single", "a4"])
     def test_named_roundtrip(self, name):
-        strategy = strategy_from_spec(name)
-        assert strategy_to_spec(strategy) == (name, None)
+        # A name reaches the tracking config as the strategy it names.
+        spec = RunSpec.from_dict({"tracking": {"strategy": name}})
+        built = ProbtrackConfig.from_run_spec(spec).strategy
+        assert built.segments(500) == strategy_from_spec(name).segments(500)
 
     def test_named_array_collapses_to_name(self):
-        name, array = strategy_to_spec(IncreasingStrategy(table2_strategy().array))
-        assert (name, array) == ("increasing", None)
+        # An explicit array equal to a named one segments like the name.
+        explicit = strategy_from_spec("increasing", table2_strategy().array)
+        assert explicit.segments(1888) == table2_strategy().segments(1888)
 
     def test_custom_array_preserves_label(self):
         strategy = strategy_from_spec("mine", (4, 8, 16))
         assert isinstance(strategy, IncreasingStrategy)
-        assert strategy_to_spec(strategy) == ("mine", (4, 8, 16))
+        assert (strategy.name, list(strategy.array)) == ("mine", [4, 8, 16])
 
     def test_uniform(self):
         strategy = strategy_from_spec("a20")
         assert isinstance(strategy, UniformStrategy)
         assert strategy.k == 20
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ConfigurationError, match="unknown strategy"):
+            strategy_from_spec("zigzag")
 
 
 class TestManifestProvenance:

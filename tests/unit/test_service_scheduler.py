@@ -102,7 +102,7 @@ class TestDispatch:
         spec = RunSpec.from_dict(spec_doc(40))
         registry = MetricsRegistry()
         with use_registry(registry):
-            wr = run_workflow(build_phantom(other), spec=spec, use_cache=False)
+            wr = run_workflow(build_phantom(other), spec=spec)
         direct = build_manifest(registry, config=spec.to_dict(), cache=wr.cache)
         assert det_blob(served) == det_blob(direct)
 

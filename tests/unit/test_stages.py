@@ -7,6 +7,7 @@ The literal digests below pin the keys; changing one must be a
 deliberate cache-invalidation event.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import get_stage, stage_hash, stage_names
@@ -48,4 +49,58 @@ class TestPinnedStageKeys:
         )
         assert key == (
             "sha256:248f6419dbb4cb4cec7012e2ebccd8f6345a868761db5606ae6c9b3381d28c02"
+        )
+
+
+#: ``bedpost()``'s own sampling key for :func:`_tiny_acquisition` under
+#: :data:`TINY_SAMPLING`.
+PINNED_BEDPOST_KEY = (
+    "sha256:169bf5e74d077f0959cf12371d050c2df32a737fef98b57552a349b8eda72c77"
+)
+TINY_SAMPLING = {
+    "n_burnin": 4, "n_samples": 2, "sample_interval": 1, "adapt_every": 2,
+    "seed": 5, "n_fibers": 1, "block_voxels": 7,
+}
+
+
+def _tiny_acquisition():
+    from repro.data import (
+        make_gradient_table,
+        rasterize_bundles,
+        straight_bundle,
+        synthesize_dwi,
+    )
+
+    shape = (6, 4, 4)
+    bundle = straight_bundle([1, 2, 2], [5, 2, 2], radius=1.0, weight=0.6)
+    field = rasterize_bundles(shape, [bundle], mask=np.ones(shape, bool))
+    gtab = make_gradient_table(n_directions=12, n_b0=1)
+    dwi = synthesize_dwi(field, gtab, s0=1000.0, snr=50.0, seed=0)
+    return dwi, gtab, field.f[..., 0] > 0
+
+
+class TestPinnedBedpostKey:
+    def test_bedpost_key_is_the_specs_sampling_hash(self, tmp_path):
+        # bedpost() keys itself from its config; that key must be the
+        # pinned one and the stage hash of the spec the config came from.
+        from repro.config import RunSpec
+        from repro.pipeline import BedpostConfig, bedpost
+        from repro.store import ArtifactStore, fingerprint_arrays
+
+        dwi, gtab, mask = _tiny_acquisition()
+        spec = RunSpec.from_dict({
+            "sampling": TINY_SAMPLING,
+            "runtime": {"checkpoint_every_loops": 2},
+        })
+        result = bedpost(
+            dwi, gtab, mask, BedpostConfig.from_run_spec(spec),
+            store=ArtifactStore(tmp_path / "store"),
+        )
+        data = fingerprint_arrays(
+            dwi=dwi.data, affine=dwi.affine, bvals=gtab.bvals,
+            bvecs=gtab.bvecs, mask=mask,
+        )
+        assert result.stage_key == PINNED_BEDPOST_KEY
+        assert result.stage_key == spec.stage_hash(
+            "sampling", inputs={"data": data}
         )

@@ -8,6 +8,7 @@ without spawning a single real process.
 import numpy as np
 import pytest
 
+from repro.config.spec import RuntimeSpec
 from repro.errors import (
     ConfigurationError,
     PoolExhaustedError,
@@ -88,35 +89,22 @@ class TestRetryPolicy:
                 RetryPolicy(shard_timeout_s=timeout)
 
     def test_from_runtime_defaults_and_hang_rule(self):
-        assert RetryPolicy.from_runtime({}) == RetryPolicy()
-        plain = RetryPolicy.from_runtime({"fault_plan": "hang:0"})
+        assert RetryPolicy.from_runtime(RuntimeSpec()) == RetryPolicy()
+        plain = RetryPolicy.from_runtime(RuntimeSpec(fault_plan="hang:0"))
         assert plain.fault_plan.hang_seconds == 30.0
         timed = RetryPolicy.from_runtime(
-            {"fault_plan": "hang:0", "shard_timeout_s": 1.5})
+            RuntimeSpec(fault_plan="hang:0", shard_timeout_s=1.5))
         assert timed.fault_plan.hang_seconds == 6.0
         explicit = RetryPolicy.from_runtime(
-            {"fault_plan": "hang:0", "shard_timeout_s": 1.5,
-             "hang_seconds": 2.0})
+            RuntimeSpec(fault_plan="hang:0", shard_timeout_s=1.5,
+                        hang_seconds=2.0))
         assert explicit.fault_plan.hang_seconds == 2.0
-        with pytest.raises(ConfigurationError):
-            RetryPolicy.from_runtime({"max_retries": -1})
-        with pytest.raises(ConfigurationError):
-            RetryPolicy.from_runtime({"fault_plan": "explode:0"})
-
-    def test_runtime_round_trip(self):
-        policy = RetryPolicy(
-            max_retries=4, shard_timeout_s=2.5, fallback_to_serial=False,
-            fault_plan=FaultPlan.parse("crash:0,corrupt:s3:*", hang_seconds=7.0),
-        )
-        runtime = policy.to_runtime()
-        assert runtime == {
-            "max_retries": 4, "shard_timeout_s": 2.5,
-            "fallback_to_serial": False, "fault_plan": "crash:0,corrupt:s3:*",
-            "hang_seconds": 7.0,
-        }
-        assert RetryPolicy.from_runtime(runtime) == policy
-        assert RetryPolicy().to_runtime()["fault_plan"] is None
-        assert RetryPolicy.from_runtime(RetryPolicy().to_runtime()) == RetryPolicy()
+        policy = RetryPolicy.from_runtime(
+            RuntimeSpec(max_retries=4, fallback_to_serial=False,
+                        fault_plan="crash:0,corrupt:s3:*"))
+        assert (policy.max_retries, policy.fallback_to_serial) == (4, False)
+        assert policy.fault_plan.faults == FaultPlan.parse(
+            "crash:0,corrupt:s3:*").faults
 
 
 class TestErrorTaxonomy:
@@ -184,6 +172,22 @@ class TestSupervisorStateMachine:
         with pytest.raises(PoolExhaustedError) as err:
             run_tasks(["a"], script, fallback=False)
         assert err.value.shard == 0
+
+    def test_reshard_subtasks_are_not_retries(self):
+        # One real retry (shard 0, attempt 1) before the re-shard; the
+        # four single-sample subtask launches are counted by reshards.
+        script = {(0, 0): "crash", (0, 1): "crash"}
+        outputs, report, _ = run_tasks(
+            [[0, 1, 2, 3], [4, 5]],
+            script,
+            policy=RetryPolicy(max_retries=1, base_delay_s=0.0),
+            split=lambda t: [[u] for u in t],
+            samples=lambda t: t,
+        )
+        assert report.n_retries == 1
+        assert report.reshards == [0]
+        assert outputs[0] == [("payload", [u]) for u in range(4)]
+        assert "1 retries, 1 re-shards" in report.summary()
 
     def test_reshard_splits_before_serial_fallback(self):
         # Task "ab" covers samples 0-1; every pooled attempt of the

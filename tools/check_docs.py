@@ -12,8 +12,8 @@ unit test keeps it honest locally):
   ``repro.service.jobs``) must pass
   ``doctest.testmod``;
 * every example run spec in ``examples/specs/`` must resolve to a valid
-  ``RunSpec`` (the CI job additionally resolves each through
-  ``repro-track --config ... --print-config``).
+  ``RunSpec`` that builds both stage configs (the CI job additionally
+  resolves each through ``repro-track --config ... --print-config``).
 
 Exit status is the number of failures (0 = clean).
 """
@@ -98,9 +98,12 @@ def check_doctests() -> list[str]:
 
 
 def check_example_specs() -> list[str]:
-    """Return one error string per invalid ``examples/specs/`` file."""
+    """Return one error string per invalid ``examples/specs/`` file: one
+    that fails to validate, or validates but cannot build a stage config."""
     from repro.config import RunSpec, load_spec_file
     from repro.errors import ConfigurationError
+    from repro.pipeline import BedpostConfig
+    from repro.tracking import ProbtrackConfig
 
     specs = sorted((REPO / "examples" / "specs").glob("*"))
     if not specs:
@@ -108,7 +111,9 @@ def check_example_specs() -> list[str]:
     errors = []
     for path in specs:
         try:
-            RunSpec.from_dict(load_spec_file(path))
+            spec = RunSpec.from_dict(load_spec_file(path))
+            BedpostConfig.from_run_spec(spec)
+            ProbtrackConfig.from_run_spec(spec)
         except ConfigurationError as exc:
             errors.append(f"examples/specs/{path.name}: {exc}")
     return errors
