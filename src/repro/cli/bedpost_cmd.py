@@ -41,7 +41,12 @@ from repro.config.stages import SAMPLING
 from repro.errors import ReproError
 from repro.io import Volume, read_bvals_bvecs, read_nifti, write_nifti
 from repro.pipeline import BedpostConfig, bedpost
-from repro.telemetry import MetricsRegistry, use_registry, write_manifest
+from repro.telemetry import (
+    MetricsRegistry,
+    cache_section,
+    use_registry,
+    write_manifest,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -148,14 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         vol.reshape(-1)[mask.reshape(-1)] = mean[:, 3 + j]
         write_nifti(out / f"mean_f{j + 1}.nii.gz", Volume(vol, dwi.affine))
 
-    cache_section = None
-    if store is not None:
-        cache_section = {
-            f"{SAMPLING.name}_hit": result.served_from_store,
-            "stage_keys": {SAMPLING.name: result.stage_key},
-            "store": str(store.root),
-            **store.stats.to_dict(),
-        }
     if spec.telemetry.metrics_out is not None:
         metrics_out = Path(spec.telemetry.metrics_out)
         write_manifest(
@@ -171,7 +168,10 @@ def main(argv: list[str] | None = None) -> int:
                 "data_dir": str(data_dir.resolve()),
             },
             config=spec.to_dict(),
-            cache=cache_section,
+            cache=cache_section(
+                store,
+                {SAMPLING.name: (result.served_from_store, result.stage_key)},
+            ),
         )
         print(f"wrote telemetry manifest to {metrics_out}")
 

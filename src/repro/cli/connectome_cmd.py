@@ -39,7 +39,12 @@ from repro.cli.tracking_stage import connectome_for_archive, track_archive
 from repro.config.spec import CONNECTOME_NORMALIZATIONS
 from repro.config.stages import CONNECTOME, TRACKING
 from repro.errors import ReproError
-from repro.telemetry import MetricsRegistry, use_registry, write_manifest
+from repro.telemetry import (
+    MetricsRegistry,
+    cache_section,
+    use_registry,
+    write_manifest,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -120,18 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     pt = tracked.pt
     min_export = spec.tracking.min_export_steps
 
-    cache_section = None
-    if store is not None:
-        cache_section = {
-            f"{TRACKING.name}_hit": tracked.hit,
-            f"{CONNECTOME.name}_hit": hit,
-            "stage_keys": {
-                TRACKING.name: tracked.key,
-                CONNECTOME.name: stage_key,
-            },
-            "store": str(store.root),
-            **store.stats.to_dict(),
-        }
     if spec.telemetry.metrics_out is not None:
         metrics_out = Path(spec.telemetry.metrics_out)
         write_manifest(
@@ -144,7 +137,13 @@ def main(argv: list[str] | None = None) -> int:
                 "bedpost_dir": str(args.bedpost_dir.resolve()),
             },
             config=spec.to_dict(),
-            cache=cache_section,
+            cache=cache_section(
+                store,
+                {
+                    TRACKING.name: (tracked.hit, tracked.key),
+                    CONNECTOME.name: (hit, stage_key),
+                },
+            ),
         )
         print(f"wrote telemetry manifest to {metrics_out}")
 

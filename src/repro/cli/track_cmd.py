@@ -47,6 +47,7 @@ from repro.errors import ReproError
 from repro.io import Volume, write_nifti
 from repro.telemetry import (
     MetricsRegistry,
+    cache_section,
     load_manifest,
     use_registry,
     write_manifest,
@@ -186,19 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     np.savetxt(out / "lengths.txt", run.lengths, fmt="%d")
 
-    cache_section = None
-    if store is not None:
-        hits = {f"{TRACKING.name}_hit": tracked.hit}
-        stage_keys = {TRACKING.name: tracked.key}
-        if conn_key is not None:
-            hits[f"{CONNECTOME.name}_hit"] = conn_hit
-            stage_keys[CONNECTOME.name] = conn_key
-        cache_section = {
-            **hits,
-            "stage_keys": stage_keys,
-            "store": str(store.root),
-            **store.stats.to_dict(),
-        }
+    stages = {TRACKING.name: (tracked.hit, tracked.key)}
+    if conn_key is not None:
+        stages[CONNECTOME.name] = (conn_hit, conn_key)
     if spec.telemetry.metrics_out is not None:
         metrics_out = Path(spec.telemetry.metrics_out)
         write_manifest(
@@ -216,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                 ),
             },
             config=spec.to_dict(),
-            cache=cache_section,
+            cache=cache_section(store, stages),
         )
         print(f"wrote telemetry manifest to {metrics_out}")
     if spec.telemetry.trace_out is not None:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import cpu_probabilistic_tracking
-from repro.config import stage_hash
 from repro.config.stages import CONNECTOME, TRACKING
 from repro.io import write_trk
 from repro.tracking import (
@@ -98,7 +97,7 @@ def track_archive(spec, archive, fields, store, out: Path) -> TrackedArchive:
             n_fibers=archive.layout.n_fibers,
             f_threshold=archive.f_threshold,
         )
-        key = stage_hash(spec.to_dict(), TRACKING.name, inputs={"archive": fp})
+        key = spec.stage_hash(TRACKING.name, inputs={"archive": fp})
 
     def _export(tmp_dir, result) -> None:
         n = export_sample0_trk(
@@ -138,8 +137,7 @@ def connectome_for_archive(spec, tracked: TrackedArchive, fields, store, out: Pa
 
     key = None
     if store is not None:
-        key = stage_hash(
-            spec.to_dict(),
+        key = spec.stage_hash(
             CONNECTOME.name,
             inputs={
                 "archive": tracked.archive_fp,

@@ -484,17 +484,24 @@ class RunSpec:
             for name, section_cls in cls._SECTIONS.items()
         })
 
+    def section_dict(self, name: str) -> dict:
+        """One section's JSON-safe plain-dict form (tuples become lists)."""
+        doc = asdict(getattr(self, name))
+        if name == "tracking" and doc["strategy_array"] is not None:
+            doc["strategy_array"] = list(doc["strategy_array"])
+        return doc
+
     def to_dict(self) -> dict:
         """The JSON-safe plain-dict form (tuples become lists)."""
-        doc = asdict(self)
-        arr = doc["tracking"]["strategy_array"]
-        if arr is not None:
-            doc["tracking"]["strategy_array"] = list(arr)
-        return doc
+        return {name: self.section_dict(name) for name in self._SECTIONS}
 
     def content_hash(self) -> str:
         """Stable content hash of the spec (see :func:`hash_spec_dict`)."""
-        return hash_spec_dict(self.to_dict())
+        return _sha256_json({
+            name: self.section_dict(name)
+            for name in self._SECTIONS
+            if name not in HASH_EXCLUDED_SECTIONS
+        })
 
     def stage_hash(self, stage: str, inputs: dict | None = None) -> str:
         """Content hash of one stage's subtree (the store cache key).
@@ -502,9 +509,9 @@ class RunSpec:
         See :func:`repro.config.stages.stage_hash`; ``inputs`` carries
         JSON-safe fingerprints of the stage's data inputs.
         """
-        from repro.config.stages import stage_hash
+        from repro.config.stages import hash_stage
 
-        return stage_hash(self.to_dict(), stage, inputs=inputs)
+        return hash_stage(self, stage, inputs)
 
     def with_overrides(self, overrides: dict) -> "RunSpec":
         """A copy with dotted-path overrides applied (revalidated)."""
@@ -516,6 +523,12 @@ class RunSpec:
         return RunSpec.from_dict(doc)
 
 
+def _sha256_json(body: dict) -> str:
+    """``sha256:<hex>`` of ``body``'s canonical (sorted-key, compact) JSON."""
+    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def hash_spec_dict(doc: dict) -> str:
     """Content hash of a plain spec dict.
 
@@ -525,9 +538,4 @@ def hash_spec_dict(doc: dict) -> str:
     Missing sections hash identically to explicit defaults, because the
     dict is normalized through :meth:`RunSpec.from_dict` first.
     """
-    normalized = RunSpec.from_dict(doc).to_dict()
-    reduced = {
-        k: v for k, v in normalized.items() if k not in HASH_EXCLUDED_SECTIONS
-    }
-    blob = json.dumps(reduced, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return RunSpec.from_dict(doc).content_hash()

@@ -56,10 +56,9 @@ True
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
+from repro.config.spec import RunSpec, _sha256_json
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -158,20 +157,28 @@ def stage_subtree(doc: dict, stage: str) -> dict:
     ConfigurationError
         On an unknown ``stage`` or an invalid spec dict.
     """
-    from repro.config.spec import RunSpec
+    return _spec_subtree(RunSpec.from_dict(doc), stage)
 
+
+def _spec_subtree(spec: RunSpec, stage: str) -> dict:
+    """:func:`stage_subtree` of an already-validated ``RunSpec``."""
     sdef = get_stage(stage)
-    normalized = RunSpec.from_dict(doc).to_dict()
-    subtree = {section: normalized[section] for section in sdef.spec_sections}
+    subtree = {
+        section: spec.section_dict(section) for section in sdef.spec_sections
+    }
     if sdef.runtime_fields:
         subtree["runtime"] = {
-            name: normalized["runtime"][name] for name in sdef.runtime_fields
+            name: getattr(spec.runtime, name) for name in sdef.runtime_fields
         }
     return subtree
 
 
 def stage_hash(doc: dict, stage: str, inputs: dict | None = None) -> str:
     """Content hash keying one stage of one run in the artifact store.
+
+    The plain-dict form of :meth:`RunSpec.stage_hash
+    <repro.config.spec.RunSpec.stage_hash>`: ``doc`` is validated and
+    normalized through ``RunSpec.from_dict`` once, then hashed.
 
     Parameters
     ----------
@@ -191,15 +198,20 @@ def stage_hash(doc: dict, stage: str, inputs: dict | None = None) -> str:
         ``sha256:<hex>`` over the canonical JSON of
         ``{stage, spec-subtree, inputs}``.
     """
+    return hash_stage(RunSpec.from_dict(doc), stage, inputs)
+
+
+def hash_stage(spec: RunSpec, stage: str, inputs: dict | None = None) -> str:
+    """:func:`stage_hash` of an already-validated ``RunSpec``: its own
+    sections are hashed as they are, with no dict round trip."""
     body = {
         "stage": stage,
-        "spec": stage_subtree(doc, stage),
+        "spec": _spec_subtree(spec, stage),
         "inputs": dict(inputs or {}),
     }
     try:
-        blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        return _sha256_json(body)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"stage inputs must be JSON-safe fingerprints: {exc}"
         ) from exc
-    return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -35,8 +35,6 @@ __all__ = [
     "HOST_PRESETS",
     "device_preset",
     "host_preset",
-    "device_preset_name",
-    "host_preset_name",
 ]
 
 RADEON_5870_MEMORY_BYTES = 1 * 1024**3  # 1 GiB GDDR5
@@ -107,29 +105,3 @@ def host_preset(name: str) -> HostSpec:
             f"unknown host preset {name!r}; known: {sorted(HOST_PRESETS)}"
         ) from None
 
-
-def device_preset_name(spec: DeviceSpec) -> str:
-    """The spec name of a preset device (serialization direction).
-
-    Ad-hoc :class:`DeviceSpec` instances have no name in the registry
-    and cannot appear in a run spec; constructing one raises here so the
-    gap is loud rather than silently dropped from provenance.
-    """
-    for name, preset in DEVICE_PRESETS.items():
-        if preset == spec:
-            return name
-    raise ConfigurationError(
-        f"device {spec.name!r} is not a registered preset; "
-        "run specs can only reference DEVICE_PRESETS entries"
-    )
-
-
-def host_preset_name(spec: HostSpec) -> str:
-    """The spec name of a preset host (serialization direction)."""
-    for name, preset in HOST_PRESETS.items():
-        if preset == spec:
-            return name
-    raise ConfigurationError(
-        f"host {spec.name!r} is not a registered preset; "
-        "run specs can only reference HOST_PRESETS entries"
-    )

@@ -10,14 +10,15 @@ that PR 2 built for tracking.
 
 Determinism
 -----------
-Sharded bedpost is bit-identical to the single-process path because:
+Bedpost at any worker count is bit-identical to :func:`run_blocks` over
+one task holding every block (which is what a one-worker run is)
+because:
 
-* the *serial block decomposition* is preserved exactly — a shard is a
-  contiguous run of the serial ``range(0, n_vox, block_voxels)`` blocks,
-  and every task (the serial run is one task over all blocks) sweeps
-  its blocks in lockstep batches that keep per-block initial states,
-  acceptance histories, counters, and checkpoints — so any grouping of
-  blocks into batches is bitwise the blocks run alone;
+* the *block decomposition* is preserved exactly — a shard is a
+  contiguous run of the ``range(0, n_vox, block_voxels)`` blocks, and
+  every task sweeps its blocks in lockstep batches that keep per-block
+  initial states, acceptance histories, counters, and checkpoints — so
+  any grouping of blocks into batches is bitwise the blocks run alone;
 * each voxel's chains are seeded by
   :func:`~repro.rng.streams.block_streams` — lane ``v`` of the *full*
   problem, computed directly for the block's span, bitwise-equal to
@@ -29,9 +30,9 @@ Sharded bedpost is bit-identical to the single-process path because:
   the run was scheduled or recovered.
 
 Checkpoints are keyed by **global voxel start** (``block_{start:08d}.npz``
-under the store's sampling checkpoint dir), the same files the serial
-path writes — an interrupted serial run can resume sharded and vice
-versa.
+under the store's sampling checkpoint dir), the same files at every
+worker count — an interrupted one-worker run can resume sharded and
+vice versa.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class BlockTask:
 def run_blocks(task: BlockTask) -> dict:
     """Run one task's blocks as lockstep batches; return its payload dict.
 
-    This is *the* MCMC block runner — the serial path and every worker
-    run exactly this code, under whatever registry is active.  The Fig 2
+    This is *the* MCMC block runner — every task, whatever the worker
+    count, runs exactly this code, under whatever registry is active.  The Fig 2
     loop sweeps many blocks at once: consecutive whole blocks are packed
     into batches of up to :data:`BATCH_VOXELS` voxels, so a task of up
     to that size is one batch.  The blocks stay the unit of

@@ -51,8 +51,8 @@ class BedpostConfig:
     block_voxels: int = 50_000
     device: DeviceSpec = RADEON_5870
     host: HostSpec = PHENOM_X4
-    #: Worker processes for the voxel-block loop (1 = serial).  The
-    #: sharded posterior is bit-identical to serial for any count (see
+    #: Worker processes for the voxel-block loop (1 = one in-parent
+    #: task).  The posterior is bit-identical for any count (see
     #: :mod:`repro.mcmc.shards`); maps to ``runtime.bedpost_workers``.
     n_workers: int = 1
     #: How block shards are supervised: retries, deadline, serial
@@ -148,8 +148,9 @@ class BedpostResult:
         Whether this result was a cache hit (no MCMC was run).
     supervision:
         The :class:`~repro.runtime.supervisor.SupervisorReport` when the
-        voxel-block shards ran under supervision (``n_workers > 1``);
-        ``None`` for serial, inline, or cache-served runs.
+        voxel-block shards ran under supervision (more than one task, or
+        a fault plan at any worker count); ``None`` for a fault-free
+        one-task run, which runs in-parent, or a cache-served run.
     """
 
     fields: FiberStack
@@ -216,28 +217,23 @@ def _compute_samples(
 ):
     """The actual MCMC sweep: ``(all_samples, history, supervision)``.
 
-    Runs under whatever registry is active.  Serially, all blocks form
-    one task; with ``n_workers > 1``, contiguous runs of blocks go
-    through the supervised
+    Contiguous runs of blocks, one per worker, go through the
     :class:`~repro.runtime.stage.StageShardExecutor` and stream back in
-    task order.  Either way :func:`~repro.mcmc.shards.run_blocks` runs
-    each task's blocks as lockstep batches over the same block
-    decomposition, so the posterior samples, acceptance history, and
-    deterministic ``mcmc.*``/``bedpost.*`` counters are bit-identical
-    for any ``cfg.n_workers``.
+    task order; at one worker that is one task holding every block, run
+    in-parent.  :func:`~repro.mcmc.shards.run_blocks` runs each task's
+    blocks as lockstep batches over the same block decomposition, so
+    the posterior samples, acceptance history, and deterministic
+    ``mcmc.*``/``bedpost.*`` counters are bit-identical for any
+    ``cfg.n_workers``.
 
     When ``ckpt_dir`` is given, each batch runs in chunks of
     ``checkpoint_every`` loops with every block's chain state
     checkpointed atomically after each chunk (files keyed by global
-    voxel start, so serial and sharded runs resume each other's work),
+    voxel start, so runs at any worker count resume each other's work),
     resuming from existing on-disk checkpoints with their completed
     loops re-counted.
     """
-    from repro.mcmc.shards import (
-        BEDPOST_BLOCK_SHARD,
-        make_block_tasks,
-        run_blocks,
-    )
+    from repro.mcmc.shards import BEDPOST_BLOCK_SHARD, make_block_tasks
     from repro.runtime.stage import StageShardExecutor
 
     n_vox = sel_idx.size
@@ -257,34 +253,33 @@ def _compute_samples(
         on_checkpoint=on_checkpoint,
     )
 
-    report = None
-    if cfg.n_workers <= 1:
-        # Serial: every block in one task, run directly under the
-        # active registry.
-        (task,) = make_block_tasks(flat[sel_idx], blocks, 1, **task_kwargs)
-        payload = run_blocks(task)
-        all_samples, histories = payload["samples"], payload["histories"]
-    else:
-        executor = StageShardExecutor(cfg.n_workers, cfg.supervision)
-        n_shards = executor.plan_shards(BEDPOST_BLOCK_SHARD, len(blocks))
-        all_samples = np.empty((cfg.mcmc.n_samples, n_vox, layout.n_params))
-        histories: list[np.ndarray] = []
-        tasks = make_block_tasks(
-            flat[sel_idx], blocks, n_shards, **task_kwargs
-        )
-        # Streaming in-task-order merge: scatter each shard's samples
-        # into the preallocated posterior as it arrives — task order
-        # regardless of completion order, so histories match serial bit
-        # for bit and completed payloads never pile up beyond the
-        # completion skew.
-        def _absorb(index: int, outs: list) -> None:
-            for result in outs:
-                lo = result["voxel_start"]
-                part = result["samples"]
-                all_samples[:, lo : lo + part.shape[1], :] = part
-                histories.extend(result["histories"])
+    executor = StageShardExecutor(cfg.n_workers, cfg.supervision)
+    n_shards = executor.plan_shards(BEDPOST_BLOCK_SHARD, len(blocks))
+    tasks = make_block_tasks(flat[sel_idx], blocks, n_shards, **task_kwargs)
+    all_samples = None
+    histories: list[np.ndarray] = []
 
-        report = executor.run(BEDPOST_BLOCK_SHARD, tasks, _absorb)
+    # Streaming in-task-order merge: each shard's samples are scattered
+    # into the posterior as they arrive (task order regardless of
+    # completion order), so completed payloads never pile up beyond the
+    # completion skew.  A part covering every voxel is the posterior
+    # itself and is taken as is.
+    def _absorb(index: int, outs: list) -> None:
+        nonlocal all_samples
+        for result in outs:
+            part = result["samples"]
+            histories.extend(result["histories"])
+            if part.shape[1] == n_vox:
+                all_samples = part
+                continue
+            if all_samples is None:
+                all_samples = np.empty(
+                    (cfg.mcmc.n_samples, n_vox, layout.n_params)
+                )
+            lo = result["voxel_start"]
+            all_samples[:, lo : lo + part.shape[1], :] = part
+
+    report = executor.run(BEDPOST_BLOCK_SHARD, tasks, _absorb)
     history = (
         [float(x) for x in np.mean(histories, axis=0)] if histories else []
     )
@@ -305,15 +300,14 @@ def bedpost(
     Voxels are split into blocks of ``config.block_voxels``, the unit of
     checkpointing, retry, and fault targeting; each voxel draws its own
     RNG lane of the full problem, so its chain depends only on its own
-    stream and data.  Serially, all blocks form one task, swept in
-    lockstep batches of whole blocks (up to
-    :data:`~repro.mcmc.shards.BATCH_VOXELS` voxels each).  With
-    ``config.n_workers > 1`` (``runtime.bedpost_workers``) contiguous
-    runs of blocks are sharded across supervised worker processes
-    (:mod:`repro.mcmc.shards`), each shard batched the same way —
-    posterior samples, acceptance history, and deterministic counters
-    stay bit-identical for any worker count, including under recovered
-    shard failures.  While a store is active the chain is checkpointed
+    stream and data.  Contiguous runs of blocks, one per worker of
+    ``config.n_workers`` (``runtime.bedpost_workers``), are the shard
+    tasks of :mod:`repro.mcmc.shards`, each swept in lockstep batches of
+    whole blocks (up to :data:`~repro.mcmc.shards.BATCH_VOXELS` voxels
+    each).  One fault-free task runs in-parent; otherwise the tasks run
+    in supervised worker processes.  Posterior samples, acceptance
+    history, and deterministic counters stay bit-identical for any
+    worker count, including under recovered shard failures.  While a store is active the chain is checkpointed
     under the store root every ``config.checkpoint_every_loops`` loops,
     and an interrupted run resumes from those checkpoints
     bit-identically.

@@ -24,7 +24,7 @@ from repro.pipeline.runners import (
     run_sampling_stage,
     run_tracking_stage,
 )
-from repro.telemetry import MetricsRegistry, get_registry
+from repro.telemetry import MetricsRegistry, cache_section, get_registry
 from repro.tracking.probtrack import ProbtrackResult
 
 __all__ = ["WorkflowResult", "run_workflow"]
@@ -180,19 +180,9 @@ def run_workflow(
 
     bp = ctx.outcomes[SAMPLING.name].result
     pt = ctx.outcomes[TRACKING.name].result
-    cache = None
-    if store is not None:
-        cache = {
-            f"{name}_hit": outcome.hit
-            for name, outcome in ctx.outcomes.items()
-        }
-        cache["stage_keys"] = {
-            name: outcome.key
-            for name, outcome in ctx.outcomes.items()
-            if outcome.key is not None
-        }
-        cache["store"] = str(store.root)
-        cache.update(store.stats.to_dict())
+    cache = cache_section(
+        store, {name: (o.hit, o.key) for name, o in ctx.outcomes.items()}
+    )
     return WorkflowResult(
         bedpost=bp,
         probtrack=pt,

@@ -229,8 +229,8 @@ class ArtifactStore:
 
         Sharded stages hand this to worker processes (as a plain path —
         the store object never crosses the process boundary) so every
-        shard reads and writes the same per-block checkpoint files the
-        serial path would.
+        shard reads and writes the same per-block checkpoint files at
+        every worker count.
         """
         d = self.root / "checkpoints" / stage / _key_hex(key)
         d.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,7 @@ from repro.telemetry.manifest import (
     MANIFEST_SCHEMA_V1,
     SUPPORTED_SCHEMAS,
     build_manifest,
+    cache_section,
     deterministic_sections,
     load_manifest,
     manifest_config,
@@ -58,6 +59,7 @@ __all__ = [
     "MANIFEST_SCHEMA_V1",
     "SUPPORTED_SCHEMAS",
     "build_manifest",
+    "cache_section",
     "deterministic_sections",
     "load_manifest",
     "manifest_config",

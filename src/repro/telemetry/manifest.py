@@ -49,6 +49,7 @@ __all__ = [
     "MANIFEST_SCHEMA_V1",
     "SUPPORTED_SCHEMAS",
     "build_manifest",
+    "cache_section",
     "manifest_to_json",
     "manifest_from_json",
     "validate_manifest",
@@ -104,9 +105,8 @@ def build_manifest(
         this run; its content hash is computed and embedded alongside.
         ``None`` records a run with no spec (library-level use).
     cache:
-        Artifact-store accounting for this run
-        (:meth:`repro.store.StoreStats.to_dict` plus stage keys).  The
-        section is *operational*, never part of
+        Artifact-store accounting for this run (:func:`cache_section`).
+        The section is *operational*, never part of
         :func:`deterministic_sections`: whether a run hit the cache is a
         property of the disk, not of the workload, and cold-vs-warm runs
         must stay bit-identical elsewhere.  Omitted when ``None`` (runs
@@ -138,6 +138,26 @@ def build_manifest(
     if cache is not None:
         doc["cache"] = dict(cache)
     return doc
+
+
+def cache_section(store, stages: dict) -> dict | None:
+    """The manifest ``cache`` section for a run against ``store``.
+
+    ``stages`` maps each stage the run reached to ``(hit, key)``: a
+    ``<stage>_hit`` flag per stage, the non-``None`` keys under
+    ``stage_keys``, then the store root and its
+    :meth:`~repro.store.StoreStats.to_dict` counters.  ``None`` when
+    ``store`` is ``None`` (runs without a store have no section).
+    """
+    if store is None:
+        return None
+    section = {f"{name}_hit": hit for name, (hit, _key) in stages.items()}
+    section["stage_keys"] = {
+        name: key for name, (_hit, key) in stages.items() if key is not None
+    }
+    section["store"] = str(store.root)
+    section.update(store.stats.to_dict())
+    return section
 
 
 def validate_manifest(doc: dict) -> dict:

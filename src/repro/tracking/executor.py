@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: Fixed bucket edges for the streamline-step histogram — fixed so that
-#: serial and sharded runs bucket identically (the paper's Fig 5 bins).
+#: runs at every worker count bucket identically (the paper's Fig 5 bins).
 STEP_HISTOGRAM_EDGES = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 
 
@@ -132,15 +132,16 @@ class TrackingRunResult:
         quantity that forces the paper to serialize samples (§ IV-B) and
         that doubles under the Fig 8 overlap scheme.
     worker_walls:
-        Per-shard wall-clock seconds when the run was executed by the
-        sharded path (empty for serial runs).  ``max(worker_walls)``
-        is the parallel critical path.
+        Wall-clock seconds of each merged part, one per shard (a
+        one-worker run holds its one task's wall; empty for a bare
+        :meth:`SegmentedTracker.run`).  ``max(worker_walls)`` is the
+        parallel critical path.
     supervision:
-        The :class:`~repro.runtime.supervisor.SupervisorReport` when the
-        run was executed by the supervised sharded path (None for
-        serial runs): every shard attempt, retry, re-shard, and serial
-        fallback.  Typed loosely to keep :mod:`repro.tracking` free of a
-        dependency on :mod:`repro.runtime`.
+        The :class:`~repro.runtime.supervisor.SupervisorReport` of a
+        supervised run (more than one task, or any fault plan): every
+        shard attempt, retry, re-shard, and serial fallback; None
+        otherwise.  Typed loosely to keep :mod:`repro.tracking` free
+        of a dependency on :mod:`repro.runtime`.
     """
 
     lengths: np.ndarray
@@ -276,13 +277,13 @@ class SegmentedTracker:
             Explicit ``(n_seeds,)`` key for the ``"sorted"`` order policy
             instead of this run's own first-sample lengths.  Sharded
             runs pass the globally-first sample's lengths here so every
-            shard applies the *same* permutation the serial path would.
+            shard applies the *same* permutation a whole-stack run would.
         sample_offset:
             Global index of ``fields[0]`` when this call runs a shard of
             a larger sample stack.  Event labels, overlap stream parity,
             and the sorted-order condition all use the global sample
             index, so per-shard outputs are bit-identical to the
-            corresponding slice of a serial run.
+            corresponding slice of a whole-stack run.
         """
         stack = FiberStack.from_fields(fields)
         if order not in ORDER_POLICIES:
@@ -294,7 +295,7 @@ class SegmentedTracker:
         if order == "sorted" and sample_offset > 0 and sort_key is None:
             raise ConfigurationError(
                 "a shard starting past sample 0 needs the global sort_key "
-                "to reproduce the serial 'sorted' permutation"
+                "to reproduce the whole-stack 'sorted' permutation"
             )
         seeds = np.asarray(seeds, dtype=np.float64)
         if seeds.ndim != 2 or seeds.shape[1] != 3:
@@ -357,7 +358,7 @@ class SegmentedTracker:
             stack, records, overlap, sample_offset
         )
         # Per-row observations: a shard's histogram contributions equal
-        # the serial run's for the same sample rows, so bucket counts
+        # the whole-stack run's for the same sample rows, so bucket counts
         # merge bit-identically across any sharding.
         registry.histogram(
             "tracking.streamline_steps", STEP_HISTOGRAM_EDGES

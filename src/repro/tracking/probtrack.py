@@ -62,13 +62,14 @@ class ProbtrackConfig:
     #: default behaviour; the paper does not specify).  Thread count and
     #: the modeled workload double; connectivity merges the two passes.
     bidirectional: bool = False
-    #: Worker processes for the sample loop (1 = serial).  The sharded
-    #: run's merged output is bit-identical to serial for any count
-    #: (see :mod:`repro.tracking.shards`).
+    #: Worker processes for the sample loop (1 = one in-parent task).
+    #: The merged output is bit-identical for any count (see
+    #: :mod:`repro.tracking.shards`).
     n_workers: int = 1
-    #: How sharded runs are supervised: retries, deadline, serial
-    #: fallback, and the dev/test-only fault plan (retries replay a pure
-    #: function, so results stay bit-identical).
+    #: How sample shards are supervised: retries, deadline, serial
+    #: fallback, and the dev/test-only fault plan, which applies at any
+    #: worker count (retries replay a pure function, so results stay
+    #: bit-identical).
     supervision: RetryPolicy = dc_field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
@@ -229,31 +230,19 @@ def probabilistic_streamlining(
         strategy=cfg.strategy.name,
         order=cfg.order,
     ):
-        if cfg.n_workers == 1:
-            run = tracker.run(
-                stack,
-                launch_seeds,
-                cfg.criteria,
-                cfg.strategy,
-                connectivity=accumulator,
-                order=cfg.order,
-                overlap=cfg.overlap,
-                heading_signs=heading_signs,
-            )
-        else:
-            run = run_sharded(
-                tracker,
-                stack,
-                launch_seeds,
-                cfg.criteria,
-                cfg.strategy,
-                n_workers=cfg.n_workers,
-                connectivity=accumulator,
-                order=cfg.order,
-                overlap=cfg.overlap,
-                heading_signs=heading_signs,
-                policy=cfg.supervision,
-            )
+        run = run_sharded(
+            tracker,
+            stack,
+            launch_seeds,
+            cfg.criteria,
+            cfg.strategy,
+            n_workers=cfg.n_workers,
+            connectivity=accumulator,
+            order=cfg.order,
+            overlap=cfg.overlap,
+            heading_signs=heading_signs,
+            policy=cfg.supervision,
+        )
     return ProbtrackResult(
         run=run,
         connectivity=accumulator,

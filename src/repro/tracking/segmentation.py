@@ -74,7 +74,7 @@ class SegmentationStrategy(ABC):
         """Count a produced plan in the telemetry registry; returns it.
 
         Plans are recomputed once per ``tracker.run`` call — so a
-        sharded run plans more often than a serial one.  The counts are
+        run with more shards plans more often.  The counts are
         therefore *operational* metrics, excluded from the manifest's
         deterministic section.
         """

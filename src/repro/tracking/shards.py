@@ -9,24 +9,26 @@ This module expresses that as an instance of the stage-generic
 :mod:`repro.mcmc.shards`), and :func:`run_sharded` drives it through a
 :class:`~repro.runtime.stage.StageShardExecutor`: the supervised pool
 with timeouts, deterministic retry, re-sharding, and in-parent serial
-fallback.  A one-worker run needs none of it and calls
-:meth:`SegmentedTracker.run` directly.
+fallback.  Every run goes through it: at one worker the whole stack is
+one task, which the executor runs in-parent unless a fault plan asks
+for supervision.
 
 Determinism contract
 --------------------
 For any worker count, ``lengths``, ``reasons``, ``endpoints``,
 connectivity counts, and per-kind timeline totals are **bit-identical**
-to the serial path:
+to one :meth:`SegmentedTracker.run` over the whole stack:
 
 * samples are sharded contiguously (:func:`partition_seeds`) as views
   of the one :class:`~repro.models.fields.FiberStack` — a task pickles
   only its own samples — and each shard is told its global
   ``sample_offset``, so every per-sample computation, label, and stream
-  parity matches the serial run;
+  parity matches the whole-stack run;
 * the ``"sorted"`` order policy depends on the first sample's lengths,
-  so sample 0 runs in-parent first and its length row becomes every
-  shard's explicit ``sort_key`` — each shard then applies the exact
-  permutation the serial path would;
+  so a run that really shards (more than one worker and more than one
+  sample) tracks sample 0 in-parent first and its length row becomes
+  every shard's explicit ``sort_key`` — each shard then applies the
+  exact permutation the whole-stack run would;
 * merging (:func:`merge_shard_results`) concatenates rows/events/
   launches in global sample order and folds worker connectivity
   pair-sets in that same order (integer count addition is associative),
@@ -212,9 +214,11 @@ def run_sharded(
     """Shard the samples across worker processes, merge in sample order.
 
     ``n_workers`` is the pool size; shards never outnumber samples (a
-    larger request is clamped to the shardable sample count).
-    ``policy`` is the supervision contract (retries, deadline, serial
-    fallback, fault plan; default :class:`RetryPolicy`).
+    larger request is clamped to the shardable sample count).  At one
+    worker the whole stack is one task, run in-parent unless ``policy``
+    carries a fault plan.  ``policy`` is the supervision contract
+    (retries, deadline, serial fallback, fault plan; default
+    :class:`RetryPolicy`).
     """
     stack = FiberStack.from_fields(fields)
     if connectivity is not None and not (
@@ -228,14 +232,15 @@ def run_sharded(
 
     t0 = time.perf_counter()
 
-    # Phase 1 ("sorted" only): the permutation of samples 1.. depends
-    # on sample 0's measured lengths, so sample 0 runs in-parent and
-    # its row becomes every shard's explicit sort_key.
+    # Phase 1 ("sorted" runs that really shard): the permutation of
+    # samples 1.. depends on sample 0's measured lengths, so sample 0
+    # runs in-parent and its row becomes every shard's explicit
+    # sort_key.  A one-task run sorts inside its own tracker.run.
     phase0: TrackingRunResult | None = None
     sort_key = None
     shard_stack = stack
     first_shard_sample = 0
-    if order == "sorted":
+    if order == "sorted" and n_workers > 1 and stack.n_samples > 1:
         phase0 = tracker.run(
             stack[:1],
             seeds,
@@ -249,9 +254,6 @@ def run_sharded(
         sort_key = phase0.lengths[0]
         shard_stack = stack[1:]
         first_shard_sample = 1
-        if not shard_stack.n_samples:
-            phase0.wall_seconds = time.perf_counter() - t0
-            return phase0
 
     executor = StageShardExecutor(n_workers, policy)
     n_shards = executor.plan_shards(TRACKING_SHARD, shard_stack.n_samples)
@@ -313,21 +315,23 @@ def merge_shard_results(
     """Merge shard results (already in global sample order) into one.
 
     A shard told its global ``sample_offset`` produces rows, labels and
-    stream parities bit-identical to the matching slice of a serial
-    run, so merging is concatenation in sample order:
+    stream parities bit-identical to the matching slice of a
+    whole-stack run, so merging is concatenation in sample order:
 
-    * ``lengths`` / ``reasons`` / ``endpoints`` — row-stacked blocks;
+    * ``lengths`` / ``reasons`` / ``endpoints`` — row-stacked blocks (a
+      lone part's arrays are taken as they are, not copied);
     * timeline events and ``KernelLaunch`` records — concatenated, so
-      event seconds, order and per-kind totals equal the serial log;
-      each shard's events move onto a per-worker stream pair so
+      event seconds, order and per-kind totals equal the whole-stack
+      log; each shard's events move onto a per-worker stream pair so
       :meth:`Timeline.overlapped_end` models the pool's concurrency;
     * ``peak_device_bytes`` — the max over shards (every worker models
-      the same device).  Under the Fig 8 ``overlap`` scheme the serial
-      path keeps two sample images resident, so a one-sample shard
+      the same device).  Under the Fig 8 ``overlap`` scheme a
+      multi-sample run keeps two sample images resident, so a one-sample
+      shard
       reports a lower peak: peak memory is a per-worker footprint, not
       part of the bit-identity contract;
     * ``cpu_seconds`` — recomputed from the merged integer lengths,
-      hence bitwise the serial value.
+      hence bitwise the whole-stack value.
 
     ``supervision`` (the run's
     :class:`~repro.runtime.supervisor.SupervisorReport`) rides on the
@@ -338,15 +342,18 @@ def merge_shard_results(
     if not parts:
         raise ValueError("nothing to merge")
 
-    lengths = np.concatenate([p.lengths for p in parts], axis=0)
-    reasons = np.concatenate([p.reasons for p in parts], axis=0)
-    endpoints = np.concatenate([p.endpoints for p in parts], axis=0)
+    def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    lengths = _rows([p.lengths for p in parts])
+    reasons = _rows([p.reasons for p in parts])
+    endpoints = _rows([p.endpoints for p in parts])
 
     timeline = Timeline()
     launches = []
     for slot, part in enumerate(parts):
         for ev in part.timeline.events:
-            # Serial runs use stream parity 0/1 (the overlap scheme);
+            # A tracker.run uses stream parity 0/1 (the overlap scheme);
             # slot * 2 keeps that parity while separating workers.
             timeline.add(
                 ev.kind, ev.label, ev.seconds, stream=slot * 2 + (ev.stream % 2)

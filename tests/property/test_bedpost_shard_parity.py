@@ -1,12 +1,14 @@
 """Worker-count invariance of the sharded bedpost MCMC stage.
 
-The PR-8 determinism bar: for any ``n_workers``, the sharded posterior
-is bit-identical to the single-process path — raw samples, acceptance
-history, and the deterministic telemetry sections (``mcmc.*`` /
-``bedpost.*`` counters and histograms) — because shards are contiguous
-runs of the *serial* block decomposition, every voxel's chains come from
-:func:`~repro.rng.streams.block_streams`, and worker snapshots merge in
-task order.
+The determinism bar: for any ``n_workers`` (one included: it is the
+executor's one-task case, not a separate path), the posterior is
+bit-identical to the sampling kernel called directly —
+:func:`~repro.mcmc.shards.run_blocks` over one task holding every block
+— in raw samples, acceptance history, and the deterministic telemetry
+sections (``mcmc.*`` / ``bedpost.*`` counters and histograms), because
+shards are contiguous runs of one block decomposition, every voxel's
+chains come from :func:`~repro.rng.streams.block_streams`, and task
+snapshots merge in task order.
 """
 
 import json
@@ -19,6 +21,7 @@ from repro.data import dataset1
 from repro.mcmc import MCMCConfig
 from repro.pipeline import BedpostConfig, bedpost
 from repro.telemetry import MetricsRegistry, use_registry
+from tests.stage_reference import direct_bedpost
 
 FAST = MCMCConfig(n_burnin=16, n_samples=4, sample_interval=2, adapt_every=7)
 
@@ -30,7 +33,7 @@ def phantom():
 
 def _cfg(n_workers, **kwargs):
     # Small blocks so even the tiny phantom yields several shardable
-    # units (the serial decomposition itself must not vary with workers).
+    # units (the block decomposition itself must not vary with workers).
     return BedpostConfig(mcmc=FAST, block_voxels=11, n_workers=n_workers,
                          **kwargs)
 
@@ -50,22 +53,26 @@ def _run(phantom, n_workers, **kwargs):
 
 
 def test_worker_count_invariance(phantom):
-    serial, serial_det = _run(phantom, 1)
-    assert serial.supervision is None
-    for n_workers in (2, 4):
-        sharded, det = _run(phantom, n_workers)
-        np.testing.assert_array_equal(serial.samples, sharded.samples)
-        assert serial.acceptance_history == sharded.acceptance_history
-        assert det == serial_det
-        sup = sharded.supervision
-        assert sup is not None and sup.n_shards == n_workers
-        assert sup.n_failures == 0
+    samples, history, ref_det = direct_bedpost(
+        phantom.dwi, phantom.gtab, phantom.mask, _cfg(1)
+    )
+    for n_workers in (1, 2, 4):
+        result, det = _run(phantom, n_workers)
+        np.testing.assert_array_equal(samples, result.samples)
+        assert history == result.acceptance_history
+        assert det == ref_det
+        sup = result.supervision
+        if n_workers == 1:
+            assert sup is None  # one fault-free task runs in-parent
+        else:
+            assert sup is not None and sup.n_shards == n_workers
+            assert sup.n_failures == 0
 
 
 def test_sharded_fields_match_serial(phantom):
-    serial, _ = _run(phantom, 1)
+    one, _ = _run(phantom, 1)
     sharded, _ = _run(phantom, 3)
-    for a, b in zip(serial.fields, sharded.fields):
+    for a, b in zip(one.fields, sharded.fields):
         np.testing.assert_array_equal(a.f, b.f)
         np.testing.assert_array_equal(a.directions, b.directions)
 
@@ -87,14 +94,17 @@ def test_store_keys_and_entries_shared_across_worker_counts(phantom, tmp_path):
 
 def test_worker_clamp_shares_stage_unit_label(phantom, caplog):
     # The clamp warning is the stage-generic one, phrased in this
-    # stage's unit ("voxel block"), and the result still matches serial.
-    serial, _ = _run(phantom, 1)
-    n_blocks = -(-serial.n_voxels // 11)
+    # stage's unit ("voxel block"), and the result still matches the
+    # kernel called directly.
+    samples, _, _ = direct_bedpost(
+        phantom.dwi, phantom.gtab, phantom.mask, _cfg(1)
+    )
+    n_blocks = -(-samples.shape[1] // 11)
     with caplog.at_level(logging.INFO, logger="repro.runtime.stage"):
         clamped, _ = _run(phantom, n_blocks + 5)
     clamps = [m for m in caplog.messages if "clamping n_workers" in m]
     assert len(clamps) == 1 and "voxel block" in clamps[0]
-    np.testing.assert_array_equal(serial.samples, clamped.samples)
+    np.testing.assert_array_equal(samples, clamped.samples)
     assert clamped.supervision.n_shards == n_blocks
 
 

@@ -1,12 +1,12 @@
-"""Chaos tests: recovered runs are bit-identical to the serial path.
+"""Chaos tests: recovered runs are bit-identical to the tracking kernel.
 
 Hypothesis generates arbitrary :class:`FaultPlan`s — crashes, hangs, and
 corrupted payloads at arbitrary shards/attempts — and the property is
 always the same: after supervised recovery, ``lengths``, stop
-``reasons``, and the sparse connectivity matrix match the in-process
-``tracker.run`` output (``n_workers=1``) bit for bit, for
-``n_workers`` in {2, 4} and across the sorted/overlap/bidirectional
-option grid.  A
+``reasons``, and the sparse connectivity matrix match one in-process
+``tracker.run`` over the whole stack bit for bit, for ``n_workers`` in
+{1, 2, 4} (a fault plan reaches the supervisor at one worker too) and
+across the sorted/overlap/bidirectional option grid.  A
 pool-exhaustion scenario (every attempt of every shard crashes) must
 demonstrably complete via the serial fallback.
 
@@ -29,6 +29,7 @@ from repro.tracking import (
     probabilistic_streamlining,
 )
 from repro.utils.geometry import normalize
+from tests.stage_reference import direct_tracking
 
 pytestmark = pytest.mark.chaos
 
@@ -63,9 +64,9 @@ def seed_mask():
     return m
 
 
-def run(fields, seed_mask, n_workers, plan=None, timeout=None,
-        order="natural", overlap=False, bidirectional=False):
-    cfg = ProbtrackConfig(
+def config(n_workers, plan=None, timeout=None, order="natural",
+           overlap=False, bidirectional=False):
+    return ProbtrackConfig(
         criteria=TerminationCriteria(max_steps=40, min_dot=0.7, step_length=0.25),
         order=order,
         overlap=overlap,
@@ -75,6 +76,11 @@ def run(fields, seed_mask, n_workers, plan=None, timeout=None,
             fault_plan=plan, shard_timeout_s=timeout, max_retries=2
         ),
     )
+
+
+def run(fields, seed_mask, n_workers, plan=None, timeout=None,
+        order="natural", overlap=False, bidirectional=False):
+    cfg = config(n_workers, plan, timeout, order, overlap, bidirectional)
     return probabilistic_streamlining(fields, config=cfg, seed_mask=seed_mask)
 
 
@@ -83,10 +89,12 @@ _serial_cache = {}
 
 def serial_reference(fields, seed_mask, order="natural", overlap=False,
                      bidirectional=False):
+    """The kernel called directly over the whole stack (cached per mode)."""
     key = (order, overlap, bidirectional)
     if key not in _serial_cache:
-        _serial_cache[key] = run(fields, seed_mask, 1, order=order,
-                                 overlap=overlap, bidirectional=bidirectional)
+        cfg = config(1, order=order, overlap=overlap,
+                     bidirectional=bidirectional)
+        _serial_cache[key] = direct_tracking(fields, cfg, seed_mask)
     return _serial_cache[key]
 
 
@@ -114,7 +122,7 @@ fault_plans = st.lists(fault_specs, min_size=1, max_size=4).map(
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(plan=fault_plans, n_workers=st.sampled_from([2, 4]))
+@given(plan=fault_plans, n_workers=st.sampled_from([1, 2, 4]))
 def test_any_crash_corrupt_plan_recovers_bit_identical(
         fields, seed_mask, plan, n_workers):
     serial = serial_reference(fields, seed_mask)
@@ -126,7 +134,7 @@ def test_any_crash_corrupt_plan_recovers_bit_identical(
         assert sup.n_retries + len(sup.fallbacks) + len(sup.reshards) > 0
 
 
-@pytest.mark.parametrize("n_workers", [2, 4])
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_hang_fault_times_out_and_recovers(fields, seed_mask, n_workers):
     plan = FaultPlan.parse("hang:0", hang_seconds=5.0)
     serial = serial_reference(fields, seed_mask)
@@ -155,7 +163,7 @@ def test_recovery_across_mode_grid(fields, seed_mask, order, overlap,
     assert recovered.run.supervision.n_failures == 2
 
 
-@pytest.mark.parametrize("n_workers", [2, 4])
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_pool_exhaustion_completes_via_serial_fallback(
         fields, seed_mask, n_workers):
     # Every attempt of every shard crashes: the pool is useless, the

@@ -1,10 +1,13 @@
 """Worker-count invariance of the process execution backend.
 
-The determinism contract of :mod:`repro.runtime`: for any ``n_workers``,
-the merged output is bit-identical to the serial path — ``lengths``,
-``reasons``, connectivity ``probability()``, and per-kind timeline
-totals.  Exercised over the order/overlap/bidirectional option grid,
-including the ``"sorted"`` policy whose permutation depends on the
+The determinism contract of :mod:`repro.runtime`: for any ``n_workers``
+(one included: it is the executor's one-task case, not a separate
+path), the merged output is bit-identical to the tracking kernel called
+directly — one ``SegmentedTracker.run`` over the whole stack — in
+``lengths``, ``reasons``, ``endpoints``, connectivity
+``probability()``, per-kind timeline totals, launch count and
+``cpu_seconds``.  Exercised over the order/overlap/bidirectional option
+grid, including the ``"sorted"`` policy whose permutation depends on the
 globally-first sample (the case the two-phase shard scheme exists for).
 """
 
@@ -19,6 +22,7 @@ from repro.tracking import (
     probabilistic_streamlining,
 )
 from repro.utils.geometry import normalize
+from tests.stage_reference import direct_tracking
 
 N_SAMPLES = 4
 
@@ -44,15 +48,31 @@ def fields():
     return out
 
 
-def run(fields, n_workers, order="natural", overlap=False, bidirectional=False):
-    cfg = ProbtrackConfig(
+def config(n_workers, order="natural", overlap=False, bidirectional=False):
+    return ProbtrackConfig(
         criteria=TerminationCriteria(max_steps=200, min_dot=0.8, step_length=0.2),
         order=order,
         overlap=overlap,
         bidirectional=bidirectional,
         n_workers=n_workers,
     )
+
+
+def run(fields, n_workers, order="natural", overlap=False, bidirectional=False):
+    cfg = config(n_workers, order, overlap, bidirectional)
     return probabilistic_streamlining(fields, config=cfg)
+
+
+def direct(fields, order="natural", overlap=False, bidirectional=False):
+    return direct_tracking(fields, config(1, order, overlap, bidirectional))
+
+
+def assert_matches(ref, result):
+    assert np.array_equal(ref.run.lengths, result.run.lengths)
+    assert np.array_equal(ref.run.reasons, result.run.reasons)
+    assert np.array_equal(ref.run.endpoints, result.run.endpoints)
+    diff = ref.connectivity.probability() != result.connectivity.probability()
+    assert diff.nnz == 0
 
 
 @pytest.mark.parametrize(
@@ -66,29 +86,30 @@ def run(fields, n_workers, order="natural", overlap=False, bidirectional=False):
     ],
 )
 def test_worker_count_invariance(fields, order, overlap, bidirectional):
-    serial = run(fields, 1, order, overlap, bidirectional)
-    base_totals = serial.run.timeline.totals()
-    for n_workers in (2, 4):
-        parallel = run(fields, n_workers, order, overlap, bidirectional)
-        assert np.array_equal(serial.run.lengths, parallel.run.lengths)
-        assert np.array_equal(serial.run.reasons, parallel.run.reasons)
-        diff = serial.connectivity.probability() != parallel.connectivity.probability()
-        assert diff.nnz == 0
-        totals = parallel.run.timeline.totals()
+    ref = direct(fields, order, overlap, bidirectional)
+    base_totals = ref.run.timeline.totals()
+    for n_workers in (1, 2, 4):
+        result = run(fields, n_workers, order, overlap, bidirectional)
+        assert_matches(ref, result)
+        totals = result.run.timeline.totals()
         for kind in ("kernel", "transfer", "reduction"):
             assert totals[kind] == base_totals[kind], kind
         # Same modeled work, merged bookkeeping intact.
-        assert len(serial.run.launches) == len(parallel.run.launches)
-        assert serial.run.cpu_seconds == parallel.run.cpu_seconds
-        assert parallel.run.worker_walls, "process backend records shard walls"
+        assert len(ref.run.launches) == len(result.run.launches)
+        assert ref.run.cpu_seconds == result.run.cpu_seconds
+        assert result.run.worker_walls, "every run records its part walls"
+        assert (result.run.supervision is None) == (n_workers == 1)
+        if n_workers == 1:
+            # One task merged at slot 0: the kernel's own event log, on
+            # the same streams, in the same order.
+            assert result.run.timeline.events == ref.run.timeline.events
+            assert result.run.launches == ref.run.launches
 
 
 def test_single_sample_degrades_to_serial(fields):
-    serial = run(fields[:1], 1)
-    parallel = run(fields[:1], 4)
-    assert np.array_equal(serial.run.lengths, parallel.run.lengths)
-    diff = serial.connectivity.probability() != parallel.connectivity.probability()
-    assert diff.nnz == 0
+    ref = direct(fields[:1])
+    for n_workers in (1, 4):
+        assert_matches(ref, run(fields[:1], n_workers))
 
 
 def test_workers_exceeding_samples_clamped_and_logged(fields, caplog):
@@ -96,12 +117,9 @@ def test_workers_exceeding_samples_clamped_and_logged(fields, caplog):
     bit-identical — never spawn idle workers or fail."""
     import logging
 
-    serial = run(fields[:3], 1)
+    ref = direct(fields[:3])
     with caplog.at_level(logging.INFO, logger="repro.runtime.stage"):
         parallel = run(fields[:3], 8)
     clamp_logs = [m for m in caplog.messages if "clamping n_workers" in m]
     assert len(clamp_logs) == 1
-    assert np.array_equal(serial.run.lengths, parallel.run.lengths)
-    assert np.array_equal(serial.run.reasons, parallel.run.reasons)
-    diff = serial.connectivity.probability() != parallel.connectivity.probability()
-    assert diff.nnz == 0
+    assert_matches(ref, parallel)

@@ -33,9 +33,7 @@ from repro.gpu.presets import (
     DEVICE_PRESETS,
     HOST_PRESETS,
     device_preset,
-    device_preset_name,
     host_preset,
-    host_preset_name,
 )
 from repro.mcmc import MCMCConfig
 from repro.pipeline import BedpostConfig
@@ -213,9 +211,11 @@ class TestSpecFiles:
 class TestPresets:
     def test_device_and_host_lookup(self):
         for name in DEVICE_PRESETS:
-            assert device_preset_name(device_preset(name)) == name
+            assert device_preset(name) is DEVICE_PRESETS[name]
         for name in HOST_PRESETS:
-            assert host_preset_name(host_preset(name)) == name
+            assert host_preset(name) is HOST_PRESETS[name]
+        with pytest.raises(ConfigurationError, match="unknown host"):
+            host_preset("abacus")
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError, match="unknown device"):

@@ -4,11 +4,13 @@ Everything runs through :class:`InlineLauncher` via the executor's
 ``launcher_factory`` seam — scripted outcomes, fake clock, no real
 processes — so the streaming in-task-order merge, the shared clamp
 warning, and re-shard part ordering are tested in isolation from any
-particular pipeline stage.
+particular pipeline stage.  The one exception drives both stages end to
+end at one worker, to show a fault plan reaches the supervisor there.
 """
 
 import logging
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -156,3 +158,39 @@ class TestInlineSingleTask:
         assert report is not None
         assert report.n_failures == 1
         assert consumed == [(0, [[0, 2]])]
+
+    def test_one_worker_stages_honour_a_fault_plan(self):
+        # A one-worker stage is the executor's one-task case, so a fault
+        # plan reaches the supervisor there too: each stage recovers its
+        # crashed task and returns what the fault-free run returns.
+        from repro.config import RunSpec
+        from repro.data import dataset1
+        from repro.pipeline import run_workflow
+
+        phantom = dataset1(scale=0.14, snr=40.0)
+
+        def run(fault_plan):
+            return run_workflow(phantom, RunSpec.from_dict({
+                "sampling": {"n_burnin": 4, "n_samples": 2,
+                             "sample_interval": 1},
+                "tracking": {"max_steps": 30},
+                "runtime": {"n_workers": 1, "bedpost_workers": 1,
+                            "fault_plan": fault_plan},
+            }))
+
+        clean, faulted = run(None), run("crash:0")
+        assert clean.bedpost.supervision is None
+        assert clean.probtrack.run.supervision is None
+        for sup in (faulted.bedpost.supervision,
+                    faulted.probtrack.run.supervision):
+            assert sup is not None
+            assert sup.summary() == (
+                "1 shards: recovered 1 failed attempts (1 crash); "
+                "1 retries, 0 re-shards, 0 serial fallbacks"
+            )
+        np.testing.assert_array_equal(
+            clean.bedpost.samples, faulted.bedpost.samples
+        )
+        np.testing.assert_array_equal(
+            clean.probtrack.run.lengths, faulted.probtrack.run.lengths
+        )

@@ -12,6 +12,7 @@ from repro.telemetry import (
     MANIFEST_SCHEMA,
     MetricsRegistry,
     build_manifest,
+    cache_section,
     deterministic_sections,
     get_registry,
     load_manifest,
@@ -237,6 +238,22 @@ class TestManifest:
         det = deterministic_sections(doc)
         assert set(det) == {"counters", "histograms"}
         assert "o" not in det["counters"]
+
+    def test_cache_section_layout(self, tmp_path):
+        from repro.store import ArtifactStore
+
+        assert cache_section(None, {"tracking": (True, "sha256:t")}) is None
+        store = ArtifactStore(tmp_path / "st")
+        section = cache_section(
+            store, {"tracking": (True, "sha256:t"), "connectome": (False, None)}
+        )
+        assert section == {
+            "tracking_hit": True,
+            "connectome_hit": False,
+            "stage_keys": {"tracking": "sha256:t"},
+            "store": str(store.root),
+            **store.stats.to_dict(),
+        }
 
 
 class TestTraceSpanExport:
