@@ -10,7 +10,11 @@ Three commands mirror the workflow a downstream user runs:
   samples, writing streamlines (TrackVis), a track-density NIfTI, and a
   timing report.
 
-``repro-bedpost`` and ``repro-track`` share the flag groups in
+The stage commands (and ``repro-connectome``, stage 3) are file
+adapters around the stage runners
+:func:`~repro.pipeline.workflow.run_workflow` calls, so each stage has
+one store key whichever entry point runs it.  ``repro-bedpost`` and
+``repro-track`` share the flag groups in
 :mod:`repro.cli.common` and are driven by one resolved
 :class:`~repro.config.spec.RunSpec` (``--config``/``--set``/
 ``--print-config``); ``repro-track --replay manifest.json`` reruns the

@@ -3,9 +3,11 @@
 Reads a DWI acquisition (``dwi.nii.gz`` + ``bvals``/``bvecs`` + a mask),
 runs the Metropolis-Hastings sampler, and writes:
 
-* ``samples.npz`` — the raw posterior samples + layout metadata (the
-  compact equivalent of Fig 1's "six 4-D volumes", consumed by
-  ``repro-track``);
+* ``samples.npz`` — the float64 posterior samples, the fitted mask,
+  the affine, and the ``sampling`` section and stage key that produced
+  them (the compact equivalent of Fig 1's "six 4-D volumes", consumed
+  by ``repro-track``; the same bytes as the sampling store entry's
+  payload);
 * ``mean_f1.nii.gz`` / ``mean_f2.nii.gz`` — posterior-mean volume
   fractions (quick-look quality maps);
 * a timing report with the Table III machine-model speedup;
@@ -14,7 +16,9 @@ runs the Metropolis-Hastings sampler, and writes:
 
 Like ``repro-track``, the run is driven by one resolved
 :class:`~repro.config.spec.RunSpec` layered as ``defaults < --config
-FILE < explicit flags < --set``.
+FILE < explicit flags < --set``, and the sampling itself is the
+workflow's own stage runner, keyed and stored as
+:func:`~repro.pipeline.workflow.run_workflow` keys and stores it.
 """
 
 from __future__ import annotations
@@ -35,18 +39,14 @@ from repro.cli.common import (
     add_telemetry_group,
     print_resolved_config,
     resolve_spec_from_args,
+    write_run_manifest,
 )
 from repro.config.spec import NOISE_MODELS
 from repro.config.stages import SAMPLING
-from repro.errors import ReproError
 from repro.io import Volume, read_bvals_bvecs, read_nifti, write_nifti
-from repro.pipeline import BedpostConfig, bedpost
-from repro.telemetry import (
-    MetricsRegistry,
-    cache_section,
-    use_registry,
-    write_manifest,
-)
+from repro.io.samples import save_samples
+from repro.pipeline.runners import StageContext, run_sampling_stage
+from repro.telemetry import MetricsRegistry, use_registry
 
 __all__ = ["build_parser", "main"]
 
@@ -103,10 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point: fit the model over the acquisition, return 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        spec = resolve_spec_from_args(args, _BEDPOST_FLAG_MAP)
-    except ReproError as exc:
-        parser.error(str(exc))
+    spec = resolve_spec_from_args(parser, args, _BEDPOST_FLAG_MAP)
     if args.print_config:
         print_resolved_config(spec)
         return 0
@@ -115,69 +112,55 @@ def main(argv: list[str] | None = None) -> int:
 
     data_dir = args.data_dir
     dwi = read_nifti(data_dir / "dwi.nii.gz")
-    gtab = read_bvals_bvecs(data_dir / "bvals", data_dir / "bvecs")
-    mask_path = args.mask or (data_dir / "wm_mask.nii.gz")
-    mask = read_nifti(mask_path).data.astype(bool)
-    if mask.ndim == 4:
-        mask = mask[..., 0]
-
-    cfg = BedpostConfig.from_run_spec(spec)
-    store = None
-    if spec.telemetry.store:
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(spec.telemetry.store)
+    mask = read_nifti(args.mask or (data_dir / "wm_mask.nii.gz")).data
+    ctx = StageContext.from_spec(
+        spec,
+        dwi=dwi,
+        gtab=read_bvals_bvecs(data_dir / "bvals", data_dir / "bvecs"),
+        fit_mask=(mask[..., 0] if mask.ndim == 4 else mask).astype(bool),
+    )
     # A fresh registry per invocation keeps the manifest scoped to this
     # run (the process default would accumulate across library reuse).
     registry = MetricsRegistry()
     with use_registry(registry):
-        result = bedpost(
-            dwi, gtab, mask, cfg, store=store, use_cache=spec.telemetry.cache
-        )
+        ctx.outcomes[SAMPLING.name] = run_sampling_stage(ctx)
+    result = ctx.outcomes[SAMPLING.name].result
 
     out = args.output_dir or (data_dir / "bedpost")
     out.mkdir(parents=True, exist_ok=True)
-    from repro.io.samples import save_samples
-
     save_samples(
         out / "samples.npz",
         result.samples,
-        mask,
-        result.layout,
-        cfg.f_threshold,
+        result.mask,
         dwi.affine,
+        spec.section_dict("sampling"),
+        result.stage_key,
     )
     mean = result.samples.mean(axis=0)
-    for j in range(cfg.n_fibers):
+    for j in range(result.layout.n_fibers):
         vol = np.zeros(dwi.shape3, dtype=np.float32)
-        vol.reshape(-1)[mask.reshape(-1)] = mean[:, 3 + j]
+        vol.reshape(-1)[result.mask.reshape(-1)] = mean[:, 3 + j]
         write_nifti(out / f"mean_f{j + 1}.nii.gz", Volume(vol, dwi.affine))
 
-    if spec.telemetry.metrics_out is not None:
-        metrics_out = Path(spec.telemetry.metrics_out)
-        write_manifest(
-            metrics_out,
-            registry,
-            meta={
-                "command": "repro-bedpost",
-                "n_fibers": cfg.n_fibers,
-                "n_burnin": cfg.mcmc.n_burnin,
-                "n_samples": cfg.mcmc.n_samples,
-                "noise_model": cfg.noise_model,
-                "seed": cfg.mcmc.seed,
-                "data_dir": str(data_dir.resolve()),
-            },
-            config=spec.to_dict(),
-            cache=cache_section(
-                store,
-                {SAMPLING.name: (result.served_from_store, result.stage_key)},
-            ),
-        )
-        print(f"wrote telemetry manifest to {metrics_out}")
+    s = spec.sampling
+    write_run_manifest(
+        spec,
+        registry,
+        meta={
+            "command": "repro-bedpost",
+            "n_fibers": s.n_fibers,
+            "n_burnin": s.n_burnin,
+            "n_samples": s.n_samples,
+            "noise_model": s.noise_model,
+            "seed": s.seed,
+            "data_dir": str(data_dir.resolve()),
+        },
+        cache=ctx.cache_section(),
+    )
 
     served = " (served from store)" if result.served_from_store else ""
     print(
-        f"fit {result.n_voxels} voxels, {cfg.mcmc.n_samples} samples "
+        f"fit {result.n_voxels} voxels, {s.n_samples} samples "
         f"({result.wall_seconds:.1f}s wall){served}; modeled GPU "
         f"{result.gpu_seconds:.1f}s vs CPU {result.cpu_seconds:.1f}s "
         f"({result.speedup:.1f}x); wrote {out / 'samples.npz'}"

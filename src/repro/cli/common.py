@@ -10,7 +10,8 @@ module owns those groups (previously duplicated per command):
 * the **runtime** group: ``--workers``, ``--max-retries``,
   ``--shard-timeout``, ``--inject-fault``;
 * the **telemetry** group: ``--metrics-out`` (and, where the command
-  produces a modeled schedule, ``--trace-out``).
+  produces a modeled schedule, ``--trace-out``), and the manifest
+  writer behind ``--metrics-out``.
 
 Explicit flags default to ``None`` (or ``False`` for switches) so a
 command can tell "the user passed this" from "use the spec/default
@@ -26,6 +27,8 @@ import sys
 from pathlib import Path
 
 from repro.config import RunSpec, resolve_run_spec
+from repro.errors import ReproError
+from repro.telemetry import write_manifest
 
 __all__ = [
     "add_config_group",
@@ -39,6 +42,7 @@ __all__ = [
     "cli_flag_overrides",
     "resolve_spec_from_args",
     "print_resolved_config",
+    "write_run_manifest",
 ]
 
 #: ``args`` attribute -> run-spec dotted path, for the runtime group.
@@ -172,25 +176,30 @@ def cli_flag_overrides(
 
 
 def resolve_spec_from_args(
+    parser: argparse.ArgumentParser,
     args: argparse.Namespace,
     flag_map: dict[str, str],
     base: dict | None = None,
 ) -> RunSpec:
     """Resolve the command's :class:`RunSpec` from all four layers.
 
-    ``--no-cache`` gets special treatment: it is a switch whose *active*
-    value is False (``telemetry.cache = false``), so it cannot ride the
-    normal flag map (which treats False as "not passed").
+    An invalid spec is a ``parser.error``.  ``--no-cache`` gets special
+    treatment: it is a switch whose *active* value is False
+    (``telemetry.cache = false``), so it cannot ride the normal flag map
+    (which treats False as "not passed").
     """
     cli_overrides = cli_flag_overrides(args, flag_map)
     if getattr(args, "no_cache", False):
         cli_overrides["telemetry.cache"] = False
-    return resolve_run_spec(
-        config_file=args.config,
-        cli_overrides=cli_overrides,
-        set_overrides=args.overrides,
-        base=base,
-    )
+    try:
+        return resolve_run_spec(
+            config_file=args.config,
+            cli_overrides=cli_overrides,
+            set_overrides=args.overrides,
+            base=base,
+        )
+    except ReproError as exc:
+        parser.error(str(exc))
 
 
 def print_resolved_config(spec: RunSpec, stream=None) -> None:
@@ -198,3 +207,14 @@ def print_resolved_config(spec: RunSpec, stream=None) -> None:
     doc = {"config": spec.to_dict(), "config_hash": spec.content_hash()}
     print(json.dumps(doc, sort_keys=True, indent=2),
           file=stream if stream is not None else sys.stdout)
+
+
+def write_run_manifest(
+    spec: RunSpec, registry, meta: dict, cache: dict | None
+) -> None:
+    """``--metrics-out``: write the run manifest when the spec names one."""
+    if spec.telemetry.metrics_out is None:
+        return
+    path = Path(spec.telemetry.metrics_out)
+    write_manifest(path, registry, meta=meta, config=spec.to_dict(), cache=cache)
+    print(f"wrote telemetry manifest to {path}")

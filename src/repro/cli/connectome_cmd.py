@@ -1,10 +1,12 @@
 """``repro-connectome`` — stage 3: ROI connectome over saved samples.
 
-Reads ``samples.npz`` from ``repro-bedpost``, reconstructs the
-per-sample fiber fields, runs stage 2 exactly as ``repro-track`` does
-(same tracker, same store key, so the two commands share tracking
-entries), and folds the tracked streamlines' endpoints into a symmetric
-ROI-pair count matrix over the named parcellation.  Writes:
+Reads ``samples.npz`` from ``repro-bedpost``, rebuilds the posterior
+fiber stack, and runs the workflow's own tracking and connectome stages
+over it — the same runners, keys and store entries as ``repro-track
+--connectome`` and :func:`~repro.pipeline.workflow.run_workflow`, so
+every entry point serves the others' published entries — folding the
+tracked streamlines' endpoints into a symmetric ROI-pair count matrix
+over the named parcellation.  Writes:
 
 * ``connectome.npz`` — the ``(n_rois, n_rois)`` int64 count matrix and
   the int32 ROI label volume;
@@ -12,12 +14,12 @@ ROI-pair count matrix over the named parcellation.  Writes:
 * ``fibers.trk`` — sample-0 streamline geometry in TrackVis format,
   filtered to ``tracking.min_export_steps``.
 
-The run is driven by one resolved :class:`~repro.config.spec.RunSpec`
-(``defaults < --config FILE < explicit flags < --set``); the atlas
-comes from ``--atlas`` / ``connectome.atlas``.  With ``--store`` both
-stages are memoized under their own stage hashes — keyed identically
-to ``repro-track --connectome``, so either command serves the other's
-published entries — and an atlas sweep recomputes only the matrix.
+The first two are the same bytes as the store entry's payload.  The run
+is driven by one resolved :class:`~repro.config.spec.RunSpec`
+(``archive's sampling section < --config FILE < explicit flags <
+--set``); the atlas comes from ``--atlas`` / ``connectome.atlas``, and a
+layer that sets a sampling value differently from the archive is an
+error.  With ``--store`` an atlas sweep recomputes only the matrix.
 """
 
 from __future__ import annotations
@@ -34,17 +36,11 @@ from repro.cli.common import (
     add_telemetry_group,
     print_resolved_config,
     resolve_spec_from_args,
+    write_run_manifest,
 )
-from repro.cli.tracking_stage import connectome_for_archive, track_archive
+from repro.cli.tracking_stage import resolve_archive_spec, run_archive_stages
 from repro.config.spec import CONNECTOME_NORMALIZATIONS
 from repro.config.stages import CONNECTOME, TRACKING
-from repro.errors import ReproError
-from repro.telemetry import (
-    MetricsRegistry,
-    cache_section,
-    use_registry,
-    write_manifest,
-)
 
 __all__ = ["build_parser", "main"]
 
@@ -90,72 +86,47 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point: build the connectome, write outputs, return 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        spec = resolve_spec_from_args(args, _CONNECTOME_FLAG_MAP)
-    except ReproError as exc:
-        parser.error(str(exc))
     if args.print_config:
-        print_resolved_config(spec)
+        print_resolved_config(
+            resolve_spec_from_args(parser, args, _CONNECTOME_FLAG_MAP)
+        )
         return 0
+    if args.bedpost_dir is None:
+        parser.error("bedpost_dir is required")
+    archive, spec = resolve_archive_spec(
+        parser, args, _CONNECTOME_FLAG_MAP, args.bedpost_dir
+    )
     if spec.connectome.atlas == "none":
         parser.error("no atlas configured: pass --atlas NAME "
                      "(or set connectome.atlas)")
-    if args.bedpost_dir is None:
-        parser.error("bedpost_dir is required")
 
-    from repro.io.samples import load_samples
-
-    archive = load_samples(args.bedpost_dir / "samples.npz")
-    fields = archive.to_fields()
-
-    store = None
-    if spec.telemetry.store:
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(spec.telemetry.store)
     out = args.output_dir or (args.bedpost_dir / "connectome")
-    out.mkdir(parents=True, exist_ok=True)
-
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        tracked = track_archive(spec, archive, fields, store, out)
-        conn, hit, stage_key = connectome_for_archive(
-            spec, tracked, fields, store, out
-        )
-    pt = tracked.pt
-    min_export = spec.tracking.min_export_steps
-
-    if spec.telemetry.metrics_out is not None:
-        metrics_out = Path(spec.telemetry.metrics_out)
-        write_manifest(
-            metrics_out,
-            registry,
-            meta={
-                "command": "repro-connectome",
-                "atlas": spec.connectome.atlas,
-                "n_workers": spec.runtime.n_workers,
-                "bedpost_dir": str(args.bedpost_dir.resolve()),
-            },
-            config=spec.to_dict(),
-            cache=cache_section(
-                store,
-                {
-                    TRACKING.name: (tracked.hit, tracked.key),
-                    CONNECTOME.name: (hit, stage_key),
-                },
-            ),
-        )
-        print(f"wrote telemetry manifest to {metrics_out}")
-
-    served = " (served from store)" if hit else ""
-    print(
-        f"connectome ({conn.atlas.name}){served}: {conn.atlas.n_rois} ROIs, "
-        f"{conn.n_streamlines} streamlines counted, "
-        f"{len(conn.graph['edges'])} edges; wrote {tracked.n_exported} fibers "
-        f">= {min_export} steps to {out / 'fibers.trk'}"
+    ctx, registry, n_exported = run_archive_stages(spec, archive, out)
+    conn = ctx.outcomes[CONNECTOME.name]
+    write_run_manifest(
+        spec,
+        registry,
+        meta={
+            "command": "repro-connectome",
+            "atlas": spec.connectome.atlas,
+            "n_workers": spec.runtime.n_workers,
+            "bedpost_dir": str(args.bedpost_dir.resolve()),
+            "sampling_key": archive.stage_key,
+        },
+        cache=ctx.cache_section(),
     )
-    if pt.run.supervision is not None and pt.run.supervision.n_failures:
-        print(f"fault tolerance: {pt.run.supervision.summary()}")
+
+    result = conn.result
+    served = " (served from store)" if conn.hit else ""
+    print(
+        f"connectome ({result.atlas.name}){served}: {result.atlas.n_rois} "
+        f"ROIs, {result.n_streamlines} streamlines counted, "
+        f"{len(result.graph['edges'])} edges; wrote {n_exported} fibers "
+        f">= {spec.tracking.min_export_steps} steps to {out / 'fibers.trk'}"
+    )
+    supervision = ctx.outcomes[TRACKING.name].supervision
+    if supervision is not None and supervision.n_failures:
+        print(f"fault tolerance: {supervision.summary()}")
     return 0
 
 

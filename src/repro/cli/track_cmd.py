@@ -1,7 +1,10 @@
 """``repro-track`` — stage 2: probabilistic streamlining over saved samples.
 
-Reads ``samples.npz`` from ``repro-bedpost``, reconstructs the per-sample
-fiber fields, tracks every seed, and writes:
+Reads ``samples.npz`` from ``repro-bedpost``, rebuilds the posterior
+fiber stack, and runs the workflow's own tracking stage over it (and,
+with ``--connectome ATLAS``, its connectome stage), keyed and stored
+exactly as :func:`~repro.pipeline.workflow.run_workflow` keys them, so
+either entry point serves the other's store entries.  Writes:
 
 * ``density.nii.gz`` — the track-density (visit count) map;
 * ``fibers.trk`` — streamline geometry (first sample volume, long
@@ -10,16 +13,19 @@ fiber fields, tracks every seed, and writes:
 * a timing report with the modeled kernel/reduction/transfer split and
   speedup;
 * with ``--connectome ATLAS``, the stage-3 endpoint connectome over the
-  named ROI parcellation (``connectome.npz`` + ``graph.json``),
-  memoized under its own stage hash when ``--store`` is in play;
+  named ROI parcellation (``connectome.npz`` + ``graph.json``, the same
+  bytes as the store entry's payload);
 * optionally a telemetry run manifest with the resolved config embedded
   (``--metrics-out``) and a Chrome trace with modeled + measured rows
   (``--trace-out``).
 
 The run is driven by one resolved :class:`~repro.config.spec.RunSpec`
-(``defaults < --config FILE < explicit flags < --set``); ``--replay
-MANIFEST`` starts instead from the config a previous run embedded in its
-manifest, reproducing it bit for bit.
+(``archive's sampling section < --config FILE < explicit flags <
+--set``); ``--replay MANIFEST`` starts instead from the config a
+previous run embedded in its manifest, reproducing it bit for bit.  The
+``sampling`` section always comes from the archive that
+``samples.npz`` records: a layer that sets a sampling value differently
+is an error.
 """
 
 from __future__ import annotations
@@ -40,18 +46,12 @@ from repro.cli.common import (
     add_telemetry_group,
     print_resolved_config,
     resolve_spec_from_args,
+    write_run_manifest,
 )
-from repro.cli.tracking_stage import connectome_for_archive, track_archive
+from repro.cli.tracking_stage import resolve_archive_spec, run_archive_stages
 from repro.config.stages import CONNECTOME, TRACKING
-from repro.errors import ReproError
 from repro.io import Volume, write_nifti
-from repro.telemetry import (
-    MetricsRegistry,
-    cache_section,
-    load_manifest,
-    use_registry,
-    write_manifest,
-)
+from repro.telemetry import load_manifest
 
 __all__ = ["build_parser", "main"]
 
@@ -137,12 +137,10 @@ def main(argv: list[str] | None = None) -> int:
                 "version's --metrics-out can be replayed"
             )
         replay_meta = manifest.get("meta", {})
-    try:
-        spec = resolve_spec_from_args(args, _TRACK_FLAG_MAP, base=base)
-    except ReproError as exc:
-        parser.error(str(exc))
     if args.print_config:
-        print_resolved_config(spec)
+        print_resolved_config(
+            resolve_spec_from_args(parser, args, _TRACK_FLAG_MAP, base=base)
+        )
         return 0
 
     bedpost_dir = args.bedpost_dir
@@ -151,65 +149,39 @@ def main(argv: list[str] | None = None) -> int:
     if bedpost_dir is None:
         parser.error("bedpost_dir is required (the replayed manifest "
                      "does not record one)")
-
-    from repro.io.samples import load_samples
-
-    archive = load_samples(bedpost_dir / "samples.npz")
-    affine = archive.affine
-    fields = archive.to_fields()
-
-    min_export_steps = spec.tracking.min_export_steps
-    store = None
-    if spec.telemetry.store:
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(spec.telemetry.store)
+    archive, spec = resolve_archive_spec(
+        parser, args, _TRACK_FLAG_MAP, bedpost_dir, base=base
+    )
     out = args.output_dir or (bedpost_dir / "track")
-    out.mkdir(parents=True, exist_ok=True)
+    ctx, registry, n_exported = run_archive_stages(spec, archive, out)
+    tracked = ctx.outcomes[TRACKING.name]
+    conn = ctx.outcomes.get(CONNECTOME.name)
+    run = tracked.result.run
 
-    # A fresh registry per invocation keeps the manifest scoped to this
-    # run (the process default would accumulate across library reuse).
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        tracked = track_archive(spec, archive, fields, store, out)
-        conn = conn_key = None
-        conn_hit = False
-        if spec.connectome.atlas != "none":
-            conn, conn_hit, conn_key = connectome_for_archive(
-                spec, tracked, fields, store, out
-            )
-    pt = tracked.pt
-    run = pt.run
-
-    density = pt.connectivity.visit_count_volume(fields.shape3)
+    density = tracked.result.connectivity.visit_count_volume(ctx.fields.shape3)
     write_nifti(
-        out / "density.nii.gz", Volume(density.astype(np.float32), affine)
+        out / "density.nii.gz",
+        Volume(density.astype(np.float32), archive.affine),
     )
     np.savetxt(out / "lengths.txt", run.lengths, fmt="%d")
 
-    stages = {TRACKING.name: (tracked.hit, tracked.key)}
-    if conn_key is not None:
-        stages[CONNECTOME.name] = (conn_hit, conn_key)
-    if spec.telemetry.metrics_out is not None:
-        metrics_out = Path(spec.telemetry.metrics_out)
-        write_manifest(
-            metrics_out,
-            registry,
-            meta={
-                "command": "repro-track",
-                "strategy": spec.tracking.strategy,
-                "n_workers": spec.runtime.n_workers,
-                "max_steps": spec.tracking.max_steps,
-                "bidirectional": spec.tracking.bidirectional,
-                "bedpost_dir": str(bedpost_dir.resolve()),
-                "replayed_from": (
-                    str(args.replay) if args.replay is not None else None
-                ),
-            },
-            config=spec.to_dict(),
-            cache=cache_section(store, stages),
-        )
-        print(f"wrote telemetry manifest to {metrics_out}")
+    write_run_manifest(
+        spec,
+        registry,
+        meta={
+            "command": "repro-track",
+            "strategy": spec.tracking.strategy,
+            "n_workers": spec.runtime.n_workers,
+            "max_steps": spec.tracking.max_steps,
+            "bidirectional": spec.tracking.bidirectional,
+            "bedpost_dir": str(bedpost_dir.resolve()),
+            "sampling_key": archive.stage_key,
+            "replayed_from": (
+                str(args.replay) if args.replay is not None else None
+            ),
+        },
+        cache=ctx.cache_section(),
+    )
     if spec.telemetry.trace_out is not None:
         from repro.gpu.trace_export import write_chrome_trace
 
@@ -224,15 +196,17 @@ def main(argv: list[str] | None = None) -> int:
         f"modeled kernel {run.kernel_seconds:.2f}s / reduce "
         f"{run.reduction_seconds:.2f}s / transfer {run.transfer_seconds:.2f}s "
         f"(CPU {run.cpu_seconds:.1f}s, {run.speedup:.1f}x); "
-        f"wrote {tracked.n_exported} fibers >= {min_export_steps} steps "
-        f"to {out / 'fibers.trk'}"
+        f"wrote {n_exported} fibers >= {spec.tracking.min_export_steps} "
+        f"steps to {out / 'fibers.trk'}"
     )
     if conn is not None:
-        conn_served = " (served from store)" if conn_hit else ""
+        graph = conn.result.graph
+        conn_served = " (served from store)" if conn.hit else ""
         print(
-            f"connectome ({conn.atlas.name}){conn_served}: "
-            f"{conn.atlas.n_rois} ROIs, {conn.n_streamlines} streamlines, "
-            f"{len(conn.graph['edges'])} edges -> {out / 'graph.json'}"
+            f"connectome ({conn.result.atlas.name}){conn_served}: "
+            f"{conn.result.atlas.n_rois} ROIs, {conn.result.n_streamlines} "
+            f"streamlines, {len(graph['edges'])} edges -> "
+            f"{out / 'graph.json'}"
         )
     if run.supervision is not None and run.supervision.n_failures:
         print(f"fault tolerance: {run.supervision.summary()}")

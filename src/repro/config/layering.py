@@ -28,6 +28,7 @@ repro.errors.ConfigurationError: runtime: override must target a field ...
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -122,7 +123,8 @@ def resolve_run_spec(
         The layer-1 starting dict; defaults to ``{}`` (pure dataclass
         defaults).  ``--replay`` passes a manifest's config section.
     """
-    doc = dict(base) if base else {}
+    # A deep copy: overrides land in nested tables, never in the caller's.
+    doc = copy.deepcopy(base) if base else {}
     if config_file is not None:
         doc = deep_merge(doc, load_spec_file(config_file))
     for dotted, value in (cli_overrides or {}).items():

@@ -1,15 +1,18 @@
 """Persisting posterior samples between pipeline stages.
 
 ``repro-bedpost`` and ``repro-track`` exchange stage-1 output through a
-single ``samples.npz``; these functions define that contract in one
-place: the raw ``(n_samples, n_voxels, n_params)`` array, the fitted
-mask, the parameter layout, the fraction threshold, and the affine —
-everything needed to rebuild the
-:class:`~repro.models.fields.FiberStack` the tracker consumes.
+single ``samples.npz``, which is also the payload of a sampling store
+entry; these functions define that contract in one place: the raw
+float64 ``(n_samples, n_voxels, n_params)`` array, the fitted mask, the
+affine, and the ``sampling`` run-spec section and stage key that
+produced them — everything needed to rebuild the
+:class:`~repro.models.fields.FiberStack` the tracker consumes, and to
+key the downstream stages exactly as the workflow keys them.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from repro.models.posterior import ParameterLayout
 
 __all__ = ["SampleArchive", "load_samples", "save_samples"]
 
-_REQUIRED = ("samples", "mask", "n_fibers", "f_threshold", "affine")
+_REQUIRED = ("samples", "mask", "affine")
 
 
 @dataclass
@@ -30,9 +33,19 @@ class SampleArchive:
 
     samples: np.ndarray
     mask: np.ndarray
-    layout: ParameterLayout
-    f_threshold: float
     affine: np.ndarray
+    #: The ``sampling`` run-spec section that produced the samples.
+    sampling: dict
+    #: The sampling stage key (``sha256:<hex>``) of that run.
+    stage_key: str
+
+    @property
+    def layout(self) -> ParameterLayout:
+        return ParameterLayout(int(self.sampling["n_fibers"]))
+
+    @property
+    def f_threshold(self) -> float:
+        return float(self.sampling["f_threshold"])
 
     @property
     def n_samples(self) -> int:
@@ -53,17 +66,17 @@ def save_samples(
     path: str | Path,
     samples: np.ndarray,
     mask: np.ndarray,
-    layout: ParameterLayout,
-    f_threshold: float,
     affine: np.ndarray,
-    dtype=np.float32,
+    sampling: dict,
+    stage_key: str,
 ) -> None:
     """Write a ``samples.npz``.
 
-    ``dtype`` controls the stored sample precision: the CLI contract
-    stays ``float32`` (halves the footprint), but the artifact store
-    passes ``float64`` so a cache-served posterior is bit-identical to
-    the in-memory one it memoized.
+    The samples are stored as float64, so the posterior a reader rebuilds
+    is bit-identical to the one that was sampled, and so is every
+    fingerprint and stage key computed from it.  ``sampling`` is the
+    run-spec section that produced them (its ``n_fibers`` fixes the
+    parameter layout, its ``f_threshold`` the field reconstruction).
 
     The archive is uncompressed: posterior floats barely deflate, so
     compressing costs far more time than the bytes it saves.
@@ -71,6 +84,8 @@ def save_samples(
     """
     samples = np.asarray(samples)
     mask = np.asarray(mask, dtype=bool)
+    n_fibers = int(sampling["n_fibers"])
+    n_params = ParameterLayout(n_fibers).n_params
     if samples.ndim != 3:
         raise IOFormatError(
             f"samples must be (n_samples, n_voxels, n_params), got {samples.shape}"
@@ -80,18 +95,22 @@ def save_samples(
             f"samples cover {samples.shape[1]} voxels but the mask selects "
             f"{int(mask.sum())}"
         )
-    if samples.shape[2] != layout.n_params:
+    if samples.shape[2] != n_params:
         raise IOFormatError(
             f"samples have {samples.shape[2]} parameters, layout expects "
-            f"{layout.n_params}"
+            f"{n_params}"
         )
     np.savez(
         path,
-        samples=samples.astype(dtype),
+        samples=samples.astype(np.float64),
         mask=mask,
-        n_fibers=np.int64(layout.n_fibers),
-        f_threshold=np.float64(f_threshold),
         affine=np.asarray(affine, dtype=np.float64),
+        # Also inside ``sampling``; kept as their own keys for readers
+        # of the file that predate the section.
+        n_fibers=np.int64(n_fibers),
+        f_threshold=np.float64(sampling["f_threshold"]),
+        sampling=np.array(json.dumps(sampling, sort_keys=True)),
+        stage_key=np.array(stage_key),
     )
 
 
@@ -104,10 +123,16 @@ def load_samples(path: str | Path) -> SampleArchive:
     missing = [k for k in _REQUIRED if k not in blob]
     if missing:
         raise IOFormatError(f"{path}: missing keys {missing}")
+    if "sampling" not in blob or "stage_key" not in blob:
+        raise IOFormatError(
+            f"{path} does not record the sampling section and stage key "
+            "that produced it (it predates that format); re-run "
+            "repro-bedpost to write it again"
+        )
     return SampleArchive(
-        samples=blob["samples"].astype(np.float64),
+        samples=blob["samples"],
         mask=blob["mask"].astype(bool),
-        layout=ParameterLayout(int(blob["n_fibers"])),
-        f_threshold=float(blob["f_threshold"]),
         affine=blob["affine"],
+        sampling=json.loads(str(blob["sampling"])),
+        stage_key=str(blob["stage_key"]),
     )

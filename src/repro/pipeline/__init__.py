@@ -24,6 +24,7 @@ from repro.pipeline.connectome import (
     ConnectomeResult,
     compute_connectome,
     memoized_connectome,
+    write_connectome,
 )
 from repro.pipeline.memo import (
     fields_fingerprint,
@@ -40,6 +41,7 @@ __all__ = [
     "ConnectomeResult",
     "compute_connectome",
     "memoized_connectome",
+    "write_connectome",
     "StageContext",
     "StageOutcome",
     "WorkflowResult",

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import RunSpec
 from repro.gpu.simulator import kernel_time
 from repro.io.gradients import GradientTable
-from repro.io.samples import load_samples, save_samples
+from repro.io.samples import save_samples
 from repro.io.volume import Volume
 from repro.mcmc.sampler import MCMCConfig
 from repro.models.fields import FiberStack
@@ -142,8 +142,9 @@ class BedpostResult:
     wall_seconds:
         Actual host wall-clock of the sampling.
     stage_key:
-        The ``sha256:<hex>`` sampling-stage cache key, when a store was
-        in play (``None`` otherwise).
+        The ``sha256:<hex>`` sampling-stage key of this (config, data)
+        pair: it addresses the store entry, and ``samples.npz`` records
+        it.
     served_from_store:
         Whether this result was a cache hit (no MCMC was run).
     supervision:
@@ -343,11 +344,10 @@ def bedpost(
     layout = ParameterLayout(cfg.n_fibers)
     t0 = time.perf_counter()
 
-    stage_key = None
-    if store is not None:
-        from repro.store import fingerprint_arrays
+    from repro.store import fingerprint_arrays
 
-        stage_key = _sampling_stage_key(cfg, dwi, gtab, mask, fingerprint_arrays)
+    sampling = _sampling_section(cfg)
+    stage_key = _sampling_stage_key(sampling, dwi, gtab, mask, fingerprint_arrays)
 
     def compute():
         if store is None:
@@ -362,16 +362,13 @@ def bedpost(
 
     def serialize(tmp_dir, computed) -> None:
         all_samples, history, _ = computed
-        # float64 so a cache-served posterior is bit-identical to the
-        # in-memory one (the samples.npz *CLI* contract stays float32).
         save_samples(
             tmp_dir / "samples.npz",
             all_samples,
             mask,
-            layout,
-            cfg.f_threshold,
             dwi.affine,
-            dtype=np.float64,
+            sampling,
+            stage_key,
         )
         (tmp_dir / "meta.json").write_text(
             json.dumps(
@@ -381,7 +378,10 @@ def bedpost(
         )
 
     def rehydrate(entry):
-        all_samples = load_samples(entry.file("samples.npz")).samples
+        # Only the samples array: entries written before the archive
+        # recorded its sampling section still serve.
+        with np.load(entry.file("samples.npz")) as blob:
+            all_samples = blob["samples"].astype(np.float64)
         meta = json.loads(entry.file("meta.json").read_text())
         if all_samples.shape[1] != n_vox:  # pragma: no cover - key collision guard
             raise DataError(
@@ -390,7 +390,7 @@ def bedpost(
             )
         return all_samples, [float(x) for x in meta["acceptance_history"]], None
 
-    (all_samples, history, supervision), hit, _entry = run_memoized(
+    (all_samples, history, supervision), hit = run_memoized(
         store,
         SAMPLING.name,
         stage_key,
@@ -427,13 +427,25 @@ def bedpost(
     )
 
 
-def _sampling_stage_key(cfg, dwi, gtab, mask, fingerprint_arrays) -> str:
-    """The sampling-stage store key for this (config, data) pair.
+def _sampling_section(cfg: BedpostConfig) -> dict:
+    """The ``sampling`` run-spec section ``cfg`` was built from.
 
-    The machine presets in ``cfg`` are deliberately *not* part of the
-    key: they shape only the modeled Table-III times, which are
-    recomputed from the live config on every hit.
+    The machine presets in ``cfg`` are deliberately *not* part of it:
+    they shape only the modeled Table-III times, which are recomputed
+    from the live config on every hit.
     """
+    return dict(
+        asdict(cfg.mcmc),
+        n_fibers=cfg.n_fibers,
+        ard=cfg.ard,
+        noise_model=cfg.noise_model,
+        f_threshold=cfg.f_threshold,
+        block_voxels=cfg.block_voxels,
+    )
+
+
+def _sampling_stage_key(sampling, dwi, gtab, mask, fingerprint_arrays) -> str:
+    """The sampling-stage store key for this (section, data) pair."""
     fp = fingerprint_arrays(
         dwi=dwi.data,
         affine=dwi.affine,
@@ -443,14 +455,6 @@ def _sampling_stage_key(cfg, dwi, gtab, mask, fingerprint_arrays) -> str:
     )
     from repro.config import stage_hash
 
-    sampling = dict(
-        asdict(cfg.mcmc),
-        n_fibers=cfg.n_fibers,
-        ard=cfg.ard,
-        noise_model=cfg.noise_model,
-        f_threshold=cfg.f_threshold,
-        block_voxels=cfg.block_voxels,
-    )
     return stage_hash(
         {SAMPLING.name: sampling}, SAMPLING.name, inputs={"data": fp}
     )

@@ -23,7 +23,12 @@ from repro.pipeline.memo import run_memoized
 from repro.telemetry import get_registry
 from repro.tracking.probtrack import ProbtrackResult
 
-__all__ = ["ConnectomeResult", "compute_connectome", "memoized_connectome"]
+__all__ = [
+    "ConnectomeResult",
+    "compute_connectome",
+    "memoized_connectome",
+    "write_connectome",
+]
 
 
 @dataclass
@@ -93,14 +98,18 @@ def compute_connectome(
     )
 
 
-def _serialize(tmp_dir, result: ConnectomeResult) -> None:
-    """Write one connectome result's payload files into ``tmp_dir``."""
+def write_connectome(out_dir, result: ConnectomeResult) -> None:
+    """Write ``connectome.npz`` and ``graph.json`` into ``out_dir``.
+
+    The one writer of both files: the store entry's payload and the
+    CLI outputs are the same bytes.
+    """
     np.savez(
-        tmp_dir / "connectome.npz",
+        out_dir / "connectome.npz",
         counts=result.counts,
         labels=result.atlas.labels,
     )
-    (tmp_dir / "graph.json").write_text(
+    (out_dir / "graph.json").write_text(
         json.dumps(result.graph, sort_keys=True)
     )
 
@@ -130,13 +139,13 @@ def memoized_connectome(
     atlas_name: str,
     use_cache: bool = True,
     **compute_kwargs,
-) -> tuple[ConnectomeResult, bool, object]:
+) -> tuple[ConnectomeResult, bool]:
     """Run (or serve) the connectome stage through the artifact store.
 
     ``key`` is the connectome stage hash (spec subtree + input
     fingerprints); remaining keyword arguments go to
-    :func:`compute_connectome`.  Returns ``(result, hit, entry)`` like
-    every stage memoizer.
+    :func:`compute_connectome`.  Returns ``(result, hit)`` like every
+    stage memoizer.
     """
     return run_memoized(
         store,
@@ -145,7 +154,7 @@ def memoized_connectome(
         compute=lambda: compute_connectome(
             pt, grid_shape, atlas_name, **compute_kwargs
         ),
-        serialize=_serialize,
+        serialize=write_connectome,
         rehydrate=_rehydrate,
         meta=lambda result: {
             "atlas": atlas_name,

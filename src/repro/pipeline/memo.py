@@ -21,14 +21,16 @@ sparse connectivity matrix:
   stored deterministic counters into the active registry so warm
   manifests match cold ones.
 
-Only deterministic outputs round-trip exactly; measured quantities
-(wall seconds, per-worker walls, the supervision report) are stored for
-reporting but are explicitly outside the bit-identity contract.
+Only deterministic outputs are stored, so an entry's bytes are a
+function of its key: measured quantities (wall seconds, per-worker
+walls, the supervision report) stay in the run's telemetry, and a hit
+reports its own rehydrate wall as ``run.wall_seconds``.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 
@@ -52,7 +54,6 @@ def run_memoized(
     rehydrate,
     meta=None,
     use_cache: bool = True,
-    extra_writer=None,
 ):
     """Serve one stage from the store, or compute and publish it.
 
@@ -62,25 +63,23 @@ def run_memoized(
       entry's stored deterministic telemetry into the active registry
       and return ``rehydrate(entry)``;
     * on a **miss**, run ``compute()`` under a child registry, publish
-      ``serialize(tmp_dir, result)`` + the telemetry snapshot (+
-      ``extra_writer(tmp_dir, result)`` if given) atomically, and return
-      the live result;
+      ``serialize(tmp_dir, result)`` + the telemetry snapshot
+      atomically, and return the live result;
     * with ``store=None`` the stage just runs, unrecorded.
 
     ``meta`` may be a dict or a ``result -> dict`` callable (for
     metadata derived from the computed result).
 
-    Returns ``(result, hit, entry)`` — ``entry`` is ``None`` only when
-    ``store`` is ``None``.
+    Returns ``(result, hit)``.
     """
     if store is not None and use_cache:
         entry = store.lookup(stage, key)
         if entry is not None:
             telemetry = json.loads(entry.file("telemetry.json").read_text())
             get_registry().merge_snapshot(telemetry)
-            return rehydrate(entry), True, entry
+            return rehydrate(entry), True
     if store is None:
-        return compute(), False, None
+        return compute(), False
     child = MetricsRegistry()
     with use_registry(child):
         result = compute()
@@ -98,12 +97,10 @@ def run_memoized(
                 sort_keys=True,
             )
         )
-        if extra_writer is not None:
-            extra_writer(tmp_dir, result)
 
     resolved_meta = meta(result) if callable(meta) else dict(meta or {})
-    entry = store.publish(stage, key, _write, meta=resolved_meta)
-    return result, False, entry
+    store.publish(stage, key, _write, meta=resolved_meta)
+    return result, False
 
 
 def fields_fingerprint(stack) -> str:
@@ -157,7 +154,6 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
                     for e in run.timeline.events
                 ],
                 "cpu_seconds": run.cpu_seconds,
-                "wall_seconds": run.wall_seconds,
                 "peak_device_bytes": run.peak_device_bytes,
             },
             sort_keys=True,
@@ -166,7 +162,12 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
 
 
 def _rehydrate(entry, cfg) -> ProbtrackResult:
-    """Rebuild a :class:`ProbtrackResult` from one store entry."""
+    """Rebuild a :class:`ProbtrackResult` from one store entry.
+
+    ``run.wall_seconds`` is this rehydrate's own wall: the entry stores
+    no measured figure.
+    """
+    t0 = time.perf_counter()
     blob = np.load(entry.file("arrays.npz"))
     timeline_doc = json.loads(entry.file("timeline.json").read_text())
     timeline = Timeline()
@@ -179,7 +180,7 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
         timeline=timeline,
         launches=[],
         cpu_seconds=float(timeline_doc["cpu_seconds"]),
-        wall_seconds=float(timeline_doc["wall_seconds"]),
+        wall_seconds=time.perf_counter() - t0,
         peak_device_bytes=int(timeline_doc["peak_device_bytes"]),
     )
     connectivity = None
@@ -210,9 +211,8 @@ def memoized_streamlining(
     key: str,
     seed_mask=None,
     seeds=None,
-    extra_writer=None,
     use_cache: bool = True,
-) -> tuple[ProbtrackResult, bool, object]:
+) -> tuple[ProbtrackResult, bool]:
     """Run (or serve) the tracking stage through the artifact store.
 
     Parameters
@@ -230,20 +230,14 @@ def memoized_streamlining(
     seed_mask / seeds:
         Forwarded to
         :func:`~repro.tracking.probtrack.probabilistic_streamlining`.
-    extra_writer:
-        Optional ``callback(tmp_dir, result)`` writing additional files
-        into the published entry (e.g. the CLI's ``fibers.trk``); they
-        are hash-verified and served on hits like every other file.
     use_cache:
         ``False`` skips the lookup (forces recompute) but still
         publishes — the ``--no-cache`` semantics.
 
     Returns
     -------
-    (ProbtrackResult, bool, StoreEntry | None)
-        The result, whether it was served from the store, and the store
-        entry backing it (the hit entry, or the freshly published one;
-        ``None`` only when ``store`` is ``None``).
+    (ProbtrackResult, bool)
+        The result, and whether it was served from the store.
     """
     return run_memoized(
         store,
@@ -259,5 +253,4 @@ def memoized_streamlining(
             "n_seeds": int(result.run.n_seeds),
         },
         use_cache=use_cache,
-        extra_writer=extra_writer,
     )

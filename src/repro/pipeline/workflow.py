@@ -24,7 +24,7 @@ from repro.pipeline.runners import (
     run_sampling_stage,
     run_tracking_stage,
 )
-from repro.telemetry import MetricsRegistry, cache_section, get_registry
+from repro.telemetry import MetricsRegistry, get_registry
 from repro.tracking.probtrack import ProbtrackResult
 
 __all__ = ["WorkflowResult", "run_workflow"]
@@ -160,33 +160,22 @@ def run_workflow(
     """
     if spec is None:
         spec = RunSpec()
-    store = None
-    if spec.telemetry.store:
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(spec.telemetry.store)
-    ctx = StageContext(
-        phantom=phantom,
-        spec=spec,
-        store=store,
+    ctx = StageContext.from_spec(
+        spec,
+        dwi=phantom.dwi,
+        gtab=phantom.gtab,
+        fit_mask=phantom.mask if fit_mask is None else fit_mask,
         seed_mask=seed_mask,
-        fit_mask=fit_mask,
     )
     ctx.outcomes[SAMPLING.name] = run_sampling_stage(ctx)
     ctx.outcomes[TRACKING.name] = run_tracking_stage(ctx)
     connectome = run_connectome_stage(ctx)
     if connectome is not None:
         ctx.outcomes[CONNECTOME.name] = connectome
-
-    bp = ctx.outcomes[SAMPLING.name].result
-    pt = ctx.outcomes[TRACKING.name].result
-    cache = cache_section(
-        store, {name: (o.hit, o.key) for name, o in ctx.outcomes.items()}
-    )
     return WorkflowResult(
-        bedpost=bp,
-        probtrack=pt,
+        bedpost=ctx.outcomes[SAMPLING.name].result,
+        probtrack=ctx.outcomes[TRACKING.name].result,
         metrics=get_registry(),
-        cache=cache,
+        cache=ctx.cache_section(),
         outcomes=ctx.outcomes,
     )

@@ -319,7 +319,8 @@ def merge_shard_results(
     whole-stack run, so merging is concatenation in sample order:
 
     * ``lengths`` / ``reasons`` / ``endpoints`` — row-stacked blocks (a
-      lone part's arrays are taken as they are, not copied);
+      lone part's arrays, timeline and launches are taken as they are,
+      not copied);
     * timeline events and ``KernelLaunch`` records — concatenated, so
       event seconds, order and per-kind totals equal the whole-stack
       log; each shard's events move onto a per-worker stream pair so
@@ -349,16 +350,21 @@ def merge_shard_results(
     reasons = _rows([p.reasons for p in parts])
     endpoints = _rows([p.endpoints for p in parts])
 
-    timeline = Timeline()
-    launches = []
-    for slot, part in enumerate(parts):
-        for ev in part.timeline.events:
-            # A tracker.run uses stream parity 0/1 (the overlap scheme);
-            # slot * 2 keeps that parity while separating workers.
-            timeline.add(
-                ev.kind, ev.label, ev.seconds, stream=slot * 2 + (ev.stream % 2)
-            )
-        launches.extend(part.launches)
+    if len(parts) == 1:
+        timeline, launches = parts[0].timeline, parts[0].launches
+    else:
+        timeline = Timeline()
+        launches = []
+        for slot, part in enumerate(parts):
+            for ev in part.timeline.events:
+                # A tracker.run uses stream parity 0/1 (the overlap
+                # scheme); slot * 2 keeps that parity while separating
+                # workers.
+                timeline.add(
+                    ev.kind, ev.label, ev.seconds,
+                    stream=slot * 2 + (ev.stream % 2),
+                )
+            launches.extend(part.launches)
 
     if supervision is not None:
         for a in supervision.failed_attempts():
