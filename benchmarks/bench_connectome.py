@@ -1,8 +1,9 @@
 """Connectome atlas-sweep economics benchmark — ``BENCH_connectome.json``.
 
-The stage hash cascades (sampling -> tracking -> connectome), so a
-``connectome.*``-only spec change should reuse stages 1-2 from the
-artifact store and recompute only the endpoint matrix.  This bench
+Each stage hashes only the spec sections that parameterise it plus
+its inputs' fingerprints, so a ``connectome.*``-only spec change
+should reuse stages 1-2 from the artifact store and recompute only the
+endpoint matrix.  This bench
 measures exactly that on one phantom:
 
 * ``cold_wall_s`` — first run (atlas ``octant``): every stage misses.

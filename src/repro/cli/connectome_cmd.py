@@ -12,7 +12,7 @@ over the named parcellation.  Writes:
   the int32 ROI label volume;
 * ``graph.json`` — the weighted graph (nodes, edges) in stable JSON;
 * ``fibers.trk`` — sample-0 streamline geometry in TrackVis format,
-  filtered to ``tracking.min_export_steps``.
+  filtered to ``telemetry.min_export_steps``.
 
 The first two are the same bytes as the store entry's payload.  The run
 is driven by one resolved :class:`~repro.config.spec.RunSpec`
@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="ROI endpoint connectome over bedpost samples (stage 3).",
     )
     p.add_argument("bedpost_dir", type=Path, nargs="?", default=None,
-                   help="directory holding samples.npz (unused with "
-                        "--print-config)")
+                   help="directory holding samples.npz (with "
+                        "--print-config the printed spec takes its "
+                        "sampling section)")
     p.add_argument("--output-dir", type=Path, default=None,
                    help="output directory "
                         "(default: <bedpost_dir>/connectome)")
@@ -86,16 +87,19 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point: build the connectome, write outputs, return 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.print_config:
-        print_resolved_config(
-            resolve_spec_from_args(parser, args, _CONNECTOME_FLAG_MAP)
-        )
-        return 0
     if args.bedpost_dir is None:
+        if args.print_config:
+            print_resolved_config(
+                resolve_spec_from_args(parser, args, _CONNECTOME_FLAG_MAP)
+            )
+            return 0
         parser.error("bedpost_dir is required")
     archive, spec = resolve_archive_spec(
         parser, args, _CONNECTOME_FLAG_MAP, args.bedpost_dir
     )
+    if args.print_config:
+        print_resolved_config(spec)
+        return 0
     if spec.connectome.atlas == "none":
         parser.error("no atlas configured: pass --atlas NAME "
                      "(or set connectome.atlas)")
@@ -122,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         f"connectome ({result.atlas.name}){served}: {result.atlas.n_rois} "
         f"ROIs, {result.n_streamlines} streamlines counted, "
         f"{len(result.graph['edges'])} edges; wrote {n_exported} fibers "
-        f">= {spec.tracking.min_export_steps} steps to {out / 'fibers.trk'}"
+        f">= {spec.telemetry.min_export_steps} steps to {out / 'fibers.trk'}"
     )
     supervision = ctx.outcomes[TRACKING.name].supervision
     if supervision is not None and supervision.n_failures:

@@ -67,7 +67,7 @@ _TRACK_FLAG_MAP = {
     "max_steps": "tracking.max_steps",
     "strategy": "tracking.strategy",
     "bidirectional": "tracking.bidirectional",
-    "min_export_steps": "tracking.min_export_steps",
+    "min_export_steps": "telemetry.min_export_steps",
     "connectome": "connectome.atlas",
     **RUNTIME_FLAG_MAP,
     **TELEMETRY_FLAG_MAP,
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("bedpost_dir", type=Path, nargs="?", default=None,
                    help="directory holding samples.npz (optional with "
-                        "--replay, which remembers it, and unused with "
-                        "--print-config)")
+                        "--replay, which remembers it; with --print-config "
+                        "the printed spec takes its sampling section)")
     p.add_argument("--output-dir", type=Path, default=None,
                    help="output directory (default: <bedpost_dir>/track)")
     p.add_argument("--replay", type=Path, default=None, metavar="MANIFEST",
@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
                 "version's --metrics-out can be replayed"
             )
         replay_meta = manifest.get("meta", {})
-    if args.print_config:
+    if args.print_config and args.bedpost_dir is None:
         print_resolved_config(
             resolve_spec_from_args(parser, args, _TRACK_FLAG_MAP, base=base)
         )
@@ -152,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     archive, spec = resolve_archive_spec(
         parser, args, _TRACK_FLAG_MAP, bedpost_dir, base=base
     )
+    if args.print_config:
+        print_resolved_config(spec)
+        return 0
     out = args.output_dir or (bedpost_dir / "track")
     ctx, registry, n_exported = run_archive_stages(spec, archive, out)
     tracked = ctx.outcomes[TRACKING.name]
@@ -196,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         f"modeled kernel {run.kernel_seconds:.2f}s / reduce "
         f"{run.reduction_seconds:.2f}s / transfer {run.transfer_seconds:.2f}s "
         f"(CPU {run.cpu_seconds:.1f}s, {run.speedup:.1f}x); "
-        f"wrote {n_exported} fibers >= {spec.tracking.min_export_steps} "
+        f"wrote {n_exported} fibers >= {spec.telemetry.min_export_steps} "
         f"steps to {out / 'fibers.trk'}"
     )
     if conn is not None:

@@ -78,7 +78,7 @@ def resolve_archive_spec(
 def export_sample0_trk(path: Path, fields, pt: ProbtrackResult, spec, affine) -> int:
     """Write sample 0's forward streamlines as TrackVis; return the count.
 
-    Only lines of at least ``tracking.min_export_steps`` steps are kept
+    Only lines of at least ``telemetry.min_export_steps`` steps are kept
     (the paper's Figs 11/12 view).  The stage records end positions, not
     polylines, so the geometry comes from the scalar tracker, run with
     the configured interpolation over just the seeds whose stage-2
@@ -87,7 +87,7 @@ def export_sample0_trk(path: Path, fields, pt: ProbtrackResult, spec, affine) ->
     over every seed would keep.
     """
     forward = pt.run.lengths[0, : len(pt.seeds)]
-    keep = np.flatnonzero(forward >= spec.tracking.min_export_steps)
+    keep = np.flatnonzero(forward >= spec.telemetry.min_export_steps)
     lines = []
     if keep.size:
         cpu = cpu_probabilistic_tracking(

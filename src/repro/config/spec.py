@@ -9,7 +9,7 @@ truth instead:
 * five sections — ``sampling`` (stage 1), ``tracking`` (stage 2),
   ``connectome`` (stage 3, disabled unless an atlas is named),
   ``runtime`` (workers, supervision, machine presets), ``telemetry``
-  (where observability artifacts go);
+  (where observability artifacts and exports go);
 * every field is validated on construction, and every violation raises
   :class:`~repro.errors.ConfigurationError` naming the *dotted field
   path* (``tracking.min_dot``), so a bad spec file or ``--set`` override
@@ -233,8 +233,6 @@ class TrackingSpec:
     order: str = "natural"
     overlap: bool = False
     bidirectional: bool = False
-    accumulate_connectivity: bool = True
-    min_export_steps: int = 100
 
     _PREFIX = "tracking"
     _VALIDATORS = {
@@ -245,7 +243,6 @@ class TrackingSpec:
         "strategy_array": _strategy_array,
         "interpolation": _enum(INTERPOLATIONS),
         "order": _enum(ORDER_POLICIES),
-        "min_export_steps": _int_min(0),
     }
 
     def __post_init__(self) -> None:
@@ -310,7 +307,6 @@ class RuntimeSpec:
     shard_timeout_s: float | None = None
     fallback_to_serial: bool = True
     fault_plan: str | None = None
-    hang_seconds: float | None = None
     device: str = "radeon_5870"
     host: str = "phenom_x4"
     #: MCMC checkpoint cadence in loops when sampling runs against an
@@ -325,7 +321,6 @@ class RuntimeSpec:
         "bedpost_workers": _int_min(1),
         "max_retries": _int_min(0),
         "shard_timeout_s": _opt_positive,
-        "hang_seconds": _opt_positive,
         "fault_plan": _fault_plan,
         "device": _device_name,
         "host": _host_name,
@@ -338,12 +333,13 @@ class RuntimeSpec:
 
 @dataclass(frozen=True)
 class TelemetrySpec:
-    """Observability section: where the manifest and trace are written,
-    and where (whether) the run memoizes stage artifacts.
+    """Output section: where the manifest and trace are written, where
+    (whether) the run memoizes stage artifacts, and which streamlines
+    the command line tools export.
 
     Excluded from :func:`hash_spec_dict` and from every stage hash — two
-    runs that differ only in where they record or cache themselves are
-    the same run, so moving a store never invalidates its own entries.
+    runs that differ only in where they record, cache or export
+    themselves are the same run: an export edit never re-tracks.
     """
 
     metrics_out: str | None = None
@@ -354,12 +350,16 @@ class TelemetrySpec:
     #: When False (``--no-cache``) the run never *reads* store entries —
     #: every stage recomputes — but still publishes what it computes.
     cache: bool = True
+    #: Length floor, in steps, of the sample-0 streamlines that
+    #: ``repro-track`` / ``repro-connectome`` write to ``fibers.trk``.
+    min_export_steps: int = 100
 
     _PREFIX = "telemetry"
     _VALIDATORS = {
         "metrics_out": _opt_nonempty_str,
         "trace_out": _opt_nonempty_str,
         "store": _opt_nonempty_str,
+        "min_export_steps": _int_min(0),
     }
 
     def __post_init__(self) -> None:

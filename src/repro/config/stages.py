@@ -15,13 +15,14 @@ runners directly, in order.
 Hashing rules
 -------------
 
-Each stage hashes only the *subtree* of the spec it actually depends on,
-plus a caller-supplied ``inputs`` mapping fingerprinting the stage's
-data inputs (see :func:`repro.store.fingerprint_arrays`).  Execution
-policy (worker counts, retries, timeouts, fault plans, checkpoint
-cadence) and the ``telemetry`` section are excluded from every stage
-hash: results are bit-identical across all of them, so a re-run with a
-different worker count is a cache *hit*.  The only
+Each stage hashes the spec sections that parameterise it plus a
+caller-supplied ``inputs`` mapping fingerprinting the bytes it consumes
+(see :func:`repro.store.fingerprint_arrays`); an upstream section
+reaches it only through those bytes.  Execution policy (worker counts,
+retries, timeouts, fault plans, checkpoint cadence) and the
+``telemetry`` section are excluded from every stage hash: results are
+bit-identical across all of them, so a re-run with a different worker
+count is a cache *hit*.  The only
 ``runtime`` fields that may participate are a stage's declared
 ``runtime_fields`` — deterministic machine presets that shape stage
 *outputs* (the modeled timeline), not how the computation executes.
@@ -31,7 +32,7 @@ Examples
 >>> stage_names()
 ('sampling', 'tracking', 'connectome')
 >>> get_stage("tracking").spec_sections
-('sampling', 'tracking')
+('tracking',)
 >>> a = stage_hash({}, "sampling")
 >>> b = stage_hash({"tracking": {"max_steps": 7}}, "sampling")
 >>> a == b                     # tracking edits never touch stage 1
@@ -44,6 +45,10 @@ True
 ...     {"sampling": {"seed": 1}}, "sampling"
 ... )
 False
+>>> stage_hash({}, "tracking") == stage_hash(
+...     {"sampling": {"seed": 1}}, "tracking"
+... )                          # ...which reaches stage 2 via its inputs
+True
 >>> stage_hash({}, "connectome") == stage_hash(
 ...     {"connectome": {"atlas": "octant"}}, "connectome"
 ... )                          # atlas choice keys the connectome stage
@@ -102,26 +107,26 @@ SAMPLING = StageDef(name="sampling", spec_sections=("sampling",))
 
 #: Stage 2 — segmented probabilistic streamlining, sharded by posterior
 #: sample (:data:`repro.tracking.shards.TRACKING_SHARD`).  Upstream:
-#: sampling — it consumes the posterior (so the ``sampling`` section
-#: participates) plus its own section and the machine presets shaping
-#: the modeled timeline.  Store entry: ``arrays.npz``,
+#: sampling, reached only through the posterior's ``inputs``
+#: fingerprint; it hashes its own section and the machine presets
+#: shaping the modeled timeline.  Store entry: ``arrays.npz``,
 #: ``timeline.json``, ``telemetry.json``.
 TRACKING = StageDef(
     name="tracking",
-    spec_sections=("sampling", "tracking"),
+    spec_sections=("tracking",),
     runtime_fields=RUNTIME_DETERMINISTIC_FIELDS,
 )
 
 #: Stage 3 — ROI-atlas parcellation -> endpoint connectivity matrix ->
 #: graph export, folded in-process over the endpoints stage 2 recorded.
-#: Upstream: sampling and tracking.  Those endpoints depend on the
-#: sampling and tracking sections but not on machine presets (which
-#: shape only the modeled timeline) — so an atlas sweep over one tracked
-#: dataset recomputes only this stage.  Store entry: ``connectome.npz``,
-#: ``graph.json``, ``telemetry.json``.
+#: The endpoints depend on the posterior (fingerprinted in ``inputs``)
+#: and the tracking section, not on machine presets (modeled timeline
+#: only) — so an atlas sweep over one tracked dataset recomputes only
+#: this stage.  Store entry: ``connectome.npz``, ``graph.json``,
+#: ``telemetry.json``.
 CONNECTOME = StageDef(
     name="connectome",
-    spec_sections=("sampling", "tracking", "connectome"),
+    spec_sections=("tracking", "connectome"),
 )
 
 #: The pipeline in execution order; each stage consumes only earlier ones.

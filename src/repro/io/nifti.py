@@ -45,7 +45,8 @@ _CODES = {v: k for k, v in _DTYPES.items()}
 
 def _open(path: Path, mode: str):
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
+        # A zero gzip timestamp: identical volumes write identical bytes.
+        return gzip.GzipFile(path, mode, mtime=0)
     return open(path, mode)
 
 

@@ -33,6 +33,7 @@ import json
 import time
 
 import numpy as np
+from scipy import sparse
 
 from repro.config.stages import TRACKING
 from repro.gpu.timeline import Timeline
@@ -121,26 +122,23 @@ def fields_fingerprint(stack) -> str:
 def _serialize(tmp_dir, result: ProbtrackResult) -> None:
     """Write one tracking result's payload files into ``tmp_dir``."""
     run = result.run
-    arrays = {
-        "lengths": run.lengths,
-        "reasons": run.reasons,
-        "endpoints": run.endpoints,
-        "seeds": result.seeds,
-    }
     conn = result.connectivity
-    if conn is not None:
-        counts = conn.counts
-        arrays.update(
-            conn_data=counts.data,
-            conn_indices=counts.indices,
-            conn_indptr=counts.indptr,
-            conn_shape=np.asarray(counts.shape, dtype=np.int64),
-            conn_n_samples=np.int64(conn.n_samples),
-        )
+    counts = conn.counts
     # Uncompressed, like every store payload: deflating costs more time
     # than the bytes it saves (docs/storage.md), and np.load still reads
     # entries that were written compressed.
-    np.savez(tmp_dir / "arrays.npz", **arrays)
+    np.savez(
+        tmp_dir / "arrays.npz",
+        lengths=run.lengths,
+        reasons=run.reasons,
+        endpoints=run.endpoints,
+        seeds=result.seeds,
+        conn_data=counts.data,
+        conn_indices=counts.indices,
+        conn_indptr=counts.indptr,
+        conn_shape=np.asarray(counts.shape, dtype=np.int64),
+        conn_n_samples=np.int64(conn.n_samples),
+    )
     (tmp_dir / "timeline.json").write_text(
         json.dumps(
             {
@@ -183,19 +181,13 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
         wall_seconds=time.perf_counter() - t0,
         peak_device_bytes=int(timeline_doc["peak_device_bytes"]),
     )
-    connectivity = None
-    if "conn_data" in blob:
-        from scipy import sparse
-
-        shape = tuple(int(x) for x in blob["conn_shape"])
-        connectivity = ConnectivityAccumulator(
-            n_seeds=shape[0], n_voxels=shape[1]
-        )
-        connectivity.n_samples = int(blob["conn_n_samples"])
-        connectivity._counts_cache = sparse.csr_matrix(
-            (blob["conn_data"], blob["conn_indices"], blob["conn_indptr"]),
-            shape=shape,
-        )
+    shape = tuple(int(x) for x in blob["conn_shape"])
+    connectivity = ConnectivityAccumulator(n_seeds=shape[0], n_voxels=shape[1])
+    connectivity.n_samples = int(blob["conn_n_samples"])
+    connectivity._counts_cache = sparse.csr_matrix(
+        (blob["conn_data"], blob["conn_indices"], blob["conn_indptr"]),
+        shape=shape,
+    )
     return ProbtrackResult(
         run=run,
         connectivity=connectivity,

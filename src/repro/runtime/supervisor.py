@@ -137,16 +137,16 @@ class RetryPolicy:
     def from_runtime(cls, runtime: "RuntimeSpec") -> "RetryPolicy":
         """The policy a run spec's ``runtime`` section describes.
 
-        An unset ``hang_seconds`` is 4x the timeout, else 30 s, so an
-        injected hang never outlives a missing timeout by more than that.
+        An injected hang sleeps 4x the timeout, else 30 s, so it never
+        outlives a missing timeout by more than that.
         """
         timeout = runtime.shard_timeout_s
         plan = None
         if runtime.fault_plan:
-            hang = runtime.hang_seconds
-            if hang is None:
-                hang = timeout * 4 if timeout else 30.0
-            plan = FaultPlan.parse(runtime.fault_plan, hang_seconds=hang)
+            plan = FaultPlan.parse(
+                runtime.fault_plan,
+                hang_seconds=timeout * 4 if timeout else 30.0,
+            )
         return cls(
             max_retries=runtime.max_retries,
             shard_timeout_s=timeout,

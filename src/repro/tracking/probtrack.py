@@ -57,7 +57,6 @@ class ProbtrackConfig:
     interpolation: str = "trilinear"
     order: str = "natural"
     overlap: bool = False
-    accumulate_connectivity: bool = True
     #: Launch each seed in both senses of its strongest population (FSL's
     #: default behaviour; the paper does not specify).  Thread count and
     #: the modeled workload double; connectivity merges the two passes.
@@ -90,10 +89,9 @@ class ProbtrackConfig:
     @classmethod
     def from_run_spec(cls, spec: "RunSpec") -> "ProbtrackConfig":
         """Build the stage-2 config from a resolved
-        :class:`~repro.config.spec.RunSpec`: its ``tracking`` section
-        (all but ``min_export_steps``, which only the CLIs' ``.trk``
-        exports read), the machine presets, and the tracking pool's
-        share of ``runtime``."""
+        :class:`~repro.config.spec.RunSpec`: its ``tracking`` section,
+        the machine presets, and the tracking pool's share of
+        ``runtime``."""
         t, rt = spec.tracking, spec.runtime
         return cls(
             criteria=TerminationCriteria(
@@ -108,7 +106,6 @@ class ProbtrackConfig:
             interpolation=t.interpolation,
             order=t.order,
             overlap=t.overlap,
-            accumulate_connectivity=t.accumulate_connectivity,
             bidirectional=t.bidirectional,
             n_workers=rt.n_workers,
             supervision=RetryPolicy.from_runtime(rt),
@@ -124,7 +121,7 @@ class ProbtrackResult:
     run:
         Functional results + modeled time decomposition.
     connectivity:
-        The seed-by-voxel accumulator (None if disabled).
+        The seed-by-voxel accumulator.
     seeds:
         The ``(n_seeds, 3)`` launch positions.
     max_steps:
@@ -137,7 +134,7 @@ class ProbtrackResult:
     """
 
     run: TrackingRunResult
-    connectivity: ConnectivityAccumulator | None
+    connectivity: ConnectivityAccumulator
     seeds: np.ndarray
     max_steps: int
 
@@ -153,8 +150,6 @@ class ProbtrackResult:
     @property
     def connectivity_probability(self):
         """Sparse ``P(exists seed -> voxel)`` matrix."""
-        if self.connectivity is None:
-            raise TrackingError("connectivity accumulation was disabled")
         return self.connectivity.probability()
 
 
@@ -212,13 +207,11 @@ def probabilistic_streamlining(
         )
         seed_map = np.concatenate([np.arange(n_seeds), np.arange(n_seeds)])
 
-    accumulator = None
-    if cfg.accumulate_connectivity:
-        accumulator = ConnectivityAccumulator(
-            n_seeds=n_seeds,
-            n_voxels=int(np.prod(stack.shape3)),
-            seed_map=seed_map,
-        )
+    accumulator = ConnectivityAccumulator(
+        n_seeds=n_seeds,
+        n_voxels=int(np.prod(stack.shape3)),
+        seed_map=seed_map,
+    )
     tracker = SegmentedTracker(
         device=cfg.device,
         host=cfg.host,

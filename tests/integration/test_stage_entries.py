@@ -6,17 +6,18 @@
   same files, with the same sampling and tracking sections, publish
   exactly one entry per stage into a shared store, in either order;
   whichever side runs second hits on every stage, and the CLI files
-  come out the same either way.
+  come out the same, byte for byte, either way.  The ``.trk`` export
+  floor (``telemetry.min_export_steps``) keys no stage: the workflow
+  runs without the CLI's value, and an export edit is a tracking hit.
 * **The archive carries its sampling section.**  ``repro-track`` takes
-  its ``sampling`` section from ``samples.npz`` and records it in its
-  manifest; a layer that asks for a different sampling value is a
-  parser error.
+  its ``sampling`` section from ``samples.npz``, records it in its
+  manifest and prints it with ``--print-config``; a layer that asks for
+  a different sampling value is a parser error.
 * **Reproducible entries.**  One spec run cold into two stores writes
   byte-identical trees for all three stages: no measured figure is
   stored.
 """
 
-import gzip
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,20 +41,14 @@ from repro.telemetry import (
 
 STAGES = ("sampling", "tracking", "connectome")
 BURNIN, SAMPLES, MAX_STEPS, MIN_EXPORT = 20, 3, 150, 5
-#: The sections both entry points run with.
+#: The sections both entry points run with (the CLI adds its export
+#: floor, which keys no stage).
 DOC = {
     "sampling": {"n_burnin": BURNIN, "n_samples": SAMPLES},
-    "tracking": {"max_steps": MAX_STEPS, "min_export_steps": MIN_EXPORT},
+    "tracking": {"max_steps": MAX_STEPS},
     "connectome": {"atlas": "octant"},
 }
 CLI_OUTPUTS = ("fibers.trk", "lengths.txt", "density.nii.gz", "graph.json")
-
-
-def payload(path: Path) -> bytes:
-    """A file's bytes; a gzip file's uncompressed bytes (its header
-    stamps the time of writing)."""
-    data = path.read_bytes()
-    return gzip.decompress(data) if path.suffix == ".gz" else data
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +139,7 @@ class TestCliAndWorkflowShareEntries:
     def test_cli_files_do_not_depend_on_the_order(self, cli_first, workflow_first):
         a, b = cli_first[2], workflow_first[2]
         for name in CLI_OUTPUTS:
-            assert payload(a / name) == payload(b / name), name
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert json.loads((a / "graph.json").read_text())["n_streamlines"] > 0
         # A hit on a workflow-made entry still exports its lines.
         assert (b / "fibers.trk").stat().st_size > 1000
@@ -166,6 +161,24 @@ class TestCliAndWorkflowShareEntries:
         ]
         for out_dir, entry_dir, name in pairs:
             assert (out_dir / name).read_bytes() == (entry_dir / name).read_bytes(), name
+
+    def test_export_floor_edit_is_a_tracking_hit(self, workflow_first, tmp_path):
+        root, store, track_dir, wr = workflow_first
+        out = tmp_path / "floor"
+        assert track_main([
+            str(root / "bedpost"), "--max-steps", str(MAX_STEPS),
+            "--min-export-steps", str(MAX_STEPS), "--store", str(store),
+            "--output-dir", str(out), "--metrics-out", str(tmp_path / "m.json"),
+        ]) == 0
+        cache = load_manifest(tmp_path / "m.json")["cache"]
+        assert cache["tracking_hit"]
+        assert cache["stage_keys"]["tracking"] == wr.cache["stage_keys"]["tracking"]
+        assert (out / "lengths.txt").read_bytes() == (
+            track_dir / "lengths.txt"
+        ).read_bytes()
+        assert (out / "fibers.trk").read_bytes() != (
+            track_dir / "fibers.trk"
+        ).read_bytes()
 
 
 class TestArchiveSamplingSection:
@@ -198,6 +211,16 @@ class TestArchiveSamplingSection:
         with pytest.raises(SystemExit):
             track_main([str(cli_first[0] / "bedpost"), "--config", str(cfg)])
         assert "sampling.seed=9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("main", [track_main, connectome_main])
+    def test_print_config_shows_the_archives_sampling(self, cli_first, capsys, main):
+        assert main([str(cli_first[0] / "bedpost"), "--print-config"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["sampling"]["n_samples"] == SAMPLES
+        # Without an archive the defaults print, as before.
+        assert main(["--print-config"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["sampling"]["n_samples"] == RunSpec().sampling.n_samples
 
     def test_agreeing_sampling_value_is_accepted(self, cli_first, tmp_path):
         assert track_main([

@@ -62,9 +62,7 @@ RUN_SPEC_DICTS = st.fixed_dictionaries(
                 "order": st.sampled_from(["natural", "sorted"]),
                 "overlap": st.booleans(),
                 "bidirectional": st.booleans(),
-                "accumulate_connectivity": st.booleans(),
                 "f_threshold": st.floats(0.0, 0.99, allow_nan=False),
-                "min_export_steps": st.integers(0, 500),
             },
         ),
         "runtime": st.fixed_dictionaries(
@@ -80,9 +78,6 @@ RUN_SPEC_DICTS = st.fixed_dictionaries(
                 "fault_plan": st.sampled_from(
                     [None, "crash:0", "hang:1:*", "crash:s2,corrupt:0:1"]
                 ),
-                "hang_seconds": st.one_of(
-                    st.none(), st.floats(0.1, 60.0, allow_nan=False)
-                ),
                 "device": st.sampled_from(sorted(DEVICE_PRESETS)),
                 "host": st.sampled_from(sorted(HOST_PRESETS)),
                 "checkpoint_every_loops": st.integers(0, 500),
@@ -94,6 +89,7 @@ RUN_SPEC_DICTS = st.fixed_dictionaries(
                 "metrics_out": st.one_of(
                     st.none(), st.just("m.json"), st.just("other.json")
                 ),
+                "min_export_steps": st.integers(0, 500),
             },
         ),
     },
@@ -129,22 +125,8 @@ def test_hash_ignores_telemetry_only(doc):
     assert rerouted.content_hash() == spec.content_hash()
 
 
-#: Spec fields no stage config holds: the ``.trk`` export cut-off is
-#: read by the CLIs alone.
-NOT_IN_STAGE_CONFIGS = {"tracking.min_export_steps"}
-
-
 def _strategy(spec):
     return strategy_from_spec(spec.tracking.strategy, spec.tracking.strategy_array)
-
-
-def _hang_seconds(spec):
-    rt = spec.runtime
-    if not rt.fault_plan:
-        return None
-    if rt.hang_seconds is not None:
-        return rt.hang_seconds
-    return rt.shard_timeout_s * 4 if rt.shard_timeout_s else 30.0
 
 
 #: Spec fields a stage config holds in another form than the spec's.
@@ -157,7 +139,6 @@ AS_HELD = {
         FaultPlan.parse(spec.runtime.fault_plan).faults
         if spec.runtime.fault_plan else None
     ),
-    "runtime.hang_seconds": _hang_seconds,
 }
 
 
@@ -183,7 +164,6 @@ def _shared(cfg) -> dict:
         "runtime.shard_timeout_s": cfg.supervision.shard_timeout_s,
         "runtime.fallback_to_serial": cfg.supervision.fallback_to_serial,
         "runtime.fault_plan": plan.faults if plan else None,
-        "runtime.hang_seconds": plan.hang_seconds if plan else None,
     }
 
 
@@ -198,10 +178,7 @@ def _bedpost_held(cfg) -> dict:
 
 def _probtrack_held(cfg) -> dict:
     held = {f"tracking.{k}": v for k, v in asdict(cfg.criteria).items()}
-    for name in (
-        "interpolation", "order", "overlap", "bidirectional",
-        "accumulate_connectivity",
-    ):
+    for name in ("interpolation", "order", "overlap", "bidirectional"):
         held[f"tracking.{name}"] = getattr(cfg, name)
     held["tracking.strategy"] = held["tracking.strategy_array"] = cfg.strategy
     held["runtime.n_workers"] = cfg.n_workers
@@ -217,8 +194,7 @@ def test_stage_configs_cover_every_stage_field():
         for cls in (SamplingSpec, TrackingSpec, RuntimeSpec)
         for f in fields(cls)
     }
-    assert held | NOT_IN_STAGE_CONFIGS == every
-    assert not held & NOT_IN_STAGE_CONFIGS
+    assert held == every
 
 
 @given(doc=RUN_SPEC_DICTS)

@@ -9,6 +9,8 @@ suite proves it end to end on :func:`~repro.pipeline.run_workflow`:
   sections, across worker counts {1, 2, 4};
 * a run that edits only tracking parameters *reuses* the sampling
   artifact (hash hit) while a sampling edit misses;
+* a sampling edit reaches stages 2-3 only through the posterior they
+  consume: over the same posterior, both are hits;
 * the acceptance scenario: a tracking sweep of three specs over one
   sampling configuration runs MCMC exactly once;
 * the service path (ISSUE 9): a manifest served by
@@ -156,6 +158,31 @@ class TestStageReuse:
         assert wr.cache["sampling_hit"] is False
         assert wr.cache["tracking_hit"] is False
 
+    def test_sampling_section_keys_only_the_sampling_stage(
+        self, phantom, store_root, tmp_path
+    ):
+        # Two specs differing only in sampling.n_burnin, run over one
+        # posterior: stages 2-3 key that posterior's fingerprint, not
+        # the sampling section, so the second run hits both.
+        from repro.pipeline.runners import (
+            StageContext,
+            run_connectome_stage,
+            run_tracking_stage,
+        )
+
+        fields = run_once(phantom, make_spec(store_root))[0].bedpost.fields
+        hits = []
+        for n_burnin in (20, 30):
+            spec = make_spec(
+                tmp_path / "s",
+                sampling={"n_burnin": n_burnin},
+                connectome={"atlas": "octant"},
+            )
+            ctx = StageContext.from_spec(spec, fields=fields)
+            tracked = ctx.outcomes["tracking"] = run_tracking_stage(ctx)
+            hits.append((tracked.hit, run_connectome_stage(ctx).hit))
+        assert hits == [(False, False), (True, True)]
+
 
 class TestAcceptanceSweep:
     def test_three_spec_sweep_samples_once(self, phantom, tmp_path):
@@ -229,11 +256,18 @@ def test_execution_policy_moves_no_key(edit):
     ),
     delta=st.integers(min_value=1, max_value=50),
 )
-def test_sampling_edits_move_both_keys(field, delta):
+def test_sampling_edits_move_only_the_sampling_key(field, delta):
+    # Stages 2-3 see a sampling edit only through the posterior
+    # fingerprint in their inputs: over the same inputs they keep keys.
     default = RunSpec().to_dict()["sampling"][field]
     doc = {"sampling": {field: default + delta}}
     assert stage_hash(doc, "sampling") != stage_hash({}, "sampling")
-    assert stage_hash(doc, "tracking") != stage_hash({}, "tracking")
+    for stage in ("tracking", "connectome"):
+        inputs = {"fields": "sha256:posterior"}
+        assert stage_hash(doc, stage, inputs) == stage_hash({}, stage, inputs)
+        assert stage_hash(doc, stage, inputs) != stage_hash(
+            doc, stage, {"fields": "sha256:other"}
+        )
 
 
 @settings(max_examples=20, deadline=None)

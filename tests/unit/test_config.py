@@ -345,26 +345,33 @@ def hash_spec_dict_unchecked(doc):
 
 
 #: Table of (dotted override, which stage hashes it must move).
-#: Sampling edits cascade to every downstream stage; tracking edits to
-#: tracking + connectome; connectome edits move only their own stage.
-#: () means execution policy or telemetry routing — no stage hash may
-#: move.
+#: A stage hashes only the sections that parameterise it: sampling
+#: edits move the sampling hash alone (they reach stages 2-3 through
+#: the posterior fingerprint in their inputs), tracking edits move
+#: tracking + connectome, connectome edits move only their own stage.
+#: () means execution policy, telemetry routing or export — no stage
+#: hash may move.
 STAGE_HASH_CASES = [
-    ("sampling.seed", 9, ("sampling", "tracking", "connectome")),
-    ("sampling.n_burnin", 99, ("sampling", "tracking", "connectome")),
-    ("sampling.n_samples", 7, ("sampling", "tracking", "connectome")),
-    ("sampling.sample_interval", 5, ("sampling", "tracking", "connectome")),
-    ("sampling.adapt_every", 11, ("sampling", "tracking", "connectome")),
-    ("sampling.n_fibers", 1, ("sampling", "tracking", "connectome")),
-    ("sampling.ard", True, ("sampling", "tracking", "connectome")),
-    ("sampling.noise_model", "rician", ("sampling", "tracking", "connectome")),
-    ("sampling.f_threshold", 0.1, ("sampling", "tracking", "connectome")),
+    ("sampling.seed", 9, ("sampling",)),
+    ("sampling.n_burnin", 99, ("sampling",)),
+    ("sampling.n_samples", 7, ("sampling",)),
+    ("sampling.sample_interval", 5, ("sampling",)),
+    ("sampling.adapt_every", 11, ("sampling",)),
+    ("sampling.n_fibers", 1, ("sampling",)),
+    ("sampling.ard", True, ("sampling",)),
+    ("sampling.noise_model", "rician", ("sampling",)),
+    ("sampling.f_threshold", 0.1, ("sampling",)),
+    ("sampling.block_voxels", 7, ("sampling",)),
     ("tracking.max_steps", 7, ("tracking", "connectome")),
     ("tracking.min_dot", 0.5, ("tracking", "connectome")),
     ("tracking.step_length", 0.4, ("tracking", "connectome")),
     ("tracking.strategy", "b", ("tracking", "connectome")),
     ("tracking.bidirectional", True, ("tracking", "connectome")),
     ("tracking.interpolation", "nearest", ("tracking", "connectome")),
+    ("tracking.f_threshold", 0.2, ("tracking", "connectome")),
+    ("tracking.strategy_array", [4, 8], ("tracking", "connectome")),
+    ("tracking.order", "sorted", ("tracking", "connectome")),
+    ("tracking.overlap", True, ("tracking", "connectome")),
     ("connectome.atlas", "octant", ("connectome",)),
     ("connectome.min_steps", 25, ("connectome",)),
     ("connectome.normalize", "fraction", ("connectome",)),
@@ -375,6 +382,7 @@ STAGE_HASH_CASES = [
     # hash must *not* move (an atlas sweep survives a machine change).
     ("runtime.device", "nvidia_warp32", ("tracking",)),
     ("runtime.n_workers", 8, ()),
+    ("runtime.bedpost_workers", 2, ()),
     ("runtime.max_retries", 9, ()),
     ("runtime.shard_timeout_s", 4.0, ()),
     ("runtime.fallback_to_serial", False, ()),
@@ -383,6 +391,8 @@ STAGE_HASH_CASES = [
     ("telemetry.metrics_out", "m.json", ()),
     ("telemetry.store", "some/store", ()),
     ("telemetry.cache", False, ()),
+    ("telemetry.trace_out", "t.json", ()),
+    ("telemetry.min_export_steps", 5, ()),
 ]
 
 
@@ -399,6 +409,15 @@ class TestStageHashes:
             assert changed == (stage in moved), (
                 f"{path} {'moved' if changed else 'kept'} the {stage} hash"
             )
+
+    def test_table_covers_every_field(self):
+        # runtime.host has a single preset, so it cannot be varied.
+        every = {
+            f"{section}.{name}"
+            for section, doc in RunSpec().to_dict().items()
+            for name in doc
+        }
+        assert {c[0] for c in STAGE_HASH_CASES} | {"runtime.host"} == every
 
     def test_defaults_hash_like_partial_docs(self):
         # Normalization: omitted sections == explicit defaults.
@@ -418,10 +437,10 @@ class TestStageHashes:
         sub = stage_subtree({}, "sampling")
         assert set(sub) == {"sampling"}
         sub = stage_subtree({}, "tracking")
-        assert set(sub) == {"sampling", "tracking", "runtime"}
+        assert set(sub) == {"tracking", "runtime"}
         assert set(sub["runtime"]) == set(RUNTIME_DETERMINISTIC_FIELDS)
         sub = stage_subtree({}, "connectome")
-        assert set(sub) == {"sampling", "tracking", "connectome"}
+        assert set(sub) == {"tracking", "connectome"}
 
     def test_inputs_participate(self):
         base = stage_hash({}, "sampling")

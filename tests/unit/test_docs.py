@@ -67,3 +67,22 @@ def test_example_specs_resolve():
         assert checker.check_example_specs() == []
     finally:
         sys.path.remove(str(REPO / "src"))
+
+
+def test_spec_table_names_every_field_once():
+    checker = load_checker()
+    sys.path.insert(0, str(REPO / "src"))
+    try:
+        assert checker.check_spec_table() == []
+        page = (REPO / checker.SPEC_TABLE_PAGE).read_text()
+        row = next(
+            line for line in page.splitlines()
+            if line.startswith("| `tracking.max_steps`")
+        )
+        assert checker.check_spec_table(page.replace(row + "\n", "")) == [
+            f"{checker.SPEC_TABLE_PAGE}: field table names "
+            "tracking.max_steps 0 times"
+        ]
+        assert len(checker.check_spec_table(page + row + "\n")) == 1
+    finally:
+        sys.path.remove(str(REPO / "src"))

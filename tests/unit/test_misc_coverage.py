@@ -92,7 +92,6 @@ class TestDegenerateLengthFit:
         cfg = ProbtrackConfig(
             criteria=TerminationCriteria(max_steps=10),
             strategy=UniformStrategy(5),
-            accumulate_connectivity=False,
         )
         res = probabilistic_streamlining(
             [field], config=cfg, seeds=np.array([[3.0, 3.0, 3.0]])

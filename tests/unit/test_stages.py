@@ -15,21 +15,27 @@ from repro.errors import ConfigurationError
 
 PINNED_DEFAULT_KEYS = {
     "sampling": "sha256:90acec57247d4d4d9bf80d726390182aa4442f1ae9f347838d954b48df7fabbc",
-    "tracking": "sha256:5157520d25609f531d3f6ef9cea6e909660bb261daef98346fe390cf977bd30e",
-    "connectome": "sha256:60e5245e23dbb69ba6e20bbd2c0e11c186e0c2b8c8b5c65521418e734b24a661",
+    "tracking": "sha256:3faf66aa7b8126589c872a9b6714f6bfe70c1deb5c2ccf562252ae46ec0c996e",
+    "connectome": "sha256:3ea65e1522d51a2098552af965170d1a9e04b9c5e71e0022a78f6a8efd7e960b",
 }
 
 
 class TestStageTable:
     def test_stages_in_topo_order(self):
-        # A stage hashes the spec sections of the stages it consumes;
-        # each of those must come no later than the stage itself.
+        # A stage hashes the spec sections that parameterise it: its own
+        # and, for the connectome, the tracking section whose endpoints
+        # it folds.  Upstream outputs reach a key only through the input
+        # fingerprints, so no stage hashes a section of a later stage
+        # and none hashes ``sampling`` but the sampling stage itself.
         names = stage_names()
         assert names == ("sampling", "tracking", "connectome")
         for i, name in enumerate(names):
-            for section in get_stage(name).spec_sections:
+            sections = get_stage(name).spec_sections
+            assert name in sections
+            for section in sections:
                 if section in names:
                     assert names.index(section) <= i
+            assert ("sampling" in sections) == (name == "sampling")
 
     def test_get_stage_unknown_raises(self):
         with pytest.raises(ConfigurationError, match="unknown stage"):
@@ -43,12 +49,12 @@ class TestPinnedStageKeys:
 
     def test_non_default_key(self):
         key = stage_hash(
-            {"sampling": {"seed": 3}, "runtime": {"n_workers": 4}},
+            {"tracking": {"max_steps": 3}, "runtime": {"n_workers": 4}},
             "tracking",
             inputs={"fields": "x"},
         )
         assert key == (
-            "sha256:248f6419dbb4cb4cec7012e2ebccd8f6345a868761db5606ae6c9b3381d28c02"
+            "sha256:2959976a8391ab92b11313a904062e13df6f3c1b8cc9eb7f66d6e3adf751e74a"
         )
 
 

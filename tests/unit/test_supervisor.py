@@ -95,10 +95,6 @@ class TestRetryPolicy:
         timed = RetryPolicy.from_runtime(
             RuntimeSpec(fault_plan="hang:0", shard_timeout_s=1.5))
         assert timed.fault_plan.hang_seconds == 6.0
-        explicit = RetryPolicy.from_runtime(
-            RuntimeSpec(fault_plan="hang:0", shard_timeout_s=1.5,
-                        hang_seconds=2.0))
-        assert explicit.fault_plan.hang_seconds == 2.0
         policy = RetryPolicy.from_runtime(
             RuntimeSpec(max_retries=4, fallback_to_serial=False,
                         fault_plan="crash:0,corrupt:s3:*"))

@@ -372,14 +372,13 @@ class TestProbtrack:
         field = uniform_x_field()
         cfg = ProbtrackConfig(
             criteria=TerminationCriteria(max_steps=50, step_length=0.5),
-            accumulate_connectivity=False,
         )
         seeds = np.array([[1.0, 4.0, 4.0], [2.0, 3.0, 3.0]])
         result = probabilistic_streamlining([field], config=cfg, seeds=seeds)
         assert result.run.n_seeds == 2
-        assert result.connectivity is None
-        with pytest.raises(TrackingError):
-            _ = result.connectivity_probability
+        assert result.connectivity_probability.shape == (
+            2, int(np.prod(field.shape3))
+        )
 
     def test_validation(self):
         with pytest.raises(TrackingError):

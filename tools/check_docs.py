@@ -13,7 +13,10 @@ unit test keeps it honest locally):
   ``doctest.testmod``;
 * every example run spec in ``examples/specs/`` must resolve to a valid
   ``RunSpec`` that builds both stage configs (the CI job additionally
-  resolves each through ``repro-track --config ... --print-config``).
+  resolves each through ``repro-track --config ... --print-config``);
+* the field table in ``docs/configuration.md`` must name every
+  ``RunSpec`` field (read from ``dataclasses.fields``) exactly once, and
+  nothing else.
 
 Exit status is the number of failures (0 = clean).
 """
@@ -24,6 +27,8 @@ import doctest
 import importlib
 import re
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,8 +62,13 @@ DOCTEST_MODULES = (
     "repro.service.jobs",
 )
 
+#: The page whose table classifies every ``RunSpec`` field.
+SPEC_TABLE_PAGE = "docs/configuration.md"
+
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: A table row whose first cell is a dotted field path: | `a.b` | ...
+_FIELD_ROW = re.compile(r"^\|\s*`(\w+\.\w+)`\s*\|", re.MULTILINE)
 
 
 def iter_local_links(text: str):
@@ -119,10 +129,39 @@ def check_example_specs() -> list[str]:
     return errors
 
 
+def check_spec_table(text: str | None = None) -> list[str]:
+    """Return one error string per ``RunSpec`` field the configuration
+    table names other than exactly once, and per row naming no field."""
+    from repro.config import RunSpec
+
+    if text is None:
+        text = (REPO / SPEC_TABLE_PAGE).read_text()
+    spec = RunSpec()
+    every = {
+        f"{section.name}.{f.name}"
+        for section in fields(spec)
+        for f in fields(getattr(spec, section.name))
+    }
+    rows = Counter(_FIELD_ROW.findall(_CODE_FENCE.sub("", text)))
+    errors = [
+        f"{SPEC_TABLE_PAGE}: field table names {path} {rows[path]} times"
+        for path in sorted(every)
+        if rows[path] != 1
+    ]
+    errors += [
+        f"{SPEC_TABLE_PAGE}: field table row {path} is no RunSpec field"
+        for path in sorted(set(rows) - every)
+    ]
+    return errors
+
+
 def main() -> int:
     """Run every check; print failures; exit with their count."""
     sys.path.insert(0, str(REPO / "src"))
-    errors = check_links() + check_doctests() + check_example_specs()
+    errors = (
+        check_links() + check_doctests() + check_example_specs()
+        + check_spec_table()
+    )
     for err in errors:
         print(f"FAIL {err}")
     if not errors:
