@@ -17,8 +17,9 @@ workload and records, side by side:
 The workload is the paper's many-sample tracking run at reduced scale:
 ``N_SAMPLES`` posterior-like sample volumes, ``N_SEEDS`` seeds each,
 serial process.  The only assertion is functional: every strategy yields
-identical lengths (segmentation is scheduling, never semantics).  Walls
-are recorded, not gated — the CI smoke runs at ``REPRO_BENCH_SCALE=0.25``.
+identical lengths, stop reasons and endpoints — host segments are
+scheduling, never semantics.  Walls are recorded, not gated — the CI
+smoke runs at ``REPRO_BENCH_SCALE=0.25``.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ def test_segmentation_report(benchmark, capsys):
                 run = tracker.run(fields, seeds, CRITERIA, strat)
                 walls.append(time.perf_counter() - t0)
             if baseline is None:
-                baseline = run.lengths
+                baseline = run
             else:
-                np.testing.assert_array_equal(run.lengths, baseline)
+                for name in ("lengths", "reasons", "endpoints"):
+                    np.testing.assert_array_equal(
+                        getattr(run, name), getattr(baseline, name), err_msg=name
+                    )
             wall = min(walls)
             modeled = table4_row(strat.name, run)
             rows[strat.name] = {
@@ -104,7 +108,7 @@ def test_segmentation_report(benchmark, capsys):
                 "scale": SCALE,
                 "n_samples": N_SAMPLES,
                 "n_seeds": int(len(seeds)),
-                "total_steps": int(baseline.sum()),
+                "total_steps": baseline.total_steps,
                 "step_length": CRITERIA.step_length,
                 "min_dot": CRITERIA.min_dot,
                 "max_steps": CRITERIA.max_steps,
@@ -119,7 +123,9 @@ def test_segmentation_report(benchmark, capsys):
                 "'modeled' block is the Table IV decomposition on the "
                 "Radeon 5870 machine model, computed from the run's "
                 "per-thread step counts, not measured.  Every strategy is "
-                "asserted to yield identical lengths." % REPS
+                "asserted to yield identical lengths, stop reasons and "
+                "endpoints: host segments are scheduling, never "
+                "semantics." % REPS
             ),
         }
 

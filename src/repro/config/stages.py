@@ -119,15 +119,13 @@ TRACKING = StageDef(
 
 #: Stage 3 — ROI-atlas parcellation -> endpoint connectivity matrix ->
 #: graph export, folded in-process over the endpoints stage 2 recorded.
-#: The endpoints depend on the posterior (fingerprinted in ``inputs``)
-#: and the tracking section, not on machine presets (modeled timeline
-#: only) — so an atlas sweep over one tracked dataset recomputes only
-#: this stage.  Store entry: ``connectome.npz``, ``graph.json``,
+#: Upstream: tracking, reached only through the ``inputs`` fingerprint
+#: of the seeds, lengths, endpoints and grid shape it folds — so an
+#: atlas sweep over one tracked dataset recomputes only this stage, and
+#: a tracking edit that leaves those bytes alone (strategy, order,
+#: overlap) reuses it.  Store entry: ``connectome.npz``, ``graph.json``,
 #: ``telemetry.json``.
-CONNECTOME = StageDef(
-    name="connectome",
-    spec_sections=("tracking", "connectome"),
-)
+CONNECTOME = StageDef(name="connectome", spec_sections=("connectome",))
 
 #: The pipeline in execution order; each stage consumes only earlier ones.
 _PIPELINE = (SAMPLING, TRACKING, CONNECTOME)

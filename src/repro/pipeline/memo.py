@@ -23,8 +23,9 @@ sparse connectivity matrix:
 
 Only deterministic outputs are stored, so an entry's bytes are a
 function of its key: measured quantities (wall seconds, per-worker
-walls, the supervision report) stay in the run's telemetry, and a hit
-reports its own rehydrate wall as ``run.wall_seconds``.
+walls, the supervision report and its ``retry`` events) stay with the
+live run, and a hit reports its own rehydrate wall as
+``run.wall_seconds``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
                         "stream": e.stream,
                     }
                     for e in run.timeline.events
+                    # Measured recovery records stay with the live run.
+                    if e.kind != "retry"
                 ],
                 "cpu_seconds": run.cpu_seconds,
                 "peak_device_bytes": run.peak_device_bytes,

@@ -76,7 +76,6 @@ class StageContext:
     seed_mask: Any = None
     #: Completed stages' outcomes, in execution order.
     outcomes: dict[str, StageOutcome] = dc_field(default_factory=dict)
-    _fields_fp: str | None = None
 
     @classmethod
     def from_spec(cls, spec: RunSpec, **inputs) -> "StageContext":
@@ -87,14 +86,6 @@ class StageContext:
 
             store = ArtifactStore(spec.telemetry.store)
         return cls(spec=spec, store=store, **inputs)
-
-    def fields_fp(self) -> str:
-        """Fingerprint of the posterior stack, computed once per run."""
-        if self._fields_fp is None:
-            from repro.pipeline.memo import fields_fingerprint
-
-            self._fields_fp = fields_fingerprint(self.fields)
-        return self._fields_fp
 
     def cache_section(self) -> dict | None:
         """The manifest ``cache`` section of the stages run so far."""
@@ -127,7 +118,7 @@ def run_sampling_stage(ctx: StageContext) -> StageOutcome:
 
 def run_tracking_stage(ctx: StageContext) -> StageOutcome:
     """Stage 2: probabilistic streamlining, memoized when a store is live."""
-    from repro.pipeline.memo import memoized_streamlining
+    from repro.pipeline.memo import fields_fingerprint, memoized_streamlining
     from repro.store import fingerprint_arrays
 
     eff_seed_mask = ctx.seed_mask
@@ -139,7 +130,7 @@ def run_tracking_stage(ctx: StageContext) -> StageOutcome:
         key = ctx.spec.stage_hash(
             TRACKING.name,
             inputs={
-                "fields": ctx.fields_fp(),
+                "fields": fields_fingerprint(ctx.fields),
                 "seed_mask": fingerprint_arrays(seed_mask=eff_seed_mask),
             },
         )
@@ -172,11 +163,17 @@ def run_connectome_stage(ctx: StageContext) -> StageOutcome | None:
     pt = ctx.outcomes[TRACKING.name].result
     key = None
     if ctx.store is not None:
+        # Fingerprint exactly what the fold reads; tracking options
+        # reach this key only through the endpoints they produce.
         key = spec.stage_hash(
             CONNECTOME.name,
             inputs={
-                "fields": ctx.fields_fp(),
-                "seeds": fingerprint_arrays(seeds=pt.seeds),
+                "tracks": fingerprint_arrays(
+                    seeds=pt.seeds,
+                    lengths=pt.run.lengths,
+                    endpoints=pt.run.endpoints,
+                    grid_shape=np.asarray(ctx.fields.shape3, dtype=np.int64),
+                ),
             },
         )
     with get_registry().span(f"workflow.{CONNECTOME.name}"):

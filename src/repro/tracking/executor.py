@@ -2,33 +2,36 @@
 
 The paper's schedule, per sample volume: upload the field images; then,
 per segment, upload the (compacted) start points, launch the bounded
-kernel, read the endpoints back, and compact on the host.  Every action
-is charged to the machine model and logged on a
-:class:`~repro.gpu.timeline.Timeline`, so a run yields *both* the
-functional results (per-seed fiber lengths, endpoints, visits) and the
-paper's time decomposition (kernel / reduction / transfer — Tables II
-and IV).
+kernel, read the endpoints back, and compact on the host.  A run yields
+*both* the functional results (per-seed fiber lengths, endpoints,
+visits) and the paper's time decomposition (kernel / reduction /
+transfer — Tables II and IV), in two steps:
 
-The host executes that schedule fused: the shard-local samples of the
-one posterior :class:`~repro.models.fields.FiberStack` run as a single
-lockstep batch whose threads are ``(sample, seed)`` pairs, and each
-segment is one :meth:`~repro.tracking.batch.BatchTracker.run_segment`
-call over all samples, compacting at segment boundaries.  Each row's
-arithmetic depends only on its own position, heading and sample, and
-the stacked gather (``sample * n_vox + flat``) reads exactly the bytes
-a per-sample gather would, so a fused run is bit-identical to tracking
-each sample alone.  The modeled accounting stays per sample: each
-launch's per-thread executed counts are split by sample — each slice
-is, in launch order, exactly what that sample's own Algorithm 1 launch
-would have executed — and the events and
-:class:`~repro.gpu.simulator.KernelLaunch` records are emitted in
-sample-major order.  The model is therefore a function of the measured
-per-thread step counts only, never of how the host schedules them.
+* the **kernel** (:meth:`SegmentedTracker.track`) tracks every sample of
+  one posterior :class:`~repro.models.fields.FiberStack` as a single
+  lockstep batch whose threads are ``(sample, seed)`` pairs, in natural
+  row order: each segment is one
+  :meth:`~repro.tracking.batch.BatchTracker.run_segment` call over all
+  samples, compacting at segment boundaries.  Each row's arithmetic
+  depends only on its own position, heading and sample, and the stacked
+  gather (``sample * n_vox + flat``) reads exactly the bytes a
+  per-sample gather would, so the rows are bit-identical to tracking
+  each sample alone.  Beside lengths, reasons and endpoints it returns
+  every row's total executed kernel iterations (0 for a born-dead seed,
+  which never launches);
+* the **model** (:meth:`SegmentedTracker.model`) charges Algorithm 1's
+  per-sample launches to the machine model from those totals alone: a
+  row that executed ``t`` iterations takes part in segment ``i`` iff
+  ``t`` exceeds the segment's offset, and executes the rest of its
+  total there up to the segment's length.  Events and
+  :class:`~repro.gpu.simulator.KernelLaunch` records are emitted in
+  sample-major order on a :class:`~repro.gpu.timeline.Timeline`.
 
-Thread ordering is a policy: ``"natural"`` launches seeds in flat-index
-order; ``"sorted"`` reorders every sample after the first by the first
-sample's measured lengths — the Fig 4 experiment, which the paper shows
-does *not* transfer across samples.
+Thread ordering is a model policy: ``"natural"`` launches seeds in
+flat-index order; ``"sorted"`` launches every sample after the first in
+the stable order of the first sample's lengths — the Fig 4 experiment,
+which the paper shows does *not* transfer across samples.  The order
+changes which lanes share a wavefront, never what a lane computes.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from repro.telemetry import get_registry
 
 __all__ = [
     "SegmentedTracker",
+    "TrackedRows",
     "TrackingRunResult",
     "STEP_HISTOGRAM_EDGES",
 ]
@@ -72,6 +76,13 @@ def _image_bytes(stack: FiberStack) -> int:
     """Device footprint of one sample volume: f + directions as float32."""
     n_vox = int(np.prod(stack.shape3))
     return n_vox * stack.n_fibers * 4 * 4  # (1 fraction + 3 components) * 4 B
+
+
+def _check_seeds(seeds: np.ndarray) -> np.ndarray:
+    seeds = np.asarray(seeds, dtype=np.float64)
+    if seeds.ndim != 2 or seeds.shape[1] != 3:
+        raise TrackingError(f"seeds must be (n, 3), got {seeds.shape}")
+    return seeds
 
 
 class FusedVisitBuffer:
@@ -104,6 +115,32 @@ class FusedVisitBuffer:
 
 
 @dataclass
+class TrackedRows:
+    """The functional kernel's output for one stack of samples.
+
+    Every array is indexed ``(sample, launch row)``.  ``iterations``
+    holds each row's total executed kernel iterations, summed over its
+    segments; it is 0 exactly for a born-dead seed, since every launched
+    row runs at least one iteration.  Rows of disjoint sample ranges
+    concatenate into the rows of their union.
+    """
+
+    lengths: np.ndarray
+    reasons: np.ndarray
+    endpoints: np.ndarray
+    iterations: np.ndarray
+    #: Host wall-clock seconds of the tracking itself.
+    wall_seconds: float = 0.0
+
+    def retire(self, state, rows) -> None:
+        """Record the final length, reason and position of ``state[rows]``."""
+        at = (state.sample[rows], state.origin[rows])
+        self.lengths[at] = state.steps[rows]
+        self.reasons[at] = state.reason[rows]
+        self.endpoints[at] = state.positions[rows]
+
+
+@dataclass
 class TrackingRunResult:
     """Functional + modeled-time output of one probabilistic run.
 
@@ -128,9 +165,11 @@ class TrackingRunResult:
     wall_seconds:
         Actual host wall-clock of the simulation itself.
     peak_device_bytes:
-        High-water device memory (sample images + thread state) — the
-        quantity that forces the paper to serialize samples (§ IV-B) and
-        that doubles under the Fig 8 overlap scheme.
+        High-water device memory of the whole stack's residency (sample
+        images + thread state) — the quantity that forces the paper to
+        serialize samples (§ IV-B) and that doubles under the Fig 8
+        overlap scheme.  Modeled once over the merged stack, so it is
+        the same at every worker count.
     worker_walls:
         Wall-clock seconds of each merged part, one per shard (a
         one-worker run holds its one task's wall; empty for a bare
@@ -236,10 +275,8 @@ class SegmentedTracker:
         overlap: bool = False,
         headings: np.ndarray | None = None,
         heading_signs: np.ndarray | None = None,
-        sort_key: np.ndarray | None = None,
-        sample_offset: int = 0,
     ) -> TrackingRunResult:
-        """Track every seed through every sample volume.
+        """Track every seed through every sample volume: plan, kernel, model.
 
         Parameters
         ----------
@@ -258,8 +295,8 @@ class SegmentedTracker:
         connectivity:
             Optional accumulator receiving per-step visits.
         order:
-            ``"natural"`` or ``"sorted"`` (Fig 4: reorder later samples
-            by the first sample's lengths).
+            ``"natural"`` or ``"sorted"`` (Fig 4: launch later samples
+            in the order of the first sample's lengths).
         overlap:
             Tag alternate samples with different timeline streams so
             :meth:`Timeline.overlapped_end` models the Fig 8 schedule.
@@ -273,33 +310,64 @@ class SegmentedTracker:
             per-sample default headings — the mechanism behind
             bidirectional seeding (duplicate the seed list with opposite
             signs).  Ignored when ``headings`` is given.
-        sort_key:
-            Explicit ``(n_seeds,)`` key for the ``"sorted"`` order policy
-            instead of this run's own first-sample lengths.  Sharded
-            runs pass the globally-first sample's lengths here so every
-            shard applies the *same* permutation a whole-stack run would.
-        sample_offset:
-            Global index of ``fields[0]`` when this call runs a shard of
-            a larger sample stack.  Event labels, overlap stream parity,
-            and the sorted-order condition all use the global sample
-            index, so per-shard outputs are bit-identical to the
-            corresponding slice of a whole-stack run.
         """
         stack = FiberStack.from_fields(fields)
+        t0 = time.perf_counter()
+        segments = self.plan(stack, seeds, criteria, strategy, order, overlap)
+        rows = self.track(
+            stack, seeds, criteria, segments, connectivity, headings, heading_signs
+        )
+        result = self.model(rows, stack, segments, order, overlap)
+        result.wall_seconds = time.perf_counter() - t0
+        return result
+
+    def plan(
+        self,
+        stack: FiberStack,
+        seeds: np.ndarray,
+        criteria: TerminationCriteria,
+        strategy: SegmentationStrategy,
+        order: str,
+        overlap: bool,
+    ) -> list[int]:
+        """Check a run's inputs and the device fit; return its segments.
+
+        Residency depends only on the seed count and image sizes, so an
+        over-capacity device fails here, before any tracking.
+        """
         if order not in ORDER_POLICIES:
             raise ConfigurationError(f"unknown order policy {order!r}")
-        if sample_offset < 0:
-            raise ConfigurationError(
-                f"sample_offset must be >= 0, got {sample_offset}"
-            )
-        if order == "sorted" and sample_offset > 0 and sort_key is None:
-            raise ConfigurationError(
-                "a shard starting past sample 0 needs the global sort_key "
-                "to reproduce the whole-stack 'sorted' permutation"
-            )
-        seeds = np.asarray(seeds, dtype=np.float64)
-        if seeds.ndim != 2 or seeds.shape[1] != 3:
-            raise TrackingError(f"seeds must be (n, 3), got {seeds.shape}")
+        seeds = _check_seeds(seeds)
+        self._model_residency(stack, seeds.shape[0], overlap)
+        return strategy.segments(criteria.max_steps)
+
+    # -- functional execution -----------------------------------------------
+
+    def track(
+        self,
+        stack: FiberStack,
+        seeds: np.ndarray,
+        criteria: TerminationCriteria,
+        segments: Sequence[int],
+        connectivity: ConnectivityAccumulator | None = None,
+        headings: np.ndarray | None = None,
+        heading_signs: np.ndarray | None = None,
+    ) -> TrackedRows:
+        """The functional kernel: track ``stack`` as one lockstep batch.
+
+        Row ``s`` of every output is ``stack[s]``.  Counters follow the
+        *logical* per-sample launches — a segment covering k live
+        samples counts k launches and k compactions — so the
+        deterministic telemetry section is the same however the samples
+        are stacked or sharded.
+        """
+        t0 = time.perf_counter()
+        registry = get_registry()
+        seeds = _check_seeds(seeds)
+        n_seeds = seeds.shape[0]
+        n_samples = stack.n_samples
+        tracker = BatchTracker(stack, criteria, self.interpolation)
+
         if headings is not None:
             headings = np.asarray(headings, dtype=np.float64)
             if headings.shape != seeds.shape:
@@ -307,143 +375,36 @@ class SegmentedTracker:
                     f"headings must match seeds shape {seeds.shape}, "
                     f"got {headings.shape}"
                 )
-        elif heading_signs is not None:
-            heading_signs = np.asarray(heading_signs, dtype=np.float64)
-            if heading_signs.shape != (seeds.shape[0],):
-                raise TrackingError(
-                    f"heading_signs must be ({seeds.shape[0]},), "
-                    f"got {heading_signs.shape}"
-                )
-
-        registry = get_registry()
-        t0 = time.perf_counter()
-        n_seeds = seeds.shape[0]
-        n_samples = stack.n_samples
-        # Residency depends only on the seed count and image sizes, so an
-        # over-capacity device fails before any tracking.
-        peak_bytes = self._model_residency(stack, n_seeds, overlap, sample_offset)
-
-        lengths = np.zeros((n_samples, n_seeds), dtype=np.int64)
-        reasons = np.zeros((n_samples, n_seeds), dtype=np.int64)
-        endpoints = np.zeros((n_samples, n_seeds, 3), dtype=np.float64)
-        # Per local sample: one (segment, iters, executed) record per
-        # launch the sample took part in, in segment order.
-        records: list[list[tuple[int, int, np.ndarray]]] = [
-            [] for _ in range(n_samples)
-        ]
-        segments = strategy.segments(criteria.max_steps)
-
-        # Fig 4 needs sample 0's lengths before later samples can be
-        # permuted: run it alone, then stack the rest.
-        phases = [(0, n_samples)]
-        if order == "sorted" and sort_key is None and n_samples > 1:
-            phases = [(0, 1), (1, n_samples)]
-        for lo, hi in phases:
-            self._track(
-                stack[lo:hi],
-                seeds,
-                criteria,
-                segments,
-                connectivity,
-                order,
-                headings,
-                heading_signs,
-                lengths[0] if sort_key is None else sort_key,
-                sample_offset + lo,
-                (lengths[lo:hi], reasons[lo:hi], endpoints[lo:hi]),
-                records[lo:hi],
-            )
-
-        timeline, launches = self._model_launches(
-            stack, records, overlap, sample_offset
-        )
-        # Per-row observations: a shard's histogram contributions equal
-        # the whole-stack run's for the same sample rows, so bucket counts
-        # merge bit-identically across any sharding.
-        registry.histogram(
-            "tracking.streamline_steps", STEP_HISTOGRAM_EDGES
-        ).observe_many(lengths)
-        registry.gauge("tracking.peak_device_bytes").set_max(peak_bytes)
-
-        return TrackingRunResult(
-            lengths=lengths,
-            reasons=reasons,
-            endpoints=endpoints,
-            timeline=timeline,
-            launches=launches,
-            cpu_seconds=float(lengths.sum()) * self.host.seconds_per_iteration,
-            wall_seconds=time.perf_counter() - t0,
-            peak_device_bytes=peak_bytes,
-        )
-
-    # -- functional execution -----------------------------------------------
-
-    def _track(
-        self,
-        stack: FiberStack,
-        seeds: np.ndarray,
-        criteria: TerminationCriteria,
-        segments: list[int],
-        connectivity: ConnectivityAccumulator | None,
-        order: str,
-        headings: np.ndarray | None,
-        heading_signs: np.ndarray | None,
-        sort_key: np.ndarray,
-        sample_offset: int,
-        out: tuple[np.ndarray, np.ndarray, np.ndarray],
-        records: list[list[tuple[int, int, np.ndarray]]],
-    ) -> None:
-        """Track ``stack`` as one lockstep batch.
-
-        Writes lengths, reasons, and endpoints into ``out`` (row ``s`` =
-        ``stack[s]``) and appends each launch's per-sample executed
-        slice to ``records[s]``.  Counters follow the *logical*
-        per-sample launches — a segment covering k live samples counts
-        k launches and k compactions — so the deterministic telemetry
-        section is the same however the samples are stacked or sharded.
-        """
-        registry = get_registry()
-        lengths, reasons, endpoints = out
-        n_seeds = seeds.shape[0]
-        n_samples = stack.n_samples
-        tracker = BatchTracker(stack, criteria, self.interpolation)
-
-        # Per-sample launch blocks: seed voxel arithmetic hoisted (the
-        # stack has a single grid shape), per-sample gathers and the
-        # Fig 4 permutation applied per block.
-        seed_flat = None if headings is not None else nearest_flat_index(
-            seeds, stack.shape3
-        )
-        f2, d2, _ = stack.flat_views()
-        n_vox = stack.mask.size
-        permutation = np.argsort(sort_key, kind="stable") if order == "sorted" else None
-        pos_blocks: list[np.ndarray] = []
-        head_blocks: list[np.ndarray] = []
-        origin_blocks: list[np.ndarray] = []
-        for s in range(n_samples):
-            if headings is not None:
-                h = headings
-            else:
-                rows = seed_flat + s * n_vox
-                h = initial_directions(f2[rows], d2[rows])
-                if heading_signs is not None:
-                    h = h * heading_signs[:, None]
-            if permutation is not None and s + sample_offset > 0:
-                pos_blocks.append(seeds[permutation])
-                head_blocks.append(h[permutation])
-                origin_blocks.append(permutation.astype(np.int64))
-            else:
-                pos_blocks.append(seeds)
-                head_blocks.append(h)
-                origin_blocks.append(np.arange(n_seeds, dtype=np.int64))
+            heads = np.tile(headings, (n_samples, 1))
+        else:
+            # Seed voxel arithmetic hoisted (the stack has a single grid
+            # shape); one gather covers every sample's seed rows.
+            f2, d2, _ = stack.flat_views()
+            flat = nearest_flat_index(seeds, stack.shape3)
+            rows = (flat + stack.mask.size * np.arange(n_samples)[:, None]).ravel()
+            heads = initial_directions(f2[rows], d2[rows])
+            if heading_signs is not None:
+                heading_signs = np.asarray(heading_signs, dtype=np.float64)
+                if heading_signs.shape != (n_seeds,):
+                    raise TrackingError(
+                        f"heading_signs must be ({n_seeds},), "
+                        f"got {heading_signs.shape}"
+                    )
+                heads *= np.tile(heading_signs, n_samples)[:, None]
 
         state = tracker.init_state(
-            np.concatenate(pos_blocks, axis=0),
-            np.concatenate(head_blocks, axis=0),
-            origin=np.concatenate(origin_blocks),
+            np.tile(seeds, (n_samples, 1)),
+            heads,
+            origin=np.tile(np.arange(n_seeds, dtype=np.int64), n_samples),
             sample=np.repeat(np.arange(n_samples, dtype=np.int64), n_seeds),
         )
-        del pos_blocks, head_blocks, origin_blocks
+        del heads
+        out = TrackedRows(
+            lengths=np.zeros((n_samples, n_seeds), dtype=np.int64),
+            reasons=np.zeros((n_samples, n_seeds), dtype=np.int64),
+            endpoints=np.zeros((n_samples, n_seeds, 3), dtype=np.float64),
+            iterations=np.zeros((n_samples, n_seeds), dtype=np.int64),
+        )
 
         # Seeds with no population start terminated; record them now
         # so an all-dead launch still produces a complete result row.
@@ -451,10 +412,7 @@ class SegmentedTracker:
         n_born_dead = int(born_dead.sum())
         if n_born_dead:
             registry.count("tracking.born_dead", n_born_dead)
-            rows = (state.sample[born_dead], state.origin[born_dead])
-            lengths[rows] = 0
-            reasons[rows] = state.reason[born_dead]
-            endpoints[rows] = state.positions[born_dead]
+            out.retire(state, born_dead)
             state = state.compact()
 
         visit_cb = None
@@ -466,102 +424,78 @@ class SegmentedTracker:
         for i, seg_iters in enumerate(segments):
             if state.n_active == 0:
                 break
-            # Rows stay grouped by sample (blocks are built sample-major
-            # and compaction is stable), so per-sample launch slices are
-            # contiguous.  A sample takes part in segment i iff it still
-            # has active rows — exactly when Algorithm 1 launches it.
-            counts = np.bincount(state.sample, minlength=n_samples)
-            live = np.flatnonzero(counts)
-            registry.count("tracking.kernel_launches", len(live))
-            registry.count("tracking.compactions", len(live))
+            # A sample takes part in segment i iff it still has active
+            # rows — exactly when Algorithm 1 launches it.
+            live = int(np.count_nonzero(np.bincount(state.sample, minlength=n_samples)))
+            registry.count("tracking.kernel_launches", live)
+            registry.count("tracking.compactions", live)
             with registry.span(
-                "tracking.segment", segment=i, iters=seg_iters, samples=len(live)
+                "tracking.segment", segment=i, iters=seg_iters, samples=live
             ):
                 executed = tracker.run_segment(state, seg_iters, visit_cb)
                 registry.count("tracking.steps", int(executed.sum()))
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                for s in live:
-                    records[s].append(
-                        (i, seg_iters, executed[bounds[s] : bounds[s + 1]])
-                    )
+                out.iterations[state.sample, state.origin] += executed
                 finished = ~state.active
                 n_finished = int(finished.sum())
                 registry.count("tracking.threads_retired", n_finished)
                 if n_finished:
-                    rows = (state.sample[finished], state.origin[finished])
-                    lengths[rows] = state.steps[finished]
-                    reasons[rows] = state.reason[finished]
-                    endpoints[rows] = state.positions[finished]
+                    out.retire(state, finished)
                     state = state.compact()
 
         if state.n_active:  # budget covered but threads still active
             state.reason[:] = StopReason.MAX_STEPS
-            rows = (state.sample, state.origin)
-            lengths[rows] = state.steps
-            reasons[rows] = state.reason
-            endpoints[rows] = state.positions
+            out.retire(state, slice(None))
 
         if sink is not None:
             sink.flush(connectivity)
+        # Per-row observations: a shard's histogram contributions equal
+        # the whole-stack run's for the same sample rows, so bucket counts
+        # merge bit-identically across any sharding.
+        registry.histogram(
+            "tracking.streamline_steps", STEP_HISTOGRAM_EDGES
+        ).observe_many(out.lengths)
+        out.wall_seconds = time.perf_counter() - t0
+        return out
 
     # -- modeled accounting -------------------------------------------------
 
-    def _model_residency(
+    def model(
         self,
+        rows: TrackedRows,
         stack: FiberStack,
-        n_seeds: int,
-        overlap: bool,
-        sample_offset: int,
-    ) -> int:
-        """Peak device bytes of Algorithm 1's per-sample residency.
+        segments: Sequence[int],
+        order: str = "natural",
+        overlap: bool = False,
+    ) -> TrackingRunResult:
+        """Algorithm 1's timeline, launches and residency for ``rows``.
 
-        One persistent thread-state buffer plus the bound sample
-        volume(s); overlap keeps two samples resident (paper: "the
-        sample volume on the GPU also doubles").  Raises
-        :class:`~repro.errors.DeviceError` when a sample does not fit.
+        A function of the per-row iteration totals, ``lengths[0]`` (the
+        ``"sorted"`` key), the segment plan, ``order`` and ``overlap``
+        only — never of how the host scheduled the kernel, so one model
+        over a merged stack is the whole-stack run's.
         """
-        memory = DeviceMemory(self.device)
-        memory.alloc(
-            DeviceBuffer(
-                "thread-state",
-                n_seeds * (BYTES_DOWN_PER_THREAD + BYTES_UP_PER_THREAD),
-            )
-        )
-        image_handles: deque[int] = deque()
-        resident_images = 2 if overlap else 1
-        for s in range(stack.n_samples):
-            while len(image_handles) >= resident_images:
-                memory.free(image_handles.popleft())
-            image_handles.append(
-                memory.alloc(
-                    DeviceBuffer(
-                        f"sample{s + sample_offset}:images",
-                        _image_bytes(stack),
-                    )
-                )
-            )
-        return memory.peak_bytes
+        n_samples, n_seeds = rows.lengths.shape
+        peak_bytes = self._model_residency(stack, n_seeds, overlap)
+        get_registry().gauge("tracking.peak_device_bytes").set_max(peak_bytes)
+        launch_order = None
+        if order == "sorted":
+            launch_order = np.argsort(rows.lengths[0], kind="stable")
 
-    def _model_launches(
-        self,
-        stack: FiberStack,
-        records: list[list[tuple[int, int, np.ndarray]]],
-        overlap: bool,
-        sample_offset: int,
-    ) -> tuple[Timeline, list[KernelLaunch]]:
-        """Algorithm 1's event log, sample-major, from per-sample launches."""
         timeline = Timeline()
         launches: list[KernelLaunch] = []
-        for s in range(stack.n_samples):
-            g = s + sample_offset  # global sample index
+        image_s = transfer_time(_image_bytes(stack), self.device)
+        for g in range(n_samples):
             stream = (g % 2) if overlap else 0
-            timeline.add(
-                "transfer",
-                f"sample{g}:images",
-                transfer_time(_image_bytes(stack), self.device),
-                stream=stream,
-            )
-            for i, seg_iters, executed in records[s]:
+            timeline.add("transfer", f"sample{g}:images", image_s, stream=stream)
+            left = rows.iterations[g]
+            if launch_order is not None and g > 0:
+                left = left[launch_order]
+            left = left[left > 0]  # born-dead seeds never launch
+            for i, seg_iters in enumerate(segments):
+                if not left.size:
+                    break
+                executed = np.minimum(left, seg_iters)
+                left = left[left > seg_iters] - seg_iters
                 label = f"sample{g}:seg{i}"
                 n_threads = executed.shape[0]
                 timeline.add(
@@ -593,4 +527,38 @@ class SegmentedTracker:
                     reduction_time(n_threads, self.host),
                     stream=stream,
                 )
-        return timeline, launches
+        return TrackingRunResult(
+            lengths=rows.lengths,
+            reasons=rows.reasons,
+            endpoints=rows.endpoints,
+            timeline=timeline,
+            launches=launches,
+            cpu_seconds=float(rows.lengths.sum()) * self.host.seconds_per_iteration,
+            wall_seconds=rows.wall_seconds,
+            peak_device_bytes=peak_bytes,
+        )
+
+    def _model_residency(self, stack: FiberStack, n_seeds: int, overlap: bool) -> int:
+        """Peak device bytes of Algorithm 1's per-sample residency.
+
+        One persistent thread-state buffer plus the bound sample
+        volume(s); overlap keeps two samples resident (paper: "the
+        sample volume on the GPU also doubles").  Raises
+        :class:`~repro.errors.DeviceError` when a sample does not fit.
+        """
+        memory = DeviceMemory(self.device)
+        memory.alloc(
+            DeviceBuffer(
+                "thread-state",
+                n_seeds * (BYTES_DOWN_PER_THREAD + BYTES_UP_PER_THREAD),
+            )
+        )
+        image_handles: deque[int] = deque()
+        resident_images = 2 if overlap else 1
+        for s in range(stack.n_samples):
+            while len(image_handles) >= resident_images:
+                memory.free(image_handles.popleft())
+            image_handles.append(
+                memory.alloc(DeviceBuffer(f"sample{s}:images", _image_bytes(stack)))
+            )
+        return memory.peak_bytes

@@ -73,8 +73,8 @@ class SegmentationStrategy(ABC):
     def _record_plan(self, out: list[int]) -> list[int]:
         """Count a produced plan in the telemetry registry; returns it.
 
-        Plans are recomputed once per ``tracker.run`` call — so a
-        run with more shards plans more often.  The counts are
+        A run plans once, in the parent, whatever its shard count; a
+        run served from the store plans nothing.  The counts are
         therefore *operational* metrics, excluded from the manifest's
         deterministic section.
         """

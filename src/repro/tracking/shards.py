@@ -2,7 +2,7 @@
 
 The paper's tracking stage is embarrassingly parallel across posterior
 sample volumes — streamlines never communicate, and per-sample outputs
-(length rows, visit sets, modeled events) combine by concatenation.
+(length rows, iteration totals, visit sets) combine by concatenation.
 This module expresses that as an instance of the stage-generic
 :class:`~repro.runtime.stage.StageShard` contract
 (:data:`TRACKING_SHARD`, the same shape as
@@ -15,24 +15,23 @@ for supervision.
 
 Determinism contract
 --------------------
-For any worker count, ``lengths``, ``reasons``, ``endpoints``,
-connectivity counts, and per-kind timeline totals are **bit-identical**
-to one :meth:`SegmentedTracker.run` over the whole stack:
+For any worker count, every output — ``lengths``, ``reasons``,
+``endpoints``, connectivity counts, the timeline's events and streams,
+the launches, ``cpu_seconds`` and ``peak_device_bytes`` — is
+**bit-identical** to one :meth:`SegmentedTracker.run` over the whole
+stack:
 
-* samples are sharded contiguously (:func:`partition_seeds`) as views
-  of the one :class:`~repro.models.fields.FiberStack` — a task pickles
-  only its own samples — and each shard is told its global
-  ``sample_offset``, so every per-sample computation, label, and stream
-  parity matches the whole-stack run;
-* the ``"sorted"`` order policy depends on the first sample's lengths,
-  so a run that really shards (more than one worker and more than one
-  sample) tracks sample 0 in-parent first and its length row becomes
-  every shard's explicit ``sort_key`` — each shard then applies the
-  exact permutation the whole-stack run would;
-* merging (:func:`merge_shard_results`) concatenates rows/events/
-  launches in global sample order and folds worker connectivity
-  pair-sets in that same order (integer count addition is associative),
-  so even float summation order is preserved.
+* the parent checks residency and plans the segments once; shards run
+  only the functional kernel (:meth:`SegmentedTracker.track`) over
+  contiguous sample views of the one
+  :class:`~repro.models.fields.FiberStack` (:func:`partition_seeds`) —
+  a task pickles only its own samples;
+* merging (:func:`merge_shard_results`) concatenates the shards' rows
+  in global sample order, and the model runs once in the parent over
+  the merged iteration counts, so the schedule (labels, streams, the
+  ``"sorted"`` launch order, residency) never depends on the sharding;
+* workers' connectivity pair-sets fold in that same sample order
+  (integer count addition is associative).
 
 Because :func:`_run_shard` is a pure function of its :class:`ShardTask`,
 *where* a shard finally succeeds cannot change its payload — so a
@@ -52,19 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ShardResultError, TrackingError
-from repro.gpu.device import HostSpec
 from repro.gpu.multigpu import partition_seeds
-from repro.gpu.timeline import Timeline
 from repro.models.fields import FiberField, FiberStack
 from repro.runtime.stage import StageShard, StageShardExecutor
-from repro.runtime.supervisor import RetryPolicy, SupervisorReport
+from repro.runtime.supervisor import RetryPolicy
 from repro.telemetry import get_registry
 from repro.tracking.connectivity import ConnectivityAccumulator
 from repro.tracking.criteria import TerminationCriteria
-from repro.tracking.executor import SegmentedTracker, TrackingRunResult
+from repro.tracking.executor import SegmentedTracker, TrackedRows, TrackingRunResult
 from repro.tracking.segmentation import SegmentationStrategy
 
-__all__ = ["ShardTask", "TRACKING_SHARD", "run_sharded"]
+__all__ = ["ShardTask", "TRACKING_SHARD", "merge_shard_results", "run_sharded"]
 
 
 @dataclass
@@ -76,11 +73,11 @@ class ShardTask:
     stack: FiberStack
     seeds: np.ndarray
     criteria: TerminationCriteria
-    strategy: SegmentationStrategy
-    order: str
-    overlap: bool
+    #: The run's segment plan, made once in the parent.
+    segments: list[int]
     heading_signs: np.ndarray | None
-    sort_key: np.ndarray | None
+    #: Global index of ``stack[0]``: the coordinate ``sN`` fault
+    #: targets address.
     sample_offset: int
     #: (n_seeds, n_voxels, seed_map) when the parent accumulates
     #: connectivity; None otherwise.
@@ -89,8 +86,8 @@ class ShardTask:
 
 def _run_shard(
     task: ShardTask,
-) -> tuple[TrackingRunResult, list[np.ndarray] | None]:
-    """Worker entry point: run one shard; return its result and visits.
+) -> tuple[TrackedRows, list[np.ndarray] | None]:
+    """Worker entry point: track one shard; return its rows and visits.
 
     Top-level (hence picklable under every start method) and free of
     parent state: the worker rebuilds its own accumulator and ships back
@@ -100,20 +97,16 @@ def _run_shard(
     if task.connectivity_spec is not None:
         n_seeds, n_voxels, seed_map = task.connectivity_spec
         acc = ConnectivityAccumulator(n_seeds, n_voxels, seed_map=seed_map)
-    result = task.tracker.run(
+    rows = task.tracker.track(
         task.stack,
         task.seeds,
         task.criteria,
-        task.strategy,
+        task.segments,
         connectivity=acc,
-        order=task.order,
-        overlap=task.overlap,
         heading_signs=task.heading_signs,
-        sort_key=task.sort_key,
-        sample_offset=task.sample_offset,
     )
     pairs = acc.sample_pairs() if acc is not None else None
-    return result, pairs
+    return rows, pairs
 
 
 # -- supervisor seams --------------------------------------------------------
@@ -148,18 +141,19 @@ def _validate_shard_payload(task: ShardTask, payload) -> None:
         return ShardResultError(f"corrupt shard payload: {msg}")
 
     if not isinstance(payload, tuple) or len(payload) != 2:
-        raise _bad(f"expected (result, pairs) tuple, got {type(payload).__name__}")
+        raise _bad(f"expected (rows, pairs) tuple, got {type(payload).__name__}")
     result, pairs = payload
     n_samples, n_seeds = len(task.stack), task.seeds.shape[0]
     lengths = getattr(result, "lengths", None)
-    reasons = getattr(result, "reasons", None)
     if not isinstance(lengths, np.ndarray) or lengths.shape != (n_samples, n_seeds):
         raise _bad(
             f"lengths must be ({n_samples}, {n_seeds}), got "
             f"{getattr(lengths, 'shape', None)}"
         )
-    if not isinstance(reasons, np.ndarray) or reasons.shape != lengths.shape:
-        raise _bad("reasons shape does not match lengths")
+    for name in ("reasons", "iterations"):
+        value = getattr(result, name, None)
+        if not isinstance(value, np.ndarray) or value.shape != lengths.shape:
+            raise _bad(f"{name} shape does not match lengths")
     endpoints = getattr(result, "endpoints", None)
     if (
         not isinstance(endpoints, np.ndarray)
@@ -231,159 +225,77 @@ def run_sharded(
         )
 
     t0 = time.perf_counter()
-
-    # Phase 1 ("sorted" runs that really shard): the permutation of
-    # samples 1.. depends on sample 0's measured lengths, so sample 0
-    # runs in-parent and its row becomes every shard's explicit
-    # sort_key.  A one-task run sorts inside its own tracker.run.
-    phase0: TrackingRunResult | None = None
-    sort_key = None
-    shard_stack = stack
-    first_shard_sample = 0
-    if order == "sorted" and n_workers > 1 and stack.n_samples > 1:
-        phase0 = tracker.run(
-            stack[:1],
-            seeds,
-            criteria,
-            strategy,
-            connectivity=connectivity,
-            order=order,
-            overlap=overlap,
-            heading_signs=heading_signs,
-        )
-        sort_key = phase0.lengths[0]
-        shard_stack = stack[1:]
-        first_shard_sample = 1
-
+    segments = tracker.plan(stack, seeds, criteria, strategy, order, overlap)
     executor = StageShardExecutor(n_workers, policy)
-    n_shards = executor.plan_shards(TRACKING_SHARD, shard_stack.n_samples)
-    tasks = []
-    for sl in partition_seeds(shard_stack.n_samples, n_shards):
-        tasks.append(
-            ShardTask(
-                tracker=tracker,
-                stack=shard_stack[sl],
-                seeds=seeds,
-                criteria=criteria,
-                strategy=strategy,
-                order=order,
-                overlap=overlap,
-                heading_signs=heading_signs,
-                sort_key=sort_key,
-                sample_offset=first_shard_sample + sl.start,
-                connectivity_spec=(
-                    (
-                        connectivity.n_seeds,
-                        connectivity.n_voxels,
-                        connectivity.seed_map,
-                    )
-                    if connectivity is not None
-                    else None
-                ),
-            )
+    n_shards = executor.plan_shards(TRACKING_SHARD, stack.n_samples)
+    connectivity_spec = None
+    if connectivity is not None:
+        connectivity_spec = (
+            connectivity.n_seeds,
+            connectivity.n_voxels,
+            connectivity.seed_map,
         )
+    tasks = [
+        ShardTask(
+            tracker=tracker,
+            stack=stack[sl],
+            seeds=seeds,
+            criteria=criteria,
+            segments=segments,
+            heading_signs=heading_signs,
+            sample_offset=sl.start,
+            connectivity_spec=connectivity_spec,
+        )
+        for sl in partition_seeds(stack.n_samples, n_shards)
+    ]
 
-    # Streaming in-task-order merge: each shard's result rows and
-    # connectivity pairs are folded into the parent as the executor
-    # delivers them — in task order regardless of completion order,
-    # re-sharded subtasks in sample order — so global sample order is
-    # preserved and peak parent memory stays bounded.
-    parts = [phase0] if phase0 is not None else []
+    # Streaming in-task-order merge: each shard's connectivity pairs are
+    # folded into the parent as the executor delivers them — in task
+    # order regardless of completion order, re-sharded subtasks in
+    # sample order — so global sample order is preserved and peak
+    # parent memory stays bounded.
+    parts: list[TrackedRows] = []
 
     def _absorb(index: int, outs: list) -> None:
-        for result, pairs in outs:
-            parts.append(result)
+        for rows, pairs in outs:
+            parts.append(rows)
             if connectivity is not None:
                 connectivity.absorb(pairs)
 
     report = executor.run(TRACKING_SHARD, tasks, _absorb)
     with get_registry().span("runtime.merge", n_parts=len(parts)):
-        return merge_shard_results(
-            parts,
-            tracker.host,
-            wall_seconds=time.perf_counter() - t0,
-            supervision=report,
+        result = tracker.model(
+            merge_shard_results(parts), stack, segments, order, overlap
         )
-
-
-def merge_shard_results(
-    parts: list[TrackingRunResult],
-    host: HostSpec,
-    wall_seconds: float,
-    supervision: SupervisorReport | None = None,
-) -> TrackingRunResult:
-    """Merge shard results (already in global sample order) into one.
-
-    A shard told its global ``sample_offset`` produces rows, labels and
-    stream parities bit-identical to the matching slice of a
-    whole-stack run, so merging is concatenation in sample order:
-
-    * ``lengths`` / ``reasons`` / ``endpoints`` — row-stacked blocks (a
-      lone part's arrays, timeline and launches are taken as they are,
-      not copied);
-    * timeline events and ``KernelLaunch`` records — concatenated, so
-      event seconds, order and per-kind totals equal the whole-stack
-      log; each shard's events move onto a per-worker stream pair so
-      :meth:`Timeline.overlapped_end` models the pool's concurrency;
-    * ``peak_device_bytes`` — the max over shards (every worker models
-      the same device).  Under the Fig 8 ``overlap`` scheme a
-      multi-sample run keeps two sample images resident, so a one-sample
-      shard
-      reports a lower peak: peak memory is a per-worker footprint, not
-      part of the bit-identity contract;
-    * ``cpu_seconds`` — recomputed from the merged integer lengths,
-      hence bitwise the whole-stack value.
-
-    ``supervision`` (the run's
-    :class:`~repro.runtime.supervisor.SupervisorReport`) rides on the
-    result, and each failed attempt becomes a ``"retry"`` event with its
-    measured wall seconds, on a negative stream and the ``"supervisor"``
-    resource so the kernel/transfer/reduction totals never move.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-
-    def _rows(arrays: list[np.ndarray]) -> np.ndarray:
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    lengths = _rows([p.lengths for p in parts])
-    reasons = _rows([p.reasons for p in parts])
-    endpoints = _rows([p.endpoints for p in parts])
-
-    if len(parts) == 1:
-        timeline, launches = parts[0].timeline, parts[0].launches
-    else:
-        timeline = Timeline()
-        launches = []
-        for slot, part in enumerate(parts):
-            for ev in part.timeline.events:
-                # A tracker.run uses stream parity 0/1 (the overlap
-                # scheme); slot * 2 keeps that parity while separating
-                # workers.
-                timeline.add(
-                    ev.kind, ev.label, ev.seconds,
-                    stream=slot * 2 + (ev.stream % 2),
-                )
-            launches.extend(part.launches)
-
-    if supervision is not None:
-        for a in supervision.failed_attempts():
-            timeline.add(
+    result.wall_seconds = time.perf_counter() - t0
+    result.worker_walls = [p.wall_seconds for p in parts]
+    result.supervision = report
+    # Each failed attempt becomes a "retry" event with its measured wall
+    # seconds, on a negative stream and the "supervisor" resource, so the
+    # kernel/transfer/reduction totals never move.
+    if report is not None:
+        for a in report.failed_attempts():
+            result.timeline.add(
                 "retry",
                 f"shard{a.shard}:attempt{a.attempt}:{a.outcome}",
                 a.seconds,
                 stream=-(a.shard + 1),
             )
+    return result
 
-    return TrackingRunResult(
-        lengths=lengths,
-        reasons=reasons,
-        endpoints=endpoints,
-        timeline=timeline,
-        launches=launches,
-        cpu_seconds=float(lengths.sum()) * host.seconds_per_iteration,
-        wall_seconds=wall_seconds,
-        peak_device_bytes=max(p.peak_device_bytes for p in parts),
-        worker_walls=[p.wall_seconds for p in parts],
-        supervision=supervision,
+
+def merge_shard_results(parts: list[TrackedRows]) -> TrackedRows:
+    """Concatenate shard rows (already in global sample order) into one.
+
+    Each array is row-stacked in sample order, so the merged rows are
+    the whole-stack kernel's; the schedule is modeled afterwards, once,
+    over them (:meth:`SegmentedTracker.model`).
+    """
+    if not parts:
+        raise ValueError("nothing to merge")
+    return TrackedRows(
+        lengths=np.concatenate([p.lengths for p in parts]),
+        reasons=np.concatenate([p.reasons for p in parts]),
+        endpoints=np.concatenate([p.endpoints for p in parts]),
+        iterations=np.concatenate([p.iterations for p in parts]),
     )

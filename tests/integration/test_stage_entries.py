@@ -14,8 +14,10 @@
   manifest and prints it with ``--print-config``; a layer that asks for
   a different sampling value is a parser error.
 * **Reproducible entries.**  One spec run cold into two stores writes
-  byte-identical trees for all three stages: no measured figure is
-  stored.
+  byte-identical trees for all three stages, also when one run
+  recovers from a crashed shard: no measured figure is stored.  A
+  sorted, overlapped run writes the same tracking entry at one and at
+  two workers.
 """
 
 import json
@@ -75,14 +77,15 @@ def run_cli(data_dir: Path, root: Path, store: Path) -> Path:
     return root / "track"
 
 
-def run_files_workflow(data_dir: Path, store: Path):
-    """``run_workflow`` over the files ``repro-bedpost`` reads."""
+def run_files_workflow(data_dir: Path, store: Path, **sections):
+    """``run_workflow`` over the files ``repro-bedpost`` reads;
+    ``sections`` replace whole sections of :data:`DOC`."""
     acquisition = SimpleNamespace(
         dwi=read_nifti(data_dir / "dwi.nii.gz"),
         gtab=read_bvals_bvecs(data_dir / "bvals", data_dir / "bvecs"),
         mask=read_nifti(data_dir / "wm_mask.nii.gz").data.astype(bool),
     )
-    doc = dict(DOC, telemetry={"store": str(store)})
+    doc = dict(DOC, telemetry={"store": str(store)}, **sections)
     with use_registry(MetricsRegistry()):
         return run_workflow(acquisition, spec=RunSpec.from_dict(doc))
 
@@ -229,10 +232,10 @@ class TestArchiveSamplingSection:
         ]) == 0
 
 
-def store_tree(root: Path) -> dict[str, bytes]:
+def store_tree(root: Path, stages=STAGES) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
-        for stage in STAGES
+        for stage in stages
         for p in sorted((root / stage).rglob("*"))
         if p.is_file()
     }
@@ -240,16 +243,43 @@ def store_tree(root: Path) -> dict[str, bytes]:
 
 class TestReproducibleEntries:
     def test_two_cold_stores_hold_identical_bytes(self, data_dir, tmp_path):
+        # The third store's run loses a shard to a crash and retries it:
+        # the recovery stays with the live run, never in an entry.
+        runtimes = {
+            "a": {},
+            "b": {},
+            "faulted": {"n_workers": 2, "fault_plan": "crash:0"},
+        }
         trees = []
-        for name in ("a", "b"):
-            wr = run_files_workflow(data_dir, tmp_path / name)
+        for name, runtime in runtimes.items():
+            wr = run_files_workflow(data_dir, tmp_path / name, runtime=runtime)
             assert not any(wr.cache[f"{s}_hit"] for s in STAGES)
             trees.append(store_tree(tmp_path / name))
-        a, b = trees
-        assert sorted(a) == sorted(b)
+        assert wr.probtrack.run.supervision.n_retries == 1
+        assert wr.probtrack.run.timeline.total("retry") > 0
+        a = trees[0]
         assert {p.split("/")[0] for p in a} == set(STAGES)
-        differ = [p for p in a if a[p] != b[p]]
-        assert differ == []
+        for b in trees[1:]:
+            assert sorted(a) == sorted(b)
+            differ = [p for p in a if a[p] != b[p]]
+            assert differ == []
+
+    def test_worker_count_writes_the_same_tracking_entry(self, data_dir, tmp_path):
+        # The schedule is modeled once over the merged rows, so a
+        # sharded run stores the one-worker timeline: its streams and
+        # its whole-stack residency included.
+        tracking = dict(DOC["tracking"], order="sorted", overlap=True)
+        trees = []
+        for n_workers in (1, 2):
+            store = tmp_path / f"w{n_workers}"
+            wr = run_files_workflow(
+                data_dir, store, tracking=tracking,
+                runtime={"n_workers": n_workers},
+            )
+            assert not wr.cache["tracking_hit"]
+            trees.append(store_tree(store, stages=("tracking",)))
+        assert wr.probtrack.run.supervision is not None  # really sharded
+        assert trees[0] and trees[0] == trees[1]
 
     def test_hit_reports_its_own_wall(self, cli_first):
         _root, store, _track, wr = cli_first

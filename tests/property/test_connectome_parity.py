@@ -242,17 +242,17 @@ class TestWorkflowSpec:
             repro.baselines, "cpu_probabilistic_tracking", _refuse
         )
         runs = []
-        real_run = SegmentedTracker.run
+        real_track = SegmentedTracker.track
 
-        def _counting_run(self, *args, **kwargs):
+        def _counting_track(self, *args, **kwargs):
             runs.append(1)
-            return real_run(self, *args, **kwargs)
+            return real_track(self, *args, **kwargs)
 
-        monkeypatch.setattr(SegmentedTracker, "run", _counting_run)
+        monkeypatch.setattr(SegmentedTracker, "track", _counting_track)
         ph, mask = phantom
         res = run_workflow(ph, spec=_spec("octant"), fit_mask=mask)
         assert res.connectome is not None
-        assert len(runs) == 1  # stage 2's serial run, nothing after it
+        assert len(runs) == 1  # stage 2's one kernel call, nothing after it
 
 
 class TestStoreParity:
@@ -292,6 +292,30 @@ class TestStoreParity:
         assert len(by_stage["sampling"]) == 1
         assert len(by_stage["tracking"]) == 1
         assert len(by_stage["connectome"]) == 2
+
+    def test_launch_order_edit_retracks_but_reuses_the_connectome(
+        self, phantom, tmp_path_factory
+    ):
+        """``tracking.order`` moves only the modeled schedule: the edit
+        is a tracking miss over the same endpoints, so the connectome,
+        keyed by the endpoints it folds, is a hit."""
+        from repro.pipeline import run_workflow
+
+        ph, mask = phantom
+        store = tmp_path_factory.mktemp("order-store")
+        natural = run_workflow(ph, spec=_spec("octant", store), fit_mask=mask)
+        swept = run_workflow(
+            ph, spec=_spec("octant", store, order="sorted"), fit_mask=mask
+        )
+        assert swept.cache["sampling_hit"] is True
+        assert swept.cache["tracking_hit"] is False
+        assert swept.cache["connectome_hit"] is True
+        keys, swept_keys = natural.cache["stage_keys"], swept.cache["stage_keys"]
+        assert swept_keys["tracking"] != keys["tracking"]
+        assert swept_keys["connectome"] == keys["connectome"]
+        np.testing.assert_array_equal(
+            swept.connectome.counts, natural.connectome.counts
+        )
 
     def test_tracking_entry_without_endpoints_misses(
         self, phantom, tmp_path_factory

@@ -192,17 +192,16 @@ def test_matches_spec(fields, order, bidirectional, overlap, interpolation, monk
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("order", ["natural", "sorted"])
 def test_sharded_matches_spec(fields, order, bidirectional, n_workers):
-    """Sharding keeps the per-sample accounting: launches and events in
-    global sample order.  The merge re-tags each shard onto its own
-    stream pair, so only the stream parity is the serial one."""
-    result, _ = run(
-        fields, n_workers, order=order, bidirectional=bidirectional
-    )
-    launches, events, peak = spec_schedule(result, fields, order, False)
-    got_launches, got_events, got_peak = observed(result)
-    assert got_launches == launches
-    assert [(k, lab, sec, st % 2) for k, lab, sec, st in got_events] == events
-    assert got_peak == peak
+    """Sharding keeps Algorithm 1's whole-stack accounting: the model
+    runs once over the merged rows, so launches, events with their
+    streams, and the residency are the spec's at every worker count,
+    with and without the overlap schedule."""
+    for overlap in (False, True):
+        result, _ = run(
+            fields, n_workers, order=order, bidirectional=bidirectional,
+            overlap=overlap,
+        )
+        assert observed(result) == spec_schedule(result, fields, order, overlap)
 
 
 def test_deterministic_sections_worker_invariant(fields):

@@ -345,10 +345,11 @@ def hash_spec_dict_unchecked(doc):
 
 
 #: Table of (dotted override, which stage hashes it must move).
-#: A stage hashes only the sections that parameterise it: sampling
+#: A stage hashes only the section that parameterises it: sampling
 #: edits move the sampling hash alone (they reach stages 2-3 through
-#: the posterior fingerprint in their inputs), tracking edits move
-#: tracking + connectome, connectome edits move only their own stage.
+#: the posterior fingerprint in their inputs), tracking edits move the
+#: tracking hash alone (they reach the connectome through the endpoint
+#: fingerprint), connectome edits move only their own stage.
 #: () means execution policy, telemetry routing or export — no stage
 #: hash may move.
 STAGE_HASH_CASES = [
@@ -362,24 +363,22 @@ STAGE_HASH_CASES = [
     ("sampling.noise_model", "rician", ("sampling",)),
     ("sampling.f_threshold", 0.1, ("sampling",)),
     ("sampling.block_voxels", 7, ("sampling",)),
-    ("tracking.max_steps", 7, ("tracking", "connectome")),
-    ("tracking.min_dot", 0.5, ("tracking", "connectome")),
-    ("tracking.step_length", 0.4, ("tracking", "connectome")),
-    ("tracking.strategy", "b", ("tracking", "connectome")),
-    ("tracking.bidirectional", True, ("tracking", "connectome")),
-    ("tracking.interpolation", "nearest", ("tracking", "connectome")),
-    ("tracking.f_threshold", 0.2, ("tracking", "connectome")),
-    ("tracking.strategy_array", [4, 8], ("tracking", "connectome")),
-    ("tracking.order", "sorted", ("tracking", "connectome")),
-    ("tracking.overlap", True, ("tracking", "connectome")),
+    ("tracking.max_steps", 7, ("tracking",)),
+    ("tracking.min_dot", 0.5, ("tracking",)),
+    ("tracking.step_length", 0.4, ("tracking",)),
+    ("tracking.strategy", "b", ("tracking",)),
+    ("tracking.bidirectional", True, ("tracking",)),
+    ("tracking.interpolation", "nearest", ("tracking",)),
+    ("tracking.f_threshold", 0.2, ("tracking",)),
+    ("tracking.strategy_array", [4, 8], ("tracking",)),
+    ("tracking.order", "sorted", ("tracking",)),
+    ("tracking.overlap", True, ("tracking",)),
     ("connectome.atlas", "octant", ("connectome",)),
     ("connectome.min_steps", 25, ("connectome",)),
     ("connectome.normalize", "fraction", ("connectome",)),
     # (runtime.host has a single preset, so it cannot be varied here;
     # stage_subtree coverage below proves it participates.)  The device
-    # preset steers the tracking stage's modeled schedule only — the
-    # endpoints the connectome folds are preset-independent, so its
-    # hash must *not* move (an atlas sweep survives a machine change).
+    # preset steers the tracking stage's modeled schedule only.
     ("runtime.device", "nvidia_warp32", ("tracking",)),
     ("runtime.n_workers", 8, ()),
     ("runtime.bedpost_workers", 2, ()),
@@ -440,7 +439,7 @@ class TestStageHashes:
         assert set(sub) == {"tracking", "runtime"}
         assert set(sub["runtime"]) == set(RUNTIME_DETERMINISTIC_FIELDS)
         sub = stage_subtree({}, "connectome")
-        assert set(sub) == {"tracking", "connectome"}
+        assert set(sub) == {"connectome"}
 
     def test_inputs_participate(self):
         base = stage_hash({}, "sampling")

@@ -168,11 +168,8 @@ def test_shard_task_pickles_only_its_samples():
             stack=part,
             seeds=seeds,
             criteria=TerminationCriteria(),
-            strategy=table2_strategy(),
-            order="natural",
-            overlap=False,
+            segments=table2_strategy().segments(TerminationCriteria().max_steps),
             heading_signs=None,
-            sort_key=None,
             sample_offset=2,
             connectivity_spec=None,
         )

@@ -83,11 +83,8 @@ def shard_task(fields, seed_mask):
         stack=stack,
         seeds=seeds,
         criteria=CRITERIA,
-        strategy=table2_strategy(),
-        order="natural",
-        overlap=False,
+        segments=table2_strategy().segments(CRITERIA.max_steps),
         heading_signs=None,
-        sort_key=None,
         sample_offset=0,
         connectivity_spec=(len(seeds), int(np.prod(stack.shape3)), None),
     )

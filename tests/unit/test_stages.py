@@ -16,26 +16,21 @@ from repro.errors import ConfigurationError
 PINNED_DEFAULT_KEYS = {
     "sampling": "sha256:90acec57247d4d4d9bf80d726390182aa4442f1ae9f347838d954b48df7fabbc",
     "tracking": "sha256:3faf66aa7b8126589c872a9b6714f6bfe70c1deb5c2ccf562252ae46ec0c996e",
-    "connectome": "sha256:3ea65e1522d51a2098552af965170d1a9e04b9c5e71e0022a78f6a8efd7e960b",
+    "connectome": "sha256:49ecd2366fa2a7c3e704e1fabf7f4a2290e7b2f34fdd74bc46911e2d8795ea62",
 }
 
 
 class TestStageTable:
     def test_stages_in_topo_order(self):
-        # A stage hashes the spec sections that parameterise it: its own
-        # and, for the connectome, the tracking section whose endpoints
-        # it folds.  Upstream outputs reach a key only through the input
-        # fingerprints, so no stage hashes a section of a later stage
-        # and none hashes ``sampling`` but the sampling stage itself.
+        # A stage hashes the spec section that parameterises it, its
+        # own, and nothing upstream: the connectome reaches the tracking
+        # options only through the endpoints it folds, and tracking the
+        # sampling options only through the posterior, both via input
+        # fingerprints.
         names = stage_names()
         assert names == ("sampling", "tracking", "connectome")
-        for i, name in enumerate(names):
-            sections = get_stage(name).spec_sections
-            assert name in sections
-            for section in sections:
-                if section in names:
-                    assert names.index(section) <= i
-            assert ("sampling" in sections) == (name == "sampling")
+        for name in names:
+            assert get_stage(name).spec_sections == (name,)
 
     def test_get_stage_unknown_raises(self):
         with pytest.raises(ConfigurationError, match="unknown stage"):
