@@ -31,7 +31,6 @@ degenerate".
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -39,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE, emit
+from benchmarks.conftest import BENCH_SCALE, emit, write_report
 from repro.analysis import render_table
 from repro.mcmc import MCMCConfig
 from repro.pipeline import BedpostConfig, bedpost
@@ -149,7 +148,7 @@ def test_bedpost_shard_report(benchmark, phantom1, capsys):
         }
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(JSON_PATH, report)
 
     rows = [
         ["serial", report["serial_wall_s"], "", "", ""],

@@ -20,7 +20,6 @@ once, ever.  Every recorded wall is measured on the machine named by
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE, emit
+from benchmarks.conftest import BENCH_SCALE, emit, write_report
 from repro.analysis import render_table
 from repro.config import RunSpec
 from repro.pipeline import run_workflow
@@ -126,7 +125,7 @@ def test_connectome_sweep_report(benchmark, phantom1, tmp_path, capsys):
         }
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(JSON_PATH, report)
 
     rows = [
         ["cold (octant)", report["cold_wall_s"], ""],

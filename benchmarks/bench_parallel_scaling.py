@@ -37,7 +37,6 @@ and as machine-readable ``BENCH_parallel.json`` at the repo root:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import platform
@@ -47,7 +46,7 @@ from unittest import mock
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE, emit
+from benchmarks.conftest import BENCH_SCALE, emit, write_report
 from repro.analysis import render_table
 from repro.gpu.multigpu import partition_seeds
 from repro.models.fields import FiberStack
@@ -277,7 +276,7 @@ def test_parallel_scaling_report(benchmark, phantom1, fields1, capsys):
         }
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(JSON_PATH, report)
 
     kp = report["kernel_pass"]
     par = report["parallel"]

@@ -24,7 +24,6 @@ smoke runs at ``REPRO_BENCH_SCALE=0.25``.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -32,7 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE, emit, sample_fields_from_truth
+from benchmarks.conftest import (
+    BENCH_SCALE,
+    emit,
+    sample_fields_from_truth,
+    write_report,
+)
 from repro.analysis import render_table, table4_row
 from repro.data import dataset1
 from repro.tracking import (
@@ -130,7 +134,7 @@ def test_segmentation_report(benchmark, capsys):
         }
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(JSON_PATH, report)
 
     rows = [
         [name, r["segments"], r["wall_s"], r["us_per_step"],

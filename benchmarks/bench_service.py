@@ -22,7 +22,6 @@ slots the cold jobs only time-slice the same cores.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE, emit
+from benchmarks.conftest import BENCH_SCALE, emit, write_report
 from repro.analysis import render_table
 from repro.service import ServiceConfig, TractographyService
 
@@ -126,7 +125,7 @@ def test_service_throughput_report(benchmark, tmp_path_factory, capsys):
         }
 
     report = benchmark.pedantic(build, rounds=1, iterations=1)
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report(JSON_PATH, report)
 
     rows = [
         [

@@ -16,7 +16,6 @@ this gives the paper's 9-parameter state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import i0e
 
 from repro.errors import ModelError
 
@@ -109,6 +108,10 @@ def rician_loglike(
     Shapes as in :func:`gaussian_loglike`; negative data values (which a
     true magnitude image cannot contain) yield ``-inf``.
     """
+    # Imported on use: only this likelihood needs scipy.special, and
+    # the default (Gaussian) pipeline should not load it.
+    from scipy.special import i0e
+
     data = np.asarray(data, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)

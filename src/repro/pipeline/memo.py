@@ -34,7 +34,6 @@ import json
 import time
 
 import numpy as np
-from scipy import sparse
 
 from repro.config.stages import TRACKING
 from repro.gpu.timeline import Timeline
@@ -124,7 +123,7 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
     """Write one tracking result's payload files into ``tmp_dir``."""
     run = result.run
     conn = result.connectivity
-    counts = conn.counts
+    data, indices, indptr = conn.csr_arrays()
     # Uncompressed, like every store payload: deflating costs more time
     # than the bytes it saves (docs/storage.md), and np.load still reads
     # entries that were written compressed.
@@ -134,10 +133,10 @@ def _serialize(tmp_dir, result: ProbtrackResult) -> None:
         reasons=run.reasons,
         endpoints=run.endpoints,
         seeds=result.seeds,
-        conn_data=counts.data,
-        conn_indices=counts.indices,
-        conn_indptr=counts.indptr,
-        conn_shape=np.asarray(counts.shape, dtype=np.int64),
+        conn_data=data,
+        conn_indices=indices,
+        conn_indptr=indptr,
+        conn_shape=np.asarray((conn.n_seeds, conn.n_voxels), dtype=np.int64),
         conn_n_samples=np.int64(conn.n_samples),
     )
     (tmp_dir / "timeline.json").write_text(
@@ -184,12 +183,14 @@ def _rehydrate(entry, cfg) -> ProbtrackResult:
         wall_seconds=time.perf_counter() - t0,
         peak_device_bytes=int(timeline_doc["peak_device_bytes"]),
     )
-    shape = tuple(int(x) for x in blob["conn_shape"])
-    connectivity = ConnectivityAccumulator(n_seeds=shape[0], n_voxels=shape[1])
-    connectivity.n_samples = int(blob["conn_n_samples"])
-    connectivity._counts_cache = sparse.csr_matrix(
-        (blob["conn_data"], blob["conn_indices"], blob["conn_indptr"]),
-        shape=shape,
+    n_seeds, n_voxels = (int(x) for x in blob["conn_shape"])
+    connectivity = ConnectivityAccumulator.from_csr(
+        n_seeds,
+        n_voxels,
+        n_samples=int(blob["conn_n_samples"]),
+        data=blob["conn_data"],
+        indices=blob["conn_indices"],
+        indptr=blob["conn_indptr"],
     )
     return ProbtrackResult(
         run=run,

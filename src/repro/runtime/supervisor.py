@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import resource
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -241,10 +242,26 @@ def _run_scoped(run: Callable[[Any], Any], task: Any) -> tuple[Any, dict]:
     serial fallback, or as the executor's single in-parent task — so no
     stage counts into whatever registry a forked worker inherited, and
     the parent folds every task's telemetry the same way.
+
+    The snapshot also carries what the task cost the process running
+    it, from ``getrusage`` at entry and exit: CPU seconds as the timer
+    ``runtime.worker_cpu_s`` and minor page faults as the ops counter
+    ``runtime.worker_minflt`` (measured, so not deterministic).
     """
     local = MetricsRegistry()
+    before = resource.getrusage(resource.RUSAGE_SELF)
     with use_registry(local):
         payload = run(task)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    local.add_time(
+        "runtime.worker_cpu_s",
+        (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+    )
+    local.count(
+        "runtime.worker_minflt",
+        after.ru_minflt - before.ru_minflt,
+        deterministic=False,
+    )
     return payload, local.snapshot()
 
 

@@ -9,25 +9,59 @@ maintains a sparse ``(n_seeds, n_voxels)`` count matrix — the paper's
 connectivity matrix ``P`` with rows restricted to seed voxels.
 
 Internally each closed sample contributes one deduplicated array of
-``seed * n_voxels + voxel`` pairs; the CSR count matrix is assembled
-*once*, lazily, from the pooled COO triplets (and cached until the next
-sample closes) rather than by per-sample CSR addition — integer
-summation is associative, so the counts are identical either way, and
-the assembly cost drops from O(samples * nnz) to O(nnz).  The per-sample
-pair arrays are also the unit of transfer for sharded tracking
-(:mod:`repro.tracking.shards`): :meth:`ConnectivityAccumulator.absorb` folds a worker's closed
-samples into the parent accumulator deterministically.
+``seed * n_voxels + voxel`` pairs; the CSR count arrays are assembled
+*once*, lazily, from the pooled pairs (and cached until the next sample
+closes) rather than by per-sample CSR addition — integer summation is
+associative, so the counts are identical either way, and the assembly
+cost drops from O(samples * nnz) to O(nnz).  The per-sample pair arrays
+are also the unit of transfer for sharded tracking
+(:mod:`repro.tracking.shards`): :meth:`ConnectivityAccumulator.absorb`
+folds a worker's closed samples into the parent accumulator
+deterministically.
+
+The CSR arrays are built with NumPy (:meth:`~ConnectivityAccumulator.csr_arrays`)
+and are what the store and the density map read; only the SciPy matrix
+views (:attr:`~ConnectivityAccumulator.counts`,
+:meth:`~ConnectivityAccumulator.probability`) import ``scipy.sparse``,
+on first use, so a tracking request never loads it
+(docs/parallelism.md, "Lean workers").
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import TrackingError
 from repro.utils.voxels import unique_sorted
 
 __all__ = ["ConnectivityAccumulator"]
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _csr_from_pairs(
+    sample_pairs: list[np.ndarray], n_seeds: int, n_voxels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of the pooled pairs' count matrix.
+
+    Equal in values and dtypes to SciPy's
+    ``coo_matrix((ones, divmod(pairs, n_voxels))).tocsr()``: one entry per
+    distinct ``(row, col)``, columns sorted within each row, int64 data
+    (each sample holds a pair at most once, so an entry's count is its
+    number of samples), and int32 index arrays unless the shape or the
+    pooled pair count exceeds int32 — SciPy's index-dtype rule, so stored
+    entries keep their bytes.
+    """
+    pooled = (
+        np.concatenate(sample_pairs) if sample_pairs else np.empty(0, np.int64)
+    )
+    fits = max(n_seeds, n_voxels, pooled.size) <= _INT32_MAX
+    index_dtype = np.int32 if fits else np.int64
+    keys, data = np.unique(pooled, return_counts=True)
+    rows, cols = np.divmod(keys, n_voxels)
+    indptr = np.zeros(n_seeds + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=n_seeds), out=indptr[1:])
+    return data.astype(np.int64, copy=False), cols.astype(index_dtype), indptr
 
 
 class ConnectivityAccumulator:
@@ -58,7 +92,7 @@ class ConnectivityAccumulator:
         self.n_voxels = n_voxels
         self.n_samples = 0
         self._sample_pairs: list[np.ndarray] = []
-        self._counts_cache: sparse.csr_matrix | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pending: list[np.ndarray] | None = None
         if seed_map is not None:
             seed_map = np.asarray(seed_map, dtype=np.int64)
@@ -67,6 +101,26 @@ class ConnectivityAccumulator:
             ):
                 raise TrackingError("seed_map entries must index seed rows")
         self.seed_map = seed_map
+
+    @classmethod
+    def from_csr(
+        cls,
+        n_seeds: int,
+        n_voxels: int,
+        n_samples: int,
+        data: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+    ) -> "ConnectivityAccumulator":
+        """An accumulator holding stored counts (:meth:`csr_arrays` output).
+
+        A store hit's rehydrate: it carries no per-sample pairs, so it
+        reads counts but is not meant to absorb further samples.
+        """
+        acc = cls(n_seeds, n_voxels)
+        acc.n_samples = n_samples
+        acc._csr = (data, indices, indptr)
+        return acc
 
     def begin_sample(self) -> None:
         """Open a sample volume's visit stream."""
@@ -108,7 +162,7 @@ class ConnectivityAccumulator:
         self._pending = None
         self._sample_pairs.append(pairs)
         self.n_samples += 1
-        self._counts_cache = None
+        self._csr = None
 
     def sample_pairs(self) -> list[np.ndarray]:
         """Per-sample deduplicated pair arrays (the mergeable state)."""
@@ -129,31 +183,33 @@ class ConnectivityAccumulator:
         for pairs in sample_pairs:
             self._sample_pairs.append(np.asarray(pairs, dtype=np.int64))
             self.n_samples += 1
-        self._counts_cache = None
+        self._csr = None
+
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The count matrix as CSR ``(data, indices, indptr)`` arrays.
+
+        Shape ``(n_seeds, n_voxels)``; built with NumPy from the pooled
+        pairs on first call and cached until the next sample closes.
+        """
+        if self._csr is None:
+            self._csr = _csr_from_pairs(
+                self._sample_pairs, self.n_seeds, self.n_voxels
+            )
+        return self._csr
 
     @property
-    def counts(self) -> sparse.csr_matrix:
-        """Raw visit counts, ``(n_seeds, n_voxels)``."""
-        if self._counts_cache is None:
-            nnz = sum(p.size for p in self._sample_pairs)
-            if nnz == 0:
-                self._counts_cache = sparse.csr_matrix(
-                    (self.n_seeds, self.n_voxels), dtype=np.int64
-                )
-            else:
-                pairs = np.concatenate(self._sample_pairs)
-                rows, cols = np.divmod(pairs, self.n_voxels)
-                # COO -> CSR sums duplicate (row, col) entries: each
-                # sample contributes each pair at most once, so the sum
-                # is the per-pair sample count.
-                self._counts_cache = sparse.coo_matrix(
-                    (np.ones(pairs.size, dtype=np.int64), (rows, cols)),
-                    shape=(self.n_seeds, self.n_voxels),
-                ).tocsr()
-        return self._counts_cache
+    def counts(self):
+        """Raw visit counts, ``(n_seeds, n_voxels)``, as a
+        ``scipy.sparse.csr_matrix`` over :meth:`csr_arrays`."""
+        from scipy import sparse
 
-    def probability(self) -> sparse.csr_matrix:
-        """``P(exists seed -> voxel | Y)``: counts / n_samples."""
+        return sparse.csr_matrix(
+            self.csr_arrays(), shape=(self.n_seeds, self.n_voxels)
+        )
+
+    def probability(self):
+        """``P(exists seed -> voxel | Y)``: counts / n_samples, as a
+        ``scipy.sparse.csr_matrix``."""
         if self.n_samples == 0:
             raise TrackingError("no samples accumulated yet")
         return self.counts.multiply(1.0 / self.n_samples).tocsr()
@@ -173,5 +229,7 @@ class ConnectivityAccumulator:
             raise TrackingError(
                 f"grid {shape3} has {nx * ny * nz} voxels, expected {self.n_voxels}"
             )
-        total = np.asarray(self.counts.sum(axis=0)).ravel()
+        data, indices, _ = self.csr_arrays()
+        total = np.zeros(self.n_voxels, dtype=np.int64)
+        np.add.at(total, indices, data)
         return total.reshape(shape3)

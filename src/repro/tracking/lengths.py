@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import TrackingError
 
@@ -80,6 +79,11 @@ def fit_exponential(
         Drop fibers at or above this (e.g. ``max_steps``, where the step
         budget clips the tail into an artificial spike).
     """
+    # Imported here, not at module level: scipy.stats is ~50 MB of
+    # address space that every forked worker would otherwise inherit,
+    # and this fit is its only user (docs/parallelism.md, "Lean workers").
+    from scipy import stats
+
     x = np.asarray(lengths, dtype=np.float64).ravel()
     if x.size == 0:
         raise TrackingError("no lengths to fit")

@@ -90,6 +90,20 @@ def test_deterministic_counters_cover_the_hot_path(fields):
     assert sum(hist["counts"]) == hist["n"] > 0
 
 
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
+def test_worker_cost_rides_in_task_snapshots(fields, n_workers):
+    """Each task's CPU and minor faults fold into the parent as measured
+    state; the deterministic section stays the serial run's."""
+    doc = run_with_metrics(fields, n_workers)
+    cpu = doc["timers"]["runtime.worker_cpu_s"]
+    assert cpu["count"] >= 1 and cpu["total_s"] > 0
+    assert doc["ops"]["runtime.worker_minflt"] > 0
+    det = deterministic_sections(doc)
+    assert not [k for k in det["counters"] if k.startswith("runtime.worker_")]
+    serial = deterministic_sections(run_with_metrics(fields, 1))
+    assert json.dumps(det, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
 def test_worker_spans_merge_into_parent(fields):
     cfg = ProbtrackConfig(
         criteria=TerminationCriteria(max_steps=64, min_dot=0.8, step_length=0.2),
